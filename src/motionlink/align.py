@@ -26,9 +26,10 @@ from .errors import ConfigError, DataError, NoOverlap
 from .engine import (
     DEFAULT_MIN_OBSERVED_FRACTION,
     FilterConfig,
-    RankEntry,
     RankedIdentityList,
-    _best_position,
+    _position_matrix,
+    _rank_pairs,
+    _ranked,
     _restricted_lut,
     mismatch_budget,
 )
@@ -38,7 +39,6 @@ from .model import (
     Channel,
     MagnitudeSeq,
     VisualDataset,
-    slice_series,
 )
 from .pipeline import (
     SAVGOL_ORDER,
@@ -249,20 +249,6 @@ def align_offset_search(
     )
 
 
-def _motion_slice(
-    ident: str, w: float, codes: np.ndarray, mags: np.ndarray, lo: int, hi: int
-) -> ActivityVectorSeries:
-    return ActivityVectorSeries(
-        source_id=ident,
-        channel=Channel.MOTION,
-        window_seconds=w,
-        activities=tuple(ActivityLabel(int(c)) for c in codes[lo:hi]),
-        magnitudes={
-            ActivityVectorSeries.MOTION_KEY: MagnitudeSeq(mags[lo:hi].tolist())
-        },
-    )
-
-
 def correlate_with_alignment(
     motion_traces: Mapping[str, MotionTrace],
     visual: VisualDataset,
@@ -346,7 +332,8 @@ def correlate_with_alignment(
     chosen: dict[str, dict[str, float]] = {}
     for avatar in visual:
         avatar_codes = avatar.activity_codes()
-        entries = []
+        avatar_mags = _position_matrix(avatar)
+        ids, rows = [], []
         offsets_here: dict[str, float] = {}
         for ident in sorted(rebuilt):
             if align.share_offset:
@@ -366,13 +353,16 @@ def correlate_with_alignment(
             offsets_here[ident] = offset
             if dist > mismatch_budget(config.t_norm, n_eff):
                 continue
+            # rank over the compared span [lo, hi) only: windows outside
+            # it are unobservable for every position
             codes, mags, first = rebuilt[ident][offset]
-            v_slice = slice_series(avatar, lo, hi)
-            m_slice = _motion_slice(ident, w, codes, mags, lo - first, hi - first)
-            best_pos = _best_position(v_slice, m_slice, min_observed_fraction)
-            if best_pos is not None:
-                entries.append(RankEntry(ident, best_pos[0], best_pos[1]))
-        entries.sort(key=lambda e: (-e.rho, e.identity_id))
-        rankings.append(RankedIdentityList(avatar.source_id, tuple(entries)))
+            vis = np.full_like(avatar_mags, np.nan)
+            vis[:, lo:hi] = avatar_mags[:, lo:hi]
+            mot = np.zeros(n_visual)
+            mot[lo:hi] = mags[lo - first:hi - first]
+            ids.append(ident)
+            rows.append((vis, mot, hi - lo))
+        rho, pos = _rank_pairs(rows, min_observed_fraction)
+        rankings.append(_ranked(avatar.source_id, ids, rho, pos))
         chosen[avatar.source_id] = offsets_here
     return rankings, chosen

@@ -105,7 +105,6 @@ class RunConfig:
     min_observed_fraction: float = DEFAULT_MIN_OBSERVED_FRACTION
     top_k: int = 3
     seed: int = 0
-    threads: int | None = None
 
     def __post_init__(self):
         if not self.w > 0:
@@ -122,13 +121,6 @@ class RunConfig:
             )
         if self.top_k < 1:
             raise ConfigError(f"top_k must be >= 1, got {self.top_k}")
-        if self.threads is not None and self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
-
-    def resolved_threads(self) -> int:
-        if self.threads is not None:
-            return self.threads
-        return os.cpu_count() or 1
 
 
 _RUN_FIELDS = tuple(f.name for f in fields(RunConfig))
@@ -289,6 +281,9 @@ def cmd_align(args) -> int:
 
 def cmd_correlate(args) -> int:
     cfg, given = resolve_run_config(args)
+    if args.report and not args.truth:
+        raise ConfigError("--report requires --truth")
+    truth = GroundTruth.load(args.truth) if args.truth else None
     visual = read_dataset_jsonl(args.visual)
     motion = read_dataset_jsonl(args.motion)
     if not isinstance(visual, VisualDataset):
@@ -309,15 +304,11 @@ def cmd_correlate(args) -> int:
         fconf,
         cfg.min_observed_fraction,
         use_index=cfg.index_mode == "indexed",
-        threads=cfg.resolved_threads(),
     )
-    truth = GroundTruth.load(args.truth) if args.truth else None
     write_rankings_jsonl(rankings, args.out, truth=truth.mapping if truth else None)
     matched = sum(1 for r in rankings if len(r.entries) > 0)
     print(f"ranked {len(rankings)} avatars ({matched} with candidates) -> {args.out}")
     if args.report:
-        if truth is None:
-            raise ConfigError("--report requires --truth")
         report = evaluate(
             rankings,
             truth,
@@ -413,8 +404,6 @@ def _add_run_flags(sub) -> None:
                      type=float, default=None)
     sub.add_argument("--top-k", dest="top_k", type=int, default=None)
     sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--threads", type=int, default=None,
-                     help="worker threads (default: all cores; results do not depend on it)")
 
 
 def _add_model_flags(sub) -> None:

@@ -10,6 +10,7 @@ magnitudes.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -257,30 +258,98 @@ class RankedIdentityList:
         return tuple(e.identity_id for e in self.entries)
 
 
-def _best_position(visual_series: ActivityVectorSeries, motion_series: ActivityVectorSeries,
-                   min_observed_fraction: float):
-    """Best (rho, position) across sensor positions, or None if all skipped.
+# Pairs are ranked a block at a time, with at most this many magnitude cells
+# (pairs x positions x windows) per block.  Larger blocks gain little speed
+# and raise peak memory with the number of pairs.
+_BLOCK_CELLS = 4096
 
-    Pairwise deletion: windows unobservable for a position are dropped for
-    that position only.  Positions with too little coverage are skipped;
-    a position whose correlation is undefined scores -inf so it can never
-    be preferred over a real correlation.
+_POSITIONS = tuple(SensorPosition)
+
+
+def _rank_block(vis: np.ndarray, mot: np.ndarray, n_windows,
+                min_observed_fraction: float) -> tuple[np.ndarray, np.ndarray]:
+    """Best per-position Spearman rho for a block of P (avatar, identity) pairs.
+
+    `vis` holds each pair's visual magnitudes, shape (P, 6, n), with NaN at
+    unobservable windows; `mot` the identity's motion magnitudes, (P, n).
+    `n_windows`, (P,) or a scalar, is the window count the coverage rule
+    divides by.  Pairwise deletion: a position drops the windows it cannot
+    observe.  A position is skipped below two observed windows or below
+    `min_observed_fraction` coverage; an undefined correlation scores -inf.
+    Returns (best_rho, best_position_index); the index is -1 where every
+    position was skipped, and the first position wins ties.
+
+    Unobserved windows are padded with +inf on both sides, so they rank
+    after every observed one and the observed entries get the average-tie
+    ranks of `fractional_ranks`.  Those ranks and their centre
+    (n_obs + 1) / 2 are multiples of 0.5, so every sum below is exact and
+    rho is bit-identical to `spearman_rho` on the observed windows.
     """
-    m_vals = motion_series.motion_magnitudes.values
-    best: tuple[float, SensorPosition] | None = None
-    for position in SensorPosition:
-        seq = visual_series.magnitude_for(position)
-        mask = seq.observed_mask
-        n = len(seq)
-        if n == 0 or mask.sum() / n < min_observed_fraction or mask.sum() < 2:
-            continue
-        try:
-            rho = spearman_rho(seq.values[mask], m_vals[mask])
-        except UndefinedCorrelation:
-            rho = float("-inf")
-        if best is None or rho > best[0]:
-            best = (rho, position)
-    return best
+    from scipy.stats import rankdata
+
+    observed = ~np.isnan(vis)
+    n_obs = observed.sum(axis=-1)
+    centre = ((n_obs + 1) / 2.0)[..., None]
+    padded = np.where(observed, np.stack(np.broadcast_arrays(vis, mot[:, None, :])), np.inf)
+    dx, dy = np.where(observed, rankdata(padded, axis=-1) - centre, 0.0)
+    sxy = np.einsum("pkn,pkn->pk", dx, dy)
+    sxx = np.einsum("pkn,pkn->pk", dx, dx)
+    syy = np.einsum("pkn,pkn->pk", dy, dy)
+    rho = np.full(sxy.shape, -np.inf)
+    np.divide(sxy, np.sqrt(sxx * syy), out=rho, where=(sxx > 0) & (syy > 0))
+
+    n_windows = np.asarray(n_windows)[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coverage = n_obs / n_windows
+    usable = (n_windows > 0) & (n_obs >= 2) & ~(coverage < min_observed_fraction)
+    best_rho = np.where(usable, rho, -np.inf).max(axis=1)
+    best_pos = np.argmax(usable & (rho == best_rho[:, None]), axis=1)
+    return best_rho, np.where(usable.any(axis=1), best_pos, -1)
+
+
+def _rank_pairs(rows: Iterable[tuple[np.ndarray, np.ndarray, int]],
+                min_observed_fraction: float) -> tuple[np.ndarray, np.ndarray]:
+    """`_rank_block` over (vis (6, n), mot (n,), n_windows) rows of one
+    width n, taken from `rows` `_BLOCK_CELLS` cells at a time, so only one
+    block's rows need to exist at once."""
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
+        return np.empty(0), np.empty(0, dtype=np.intp)
+    rows = itertools.chain([first], rows)
+    step = max(1, _BLOCK_CELLS // max(1, first[0].size))
+    rho, pos = [], []
+    while block := list(itertools.islice(rows, step)):
+        vis, mot, n_windows = zip(*block)
+        block_rho, block_pos = _rank_block(np.stack(vis), np.stack(mot),
+                                           np.array(n_windows), min_observed_fraction)
+        rho.append(block_rho)
+        pos.append(block_pos)
+    return np.concatenate(rho), np.concatenate(pos)
+
+
+def _position_matrix(visual_series: ActivityVectorSeries) -> np.ndarray:
+    """(6, n) magnitudes of a visual series, NaN where unobservable."""
+    return np.stack([visual_series.magnitude_for(p).values for p in _POSITIONS])
+
+
+def _ranked(avatar_id: str, identity_ids: Sequence[str], rho: np.ndarray,
+            pos: np.ndarray) -> RankedIdentityList:
+    """Entries of the pairs not skipped, best rho first, ties on identity id."""
+    entries = [
+        RankEntry(ident, r, _POSITIONS[k])
+        for ident, r, k in zip(identity_ids, rho.tolist(), pos.tolist())
+        if k >= 0
+    ]
+    entries.sort(key=lambda e: (-e.rho, e.identity_id))
+    return RankedIdentityList(avatar_id, tuple(entries))
+
+
+def _check_fraction(min_observed_fraction: float) -> None:
+    if not 0.0 <= min_observed_fraction <= 1.0:
+        raise ConfigError(
+            f"min_observed_fraction must lie in [0, 1], got {min_observed_fraction}"
+        )
 
 
 def rank_identities(visual_series: ActivityVectorSeries,
@@ -288,45 +357,40 @@ def rank_identities(visual_series: ActivityVectorSeries,
                     min_observed_fraction: float = DEFAULT_MIN_OBSERVED_FRACTION,
                     ) -> RankedIdentityList:
     """Rank candidate identities for one avatar by best per-position rho."""
-    if not 0.0 <= min_observed_fraction <= 1.0:
-        raise ConfigError(
-            f"min_observed_fraction must lie in [0, 1], got {min_observed_fraction}"
-        )
+    _check_fraction(min_observed_fraction)
     if isinstance(candidates, Mapping):
         items = list(candidates.values())
     else:
         items = list(candidates)
     if not items:
         return RankedIdentityList(visual_series.source_id, ())
-    entries = []
+    n = len(visual_series)
     for m in items:
-        if len(m) != len(visual_series):
-            raise LengthMismatch(
-                f"{m.source_id}: length {len(m)} vs avatar length {len(visual_series)}"
-            )
-        best = _best_position(visual_series, m, min_observed_fraction)
-        if best is not None:
-            entries.append(RankEntry(m.source_id, best[0], best[1]))
-    if not entries:
+        if len(m) != n:
+            raise LengthMismatch(f"{m.source_id}: length {len(m)} vs avatar length {n}")
+    vis = _position_matrix(visual_series)
+    rho, pos = _rank_pairs(((vis, m.motion_magnitudes.values, n) for m in items),
+                           min_observed_fraction)
+    ranking = _ranked(visual_series.source_id, [m.source_id for m in items], rho, pos)
+    if not ranking.entries:
         raise EmptyRanking(
             f"{visual_series.source_id}: every position of every candidate was skipped"
         )
-    entries.sort(key=lambda e: (-e.rho, e.identity_id))
-    return RankedIdentityList(visual_series.source_id, tuple(entries))
+    return ranking
 
 
 def correlate(visual: VisualDataset, motion: MotionDataset, config: FilterConfig,
               min_observed_fraction: float = DEFAULT_MIN_OBSERVED_FRACTION,
-              use_index: bool = False, threads: int = 1) -> list[RankedIdentityList]:
+              use_index: bool = False) -> list[RankedIdentityList]:
     """Full two-stage pipeline: filter candidates, then rank them.
 
     Returns one RankedIdentityList per avatar, in dataset order; an avatar
     whose candidate set ends up empty (or all-skipped) gets an empty list,
     the "none correlated" outcome.  With use_index=True the filtering stage
     runs on the wildcard index; results are identical to the naive scan.
-    `threads` bounds worker parallelism for the ranking stage; the output
-    does not depend on it.
+    Entries equal what `rank_identities` gives each avatar's candidates.
     """
+    _check_fraction(min_observed_fraction)
     if use_index:
         if config.restricted is not None:
             raise ConfigError("indexed filtering does not support restricted label sets")
@@ -340,23 +404,26 @@ def correlate(visual: VisualDataset, motion: MotionDataset, config: FilterConfig
         pair_set = filter_with_index(visual, motion, mismatch_budget(config.t_norm, n))
     else:
         pair_set = activity_filter(visual, motion, config)
+        n = visual.uniform_length()
 
-    def rank_one(avatar) -> RankedIdentityList:
-        ids = pair_set.candidates(avatar.source_id)
-        candidates = [motion[i] for i in sorted(ids)]
-        if not candidates:
-            return RankedIdentityList(avatar.source_id, ())
-        try:
-            return rank_identities(avatar, candidates, min_observed_fraction)
-        except EmptyRanking:
-            return RankedIdentityList(avatar.source_id, ())
+    candidate_ids = [sorted(pair_set.candidates(a.source_id)) for a in visual]
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    def rows():
+        for avatar, ids in zip(visual, candidate_ids):
+            if ids:
+                vis = _position_matrix(avatar)
+                for i in ids:
+                    yield vis, motion[i].motion_magnitudes.values, n
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(rank_one, visual))
-    return [rank_one(avatar) for avatar in visual]
+    rho, pos = _rank_pairs(rows(), min_observed_fraction)
+
+    rankings = []
+    start = 0
+    for avatar, ids in zip(visual, candidate_ids):
+        stop = start + len(ids)
+        rankings.append(_ranked(avatar.source_id, ids, rho[start:stop], pos[start:stop]))
+        start = stop
+    return rankings
 
 
 # ---------------------------------------------------------------------------

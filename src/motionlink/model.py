@@ -281,6 +281,8 @@ def series_from_dict(obj: Mapping) -> ActivityVectorSeries:
         )
     except KeyError as exc:
         raise DataError(f"series object missing field {exc.args[0]!r}") from None
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise DataError(f"malformed series object: {exc}") from None
 
 
 def dumps_canonical(obj) -> str:

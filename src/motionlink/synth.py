@@ -209,7 +209,7 @@ class GroundTruth:
                 str(k): tuple(ActivityLabel(int(c)) for c in v)
                 for k, v in payload["scripts"].items()
             }
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise DataError(f"malformed ground truth payload: {exc}") from exc
         return cls(mapping=mapping, scripts=scripts)
 
@@ -221,7 +221,11 @@ class GroundTruth:
     @classmethod
     def load(cls, path) -> "GroundTruth":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                payload = json.load(fh)
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise DataError(f"{path}: not valid JSON ({exc})") from None
+        return cls.from_dict(payload)
 
 
 def identity_id(index: int) -> str:

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -69,8 +70,6 @@ class TestRunConfig:
             RunConfig(index_mode="fast")
         with pytest.raises(ConfigError):
             RunConfig(top_k=0)
-        with pytest.raises(ConfigError):
-            RunConfig(threads=0)
 
 
 class TestGenerate:
@@ -125,15 +124,56 @@ class TestCorrelate:
             outs[mode] = out.read_bytes()
         assert outs["naive"] == outs["indexed"]
 
-    def test_thread_count_does_not_change_output(self, dataset, tmp_path):
+    def test_repeated_runs_write_identical_files(self, dataset, tmp_path):
         outs = []
-        for threads in ("1", "3"):
-            out = tmp_path / f"t{threads}.jsonl"
+        for run in ("a", "b"):
+            out = tmp_path / f"{run}.jsonl"
             rc = main(["correlate", "--visual", dataset["visual"], "--motion", dataset["motion"],
-                       "--out", str(out), "--threads", threads])
+                       "--out", str(out)])
             assert rc == EXIT_OK
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_report_without_truth_fails_before_writing(self, dataset, tmp_path, capsys):
+        out = tmp_path / "r.jsonl"
+        rc = main(["correlate", "--visual", dataset["visual"], "--motion", dataset["motion"],
+                   "--out", str(out), "--report", str(tmp_path / "report.json")])
+        assert rc == EXIT_CONFIG
+        assert "--truth" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["not json\n", '{"avatars": [], "scripts": {}}\n'])
+    def test_bad_truth_is_data_error_before_writing(self, dataset, tmp_path, capsys, text):
+        truth = tmp_path / "truth.json"
+        truth.write_text(text)
+        out = tmp_path / "r.jsonl"
+        rc = main(["correlate", "--visual", dataset["visual"], "--motion", dataset["motion"],
+                   "--out", str(out), "--truth", str(truth)])
+        assert rc == EXIT_DATA
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("magnitudes", [1, 2]),
+        ("activities", "x"),
+    ])
+    def test_malformed_series_line_is_data_error(self, dataset, tmp_path, capsys,
+                                                 field, value):
+        visual = Path(dataset["visual"])
+        lines = visual.read_text().splitlines()
+        obj = json.loads(lines[1])
+        obj[field] = value
+        lines[1] = json.dumps(obj)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "r.jsonl"
+        rc = main(["correlate", "--visual", str(bad), "--motion", dataset["motion"],
+                   "--out", str(out)])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{bad}:2:" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
 
     def test_missing_motion_file_is_io_error(self, dataset, tmp_path):
         rc = main(["correlate", "--visual", dataset["visual"], "--motion",
@@ -191,6 +231,14 @@ class TestCorrelate:
                    "--out", str(tmp_path / "r.jsonl"), "--config", str(cfg)])
         assert rc == EXIT_CONFIG
         assert "tnorm" in capsys.readouterr().err
+
+    def test_threads_config_key_is_rejected(self, dataset, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"threads": 2}))
+        rc = main(["correlate", "--visual", dataset["visual"], "--motion", dataset["motion"],
+                   "--out", str(tmp_path / "r.jsonl"), "--config", str(cfg)])
+        assert rc == EXIT_CONFIG
+        assert "threads" in capsys.readouterr().err
 
 
 class TestBench:

@@ -1,12 +1,17 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from motionlink import engine
 from motionlink.engine import (
     CandidatePairSet,
     FilterConfig,
+    RankEntry,
     RankedIdentityList,
     activity_filter,
     correlate,
@@ -400,6 +405,93 @@ def test_rank_identities_length_mismatch():
     m = motion_series("m0", [4, 4, 4])
     with pytest.raises(LengthMismatch):
         rank_identities(v, [m])
+
+
+# ---------------------------------------------------------------------------
+# batched ranking against the scalar oracle
+
+def scalar_ranking(avatar, identities, min_observed_fraction):
+    """Entries from one `spearman_rho` call per (pair, position): the
+    skip rules, -inf for undefined, first position wins, (-rho, id) order."""
+    entries = []
+    for m in identities:
+        best = None
+        for position in SensorPosition:
+            seq = avatar.magnitude_for(position)
+            mask = seq.observed_mask
+            n, n_obs = len(seq), int(mask.sum())
+            if n == 0 or n_obs / n < min_observed_fraction or n_obs < 2:
+                continue
+            try:
+                rho = spearman_rho(seq.values[mask], m.motion_magnitudes.values[mask])
+            except UndefinedCorrelation:
+                rho = float("-inf")
+            if best is None or rho > best[0]:
+                best = (rho, position)
+        if best is not None:
+            entries.append(RankEntry(m.source_id, best[0], best[1]))
+    entries.sort(key=lambda e: (-e.rho, e.identity_id))
+    return tuple(entries)
+
+
+# small integer magnitudes so ties, constant rows and exact coverage
+# fractions (0.5 of an even n) come up often
+grid_values = st.integers(0, 3).map(float)
+
+
+@st.composite
+def cohorts(draw):
+    n = draw(st.integers(1, 10))
+    avatars = []
+    for a in range(draw(st.integers(1, 3))):
+        mags = {}
+        for p in SensorPosition:
+            n_obs = draw(st.integers(0, n))
+            holes = draw(st.permutations(range(n)))[: n - n_obs]
+            vals = draw(st.lists(grid_values, min_size=n, max_size=n))
+            mags[p.value] = MagnitudeSeq(
+                [None if i in holes else v for i, v in enumerate(vals)])
+        avatars.append(visual_series(f"a{a}", [4] * n, mags))
+    identities = [
+        motion_series(f"m{j}", [4] * n, draw(st.lists(grid_values, min_size=n, max_size=n)))
+        for j in draw(st.permutations(range(draw(st.integers(1, 5)))))
+    ]
+    return avatars, identities
+
+
+@settings(max_examples=300, deadline=None)
+@given(cohorts(), st.sampled_from([0.0, 0.5, 1.0]), st.sampled_from([1, 100, 4096]))
+def test_batched_ranking_equals_scalar_oracle(cohort, min_observed_fraction, block_cells):
+    avatars, identities = cohort
+    # small blocks make one avatar's candidates span several kernel calls
+    with mock.patch.object(engine, "_BLOCK_CELLS", block_cells):
+        rankings = correlate(VisualDataset(avatars), MotionDataset(identities),
+                             FilterConfig(t_norm=1.0), min_observed_fraction)
+        for avatar, ranking in zip(avatars, rankings):
+            expected = scalar_ranking(avatar, identities, min_observed_fraction)
+            assert ranking.avatar_id == avatar.source_id
+            assert ranking.entries == expected
+            if expected:
+                assert rank_identities(avatar, identities,
+                                       min_observed_fraction).entries == expected
+            else:
+                with pytest.raises(EmptyRanking):
+                    rank_identities(avatar, identities, min_observed_fraction)
+
+
+def test_rank_block_skip_rules_and_first_position_wins():
+    vis = np.full((3, 6, 4), np.nan)
+    vis[0, 2, :2] = [1.0, 2.0]          # 2 of 4 windows: at the 0.5 floor
+    vis[1, 0, :1] = [1.0]               # one window: skipped at any floor
+    vis[1, 1, :3] = [3.0, 2.0, 1.0]     # rho -1
+    vis[1, 3, :3] = [1.0, 2.0, 3.0]     # rho 1 ...
+    vis[1, 4, :3] = [2.0, 4.0, 6.0]     # ... tied here; the earlier one wins
+    mot = np.tile([1.0, 2.0, 3.0, 4.0], (3, 1))
+    rho, pos = engine._rank_block(vis, mot, 4, 0.5)
+    assert rho.tolist() == [1.0, 1.0, float("-inf")]
+    assert pos.tolist() == [2, 3, -1]
+    rho, pos = engine._rank_block(vis, mot, 5, 0.5)  # 2 of 5 falls below it
+    assert pos.tolist() == [-1, 3, -1]
 
 
 # ---------------------------------------------------------------------------
