@@ -40,7 +40,15 @@ from .evalbench import (
     write_scaling_csv,
     write_sweep_csv,
 )
-from .model import SERIES_FORMAT_VERSION, Channel, MotionDataset, VisualDataset, read_dataset_jsonl, write_dataset_jsonl
+from .model import (
+    SERIES_FORMAT_VERSION,
+    Channel,
+    MotionDataset,
+    VisualDataset,
+    not_utf8,
+    read_dataset_jsonl,
+    write_dataset_jsonl,
+)
 from .pipeline import (
     build_series,
     load_classifier,
@@ -57,7 +65,6 @@ from .synth import (
     synthesize_trace_cohort,
     train_classifier,
 )
-from .windex import SNAPSHOT_MAGIC
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -74,7 +81,6 @@ FORMAT_IDS = (
     ("cohort-spec-json", "v1"),
     ("classifier-json", "v1"),
     ("alignment-json", "v1"),
-    ("index-snapshot", SNAPSHOT_MAGIC.decode("ascii")),
     ("scaling-csv", ",".join(SCALING_FIELDS)),
     ("sweep-csv", ",".join(SWEEP_FIELDS)),
 )
@@ -132,6 +138,8 @@ def _load_config_file(path) -> dict:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+        except UnicodeDecodeError:
+            raise not_utf8(path, ConfigError) from None
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     unknown = sorted(set(payload) - set(_RUN_FIELDS))

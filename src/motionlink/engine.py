@@ -34,6 +34,7 @@ from .model import (
     SensorPosition,
     VisualDataset,
     dumps_canonical,
+    not_utf8,
 )
 
 DEFAULT_T_NORM = 0.30
@@ -478,12 +479,15 @@ def write_rankings_jsonl(rankings: Sequence[RankedIdentityList], path,
 def read_rankings_jsonl(path) -> list[RankedIdentityList]:
     out = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append(ranking_from_dict(json.loads(line)))
-            except (json.JSONDecodeError, DataError) as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    out.append(ranking_from_dict(json.loads(line)))
+                except (json.JSONDecodeError, DataError) as exc:
+                    raise DataError(f"{path}:{lineno}: {exc}") from None
+        except UnicodeDecodeError:
+            raise not_utf8(path) from None
     return out

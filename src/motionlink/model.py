@@ -226,29 +226,6 @@ class ActivityVectorSeries:
             raise DataError(f"unknown sensor position {position!r}") from None
 
 
-def series_length(series: ActivityVectorSeries) -> int:
-    """Number of windows in the series (0 for an empty series)."""
-    return len(series)
-
-
-def slice_series(series: ActivityVectorSeries, start: int, stop: int) -> ActivityVectorSeries:
-    """A new series covering window indices [start, stop)."""
-    if not 0 <= start <= stop <= len(series):
-        raise DataError(
-            f"slice [{start}, {stop}) out of range for series of length {len(series)}"
-        )
-    return ActivityVectorSeries(
-        source_id=series.source_id,
-        channel=series.channel,
-        window_seconds=series.window_seconds,
-        activities=series.activities[start:stop],
-        magnitudes={
-            name: MagnitudeSeq(seq.entries()[start:stop])
-            for name, seq in series.magnitudes.items()
-        },
-    )
-
-
 # ---------------------------------------------------------------------------
 # serialization
 #
@@ -396,17 +373,34 @@ def write_dataset_jsonl(dataset: _SeriesDataset, path) -> None:
             fh.write("\n")
 
 
+def not_utf8(path, error_type=DataError) -> Exception:
+    """The error for a text file that fails to decode, naming the line of
+    its first bad byte (text-mode reads decode in chunks, so the reader's
+    own line count cannot)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        return error_type(f"{path}:{line}: not UTF-8 text ({exc.reason} at byte {exc.start})")
+    return error_type(f"{path}: not UTF-8 text")
+
+
 def read_dataset_jsonl(path) -> MotionDataset | VisualDataset:
     series = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                series.append(series_from_json(line))
-            except DataError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    series.append(series_from_json(line))
+                except DataError as exc:
+                    raise DataError(f"{path}:{lineno}: {exc}") from None
+        except UnicodeDecodeError:
+            raise not_utf8(path) from None
     if not series:
         raise DataError(f"{path}: no series found")
     return _dataset_class(series[0].channel)(series)

@@ -34,6 +34,7 @@ from .model import (
     Channel,
     MagnitudeSeq,
     SensorPosition,
+    not_utf8,
 )
 
 GRAVITY = 9.81
@@ -189,20 +190,23 @@ def write_motion_csv(trace: MotionTrace, path) -> None:
 
 def read_motion_csv(path, nominal_interval: float = DEFAULT_SAMPLE_INTERVAL) -> MotionTrace:
     with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != MOTION_CSV_FIELDS:
-            raise DataError(f"{path}: expected header {','.join(MOTION_CSV_FIELDS)}")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 7:
-                raise DataError(f"{path}:{lineno}: expected 7 columns, got {len(row)}")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
+        try:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or tuple(h.strip() for h in header) != MOTION_CSV_FIELDS:
+                raise DataError(f"{path}: expected header {','.join(MOTION_CSV_FIELDS)}")
+            rows = []
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 7:
+                    raise DataError(f"{path}:{lineno}: expected 7 columns, got {len(row)}")
+                try:
+                    rows.append([float(v) for v in row])
+                except ValueError as exc:
+                    raise DataError(f"{path}:{lineno}: {exc}") from None
+        except UnicodeDecodeError:
+            raise not_utf8(path) from None
     if not rows:
         raise DataError(f"{path}: no samples")
     arr = np.asarray(rows, dtype=np.float64)
@@ -226,17 +230,20 @@ def read_keypoint_jsonl(path, frame_rate: float = DEFAULT_FRAME_RATE) -> Keypoin
     ts, frames = [], []
     names: set[str] = set()
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                ts.append(float(obj["ts"]))
-                frames.append(obj["kp"])
-                names.update(obj["kp"])
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise DataError(f"{path}:{lineno}: bad keypoint frame: {exc}") from None
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    obj = json.loads(line)
+                    ts.append(float(obj["ts"]))
+                    frames.append(obj["kp"])
+                    names.update(obj["kp"])
+                except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                    raise DataError(f"{path}:{lineno}: bad keypoint frame: {exc}") from None
+        except UnicodeDecodeError:
+            raise not_utf8(path) from None
     if not ts:
         raise DataError(f"{path}: no frames")
     points = {name: np.full((len(ts), 2), np.nan) for name in names}

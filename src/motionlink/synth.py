@@ -35,6 +35,7 @@ from .model import (
     SensorPosition,
     VisualDataset,
     label_from_token,
+    not_utf8,
 )
 from .pipeline import (
     DEFAULT_FRAME_RATE,
@@ -837,4 +838,6 @@ def load_cohort_spec(path) -> CohortSpec:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"cohort spec {path}: invalid JSON ({exc})") from exc
+        except UnicodeDecodeError:
+            raise not_utf8(path, ConfigError) from None
     return cohort_spec_from_dict(payload)

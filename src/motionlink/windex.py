@@ -1,36 +1,35 @@
 """Wildcard hash index: activity filtering in near-linear time.
 
 The naive filter compares every visual sequence against every motion
-sequence, O(p*q*k).  This index instead expands each length-k sequence into
-every variant with up to t_abs positions replaced by a wildcard and stores
-the variants in a multimap.  Two sequences lie within Hamming distance
-t_abs exactly when they share a variant whose wildcard positions cover all
-their mismatches, so a lookup replaces the quadratic scan: build O(q),
-query O(p), each scaled by the per-sequence expansion count
-sum_{i=0..t_abs} C(k, i).
+sequence, O(p*q*k).  The paper's index instead expands each length-k
+sequence into every variant with up to t_abs positions replaced by a
+wildcard, sum_{i=0..t_abs} C(k, i) keys per sequence (`wildcard_expansions`
+enumerates them).  Two sequences lie within Hamming distance t_abs exactly
+when they share a variant whose wildcard positions cover all their
+mismatches, so a lookup replaces the quadratic scan: build O(q), query O(p),
+each scaled by the per-sequence key count.
 
-Lookups only consult variants with exactly t_abs wildcards: any pair at
-distance d <= t_abs shares a variant whose wildcard set is some size-t_abs
-superset of its mismatch positions, and variants with fewer wildcards can
-only repeat pairs the maximal ones already found.  The multimap still
-stores every variant, which is what the entry-count identity above counts.
+Only maximal-mask variants are stored: any pair at distance d <= t_abs
+shares a variant whose wildcard set is some size-t_abs superset of its
+mismatch positions, and variants with fewer wildcards can only repeat pairs
+the maximal ones already find.  An index over q sequences therefore holds
+q * C(k, t_abs) entries.
 
-Keys serialize as one byte per position (activity codes 0..7, 0xFF for the
-wildcard).  In memory they pack into int64 nibbles when k allows, falling
-back to fixed-width byte strings for long sequences; both orders agree
-with the serialized byte order, so snapshots are portable between the two.
+A key packs a masked sequence 15 positions to a 64-bit word, one nibble per
+position (activity codes 0..7, 8 for the wildcard).  Up to k=15 that single
+word is the key, and equal keys mean equal variants.  Longer sequences fold
+their words into one 64-bit hash, h = h * MIX + word, so distinct variants
+may collide; the filter confirms every pair by its mismatch count, which it
+computes for each pair anyway.
 """
 
 from __future__ import annotations
 
-import io
 import itertools
-import json
 import logging
 import math
 import os
-import struct
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -46,13 +45,12 @@ logger = logging.getLogger(__name__)
 
 WILDCARD_BYTE = 0xFF
 WILDCARD_NIBBLE = 0x8
-_PACKED_MAX_K = 15  # 4*k bits plus headroom must stay inside a signed int64
+_WORD = 15  # positions per key word: 4 bits each, with headroom for ids
+_FULL = (1 << 64) - 1
+MIX = 0x9E3779B97F4A7C15  # odd multiplier folding the words of a long key
 
 MEMORY_CAP_ENV = "MOTIONLINK_MEMORY_CAP"
 DEFAULT_MEMORY_CAP = 8 * 1024 ** 3
-
-SNAPSHOT_MAGIC = b"MLWX0001"
-_HEADER = struct.Struct("<IIQQI")  # k, t_abs, q, entry_count, id-table bytes
 
 
 def expansion_count(k: int, t_abs: int) -> int:
@@ -70,16 +68,12 @@ def _check_budget(k: int, t_abs: int) -> None:
         raise BudgetExceedsLength(f"budget {t_abs} exceeds sequence length {k}")
 
 
-def _seq_codes(seq) -> np.ndarray:
+def wildcard_expansions(seq: Sequence, t_abs: int) -> frozenset[bytes]:
+    """All masked variants of one sequence, one byte per position and 0xFF
+    for the wildcard: the paper's key set, of size expansion_count(k, t_abs)."""
     codes = np.asarray([int(ActivityLabel(l)) for l in seq], dtype=np.uint8)
     if codes.size == 0:
         raise ConfigError("cannot expand an empty sequence")
-    return codes
-
-
-def wildcard_expansions(seq: Sequence, t_abs: int) -> frozenset[bytes]:
-    """All masked variants of one sequence, as canonical key bytes."""
-    codes = _seq_codes(seq)
     k = codes.size
     _check_budget(k, t_abs)
     out = set()
@@ -92,20 +86,20 @@ def wildcard_expansions(seq: Sequence, t_abs: int) -> frozenset[bytes]:
     return frozenset(out)
 
 
-def format_key(key: bytes) -> str:
-    """Human-readable key, e.g. b'\\x04\\x07\\xff\\x03\\xff' -> '47*3*'."""
-    return "".join("*" if b == WILDCARD_BYTE else str(b) for b in key)
-
-
 def estimate_index_memory(q: int, k: int, t_abs: int) -> int:
-    """Rough peak bytes for building an index over q length-k sequences."""
-    entries = q * expansion_count(k, t_abs)
-    exact = q * math.comb(k, t_abs)
-    if k <= _PACKED_MAX_K:
-        # full packed keys + sort workspace and sorted copies of the
-        # maximal-mask segment (combined key, split key, int64 ids)
-        return entries * 8 + exact * 28 + q * k
-    return entries * k + exact * (2 * k + 16) + q * k
+    """Upper bound on the peak bytes of building an index over q length-k
+    sequences, checked against the tracemalloc peak in the tests."""
+    masks = math.comb(k, t_abs)
+    entries = q * masks
+    words = -(-k // _WORD)
+    # keys and ids take 8 bytes each, and the argsort path briefly holds the
+    # unsorted keys, the order and the sorted keys at once; per sequence
+    # come its key words, two temporaries, its codes and a generated id
+    # string; per mask, its tuple.  A sixteenth on top covers allocator and
+    # sort-kernel differences between numpy builds.
+    per_entry = 16 if _combined_fits(k, q) else 24
+    base = entries * per_entry + q * (8 * words + 96 + k) + masks * (150 + 8 * t_abs)
+    return base + base // 16 + 64 * 1024
 
 
 def _resolve_cap(memory_cap_bytes: int | None) -> int:
@@ -124,99 +118,65 @@ def _masks_of_size(k: int, size: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations(range(k), size))
 
 
-def _all_masks(k: int, t_abs: int) -> list[tuple[int, ...]]:
-    out = []
-    for i in range(t_abs + 1):
-        out.extend(_masks_of_size(k, i))
-    return out
-
-
 # ---------------------------------------------------------------------------
-# packed-int64 backend (k <= 15)
+# keys
 
-def _pack_shifts(k: int) -> np.ndarray:
-    return (4 * (k - 1 - np.arange(k))).astype(np.int64)
-
-
-def _pack(mat: np.ndarray) -> np.ndarray:
-    # big-endian nibbles: integer order equals canonical byte order
-    return (mat.astype(np.int64) << _pack_shifts(mat.shape[1])).sum(axis=1)
+def _nibble(k: int, pos: int) -> tuple[int, int]:
+    """(word, bit shift) of a position; nibbles are big-endian within a word."""
+    word, rem = divmod(pos, _WORD)
+    width = min(_WORD, k - word * _WORD)
+    return word, 4 * (width - 1 - rem)
 
 
-def _mask_consts(k: int, mask: tuple[int, ...]) -> tuple[int, int]:
-    shifts = _pack_shifts(k)
-    keep = (1 << (4 * k)) - 1
-    wild = 0
-    for pos in mask:
-        keep ^= 0xF << int(shifts[pos])
-        wild |= WILDCARD_NIBBLE << int(shifts[pos])
-    return keep, wild
+def _combined_fits(k: int, m: int) -> bool:
+    """Whether a key of length k and a row id below m fit in one word."""
+    key_bits = 4 * k if k <= _WORD else 64
+    return key_bits + max((m - 1).bit_length(), 1) <= 64
 
 
-def _expand_packed(packed: np.ndarray, k: int, masks) -> np.ndarray:
-    m = packed.size
-    out = np.empty(m * len(masks), dtype=np.int64)
-    for j, mask in enumerate(masks):
-        keep, wild = _mask_consts(k, mask)
-        np.bitwise_and(packed, keep, out=out[j * m:(j + 1) * m])
-        out[j * m:(j + 1) * m] |= wild
-    return out
-
-
-def _packed_to_bytes(keys: np.ndarray, k: int) -> np.ndarray:
-    """(N,) packed int64 -> (N, k) canonical key bytes."""
-    shifts = _pack_shifts(k)
-    out = np.empty((keys.size, k), dtype=np.uint8)
-    for i in range(k):
-        nib = (keys >> int(shifts[i])) & 0xF
-        col = nib.astype(np.uint8)
-        col[col == WILDCARD_NIBBLE] = WILDCARD_BYTE
-        out[:, i] = col
-    return out
-
-
-def _bytes_to_packed(rows: np.ndarray) -> np.ndarray:
-    k = rows.shape[1]
-    nib = rows.astype(np.int64)
-    nib[rows == WILDCARD_BYTE] = WILDCARD_NIBBLE
-    return (nib << _pack_shifts(k)).sum(axis=1)
-
-
-# ---------------------------------------------------------------------------
-# fixed-width bytes backend (k > 15)
-#
-# Codes shift to 1..8 internally so keys never contain NUL bytes, which
-# numpy's fixed-width string dtype would silently strip on comparison.
-
-def _to_sdtype(mat_plus1: np.ndarray) -> np.ndarray:
-    k = mat_plus1.shape[1]
-    flat = np.ascontiguousarray(mat_plus1, dtype=np.uint8)
-    return flat.reshape(-1).view(f"S{k}")
-
-
-def _expand_bytes(mat: np.ndarray, masks) -> np.ndarray:
+def _expand(mat: np.ndarray, masks) -> np.ndarray:
+    """Keys of every row of `mat` under every mask, mask-major: entry
+    j*m + i is row i under masks[j]."""
     m, k = mat.shape
-    plus1 = mat.astype(np.uint8) + 1
-    out = np.empty(m * len(masks), dtype=f"S{k}")
+    words = np.zeros((-(-k // _WORD), m), dtype=np.uint64)
+    for pos in range(k):
+        word, shift = _nibble(k, pos)
+        words[word] |= mat[:, pos].astype(np.uint64) << shift
+    out = np.empty(m * len(masks), dtype=np.uint64)
     for j, mask in enumerate(masks):
-        block = plus1.copy()
+        keep = [_FULL] * len(words)
+        wild = [0] * len(words)
         for pos in mask:
-            block[:, pos] = WILDCARD_BYTE
-        out[j * m:(j + 1) * m] = _to_sdtype(block)
+            word, shift = _nibble(k, pos)
+            keep[word] ^= 0xF << shift
+            wild[word] |= WILDCARD_NIBBLE << shift
+        block = out[j * m:(j + 1) * m]
+        np.bitwise_and(words[0], keep[0], out=block)
+        block |= wild[0]
+        for w in range(1, len(words)):
+            block *= MIX
+            block += (words[w] & keep[w]) | wild[w]
     return out
 
 
-def _skeys_to_bytes(keys: np.ndarray, k: int) -> np.ndarray:
-    rows = np.frombuffer(keys.tobytes(), dtype=np.uint8).reshape(-1, k).copy()
-    wild = rows == WILDCARD_BYTE
-    rows[~wild] -= 1
-    return rows
+def _sort_keys(keys: np.ndarray, m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sort mask-major keys of m rows; returns (sorted keys, owning rows).
 
-
-def _bytes_to_skeys(rows: np.ndarray) -> np.ndarray:
-    plus1 = rows.copy()
-    plus1[rows != WILDCARD_BYTE] += 1
-    return _to_sdtype(plus1)
+    Key and row share one word when they fit, so a plain sort suffices;
+    otherwise the keys are argsorted.  `keys` is consumed.
+    """
+    if _combined_fits(k, m):
+        id_bits = max((m - 1).bit_length(), 1)
+        keys <<= id_bits
+        keys.reshape(keys.size // max(m, 1), m)[...] |= np.arange(m, dtype=np.uint64)
+        keys.sort()
+        owners = (keys & ((1 << id_bits) - 1)).view(np.int64)
+        keys >>= id_bits
+        return keys, owners
+    order = np.argsort(keys)
+    ordered = keys[order]
+    np.remainder(order, m, out=order)
+    return ordered, order
 
 
 # ---------------------------------------------------------------------------
@@ -233,27 +193,23 @@ def _codes_matrix(source) -> tuple[np.ndarray, tuple[str, ...]]:
 
 
 class WildcardIndex:
-    """Multimap from masked key variants to the identities that produced them."""
+    """Sorted maximal-mask keys, each with the identity that produced it."""
 
     def __init__(self, codes: np.ndarray, source_ids: tuple[str, ...], t_abs: int,
-                 full_keys: np.ndarray, seg_keys: np.ndarray, seg_ids: np.ndarray):
+                 keys: np.ndarray, ids: np.ndarray):
         self.codes = codes
         self.source_ids = source_ids
         self.t_abs = t_abs
         self.k = codes.shape[1]
         self.size = codes.shape[0]
-        self.entry_count = int(full_keys.size)
-        self._full_keys = full_keys   # all variants, grouped by mask block
-        self._seg_keys = seg_keys     # sorted keys of the maximal-mask segment
-        self._seg_ids = seg_ids       # identity ordinals aligned with _seg_keys
-        self._packed = codes.shape[1] <= _PACKED_MAX_K
-
-    # -- construction -----------------------------------------------------
+        self.entry_count = int(keys.size)
+        self._keys = keys  # sorted keys, one per (sequence, size-t_abs mask)
+        self._ids = ids    # identity ordinals aligned with _keys
 
     @classmethod
     def build(cls, source, t_abs: int, *,
               memory_cap_bytes: int | None = None) -> "WildcardIndex":
-        """Expand, and sort the segment lookups run against.
+        """Expand and sort the keys lookups run against.
 
         Refuses with MemoryCapExceeded when the documented estimate blows
         the cap (MOTIONLINK_MEMORY_CAP or 8 GiB by default).
@@ -265,7 +221,7 @@ class WildcardIndex:
         cap = _resolve_cap(memory_cap_bytes)
         logger.info(
             "index build: q=%d k=%d t_abs=%d entries=%d estimated %.1f MiB (cap %.1f MiB)",
-            q, k, t_abs, q * expansion_count(k, t_abs),
+            q, k, t_abs, q * math.comb(k, t_abs),
             estimate / 1024 ** 2, cap / 1024 ** 2,
         )
         if estimate > cap:
@@ -273,163 +229,8 @@ class WildcardIndex:
                 f"index over q={q} k={k} t_abs={t_abs} needs about "
                 f"{estimate} bytes, cap is {cap}"
             )
-        small = _all_masks(k, t_abs)[:-math.comb(k, t_abs)] if t_abs else []
-        exact = _masks_of_size(k, t_abs)
-        if k <= _PACKED_MAX_K:
-            packed = _pack(codes)
-            exact_keys = _expand_packed(packed, k, exact)
-            small_keys = _expand_packed(packed, k, small) if small else \
-                np.empty(0, dtype=np.int64)
-            id_bits = max((q - 1).bit_length(), 1)
-            if 4 * k + id_bits <= 63:
-                combined = (exact_keys << id_bits) | np.tile(
-                    np.arange(q, dtype=np.int64), len(exact))
-                combined.sort()
-                seg_keys = combined >> id_bits
-                seg_ids = (combined & ((1 << id_bits) - 1)).astype(np.int64)
-            else:
-                owners = np.tile(np.arange(q, dtype=np.int64), len(exact))
-                order = np.argsort(exact_keys, kind="stable")
-                seg_keys, seg_ids = exact_keys[order], owners[order]
-        else:
-            exact_keys = _expand_bytes(codes, exact)
-            small_keys = _expand_bytes(codes, small) if small else \
-                np.empty(0, dtype=exact_keys.dtype)
-            owners = np.tile(np.arange(q, dtype=np.int64), len(exact))
-            order = np.argsort(exact_keys, kind="stable")
-            seg_keys, seg_ids = exact_keys[order], owners[order]
-        full_keys = np.concatenate([small_keys, exact_keys])
-        return cls(codes, source_ids, t_abs, full_keys, seg_keys, seg_ids)
-
-    # -- queries ----------------------------------------------------------
-
-    def _query_pairs(self, v_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """All (visual row, identity ordinal) pairs within t_abs, deduplicated."""
-        v_mat = np.ascontiguousarray(v_mat, dtype=np.uint8)
-        if v_mat.ndim != 2 or v_mat.shape[1] != self.k:
-            raise DataError(f"query matrix must be (p, {self.k}), got {v_mat.shape}")
-        p = v_mat.shape[0]
-        exact = _masks_of_size(self.k, self.t_abs)
-        owners = np.tile(np.arange(p, dtype=np.int64), len(exact))
-        if self._packed:
-            qkeys = _expand_packed(_pack(v_mat), self.k, exact)
-            id_bits = max((p - 1).bit_length(), 1)
-            if 4 * self.k + id_bits <= 63:
-                comb = (qkeys << id_bits) | owners
-                comb.sort()
-                qkeys = comb >> id_bits
-                owners = comb & ((1 << id_bits) - 1)
-            else:
-                order = np.argsort(qkeys, kind="stable")
-                qkeys, owners = qkeys[order], owners[order]
-        else:
-            qkeys = _expand_bytes(v_mat, exact)
-            order = np.argsort(qkeys, kind="stable")
-            qkeys, owners = qkeys[order], owners[order]
-        ks = self._seg_keys
-        n = ks.size
-        lo = np.searchsorted(ks, qkeys, side="left")
-        at = np.minimum(lo, n - 1)
-        hit = (lo < n) & (ks[at] == qkeys)
-        if not hit.any():
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        h_lo, h_keys, h_owners = lo[hit], qkeys[hit], owners[hit]
-        h_hi = np.searchsorted(ks, h_keys, side="right")
-        counts = h_hi - h_lo
-        total = int(counts.sum())
-        run = np.repeat(np.arange(h_lo.size), counts)
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        pos = np.arange(total) - offsets[run]
-        ids = self._seg_ids[h_lo[run] + pos]
-        rows = np.repeat(h_owners, counts)
-        pair_codes = np.unique(rows * self.size + ids)
-        return pair_codes // self.size, pair_codes % self.size
-
-
-    def query(self, seq: Sequence) -> tuple[str, ...]:
-        """Identities within Hamming distance t_abs of one sequence."""
-        codes = _seq_codes(seq)
-        if codes.size != self.k:
-            raise DataError(f"query of length {codes.size} against k={self.k} index")
-        _, ids = self._query_pairs(codes[None, :])
-        return tuple(self.source_ids[i] for i in ids)
-
-    def contains_key(self, key: bytes) -> bool:
-        """Whether a canonical masked key is present in the multimap."""
-        if len(key) != self.k:
-            return False
-        row = np.frombuffer(key, dtype=np.uint8)[None, :]
-        if self._packed:
-            target = _bytes_to_packed(row)[0]
-        else:
-            target = _bytes_to_skeys(row)[0]
-        if (row == WILDCARD_BYTE).sum() == self.t_abs:
-            i = int(np.searchsorted(self._seg_keys, target, side="left"))
-            return i < self._seg_keys.size and self._seg_keys[i] == target
-        return bool((self._full_keys == target).any())
-
-    # -- snapshot ---------------------------------------------------------
-
-    def _canonical_entries(self) -> tuple[np.ndarray, np.ndarray]:
-        """All entries as (key bytes matrix, id ordinals), sorted by (key, id)."""
-        n_masks = self.entry_count // self.size
-        owners = np.tile(np.arange(self.size, dtype=np.int64), n_masks)
-        if self._packed:
-            order = np.lexsort((owners, self._full_keys))
-            rows = _packed_to_bytes(self._full_keys[order], self.k)
-        else:
-            order = np.lexsort((owners, self._full_keys))
-            rows = _skeys_to_bytes(self._full_keys[order], self.k)
-        return rows, owners[order]
-
-    def save(self, path) -> None:
-        rows, ids = self._canonical_entries()
-        id_table = json.dumps(list(self.source_ids), separators=(",", ":")).encode()
-        with open(path, "wb") as fh:
-            fh.write(SNAPSHOT_MAGIC)
-            fh.write(_HEADER.pack(self.k, self.t_abs, self.size,
-                                  self.entry_count, len(id_table)))
-            fh.write(id_table)
-            fh.write(rows.tobytes())
-            fh.write(ids.astype(np.uint32).tobytes())
-
-    @classmethod
-    def load(cls, path) -> "WildcardIndex":
-        with open(path, "rb") as fh:
-            data = fh.read()
-        buf = io.BytesIO(data)
-        if buf.read(len(SNAPSHOT_MAGIC)) != SNAPSHOT_MAGIC:
-            raise DataError(f"{path}: not an index snapshot")
-        k, t_abs, q, entry_count, id_len = _HEADER.unpack(
-            buf.read(_HEADER.size))
-        try:
-            source_ids = tuple(json.loads(buf.read(id_len).decode()))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise DataError(f"{path}: bad id table: {exc}") from None
-        key_bytes = buf.read(entry_count * k)
-        id_bytes = buf.read(entry_count * 4)
-        if len(key_bytes) != entry_count * k or len(id_bytes) != entry_count * 4:
-            raise DataError(f"{path}: truncated snapshot")
-        rows = np.frombuffer(key_bytes, dtype=np.uint8).reshape(entry_count, k)
-        ids = np.frombuffer(id_bytes, dtype=np.uint32).astype(np.int64)
-        wild_counts = (rows == WILDCARD_BYTE).sum(axis=1)
-        base = wild_counts == 0
-        base_rows, base_ids = rows[base], ids[base]
-        codes = np.empty((q, k), dtype=np.uint8)
-        codes[base_ids] = base_rows
-        if len(source_ids) != q or int(base.sum()) != q:
-            raise DataError(f"{path}: inconsistent snapshot contents")
-        exact = wild_counts == t_abs
-        if k <= _PACKED_MAX_K:
-            full_keys = _bytes_to_packed(rows)
-            seg_keys = full_keys[exact]
-            seg_ids = ids[exact]
-        else:
-            full_keys = _bytes_to_skeys(rows)
-            seg_keys = full_keys[exact]
-            seg_ids = ids[exact]
-        # global (key, id) order restricted to one mask size stays sorted
-        return cls(codes, source_ids, t_abs, full_keys, seg_keys, seg_ids)
+        keys, ids = _sort_keys(_expand(codes, _masks_of_size(k, t_abs)), q, k)
+        return cls(codes, source_ids, t_abs, keys, ids)
 
 
 def build_index(source, t_abs: int, *, memory_cap_bytes: int | None = None) -> WildcardIndex:
@@ -437,13 +238,38 @@ def build_index(source, t_abs: int, *, memory_cap_bytes: int | None = None) -> W
 
 
 def filter_pairs_indexed(v_mat: np.ndarray, index: WildcardIndex):
-    """(rows, ids, distances) of all pairs within the index budget."""
-    rows, ids = index._query_pairs(v_mat)
-    if rows.size:
-        dists = (np.asarray(v_mat, dtype=np.uint8)[rows] != index.codes[ids]).sum(axis=1)
-    else:
-        dists = np.empty(0, dtype=np.int64)
-    return rows, ids, dists.astype(np.int64)
+    """(rows, ids, distances) of all pairs within the index budget, sorted
+    by (row, id)."""
+    v_mat = np.ascontiguousarray(v_mat, dtype=np.uint8)
+    if v_mat.ndim != 2 or v_mat.shape[1] != index.k:
+        raise DataError(f"query matrix must be (p, {index.k}), got {v_mat.shape}")
+    p, k = v_mat.shape
+    qkeys, owners = _sort_keys(_expand(v_mat, _masks_of_size(k, index.t_abs)), p, k)
+    ks = index._keys
+    n = ks.size
+    lo = np.searchsorted(ks, qkeys, side="left")
+    at = np.minimum(lo, n - 1)
+    hit = (lo < n) & (ks[at] == qkeys)
+    if not hit.any():
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, empty.copy()
+    h_lo, h_keys, h_owners = lo[hit], qkeys[hit], owners[hit]
+    h_hi = np.searchsorted(ks, h_keys, side="right")
+    counts = h_hi - h_lo
+    total = int(counts.sum())
+    run = np.repeat(np.arange(h_lo.size), counts)
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    pos = np.arange(total) - offsets[run]
+    ids = index._ids[h_lo[run] + pos]
+    rows = np.repeat(h_owners, counts)
+    pair_codes = np.unique(rows * index.size + ids)
+    rows, ids = pair_codes // index.size, pair_codes % index.size
+    dists = (v_mat[rows] != index.codes[ids]).sum(axis=1).astype(np.int64)
+    # equal hashed keys (k > 15) do not prove a match; the count does
+    within = dists <= index.t_abs
+    if not within.all():
+        rows, ids, dists = rows[within], ids[within], dists[within]
+    return rows, ids, dists
 
 
 def filter_with_index(visual: VisualDataset, motion, t_abs: int | None = None,

@@ -38,7 +38,6 @@ from motionlink.model import (
     MotionDataset,
     SensorPosition,
     VisualDataset,
-    slice_series,
 )
 from motionlink.pipeline import ConfusionMatrix, MotionTrace, build_series
 from motionlink.synth import (
@@ -50,7 +49,12 @@ from motionlink.synth import (
     synthesize_motion_trace,
     train_classifier,
 )
-from motionlink.windex import build_index, expansion_count, filter_with_index
+from motionlink.windex import (
+    build_index,
+    expansion_count,
+    filter_with_index,
+    wildcard_expansions,
+)
 
 # set to "1" to include the naive scan at p=q=10^5 in the scaling check;
 # that single row takes hours, so it stays out of the default run
@@ -160,12 +164,20 @@ def test_c03_index_key_count_identity():
     for q, k, t_abs in ((23, 5, 2), (57, 10, 3), (9, 8, 1)):
         mat = rng.integers(0, 8, size=(q, k), dtype=np.uint8)
         index = build_index(mat, t_abs)
+        # the paper's key set, enumerated per sequence
+        keys = [wildcard_expansions([ActivityLabel(int(c)) for c in row], t_abs)
+                for row in mat]
         per_seq = sum(math.comb(k, i) for i in range(t_abs + 1))
-        assert index.entry_count == q * per_seq
-        results.append(f"{q}x{per_seq}")
+        assert sum(len(ks) for ks in keys) == q * per_seq
+        # the index stores only the variants with exactly t_abs wildcards
+        maximal = sum(1 for ks in keys for key in ks if key.count(0xFF) == t_abs)
+        assert maximal == q * math.comb(k, t_abs)
+        assert index.entry_count == maximal
+        results.append(f"{q}x{per_seq} enumerated, {q}x{math.comb(k, t_abs)} stored")
     check(True,
-          "index key counts equal q * sum C(k,i): 16 keys/seq at k=5 t=2, "
-          f"176 at k=10 t=3; built sizes {', '.join(results)}")
+          "enumerated wildcard keys equal q * sum C(k,i): 16 keys/seq at k=5 t=2, "
+          "176 at k=10 t=3; the index stores the q * C(k,t) keys with exactly t "
+          f"wildcards; built sizes {', '.join(results)}")
 
 
 def test_c04_spearman_matches_closed_form():
@@ -255,7 +267,14 @@ def test_c06_alignment_recovers_a_2p4s_offset():
     visual = VisualDataset(vis)
     truth = GroundTruth(mapping=mapping, scripts={})
 
-    motion = MotionDataset([slice_series(build_series(tr, 1.0, model, ident), 0, n)
+    def first_windows(series):
+        return ActivityVectorSeries(
+            source_id=series.source_id, channel=series.channel,
+            window_seconds=series.window_seconds, activities=series.activities[:n],
+            magnitudes={name: MagnitudeSeq(seq.entries()[:n])
+                        for name, seq in series.magnitudes.items()})
+
+    motion = MotionDataset([first_windows(build_series(tr, 1.0, model, ident))
                             for ident, tr in traces.items()])
     plain = evaluate(correlate(visual, motion, FilterConfig(t_norm=t_norm)), truth)
 

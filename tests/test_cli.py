@@ -43,8 +43,9 @@ class TestVersionAndParsing:
         out = capsys.readouterr().out
         assert out.startswith("motionlink ")
         for name in ("series-jsonl", "rankings-jsonl", "truth-json",
-                     "index-snapshot", "scaling-csv", "sweep-csv"):
+                     "scaling-csv", "sweep-csv"):
             assert name in out
+        assert "index-snapshot" not in out
 
     def test_unknown_subcommand_is_config_error(self, capsys):
         assert main(["frobnicate"]) == EXIT_CONFIG
@@ -327,6 +328,33 @@ def trace_dir(tmp_path_factory):
     out = tmp / "d"
     assert main(["generate", "--spec", spec, "--out-dir", str(out), "--traces"]) == EXIT_OK
     return out
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["correlate", "--visual", "{bad}", "--motion", "{motion}", "--out", "{out}"], EXIT_DATA),
+    (["correlate", "--visual", "{visual}", "--motion", "{bad}", "--out", "{out}"], EXIT_DATA),
+    (["correlate", "--config", "{bad}", "--visual", "{visual}", "--motion", "{motion}",
+      "--out", "{out}"], EXIT_CONFIG),
+    (["evaluate", "--rankings", "{bad}", "--truth", "{truth}"], EXIT_DATA),
+    (["generate", "--spec", "{bad}", "--out-dir", "{out}"], EXIT_CONFIG),
+    (["build-series", "--trace", "{bad}.csv", "--channel", "motion", "--out", "{out}"],
+     EXIT_DATA),
+    (["build-series", "--trace", "{bad}.jsonl", "--channel", "visual", "--out", "{out}"],
+     EXIT_DATA),
+], ids=["visual", "motion", "config", "rankings", "spec", "motion-csv", "keypoints"])
+def test_undecodable_input_is_one_line_error(dataset, tmp_path, capsys, argv, code):
+    # a UTF-16 byte-order mark on line 2: not UTF-8
+    bad = tmp_path / "bad"
+    for path in (bad, bad.with_suffix(".csv"), bad.with_suffix(".jsonl")):
+        path.write_bytes(b"{}\n\xff\xfe{}\n")
+    out = tmp_path / "out"
+    names = dict(dataset, bad=str(bad), out=str(out))
+    rc = main([arg.format(**names) for arg in argv])
+    assert rc == code
+    err = capsys.readouterr().err
+    assert f"{bad}" in err and ":2: not UTF-8 text" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
 
 
 class TestTraceCommands:

@@ -16,7 +16,6 @@ from motionlink.model import (
     label_from_token,
     read_dataset_jsonl,
     series_from_json,
-    series_length,
     series_to_json,
     write_dataset_jsonl,
 )
@@ -117,9 +116,9 @@ def test_magnitude_seq_rejects_bad_entries():
 
 
 def test_series_length():
-    assert series_length(make_motion_series(codes=(0,) * 10, mags=[1.0] * 10)) == 10
+    assert len(make_motion_series(codes=(0,) * 10, mags=[1.0] * 10)) == 10
     empty = make_motion_series(codes=(), mags=[])
-    assert series_length(empty) == 0
+    assert len(empty) == 0
 
 
 def test_motion_series_validation():

@@ -1,7 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import motionlink.windex as windex
 
 from motionlink.engine import FilterConfig, activity_filter
 from motionlink.errors import (
@@ -20,12 +24,11 @@ from motionlink.model import (
     VisualDataset,
 )
 from motionlink.windex import (
-    WildcardIndex,
     build_index,
     estimate_index_memory,
     expansion_count,
+    filter_pairs_indexed,
     filter_with_index,
-    format_key,
     wildcard_expansions,
 )
 
@@ -49,13 +52,16 @@ def visual_series(source_id, codes, w=1.0):
     )
 
 
+def brute_arrays(v_mat, m_mat, t_abs):
+    """(rows, ids, distances) of every pair within t_abs, by full scan."""
+    dists = (v_mat[:, None, :] != m_mat[None, :, :]).sum(axis=2)
+    rows, ids = np.nonzero(dists <= t_abs)
+    return rows, ids, dists[rows, ids]
+
+
 def brute_pairs(v_mat, m_mat, t_abs):
-    out = set()
-    for i, a in enumerate(v_mat):
-        for j, b in enumerate(m_mat):
-            if int((a != b).sum()) <= t_abs:
-                out.add((i, j))
-    return out
+    rows, ids, _ = brute_arrays(v_mat, m_mat, t_abs)
+    return set(zip(rows.tolist(), ids.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -101,21 +107,29 @@ def test_expansions_count_matches_formula_randomized():
         assert len(wildcard_expansions(seq, t)) == expansion_count(k, t)
 
 
-def test_format_key():
-    assert format_key(bytes([4, 7, 0xFF, 3, 0xFF])) == "47*3*"
-    assert format_key(bytes([0, 1, 2])) == "012"
-
-
 # ---------------------------------------------------------------------------
 # build and query
+
+def assert_entry_counts(mat, t_abs, idx):
+    """The paper's key set, enumerated, against what the index stores."""
+    q, k = mat.shape
+    keys = [wildcard_expansions([L(int(c)) for c in row], t_abs) for row in mat]
+    assert sum(len(ks) for ks in keys) == q * sum(math.comb(k, i) for i in range(t_abs + 1))
+    maximal = sum(1 for ks in keys for key in ks if key.count(0xFF) == t_abs)
+    assert idx.entry_count == maximal == q * math.comb(k, t_abs)
+
 
 def test_entry_count_identity():
     rng = np.random.default_rng(3)
     mat = rng.integers(0, 8, (50, 5)).astype(np.uint8)
-    idx = build_index(mat, 2)
-    assert idx.entry_count == 50 * 16
-    idx = build_index(rng.integers(0, 8, (30, 10)).astype(np.uint8), 3)
-    assert idx.entry_count == 30 * 176
+    assert_entry_counts(mat, 2, build_index(mat, 2))
+    mat = rng.integers(0, 8, (30, 10)).astype(np.uint8)
+    assert_entry_counts(mat, 3, build_index(mat, 3))
+
+
+def query_ids(idx, seq):
+    _, ids, _ = filter_pairs_indexed(np.array([seq], dtype=np.uint8), idx)
+    return tuple(idx.source_ids[i] for i in ids)
 
 
 def test_query_within_budget():
@@ -125,34 +139,24 @@ def test_query_within_budget():
         [0, 0, 0, 0, 0],  # distance 5
     ], dtype=np.uint8)
     idx = build_index(mat, 2)
-    hits = idx.query([L(4), L(7), L(6), L(3), L(4)])
-    assert hits == ("0", "1")
-    assert idx.query([L(0), L(0), L(0), L(0), L(0)]) == ("2",)
-    assert idx.query([L(1), L(2), L(3), L(4), L(5)]) == ()
+    assert query_ids(idx, [4, 7, 6, 3, 4]) == ("0", "1")
+    assert query_ids(idx, [0, 0, 0, 0, 0]) == ("2",)
+    assert query_ids(idx, [1, 2, 3, 4, 5]) == ()
 
 
 def test_identical_sequences_share_every_key():
     mat = np.array([[1, 2, 3, 4, 5], [1, 2, 3, 4, 5]], dtype=np.uint8)
     idx = build_index(mat, 2)
-    assert idx.query([L(1), L(2), L(3), L(4), L(5)]) == ("0", "1")
-    for key in wildcard_expansions([L(1), L(2), L(3), L(4), L(5)], 2):
-        assert idx.contains_key(key)
-
-
-def test_contains_key_rejects_absent():
-    mat = np.array([[1, 2, 3, 4, 5]], dtype=np.uint8)
-    idx = build_index(mat, 1)
-    assert idx.contains_key(bytes([1, 2, 3, 4, 5]))
-    assert idx.contains_key(bytes([0xFF, 2, 3, 4, 5]))
-    assert not idx.contains_key(bytes([0xFF, 0xFF, 3, 4, 5]))  # 2 wildcards > t
-    assert not idx.contains_key(bytes([2, 2, 3, 4, 5]))
-    assert not idx.contains_key(bytes([1, 2, 3]))
+    rows, ids, dists = filter_pairs_indexed(mat[:1], idx)
+    assert ids.tolist() == [0, 1] and dists.tolist() == [0, 0]
+    seqs = [[L(int(c)) for c in row] for row in mat]
+    assert wildcard_expansions(seqs[0], 2) == wildcard_expansions(seqs[1], 2)
 
 
 def test_query_length_mismatch():
     idx = build_index(np.zeros((3, 5), dtype=np.uint8), 1)
     with pytest.raises(DataError):
-        idx.query([L(0), L(0)])
+        filter_pairs_indexed(np.zeros((1, 2), dtype=np.uint8), idx)
 
 
 @pytest.mark.parametrize("k,t", [(5, 0), (5, 2), (10, 3), (8, 1), (4, 4)])
@@ -168,8 +172,6 @@ def test_index_matches_brute_force(k, t):
         for f in flips:
             v_mat[i, f] = rng.integers(0, 8)
     idx = build_index(m_mat, t)
-    from motionlink.windex import filter_pairs_indexed
-
     rows, ids, dists = filter_pairs_indexed(v_mat, idx)
     got = set(zip(rows.tolist(), ids.tolist()))
     assert got == brute_pairs(v_mat, m_mat, t)
@@ -178,7 +180,7 @@ def test_index_matches_brute_force(k, t):
         assert d <= t
 
 
-def test_long_sequences_use_byte_keys_and_agree():
+def test_long_sequences_use_hashed_keys_and_agree():
     rng = np.random.default_rng(55)
     k, t = 20, 2
     v_mat = rng.integers(0, 8, (25, k)).astype(np.uint8)
@@ -188,20 +190,66 @@ def test_long_sequences_use_byte_keys_and_agree():
         if i % 4 == 0:
             v_mat[i, rng.integers(0, k)] = rng.integers(0, 8)
     idx = build_index(m_mat, t)
-    assert not idx._packed
-    assert idx.entry_count == 30 * expansion_count(k, t)
-    from motionlink.windex import filter_pairs_indexed
-
+    assert_entry_counts(m_mat, t, idx)
     rows, ids, _ = filter_pairs_indexed(v_mat, idx)
     assert set(zip(rows.tolist(), ids.tolist())) == brute_pairs(v_mat, m_mat, t)
+
+
+@st.composite
+def index_cases(draw):
+    """Motion and visual code matrices around the k=15/16 key boundary,
+    with duplicate rows and visual rows a few mutations from a motion row."""
+    k = draw(st.one_of(st.integers(1, 40), st.sampled_from([15, 16])), label="k")
+    t_abs = draw(st.sampled_from(sorted({0, 1, 2, k - 2, k - 1, k} & set(range(k + 1)))),
+                 label="t_abs")
+    q = draw(st.integers(1, 12), label="q")
+    p = draw(st.integers(1, 12), label="p")
+    alphabet = draw(st.sampled_from([2, 8]), label="alphabet")
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    m_mat = rng.integers(0, alphabet, (q, k)).astype(np.uint8)
+    m_mat[rng.random(q) < 0.3] = m_mat[0]
+    v_mat = m_mat[rng.integers(0, q, p)]
+    for row in v_mat:
+        flips = rng.choice(k, size=int(rng.integers(0, min(t_abs + 2, k) + 1)), replace=False)
+        row[flips] = (row[flips] + rng.integers(1, 8, flips.size)) % 8
+    v_mat[rng.random(p) < 0.2] = m_mat[-1]
+    return v_mat, m_mat, t_abs
+
+
+@settings(max_examples=300, deadline=None)
+@given(index_cases())
+def test_index_equals_brute_force_property(case):
+    v_mat, m_mat, t_abs = case
+    rows, ids, dists = filter_pairs_indexed(v_mat, build_index(m_mat, t_abs))
+    e_rows, e_ids, e_dists = brute_arrays(v_mat, m_mat, t_abs)
+    assert rows.tolist() == e_rows.tolist()
+    assert ids.tolist() == e_ids.tolist()
+    assert dists.tolist() == e_dists.tolist()
+
+
+def test_hash_collisions_are_dropped_by_the_distance_check(monkeypatch):
+    # MIX = 0 keeps only the last word of a long key, here position 15, so
+    # every variant that leaves it unmasked collides with every other one
+    monkeypatch.setattr(windex, "MIX", 0)
+    rng = np.random.default_rng(77)
+    k, t_abs = 16, 1
+    m_mat = rng.integers(0, 8, (40, k)).astype(np.uint8)
+    v_mat = rng.integers(0, 8, (30, k)).astype(np.uint8)
+    m_mat[:, 15] = 3
+    v_mat[:, 15] = 3
+    v_mat[::3] = m_mat[:10]
+    v_mat[1::6, 0] = (v_mat[1::6, 0] + 1) % 8
+    rows, ids, dists = filter_pairs_indexed(v_mat, build_index(m_mat, t_abs))
+    e_rows, e_ids, e_dists = brute_arrays(v_mat, m_mat, t_abs)
+    assert 0 < rows.size < v_mat.shape[0] * m_mat.shape[0]
+    assert rows.tolist() == e_rows.tolist() and ids.tolist() == e_ids.tolist()
+    assert (dists <= t_abs).all() and dists.tolist() == e_dists.tolist()
 
 
 def test_budget_monotonicity():
     rng = np.random.default_rng(8)
     v_mat = rng.integers(0, 8, (30, 8)).astype(np.uint8)
     m_mat = rng.integers(0, 8, (30, 8)).astype(np.uint8)
-    from motionlink.windex import filter_pairs_indexed
-
     prev = set()
     for t in range(4):
         idx = build_index(m_mat, t)
@@ -246,71 +294,6 @@ def test_filter_with_prebuilt_index_and_budget_check():
 
 
 # ---------------------------------------------------------------------------
-# snapshot
-
-def test_snapshot_roundtrip(tmp_path):
-    rng = np.random.default_rng(12)
-    m_mat = rng.integers(0, 8, (25, 10)).astype(np.uint8)
-    v_mat = rng.integers(0, 8, (15, 10)).astype(np.uint8)
-    for i in range(0, 15, 2):
-        v_mat[i] = m_mat[rng.integers(0, 25)]
-    idx = build_index(m_mat, 3)
-    path = tmp_path / "index.bin"
-    idx.save(path)
-    back = WildcardIndex.load(path)
-    assert back.k == 10
-    assert back.t_abs == 3
-    assert back.size == 25
-    assert back.entry_count == idx.entry_count
-    assert back.source_ids == idx.source_ids
-    assert np.array_equal(back.codes, idx.codes)
-    from motionlink.windex import filter_pairs_indexed
-
-    r1, i1, d1 = filter_pairs_indexed(v_mat, idx)
-    r2, i2, d2 = filter_pairs_indexed(v_mat, back)
-    assert np.array_equal(r1, r2)
-    assert np.array_equal(i1, i2)
-    assert np.array_equal(d1, d2)
-
-
-def test_snapshot_roundtrip_byte_backend(tmp_path):
-    rng = np.random.default_rng(13)
-    m_mat = rng.integers(0, 8, (12, 18)).astype(np.uint8)
-    idx = build_index(m_mat, 1)
-    path = tmp_path / "long.bin"
-    idx.save(path)
-    back = WildcardIndex.load(path)
-    assert not back._packed
-    seq = [L(int(c)) for c in m_mat[4]]
-    assert back.query(seq) == idx.query(seq)
-
-
-def test_snapshot_saves_real_ids(tmp_path):
-    m = MotionDataset([motion_series(f"user-{j}", [j % 8] * 5) for j in range(4)])
-    idx = build_index(m, 1)
-    path = tmp_path / "named.bin"
-    idx.save(path)
-    back = WildcardIndex.load(path)
-    assert back.source_ids == ("user-0", "user-1", "user-2", "user-3")
-    assert back.query([L(2)] * 5) == ("user-2",)
-
-
-def test_snapshot_rejects_garbage(tmp_path):
-    bad = tmp_path / "bad.bin"
-    bad.write_bytes(b"NOTMAGIC" + b"\x00" * 30)
-    with pytest.raises(DataError):
-        WildcardIndex.load(bad)
-    idx = build_index(np.zeros((2, 5), dtype=np.uint8), 1)
-    path = tmp_path / "ok.bin"
-    idx.save(path)
-    data = path.read_bytes()
-    truncated = tmp_path / "trunc.bin"
-    truncated.write_bytes(data[:len(data) - 7])
-    with pytest.raises(DataError):
-        WildcardIndex.load(truncated)
-
-
-# ---------------------------------------------------------------------------
 # memory cap
 
 def test_memory_estimate_grows():
@@ -318,6 +301,22 @@ def test_memory_estimate_grows():
     big = estimate_index_memory(10_000, 10, 3)
     assert 0 < small < big
     assert estimate_index_memory(100, 10, 3) < estimate_index_memory(100, 10, 5)
+
+
+def test_memory_estimate_bounds_measured_build_peak():
+    rng = np.random.default_rng(31)
+    for q in (1_000, 10_000):
+        for k in (5, 10, 15, 16, 20, 30):
+            mat = rng.integers(0, 8, (q, k)).astype(np.uint8)
+            for t_abs in range(4):
+                tracemalloc.start()
+                try:
+                    build_index(mat, t_abs)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                estimate = estimate_index_memory(q, k, t_abs)
+                assert estimate >= peak, (q, k, t_abs, estimate, peak)
 
 
 def test_memory_cap_refusal():
