@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .engine import (
     _ranked,
     _restricted_lut,
     mismatch_budget,
+    mismatch_counts,
 )
 from .model import (
     ActivityLabel,
@@ -45,10 +46,9 @@ from .pipeline import (
     SAVGOL_WINDOW,
     ClassifierModel,
     MotionTrace,
-    _smooth_columns,
-    classify_window,
-    motion_magnitude,
-    motion_window_features,
+    _check_savgol,
+    classify_windows,
+    motion_features,
 )
 
 __all__ = [
@@ -106,43 +106,45 @@ class AlignmentResult:
     curve: tuple[OffsetScore, ...]
 
 
-def _smoothed(trace: MotionTrace, savgol_window: int, savgol_order: int):
-    return (
-        _smooth_columns(trace.accel, savgol_window, savgol_order),
-        _smooth_columns(trace.gyro, savgol_window, savgol_order),
-    )
-
-
-def _grid_series(
+def _rebuild(
     trace: MotionTrace,
-    offset: float,
+    offsets,
     w: float,
     model: ClassifierModel,
     origin: float,
-    smoothed: tuple[np.ndarray, np.ndarray],
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Labels, magnitudes, and first grid index of the shifted trace cut on
-    the window grid {origin + j*w}.  Only fully covered windows count."""
-    ts = trace.timestamps + offset
-    t_start = float(ts[0])
-    t_end = t_start + trace.duration
-    j0 = math.ceil((t_start - origin) / w - _EPS)
-    j1 = math.floor((t_end - origin) / w + _EPS)
-    if j1 <= j0:
-        raise NoOverlap(
-            f"no full {w}s window fits the trace shifted by {offset:+g}s"
-        )
-    edges = origin + w * np.arange(j0, j1 + 1, dtype=np.float64)
-    idx = np.searchsorted(ts, edges - _EPS, side="left")
-    accel, gyro = smoothed
-    codes = np.empty(j1 - j0, dtype=np.uint8)
-    mags = np.empty(j1 - j0, dtype=np.float64)
-    for k in range(j1 - j0):
-        sl = slice(int(idx[k]), int(idx[k + 1]))
-        feats = motion_window_features(accel[sl], gyro[sl])
-        codes[k] = int(classify_window(model, feats))
-        mags[k] = motion_magnitude(trace.accel[sl])
-    return codes, mags, j0
+    savgol: tuple[int, int],
+) -> dict[float, tuple[np.ndarray, np.ndarray, int]]:
+    """{offset: (labels, magnitudes, first grid index)} of the trace shifted
+    by each offset and cut on the window grid {origin + j*w}.
+
+    Only fully covered windows count; an offset whose shifted trace covers
+    none is left out.  The windows of every offset are featurized in one
+    call.
+    """
+    edges = {}
+    for offset in offsets:
+        t_start = float(trace.timestamps[0]) + offset
+        j0 = math.ceil((t_start - origin) / w - _EPS)
+        j1 = math.floor((t_start + trace.duration - origin) / w + _EPS)
+        if j1 > j0:
+            grid = origin + w * np.arange(j0, j1 + 1, dtype=np.float64)
+            idx = np.searchsorted(trace.timestamps + offset, grid - _EPS, side="left")
+            edges[offset] = idx, j0
+    if not edges:
+        return {}
+    feats, mags = motion_features(
+        trace,
+        np.concatenate([idx[:-1] for idx, _ in edges.values()]),
+        np.concatenate([idx[1:] for idx, _ in edges.values()]),
+        savgol_window=savgol[0], savgol_order=savgol[1],
+    )
+    codes = classify_windows(model, feats)
+    out, start = {}, 0
+    for offset, (idx, first) in edges.items():
+        stop = start + idx.size - 1
+        out[offset] = codes[start:stop], mags[start:stop], first
+        start = stop
+    return out
 
 
 def shift_and_rebuild(
@@ -165,38 +167,44 @@ def shift_and_rebuild(
     can be negative for negative offsets.  At offset 0 with the default
     origin this reproduces the plain series builder output.
     """
+    _check_savgol(savgol_window, savgol_order)
     if not isinstance(trace, MotionTrace):
         raise DataError("alignment operates on body-sensor traces")
     if not w > 0:
         raise DataError(f"window width must be positive, got {w}")
     origin = float(trace.timestamps[0]) if grid_origin is None else float(grid_origin)
-    codes, mags, first = _grid_series(
-        trace, float(offset), w, model, origin,
-        _smoothed(trace, savgol_window, savgol_order),
-    )
+    offset = float(offset)
+    rebuilt = _rebuild(trace, (offset,), w, model, origin, (savgol_window, savgol_order))
+    if not rebuilt:
+        raise NoOverlap(f"no full {w}s window fits the trace shifted by {offset:+g}s")
+    codes, mags, first = rebuilt[offset]
     series = ActivityVectorSeries(
         source_id=source_id,
         channel=Channel.MOTION,
         window_seconds=w,
-        activities=tuple(ActivityLabel(int(c)) for c in codes),
+        activities=tuple(codes.tolist()),
         magnitudes={ActivityVectorSeries.MOTION_KEY: MagnitudeSeq(mags.tolist())},
     )
     return series, first
+
+
+class _Scored(NamedTuple):
+    """One identity rebuilt at one offset, scored against every avatar over
+    the compared grid span [lo, hi)."""
+
+    offset: float
+    mags: np.ndarray
+    first: int  # grid index of mags[0]
+    lo: int
+    hi: int
+    distance: np.ndarray  # (p,), one per avatar
+    n_effective: np.ndarray  # (p,)
 
 
 def _overlap(first: int, length: int, n_visual: int) -> tuple[int, int]:
     """Common grid index range [lo, hi) between a rebuilt sequence starting
     at grid index `first` and a visual series occupying indices [0, n)."""
     return max(0, first), min(n_visual, first + length)
-
-
-def _masked_distance(
-    v_codes: np.ndarray, m_codes: np.ndarray, lut: np.ndarray | None
-) -> tuple[int, int]:
-    if lut is None:
-        return int((v_codes != m_codes).sum()), int(v_codes.size)
-    counted = lut[v_codes] & lut[m_codes]
-    return int(((v_codes != m_codes) & counted).sum()), int(counted.sum())
 
 
 def align_offset_search(
@@ -217,27 +225,23 @@ def align_offset_search(
     shifted trace shares no window with the series are skipped; if none
     overlaps, NoOverlap propagates.
     """
+    _check_savgol(savgol_window, savgol_order)
     w = visual_series.window_seconds
     v_codes = visual_series.activity_codes()
     lut = _restricted_lut(restricted) if restricted is not None else None
     origin = float(trace.timestamps[0]) if grid_origin is None else float(grid_origin)
-    smoothed = _smoothed(trace, savgol_window, savgol_order)
+    rebuilt = _rebuild(trace, align.offsets(), w, model, origin, (savgol_window, savgol_order))
     curve = []
     best: OffsetScore | None = None
-    for offset in align.offsets():
-        try:
-            codes, _, first = _grid_series(trace, offset, w, model, origin, smoothed)
-        except NoOverlap:
-            continue
+    for offset, (codes, _, first) in rebuilt.items():
         lo, hi = _overlap(first, codes.size, v_codes.size)
         if hi <= lo:
             continue
-        dist, n_eff = _masked_distance(
-            v_codes[lo:hi], codes[lo - first:hi - first], lut
-        )
-        score = OffsetScore(offset, dist, hi - lo, n_eff)
+        v, m = v_codes[lo:hi], codes[lo - first:hi - first]
+        dist, n_eff = mismatch_counts(v, m, None if lut is None else lut[v] & lut[m])
+        score = OffsetScore(offset, int(dist), hi - lo, int(n_eff))
         curve.append(score)
-        if best is None or dist < best.distance:
+        if best is None or score.distance < best.distance:
             best = score
     if best is None:
         raise NoOverlap(
@@ -273,6 +277,7 @@ def correlate_with_alignment(
     Returns the rankings plus {avatar_id: {identity_id: chosen offset}} for
     every evaluated pair.
     """
+    _check_savgol(savgol_window, savgol_order)
     n_visual = visual.uniform_length()
     w = None
     for series in visual:
@@ -281,81 +286,54 @@ def correlate_with_alignment(
     if w is None:
         raise DataError("visual dataset is empty")
     lut = _restricted_lut(config.restricted) if config.restricted is not None else None
+    v_codes = visual.label_matrix()
 
-    # one rebuild per (identity, offset), shared across avatars
-    rebuilt: dict[str, dict[float, tuple[np.ndarray, np.ndarray, int]]] = {}
+    # one rebuild per identity covers every offset; each rebuilt label
+    # sequence is scored against all avatars at once.  scored[ident] lists
+    # the overlapping offsets in preference order
+    scored: dict[str, list[_Scored]] = {}
     for ident, trace in motion_traces.items():
         origin = float(trace.timestamps[0]) if grid_origin is None else float(grid_origin)
-        smoothed = _smoothed(trace, savgol_window, savgol_order)
-        per_offset = {}
-        for offset in align.offsets():
-            try:
-                per_offset[offset] = _grid_series(
-                    trace, offset, w, model, origin, smoothed
-                )
-            except NoOverlap:
-                continue
-        if not per_offset:
+        rebuilt = _rebuild(trace, align.offsets(), w, model, origin,
+                           (savgol_window, savgol_order))
+        if not rebuilt:
             raise NoOverlap(f"trace {ident!r}: no offset produces a full window")
-        rebuilt[ident] = per_offset
-
-    def pair_score(avatar_codes, ident, offset):
-        codes, _, first = rebuilt[ident][offset]
-        lo, hi = _overlap(first, codes.size, n_visual)
-        if hi <= lo:
-            return None
-        dist, n_eff = _masked_distance(
-            avatar_codes[lo:hi], codes[lo - first:hi - first], lut
-        )
-        return dist, n_eff, lo, hi
-
-    shared: dict[str, float] = {}
-    if align.share_offset:
-        # an identity's clock error is one constant: commit to the offset
-        # that best explains its closest avatar
-        for ident in rebuilt:
-            best = None
-            for offset in align.offsets():
-                if offset not in rebuilt[ident]:
-                    continue
-                for avatar in visual:
-                    score = pair_score(avatar.activity_codes(), ident, offset)
-                    if score is None:
-                        continue
-                    if best is None or score[0] < best[0]:
-                        best = (score[0], offset)
-            if best is None:
+        rows = []
+        for offset, (codes, mags, first) in rebuilt.items():
+            lo, hi = _overlap(first, codes.size, n_visual)
+            if hi <= lo:
+                continue
+            v, m = v_codes[:, lo:hi], codes[lo - first:hi - first]
+            dist, n_eff = mismatch_counts(v, m, None if lut is None else lut[v] & lut[m])
+            rows.append(_Scored(offset, mags, first, lo, hi, dist,
+                                np.broadcast_to(n_eff, dist.shape)))
+        if align.share_offset:
+            if not rows:
                 raise NoOverlap(f"identity {ident!r} overlaps no avatar")
-            shared[ident] = best[1]
+            # an identity's clock error is one constant: commit to the offset
+            # that best explains its closest avatar
+            best = int(np.argmin(np.stack([row.distance for row in rows]))) // len(visual)
+            rows = [rows[best]]
+        scored[ident] = rows
+    # per identity, each avatar's best offset: the first minimum in preference order
+    best_row = {
+        ident: np.argmin(np.stack([row.distance for row in rows]), axis=0)
+        for ident, rows in scored.items() if rows
+    }
 
     rankings = []
     chosen: dict[str, dict[str, float]] = {}
-    for avatar in visual:
-        avatar_codes = avatar.activity_codes()
+    for a, avatar in enumerate(visual):
         avatar_mags = _position_matrix(avatar)
         ids, rows = [], []
         offsets_here: dict[str, float] = {}
-        for ident in sorted(rebuilt):
-            if align.share_offset:
-                candidates = [shared[ident]]
-            else:
-                candidates = [o for o in align.offsets() if o in rebuilt[ident]]
-            best = None
-            for offset in candidates:
-                score = pair_score(avatar_codes, ident, offset)
-                if score is None:
-                    continue
-                if best is None or score[0] < best[0]:
-                    best = (score[0], score[1], score[2], score[3], offset)
-            if best is None:
-                continue
-            dist, n_eff, lo, hi, offset = best
+        for ident in sorted(best_row):
+            offset, mags, first, lo, hi, dist, n_eff = scored[ident][best_row[ident][a]]
             offsets_here[ident] = offset
-            if dist > mismatch_budget(config.t_norm, n_eff):
+            if dist[a] > mismatch_budget(config.t_norm, int(n_eff[a])):
                 continue
             # rank over the compared span [lo, hi) only: windows outside
             # it are unobservable for every position
-            codes, mags, first = rebuilt[ident][offset]
             vis = np.full_like(avatar_mags, np.nan)
             vis[:, lo:hi] = avatar_mags[:, lo:hi]
             mot = np.zeros(n_visual)

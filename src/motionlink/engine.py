@@ -14,7 +14,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -60,21 +60,6 @@ class FilterConfig:
             object.__setattr__(self, "restricted", restricted)
 
 
-class HammingResult(NamedTuple):
-    distance: int
-    effective_length: int
-
-    @property
-    def normalized(self) -> float:
-        return self.distance / self.effective_length if self.effective_length else 0.0
-
-
-def _codes(seq) -> np.ndarray:
-    if isinstance(seq, ActivityVectorSeries):
-        return seq.activity_codes()
-    return np.asarray([int(ActivityLabel(l)) for l in seq], dtype=np.uint8)
-
-
 def _restricted_lut(restricted: frozenset[ActivityLabel]) -> np.ndarray:
     lut = np.zeros(len(ActivityLabel), dtype=bool)
     for l in restricted:
@@ -82,20 +67,21 @@ def _restricted_lut(restricted: frozenset[ActivityLabel]) -> np.ndarray:
     return lut
 
 
-def hamming_distance(a, b, restricted: frozenset[ActivityLabel] | None = None) -> HammingResult:
-    """Mismatch count between two label sequences of equal length.
+def mismatch_counts(a: np.ndarray, b: np.ndarray, counted: np.ndarray | None = None):
+    """Mismatches between label codes `a` and `b` along the last axis,
+    broadcast over the leading ones: (distance, n_effective).
 
-    With a restricted set, windows where either label falls outside the set
-    contribute neither to the distance nor to the effective length.
+    Without a mask every window counts and n_effective is the window count.
+    With a restricted label set, `counted` marks the windows whose labels
+    both lie in the set (`lut[a] & lut[b]`); only those count toward either
+    number.
     """
-    ca, cb = _codes(a), _codes(b)
-    if ca.size != cb.size:
-        raise LengthMismatch(f"sequences of length {ca.size} and {cb.size}")
-    if restricted is None:
-        return HammingResult(int((ca != cb).sum()), int(ca.size))
-    lut = _restricted_lut(restricted)
-    counted = lut[ca] & lut[cb]
-    return HammingResult(int(((ca != cb) & counted).sum()), int(counted.sum()))
+    if a.shape[-1] != b.shape[-1]:
+        raise LengthMismatch(f"sequences of length {a.shape[-1]} and {b.shape[-1]}")
+    differ = a != b
+    if counted is None:
+        return differ.sum(axis=-1), differ.shape[-1]
+    return (differ & counted).sum(axis=-1), counted.sum(axis=-1)
 
 
 def mismatch_budget(t_norm: float, n_effective: int) -> int:
@@ -149,7 +135,7 @@ def filter_codes_absolute(v_mat: np.ndarray, m_mat: np.ndarray, t_abs: int):
         raise ConfigError(f"t_abs must be >= 0, got {t_abs}")
     out = []
     for row in v_mat:
-        dists = (m_mat != row).sum(axis=1)
+        dists, _ = mismatch_counts(row, m_mat)
         keep = np.flatnonzero(dists <= t_abs)
         out.append((keep, dists[keep].astype(np.int64)))
     return out
@@ -173,26 +159,21 @@ def activity_filter(visual: VisualDataset, motion: MotionDataset,
     v_mat = visual.label_matrix()
     m_mat = motion.label_matrix()
     m_ids = motion.source_ids
+    lut = None if config.restricted is None else _restricted_lut(config.restricted)
+    m_in = None if lut is None else lut[m_mat]
+    budget = mismatch_budget(config.t_norm, n_v)
     result = CandidatePairSet()
-    if config.restricted is None:
-        budget = mismatch_budget(config.t_norm, n_v)
-        for row, avatar_id in zip(v_mat, visual.source_ids):
-            dists = (m_mat != row).sum(axis=1)
-            keep = np.flatnonzero(dists <= budget)
-            for j in keep:
-                result.add(avatar_id, m_ids[j], int(dists[j]))
-    else:
-        lut = _restricted_lut(config.restricted)
-        v_in = lut[v_mat]
-        m_in = lut[m_mat]
-        for row, row_in, avatar_id in zip(v_mat, v_in, visual.source_ids):
-            counted = row_in[None, :] & m_in
-            dists = ((m_mat != row) & counted).sum(axis=1)
-            n_eff = counted.sum(axis=1)
-            budgets = np.floor(config.t_norm * n_eff + _BUDGET_EPS).astype(np.int64)
-            keep = np.flatnonzero(dists <= budgets)
-            for j in keep:
-                result.add(avatar_id, m_ids[j], int(dists[j]))
+    for row, avatar_id in zip(v_mat, visual.source_ids):
+        if lut is None:
+            dists, _ = mismatch_counts(row, m_mat)
+        else:
+            dists, n_eff = mismatch_counts(row, m_mat, lut[row] & m_in)
+            budget = np.floor(config.t_norm * n_eff + _BUDGET_EPS).astype(np.int64)
+        keep = np.flatnonzero(dists <= budget)
+        if keep.size:
+            result.pairs[avatar_id] = dict(
+                zip([m_ids[j] for j in keep.tolist()], dists[keep].tolist())
+            )
     return result
 
 

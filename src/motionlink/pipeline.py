@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -25,6 +26,7 @@ from .errors import (
     EmptyWindow,
     FilterConfigError,
     InvalidConfusionMatrix,
+    InvalidLabelCode,
     ModelMismatch,
     TraceTooShort,
 )
@@ -72,6 +74,8 @@ FEATURE_GROUPS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("hips", ("left_hip", "right_hip")),
     ("ankles", ("left_ankle", "right_ankle")),
 )
+
+_PROXY_KEYPOINTS = frozenset(POSITION_PROXIES.values())
 
 UNOBSERVABLE_MISSING_FRACTION = 0.5
 _EPS = 1e-9
@@ -122,10 +126,6 @@ class MotionTrace:
         """Covered time span; the last sample covers one nominal interval."""
         return float(self.timestamps[-1] - self.timestamps[0] + self.nominal_interval)
 
-    def shifted(self, offset: float) -> "MotionTrace":
-        return MotionTrace(self.timestamps + offset, self.accel, self.gyro,
-                           self.nominal_interval)
-
 
 @dataclass(frozen=True)
 class KeypointTrace:
@@ -168,9 +168,6 @@ class KeypointTrace:
     @property
     def duration(self) -> float:
         return float(self.timestamps[-1] - self.timestamps[0] + self.nominal_interval)
-
-    def shifted(self, offset: float) -> "KeypointTrace":
-        return KeypointTrace(self.timestamps + offset, self.points, self.frame_rate)
 
 
 MOTION_CSV_FIELDS = ("ts", "ax", "ay", "az", "gx", "gy", "gz")
@@ -257,26 +254,12 @@ def read_keypoint_jsonl(path, frame_rate: float = DEFAULT_FRAME_RATE) -> Keypoin
 # ---------------------------------------------------------------------------
 # windowing
 
-@dataclass(frozen=True)
-class WindowSpan:
-    """Half-open window [start, end) and the sample index range it covers."""
+def window_edges(trace: MotionTrace | KeypointTrace, w: float) -> np.ndarray:
+    """Sample index edges of the floor(duration / w) half-open windows of width w.
 
-    index: int
-    start: float
-    end: float
-    lo: int
-    hi: int
-
-    @property
-    def n_samples(self) -> int:
-        return self.hi - self.lo
-
-
-def segment_windows(trace: MotionTrace | KeypointTrace, w: float) -> list[WindowSpan]:
-    """Cut a trace into floor(duration / w) half-open windows of width w.
-
-    The grid starts at the first timestamp; a trailing remainder shorter
-    than w is dropped.  Raises TraceTooShort when not even one window fits.
+    Window i holds samples [edges[i], edges[i + 1]).  The grid starts at the
+    first timestamp; a trailing remainder shorter than w is dropped.  Raises
+    TraceTooShort when not even one window fits.
     """
     if not w > 0:
         raise DataError(f"window width must be positive, got {w}")
@@ -285,171 +268,212 @@ def segment_windows(trace: MotionTrace | KeypointTrace, w: float) -> list[Window
         raise TraceTooShort(
             f"trace covers {trace.duration:.3f}s, shorter than one {w}s window"
         )
-    t0 = float(trace.timestamps[0])
-    edges = t0 + w * np.arange(n + 1)
+    edges = float(trace.timestamps[0]) + w * np.arange(n + 1)
     # right edges are exclusive: a sample exactly on an edge opens a window
-    idx = np.searchsorted(trace.timestamps, edges - _EPS, side="left")
-    return [
-        WindowSpan(i, float(edges[i]), float(edges[i + 1]), int(idx[i]), int(idx[i + 1]))
-        for i in range(n)
-    ]
+    return np.searchsorted(trace.timestamps, edges - _EPS, side="left")
 
 
 # ---------------------------------------------------------------------------
 # smoothing
 
-def savgol_smooth(signal: np.ndarray, window_len: int = SAVGOL_WINDOW,
-                  poly_order: int = SAVGOL_ORDER) -> np.ndarray:
-    """Savitzky-Golay smoothing with mirrored edges.
-
-    Fits a poly_order polynomial over each odd-length window_len neighborhood
-    and evaluates it at the center.  Linearity in the input and exact
-    reproduction of polynomials up to poly_order are what the tests pin down.
-    """
-    signal = np.asarray(signal, dtype=np.float64)
-    if signal.ndim != 1:
-        raise DataError("savgol_smooth expects a 1-D signal")
-    if window_len < 3 or window_len % 2 == 0:
-        raise FilterConfigError(f"window_len must be odd and >= 3, got {window_len}")
-    if poly_order < 0 or poly_order >= window_len:
+def _check_savgol(window_len: int, poly_order: int) -> None:
+    if not isinstance(window_len, numbers.Integral) or window_len < 3 or window_len % 2 == 0:
+        raise FilterConfigError(f"savgol window must be odd and >= 3, got {window_len!r}")
+    if not isinstance(poly_order, numbers.Integral) or not 0 <= poly_order < window_len:
         raise FilterConfigError(
-            f"poly_order must satisfy 0 <= order < window_len, got {poly_order}"
+            f"savgol order must satisfy 0 <= order < window {window_len}, got {poly_order!r}"
         )
-    if signal.size < window_len:
-        raise FilterConfigError(
-            f"signal of {signal.size} samples is shorter than window_len {window_len}"
-        )
-    return savgol_filter(signal, window_len, poly_order, mode="mirror")
 
 
 def _smooth_columns(arr: np.ndarray, window_len: int, poly_order: int) -> np.ndarray:
+    """Savitzky-Golay smoothing of each column, with mirrored edges.
+
+    Fits a poly_order polynomial over each odd-length window_len
+    neighbourhood and evaluates it at the centre.  The arguments are checked
+    by `_check_savgol` at the public entry points.
+    """
     if arr.shape[0] < window_len:
         return arr  # too short to smooth; classification still sees raw data
     return savgol_filter(arr, window_len, poly_order, axis=0, mode="mirror")
 
 
 # ---------------------------------------------------------------------------
-# magnitudes
-
-def motion_magnitude(accel: np.ndarray) -> float:
-    """Mean absolute deviation of |accel| from gravity over one window."""
-    accel = np.asarray(accel, dtype=np.float64)
-    if accel.size == 0:
-        raise EmptyWindow("motion window has no samples")
-    if accel.ndim != 2 or accel.shape[1] != 3:
-        raise DataError(f"accel window must be (n, 3), got {accel.shape}")
-    norms = np.linalg.norm(accel, axis=1)
-    return float(np.abs(norms - GRAVITY).mean())
-
-
-def _present_mask(xy: np.ndarray) -> np.ndarray:
-    return ~np.isnan(xy).any(axis=1)
-
-
-def visual_magnitude(trace: KeypointTrace, span: WindowSpan,
-                     position: SensorPosition) -> float | None:
-    """Mean keypoint acceleration magnitude for one position over one window.
-
-    Velocities and accelerations come from finite differences over the
-    frames where the proxy keypoint was detected, using the real frame
-    spacing.  Returns None (unobservable) when the keypoint is missing in
-    more than half the frames or fewer than three frames remain.
-    """
-    if span.n_samples == 0:
-        raise EmptyWindow(f"visual window {span.index} has no frames")
-    proxy = POSITION_PROXIES[position]
-    arr = trace.points.get(proxy)
-    if arr is None:
-        return None
-    ts = trace.timestamps[span.lo:span.hi]
-    xy = arr[span.lo:span.hi]
-    present = _present_mask(xy)
-    n = present.size
-    if (n - present.sum()) / n > UNOBSERVABLE_MISSING_FRACTION:
-        return None
-    ts, xy = ts[present], xy[present]
-    if ts.size < 3:
-        return None
-    dt = np.diff(ts)
-    vel = np.diff(xy, axis=0) / dt[:, None]
-    mid = 0.5 * (ts[1:] + ts[:-1])
-    acc = np.diff(vel, axis=0) / np.diff(mid)[:, None]
-    return float(np.linalg.norm(acc, axis=1).mean())
-
-
-# ---------------------------------------------------------------------------
-# features
+# window features
+#
+# Windows are featurized together, in blocks of windows that share one
+# length: one sample count, or for keypoints one count of detected frames.
+# Every per-window reduction then runs along the contiguous last axis of a
+# block, where numpy sums each row exactly as it sums a lone window, so the
+# results are bit-identical to featurizing the windows one at a time.
 
 MOTION_FEATURE_DIM = 24  # 6 axes x (mean, std, detrended energy, dominant bin)
 VISUAL_FEATURE_DIM = 13  # 4 groups x (disp mean, disp std, share of total) + spread
 
-
-def _dominant_bin(x: np.ndarray) -> float:
-    if x.size < 4:
-        return 0.0
-    spec = np.abs(np.fft.rfft(x - x.mean()))
-    if spec.size < 2 or not spec[1:].any():
-        return 0.0
-    return float(np.argmax(spec[1:]) + 1)
+# Cells per block array; bounds the temporaries of a call whatever its size.
+_BLOCK_CELLS = 1 << 14
 
 
-def motion_window_features(accel: np.ndarray, gyro: np.ndarray) -> np.ndarray:
-    """Per-axis summary features of one motion window."""
-    accel = np.asarray(accel, dtype=np.float64)
-    gyro = np.asarray(gyro, dtype=np.float64)
-    if accel.size == 0 or gyro.size == 0:
-        raise EmptyWindow("motion window has no samples")
-    feats = []
-    for axis in range(3):
-        for x in (accel[:, axis], gyro[:, axis]):
-            centered = x - x.mean()
-            feats.extend([x.mean(), x.std(), float((centered ** 2).mean()),
-                          _dominant_bin(x)])
-    return np.asarray(feats, dtype=np.float64)
+def _blocks(lengths: np.ndarray, width: int = 1):
+    """(length, window indices) for the windows of each distinct length, in
+    blocks of at most _BLOCK_CELLS // (length * width) windows."""
+    if not lengths.size:
+        return
+    order = np.argsort(lengths, kind="stable")
+    cuts = np.flatnonzero(np.diff(lengths[order])) + 1
+    for group in np.split(order, cuts):
+        length = int(lengths[group[0]])
+        step = max(1, _BLOCK_CELLS // max(1, length * width))
+        for i in range(0, group.size, step):
+            yield length, group[i:i + step]
 
 
-def visual_window_features(trace: KeypointTrace, span: WindowSpan) -> np.ndarray:
-    """Displacement statistics of the keypoint groups over one window.
+def _axis_stats(block: np.ndarray) -> np.ndarray:
+    """Mean, std, detrended energy and dominant frequency bin of each row
+    of a (3, m, n) block of one sensor's axes, as (m, 3, 4)."""
+    mean = block.mean(axis=-1)
+    centered = block - mean[..., None]
+    energy = (centered ** 2).mean(axis=-1)  # the variance: ndarray.std is its root
+    dominant = np.zeros_like(mean)
+    if block.shape[-1] >= 4:
+        spec = np.abs(np.fft.rfft(centered, axis=-1))[..., 1:]
+        dominant = np.where(spec.any(axis=-1), spec.argmax(axis=-1) + 1.0, 0.0)
+    return np.stack([mean, np.sqrt(energy), energy, dominant], axis=-1).swapaxes(0, 1)
 
-    Per group: mean and std of frame steps plus the group's share of the
-    total path length.  The shares are scale-free, which keeps the pattern
-    part of the signature stable across movement intensities.
+
+def motion_features(trace: MotionTrace, lo: np.ndarray, hi: np.ndarray, *,
+                    savgol_window: int = SAVGOL_WINDOW,
+                    savgol_order: int = SAVGOL_ORDER) -> tuple[np.ndarray, np.ndarray]:
+    """Features and magnitudes of the motion windows [lo[i], hi[i]).
+
+    Features, (n, MOTION_FEATURE_DIM): for each axis, accelerometer then
+    gyroscope, the mean, std, detrended energy and dominant frequency bin of
+    the smoothed signal.  Magnitudes, (n,): mean absolute deviation of the
+    raw |accel| from gravity, so smoothing cannot bite into genuine movement
+    energy.  Raises EmptyWindow if a window holds no sample.
     """
-    if span.n_samples == 0:
-        raise EmptyWindow(f"visual window {span.index} has no frames")
-    stats = []
-    group_paths = []
-    path_lengths = []
-    for _, names in FEATURE_GROUPS:
-        disps = []
-        group_total = 0.0
+    lo = np.asarray(lo, dtype=np.intp)
+    lengths = np.asarray(hi, dtype=np.intp) - lo
+    if (lengths <= 0).any():
+        raise EmptyWindow("motion window has no samples")
+    sensors = (_smooth_columns(trace.accel, savgol_window, savgol_order).T,
+               _smooth_columns(trace.gyro, savgol_window, savgol_order).T)
+    feats = np.empty((lo.size, 3, 2, 4))
+    mags = np.empty(lo.size)
+    # nine channels per sample: smoothed accel and gyro, raw accel
+    for length, sel in _blocks(lengths, width=9):
+        idx = lo[sel, None] + np.arange(length)
+        for s, signal in enumerate(sensors):
+            feats[sel, :, s] = _axis_stats(np.take(signal, idx, axis=-1))
+        norms = np.linalg.norm(trace.accel[idx], axis=-1)
+        mags[sel] = np.abs(norms - GRAVITY).mean(axis=-1)
+    return feats.reshape(lo.size, MOTION_FEATURE_DIM), mags
+
+
+def _run_stats(values: np.ndarray, parts, stats: tuple[str, ...]) -> np.ndarray:
+    """Reductions of each window's run of `values`, (n, len(stats)).
+
+    `parts` is a sequence of (starts, lengths) array pairs; window i's run
+    is values[starts[i]:starts[i] + lengths[i]] of every part, concatenated
+    in order.  `stats` names ndarray reductions ("sum", "mean", "std").
+    Windows with an empty run get NaN.
+    """
+    lengths = sum(length for _, length in parts)
+    out = np.full((lengths.size, len(stats)), np.nan)
+    for length, sel in _blocks(lengths):
+        if length == 0:
+            continue
+        j = np.arange(length)
+        idx = np.zeros((sel.size, length), dtype=np.intp)
+        before = np.zeros((sel.size, 1), dtype=np.intp)
+        for starts, part_lengths in parts:
+            after = before + part_lengths[sel, None]
+            idx = np.where((j >= before) & (j < after), starts[sel, None] - before + j, idx)
+            before = after
+        block = values[idx]
+        for k, stat in enumerate(stats):
+            out[sel, k] = getattr(block, stat)(axis=-1)
+    return out
+
+
+def _zero_nan(x: np.ndarray) -> np.ndarray:
+    return np.where(np.isnan(x), 0.0, x)
+
+
+def visual_features(trace: KeypointTrace, lo: np.ndarray,
+                    hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Features and per-position magnitudes of the keypoint windows [lo[i], hi[i]).
+
+    Features, (n, VISUAL_FEATURE_DIM): per keypoint group, the mean and std
+    of the steps between detected frames and the group's share of the total
+    path length, then the spread (std) of the per-keypoint path lengths.
+    The shares are scale-free, which keeps the pattern part of the
+    signature stable across movement intensities.  A keypoint with fewer
+    than two detected frames in a window has no steps there.
+
+    Magnitudes, (n, 6) in SensorPosition order: the mean acceleration of
+    the position's proxy keypoint, by finite differences over its detected
+    frames at their real spacing.  NaN (unobservable) when the keypoint is
+    missing in more than half the frames or fewer than three remain.
+    Raises EmptyWindow if a window holds no frame.
+    """
+    lo = np.asarray(lo, dtype=np.intp)
+    frames = np.asarray(hi, dtype=np.intp) - lo
+    empty = np.flatnonzero(frames <= 0)
+    if empty.size:
+        raise EmptyWindow(f"visual window {empty[0]} has no frames")
+    n = lo.size
+    feats = np.zeros((n, VISUAL_FEATURE_DIM))
+    paths, proxy_mags, group_paths = {}, {}, []
+    for g, (_, names) in enumerate(FEATURE_GROUPS):
+        steps, parts, offset = [], [], 0
+        group_path = np.zeros(n)
         for name in names:
-            arr = trace.points.get(name)
-            if arr is None:
+            xy = trace.points.get(name)
+            if xy is None:
                 continue
-            xy = arr[span.lo:span.hi]
-            present = _present_mask(xy)
-            pts = xy[present]
-            if pts.shape[0] < 2:
-                continue
-            d = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-            disps.append(d)
-            path_lengths.append(d.sum())
-            group_total += d.sum()
-        if disps:
-            alld = np.concatenate(disps)
-            stats.append((alld.mean(), alld.std()))
-        else:
-            stats.append((0.0, 0.0))
-        group_paths.append(group_total)
+            # detected frames compacted to the front; a window's detected
+            # frames are det[first:first + count], its steps between them
+            # step[first:first + count - 1]
+            det = np.flatnonzero(~np.isnan(xy).any(axis=1))
+            first = np.searchsorted(det, lo)
+            count = np.searchsorted(det, hi) - first
+            pts, ts = xy[det], trace.timestamps[det]
+            disp = np.diff(pts, axis=0)
+            step = np.linalg.norm(disp, axis=1)
+            n_steps = np.maximum(count - 1, 0)
+            steps.append(step)
+            parts.append((first + offset, n_steps))
+            offset += step.size
+            paths[name] = _run_stats(step, [(first, n_steps)], ("sum",))[:, 0]
+            group_path = group_path + _zero_nan(paths[name])
+            if name in _PROXY_KEYPOINTS:
+                vel = disp / np.diff(ts)[:, None]
+                mid = 0.5 * (ts[1:] + ts[:-1])
+                acc = np.linalg.norm(np.diff(vel, axis=0) / np.diff(mid)[:, None], axis=1)
+                mag = _run_stats(acc, [(first, np.maximum(count - 2, 0))], ("mean",))[:, 0]
+                mag[(frames - count) / frames > UNOBSERVABLE_MISSING_FRACTION] = np.nan
+                proxy_mags[name] = mag
+        if steps:
+            stats = _run_stats(np.concatenate(steps), parts, ("mean", "std"))
+            feats[:, 3 * g:3 * g + 2] = _zero_nan(stats)
+        group_paths.append(group_path)
     total_path = sum(group_paths)
-    feats = []
-    for (mean, std), path in zip(stats, group_paths):
-        share = path / total_path if total_path > 0 else 0.0
-        feats.extend([mean, std, share])
-    spread = float(np.std(path_lengths)) if len(path_lengths) >= 2 else 0.0
-    feats.append(spread)
-    return np.asarray(feats, dtype=np.float64)
+    for g, path in enumerate(group_paths):
+        np.divide(path, total_path, out=feats[:, 3 * g + 2], where=total_path > 0)
+    # spread: std of the path lengths the window has, in keypoint order
+    if paths:
+        table = np.stack(list(paths.values()), axis=1)
+        width = len(paths)
+        parts = [(np.arange(n) * width + k, (~np.isnan(table[:, k])).astype(np.intp))
+                 for k in range(width)]
+        feats[:, -1] = _zero_nan(_run_stats(table.ravel(), parts, ("std",))[:, 0])
+
+    mags = np.full((n, len(SensorPosition)), np.nan)
+    for p, position in enumerate(SensorPosition):
+        proxy = POSITION_PROXIES[position]
+        if proxy in proxy_mags:
+            mags[:, p] = proxy_mags[proxy]
+    return feats, mags
 
 
 # ---------------------------------------------------------------------------
@@ -487,34 +511,43 @@ class ClassifierModel:
         return self.feature_mean.size
 
 
-def classify_window(model: ClassifierModel, features: np.ndarray) -> ActivityLabel:
-    """Nearest centroid by Euclidean distance; exact ties go to the lowest code."""
+def classify_windows(model: ClassifierModel, features: np.ndarray) -> np.ndarray:
+    """Label codes, (n,) uint8, of feature rows (n, dim) by nearest centroid.
+
+    Euclidean distance in z-scored feature space; exact ties go to the
+    lowest code.
+    """
     features = np.asarray(features, dtype=np.float64)
-    if features.shape != (model.dim,):
+    if features.ndim != 2 or features.shape[1] != model.dim:
         raise ModelMismatch(
-            f"feature vector of shape {features.shape} against model dim {model.dim}"
+            f"features of shape {features.shape} against model dim {model.dim}"
         )
     z = (features - model.feature_mean) / model.feature_std
-    d2 = ((model.centroids - z) ** 2).sum(axis=1)
-    return ActivityLabel(int(np.argmin(d2)))  # argmin returns the first == lowest code
+    codes = np.empty(len(z), dtype=np.uint8)
+    step = max(1, _BLOCK_CELLS // model.centroids.size)
+    for i in range(0, len(z), step):
+        d2 = ((model.centroids - z[i:i + step, None, :]) ** 2).sum(axis=-1)
+        codes[i:i + step] = np.argmin(d2, axis=1)  # the first minimum: lowest code
+    return codes
 
 
-def fit_classifier(features: np.ndarray, labels: Sequence[ActivityLabel],
+def fit_classifier(features: np.ndarray, labels: Sequence[ActivityLabel] | np.ndarray,
                    channel: Channel) -> ClassifierModel:
     """Fit z-scoring stats and per-label centroids from labeled windows."""
     features = np.asarray(features, dtype=np.float64)
-    labels = [ActivityLabel(l) for l in labels]
-    if features.ndim != 2 or features.shape[0] != len(labels):
+    codes = np.asarray(labels, dtype=np.int64)
+    if features.ndim != 2 or codes.shape != (features.shape[0],):
         raise ModelMismatch("features must be (n_windows, dim) matching labels")
-    present = set(labels)
-    missing = [l.name for l in ActivityLabel if l not in present]
+    if codes.size and not (codes.min() >= 0 and codes.max() < len(ActivityLabel)):
+        raise InvalidLabelCode(f"label codes must lie in 0..{len(ActivityLabel) - 1}")
+    counts = np.bincount(codes, minlength=len(ActivityLabel))
+    missing = [l.name for l in ActivityLabel if not counts[int(l)]]
     if missing:
         raise ModelMismatch(f"training data has no windows for {missing}")
     mean = features.mean(axis=0)
     std = features.std(axis=0)
     std[std < _EPS] = 1.0  # constant features carry no information; leave them unscaled
     z = (features - mean) / std
-    codes = np.asarray([int(l) for l in labels])
     centroids = np.stack([z[codes == int(l)].mean(axis=0) for l in ActivityLabel])
     return ClassifierModel(channel, mean, std, centroids)
 
@@ -609,49 +642,29 @@ def build_series(trace: MotionTrace | KeypointTrace, w: float, model: Classifier
     magnitude is taken from the raw accelerometer so smoothing cannot bite
     into genuine movement energy); keypoint traces are used as-is.
     """
+    _check_savgol(savgol_window, savgol_order)
     if isinstance(trace, MotionTrace):
         if model.channel is not Channel.MOTION:
             raise ModelMismatch("motion trace needs a motion-channel model")
-        return _build_motion_series(trace, w, model, source_id, savgol_window, savgol_order)
-    if isinstance(trace, KeypointTrace):
+        edges = window_edges(trace, w)
+        feats, mags = motion_features(trace, edges[:-1], edges[1:],
+                                      savgol_window=savgol_window, savgol_order=savgol_order)
+        magnitudes = {ActivityVectorSeries.MOTION_KEY: MagnitudeSeq(mags.tolist())}
+    elif isinstance(trace, KeypointTrace):
         if model.channel is not Channel.VISUAL:
             raise ModelMismatch("keypoint trace needs a visual-channel model")
-        return _build_visual_series(trace, w, model, source_id)
-    raise DataError(f"cannot build a series from {type(trace).__name__}")
-
-
-def _build_motion_series(trace, w, model, source_id, savgol_window, savgol_order):
-    spans = segment_windows(trace, w)
-    smooth_acc = _smooth_columns(trace.accel, savgol_window, savgol_order)
-    smooth_gyr = _smooth_columns(trace.gyro, savgol_window, savgol_order)
-    labels, mags = [], []
-    for span in spans:
-        sl = slice(span.lo, span.hi)
-        feats = motion_window_features(smooth_acc[sl], smooth_gyr[sl])
-        labels.append(classify_window(model, feats))
-        mags.append(motion_magnitude(trace.accel[sl]))
+        edges = window_edges(trace, w)
+        feats, mags = visual_features(trace, edges[:-1], edges[1:])
+        magnitudes = {
+            position.value: MagnitudeSeq(np.where(np.isnan(col), None, col).tolist())
+            for position, col in zip(SensorPosition, mags.T)
+        }
+    else:
+        raise DataError(f"cannot build a series from {type(trace).__name__}")
     return ActivityVectorSeries(
         source_id=source_id,
-        channel=Channel.MOTION,
+        channel=model.channel,
         window_seconds=w,
-        activities=tuple(labels),
-        magnitudes={ActivityVectorSeries.MOTION_KEY: MagnitudeSeq(mags)},
-    )
-
-
-def _build_visual_series(trace, w, model, source_id):
-    spans = segment_windows(trace, w)
-    labels = []
-    per_position: dict[str, list[float | None]] = {p.value: [] for p in SensorPosition}
-    for span in spans:
-        feats = visual_window_features(trace, span)
-        labels.append(classify_window(model, feats))
-        for position in SensorPosition:
-            per_position[position.value].append(visual_magnitude(trace, span, position))
-    return ActivityVectorSeries(
-        source_id=source_id,
-        channel=Channel.VISUAL,
-        window_seconds=w,
-        activities=tuple(labels),
-        magnitudes={name: MagnitudeSeq(vals) for name, vals in per_position.items()},
+        activities=tuple(classify_windows(model, feats).tolist()),
+        magnitudes=magnitudes,
     )

@@ -41,18 +41,15 @@ from .pipeline import (
     DEFAULT_FRAME_RATE,
     GRAVITY,
     KEYPOINT_NAMES,
-    SAVGOL_ORDER,
-    SAVGOL_WINDOW,
     ClassifierModel,
     ConfusionMatrix,
     KeypointTrace,
     MotionTrace,
     apply_confusion,
     fit_classifier,
-    motion_window_features,
-    segment_windows,
-    visual_window_features,
-    _smooth_columns,
+    motion_features,
+    visual_features,
+    window_edges,
 )
 
 __all__ = [
@@ -696,20 +693,15 @@ def train_classifier(
     lo, hi = intensity_range
     base_vec = np.array([base[lab] for lab in ActivityLabel])
     amps = base_vec[script] * rng.uniform(lo, hi, size=script.size)
-    feats = []
-    labels = [ActivityLabel(int(c)) for c in script]
     if channel is Channel.MOTION:
         trace = synthesize_motion_trace(script, amps, window_seconds, rng)
-        accel = _smooth_columns(trace.accel, SAVGOL_WINDOW, SAVGOL_ORDER)
-        gyro = _smooth_columns(trace.gyro, SAVGOL_WINDOW, SAVGOL_ORDER)
-        for span in segment_windows(trace, window_seconds):
-            sl = slice(span.lo, span.hi)
-            feats.append(motion_window_features(accel[sl], gyro[sl]))
+        edges = window_edges(trace, window_seconds)
+        feats, _ = motion_features(trace, edges[:-1], edges[1:])
     else:
         trace = synthesize_keypoint_trace(script, amps, window_seconds, rng)
-        for span in segment_windows(trace, window_seconds):
-            feats.append(visual_window_features(trace, span))
-    return fit_classifier(np.asarray(feats), labels, channel)
+        edges = window_edges(trace, window_seconds)
+        feats, _ = visual_features(trace, edges[:-1], edges[1:])
+    return fit_classifier(feats, script, channel)
 
 
 # --- spec (de)serialization ----------------------------------------------

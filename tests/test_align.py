@@ -16,7 +16,7 @@ from motionlink.align import (
     correlate_with_alignment,
     shift_and_rebuild,
 )
-from motionlink.engine import FilterConfig, hamming_distance
+from motionlink.engine import FilterConfig, mismatch_counts
 from motionlink.errors import ConfigError, DataError, NoOverlap
 from motionlink.model import (
     ActivityLabel,
@@ -275,11 +275,11 @@ class TestCorrelateWithAlignment:
         trace = late_start(full, lag)
         visual = visual_from_script(script[:60], amps[:60], "a0")
         uncorrected = build_series(trace, 1.0, motion_model, "u0")
-        raw = hamming_distance(
-            visual.activities[:len(uncorrected)],
-            uncorrected.activities[:60],
+        raw, _ = mismatch_counts(
+            visual.activity_codes()[:len(uncorrected)],
+            uncorrected.activity_codes()[:60],
         )
-        assert raw.distance > 20  # hopeless without alignment
+        assert raw > 20  # hopeless without alignment
         rankings, offsets = correlate_with_alignment(
             {"u0": trace}, VisualDataset([visual]), motion_model,
             FilterConfig(t_norm=0.3), AlignConfig(delta_max=4.0, step=0.5),

@@ -15,10 +15,11 @@ from motionlink.engine import (
     RankedIdentityList,
     activity_filter,
     correlate,
+    _restricted_lut,
     filter_codes_absolute,
     fractional_ranks,
-    hamming_distance,
     mismatch_budget,
+    mismatch_counts,
     rank_identities,
     ranking_from_dict,
     ranking_to_dict,
@@ -82,44 +83,49 @@ def visual_mags(n, base=None, **overrides):
 # ---------------------------------------------------------------------------
 # hamming distance and budget
 
+def hamming(a, b, restricted=None):
+    """`mismatch_counts` on two label lists, masked as the filter masks them."""
+    a, b = np.asarray(a, dtype=np.uint8), np.asarray(b, dtype=np.uint8)
+    if restricted is None:
+        return mismatch_counts(a, b)
+    lut = _restricted_lut(restricted)
+    return mismatch_counts(a, b, lut[a] & lut[b])
+
+
 def test_hamming_single_mismatch_is_ten_percent():
     a = [L.WALKING] * 10
     b = [L.WALKING] * 8 + [L.IDLE] + [L.WALKING]
-    r = hamming_distance(a, b)
-    assert r.distance == 1
-    assert r.effective_length == 10
-    assert r.normalized == pytest.approx(0.10)
+    distance, n_eff = hamming(a, b)
+    assert distance == 1
+    assert n_eff == 10
+    assert distance / n_eff == pytest.approx(0.10)
 
 
 def test_hamming_identical_and_disjoint():
     a = [L.IDLE, L.WALKING, L.JUMPING]
-    assert hamming_distance(a, a).distance == 0
+    assert hamming(a, a)[0] == 0
     b = [L.OTHER, L.BENDING, L.IDLE]
-    assert hamming_distance(a, b).distance == 3
+    assert hamming(a, b)[0] == 3
 
 
 def test_hamming_length_mismatch():
     with pytest.raises(LengthMismatch):
-        hamming_distance([L.IDLE], [L.IDLE, L.IDLE])
+        hamming([L.IDLE], [L.IDLE, L.IDLE])
 
 
 def test_hamming_restricted_skips_out_of_set_windows():
     a = [L.IDLE, L.HEAD_ROTATION, L.WALKING]
     b = [L.IDLE, L.OTHER, L.WALKING]
     restricted = frozenset(l for l in L if l is not L.HEAD_ROTATION)
-    r = hamming_distance(a, b, restricted)
-    assert r.distance == 0
-    assert r.effective_length == 2
+    assert hamming(a, b, restricted) == (0, 2)
 
 
 def test_hamming_restricted_requires_both_sides_in_set():
     a = [L.WALKING, L.HEAD_ROTATION]
     b = [L.HEAD_ROTATION, L.WALKING]
     restricted = frozenset({L.WALKING})
-    r = hamming_distance(a, b, restricted)
     # every window has one side outside the set
-    assert r.distance == 0
-    assert r.effective_length == 0
+    assert hamming(a, b, restricted) == (0, 0)
 
 
 def test_restricted_distance_never_exceeds_unrestricted():
@@ -130,10 +136,23 @@ def test_restricted_distance_never_exceeds_unrestricted():
         b = rng.integers(0, 8, n)
         keep = rng.choice(list(L), size=int(rng.integers(1, 8)), replace=False)
         restricted = frozenset(L(int(l)) for l in np.atleast_1d(keep))
-        full = hamming_distance(a.tolist(), b.tolist())
-        part = hamming_distance(a.tolist(), b.tolist(), restricted)
-        assert part.distance <= full.distance
-        assert part.effective_length <= full.effective_length
+        full = hamming(a, b)
+        part = hamming(a, b, restricted)
+        assert part[0] <= full[0]
+        assert part[1] <= full[1]
+
+
+def test_mismatch_counts_broadcast_rows():
+    # one sequence against a matrix of rows, as the filter and the offset
+    # search call it, equals the row-by-row counts
+    rng = np.random.default_rng(4)
+    mat = rng.integers(0, 8, (6, 9)).astype(np.uint8)
+    row = rng.integers(0, 8, 9).astype(np.uint8)
+    lut = _restricted_lut(frozenset({L.IDLE, L.WALKING, L.OTHER}))
+    dist, n_eff = mismatch_counts(row, mat, lut[row] & lut[mat])
+    for i in range(6):
+        assert (dist[i], n_eff[i]) == hamming(row, mat[i], {L.IDLE, L.WALKING, L.OTHER})
+    assert mismatch_counts(mat, row)[0].tolist() == [hamming(r, row)[0] for r in mat]
 
 
 def test_mismatch_budget_floor_semantics():

@@ -1,6 +1,17 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from motionlink import pipeline
+from motionlink.align import (
+    AlignConfig,
+    align_offset_search,
+    correlate_with_alignment,
+    shift_and_rebuild,
+)
 from motionlink.errors import (
     DataError,
     EmptyWindow,
@@ -9,29 +20,43 @@ from motionlink.errors import (
     ModelMismatch,
     TraceTooShort,
 )
-from motionlink.model import ActivityLabel, Channel, SensorPosition
+from motionlink.model import (
+    ActivityLabel,
+    ActivityVectorSeries,
+    Channel,
+    SensorPosition,
+    VisualDataset,
+)
 from motionlink.pipeline import (
     GRAVITY,
+    KEYPOINT_NAMES,
     ClassifierModel,
     ConfusionMatrix,
     KeypointTrace,
     MotionTrace,
+    _smooth_columns,
     apply_confusion,
     build_series,
-    classify_window,
+    classify_windows,
     fit_classifier,
     load_classifier,
-    motion_magnitude,
-    motion_window_features,
+    motion_features,
     read_keypoint_jsonl,
     read_motion_csv,
     save_classifier,
-    savgol_smooth,
+    visual_features,
+    window_edges,
+    write_keypoint_jsonl,
+    write_motion_csv,
+)
+from window_oracle import (
+    WindowSpan,
+    classify_window,
+    motion_magnitude,
+    motion_window_features,
     segment_windows,
     visual_magnitude,
     visual_window_features,
-    write_keypoint_jsonl,
-    write_motion_csv,
 )
 
 
@@ -82,13 +107,6 @@ def test_trace_duration_counts_last_sample():
     tr = flat_trace(60.0)
     assert len(tr) == 3000
     assert tr.duration == pytest.approx(60.0)
-
-
-def test_trace_shift():
-    tr = flat_trace(2.0)
-    sh = tr.shifted(1.5)
-    assert sh.timestamps[0] == pytest.approx(1.5)
-    assert np.array_equal(sh.accel, tr.accel)
 
 
 def test_motion_csv_roundtrip(tmp_path):
@@ -191,10 +209,10 @@ def test_savgol_preserves_polynomials():
     # constants survive everywhere; higher polynomials survive away from the
     # mirrored edges, where reflection deliberately bends the extension
     x = np.linspace(0, 4, 41)
-    out = savgol_smooth(np.full(41, 2.5), 11, 3)
+    out = _smooth_columns(np.full(41, 2.5), 11, 3)
     assert np.allclose(out, 2.5, atol=1e-9)
     for sig in (1.0 + 3.0 * x, 0.5 * x ** 2 - x + 2, x ** 3 - 2 * x):
-        out = savgol_smooth(sig, 11, 3)
+        out = _smooth_columns(sig, 11, 3)
         assert np.allclose(out[5:-5], sig[5:-5], atol=1e-9)
 
 
@@ -202,7 +220,7 @@ def test_savgol_matches_direct_least_squares():
     rng = np.random.default_rng(7)
     for window_len, poly_order in ((5, 2), (11, 3), (9, 4)):
         sig = rng.normal(0, 1, 60)
-        ours = savgol_smooth(sig, window_len, poly_order)
+        ours = _smooth_columns(sig, window_len, poly_order)
         oracle = lsq_savgol_oracle(sig, window_len, poly_order)
         assert np.allclose(ours, oracle, atol=1e-9)
 
@@ -210,19 +228,44 @@ def test_savgol_matches_direct_least_squares():
 def test_savgol_is_linear():
     rng = np.random.default_rng(8)
     a, b = rng.normal(0, 1, 50), rng.normal(0, 1, 50)
-    lhs = savgol_smooth(2.0 * a + 3.0 * b)
-    rhs = 2.0 * savgol_smooth(a) + 3.0 * savgol_smooth(b)
+    lhs = _smooth_columns(2.0 * a + 3.0 * b, 11, 3)
+    rhs = 2.0 * _smooth_columns(a, 11, 3) + 3.0 * _smooth_columns(b, 11, 3)
     assert np.allclose(lhs, rhs, atol=1e-9)
 
 
+def test_smoothing_is_per_column():
+    rng = np.random.default_rng(9)
+    arr = rng.normal(0, 1, (40, 3))
+    out = _smooth_columns(arr, 11, 3)
+    for c in range(3):
+        assert np.array_equal(out[:, c], _smooth_columns(arr[:, c], 11, 3))
+    # too short to smooth: returned as is
+    assert np.array_equal(_smooth_columns(arr[:10], 11, 3), arr[:10])
+
+
 def test_savgol_config_errors():
-    sig = np.zeros(30)
-    with pytest.raises(FilterConfigError):
-        savgol_smooth(sig, 10, 3)  # even window
-    with pytest.raises(FilterConfigError):
-        savgol_smooth(sig, 5, 5)  # order too high
-    with pytest.raises(FilterConfigError):
-        savgol_smooth(np.zeros(4), 11, 3)  # signal shorter than window
+    # every entry point rejects a bad smoothing window before any compute
+    motion = flat_trace(12.0)
+    model = _fit_motion_model_from_trace(motion, segment_windows(motion, 1.0))
+    series = build_series(motion, 1.0, model, "a0")
+    visual = ActivityVectorSeries(
+        source_id="a0", channel=Channel.VISUAL, window_seconds=1.0,
+        activities=series.activities,
+        magnitudes={p.value: series.motion_magnitudes for p in SensorPosition},
+    )
+    grid = AlignConfig(delta_max=1.0, step=0.5)
+    calls = (
+        lambda **kw: build_series(motion, 1.0, model, "m0", **kw),
+        lambda **kw: build_series(keypoint_trace(3.0), 1.0, model, "a0", **kw),
+        lambda **kw: shift_and_rebuild(motion, 0.5, 1.0, model, "m0", **kw),
+        lambda **kw: align_offset_search(motion, visual, model, grid, **kw),
+        lambda **kw: correlate_with_alignment({"m0": motion}, VisualDataset([visual]),
+                                              model, align=grid, **kw),
+    )
+    for window, order in ((10, 3), (5, 5), (11, -1), (1, 0), (11.0, 3)):
+        for call in calls:
+            with pytest.raises(FilterConfigError):
+                call(savgol_window=window, savgol_order=order)
 
 
 # ---------------------------------------------------------------------------
@@ -343,13 +386,10 @@ def blob_model(seed=0):
 def test_fit_and_classify_recovers_blobs():
     feats, labels, centers = blob_model()
     model = fit_classifier(feats, labels, Channel.MOTION)
-    hits = 0
     rng = np.random.default_rng(1)
-    for label in ActivityLabel:
-        for _ in range(20):
-            x = centers[int(label)] + rng.normal(0, 1.0, size=6)
-            hits += classify_window(model, x) is label
-    assert hits / 160 >= 0.95
+    truth = np.repeat(np.arange(8), 20)
+    x = centers[truth] + rng.normal(0, 1.0, size=(truth.size, 6))
+    assert (classify_windows(model, x) == truth).mean() >= 0.95
 
 
 def test_classify_tie_breaks_to_lower_code():
@@ -362,14 +402,16 @@ def test_classify_tie_breaks_to_lower_code():
     centroids[int(ActivityLabel.JUMPING)] = [-1.0, 0.0]
     model = ClassifierModel(Channel.MOTION, mean, std, centroids)
     # the origin is exactly equidistant from walking and jumping
-    assert classify_window(model, np.zeros(2)) is ActivityLabel.WALKING
+    assert classify_windows(model, np.zeros((3, 2))).tolist() == [ActivityLabel.WALKING] * 3
 
 
 def test_classify_dimension_mismatch():
     feats, labels, _ = blob_model()
     model = fit_classifier(feats, labels, Channel.MOTION)
     with pytest.raises(ModelMismatch):
-        classify_window(model, np.zeros(3))
+        classify_windows(model, np.zeros((1, 3)))
+    with pytest.raises(ModelMismatch):
+        classify_windows(model, np.zeros(6))
 
 
 def test_fit_requires_every_label():
@@ -469,9 +511,7 @@ def test_build_series_motion_counts_and_raw_magnitude():
 
 
 def _fit_motion_model_from_trace(tr, windows):
-    feats = np.stack([
-        motion_window_features(tr.accel[s.lo:s.hi], tr.gyro[s.lo:s.hi]) for s in windows
-    ])
+    feats, _ = motion_features(tr, [s.lo for s in windows], [s.hi for s in windows])
     # enough distinct rows for every label: tile with offsets
     all_feats, all_labels = [], []
     rng = np.random.default_rng(0)
@@ -496,8 +536,8 @@ def test_build_series_visual_unobservable_positions():
     pts = {k: v.copy() for k, v in tr.points.items()}
     pts.pop("left_wrist")  # never detected at all
     tr = KeypointTrace(tr.timestamps, pts, tr.frame_rate)
-    spans = segment_windows(tr, 1.0)
-    feats = np.stack([visual_window_features(tr, s) for s in spans])
+    edges = window_edges(tr, 1.0)
+    feats, _ = visual_features(tr, edges[:-1], edges[1:])
     all_feats, all_labels = [], []
     rng = np.random.default_rng(0)
     for label in ActivityLabel:
@@ -518,3 +558,147 @@ def test_build_series_channel_model_mismatch():
     visual_model = fit_classifier(feats, labels, Channel.VISUAL)
     with pytest.raises(ModelMismatch):
         build_series(tr, 1.0, visual_model, "m0")
+
+
+# ---------------------------------------------------------------------------
+# batched featurization against the scalar per-window oracle
+
+def _signal(rng, kind, shape):
+    if kind == "zeros":
+        return np.zeros(shape)
+    if kind == "constant":  # integer columns: exact means, all-zero spectra
+        return np.broadcast_to(rng.integers(-3, 4, shape[1:]), shape).astype(float)
+    if kind == "ints":  # exact zeros and tied values
+        return rng.integers(-2, 3, shape).astype(float)
+    return np.cumsum(rng.normal(0, 3, shape), axis=0)
+
+
+def _jittered(rng, n, dt):
+    """n strictly increasing timestamps, spacings of 0.3 to 1.7 dt."""
+    return np.cumsum(rng.uniform(0.3, 1.7, n)) * dt
+
+
+def _windows(trace, w, extra):
+    """Window edges of the trace's own grid plus arbitrary, possibly
+    overlapping (lo, length) windows clipped to the trace, as (lo, hi)."""
+    n = len(trace)
+    try:
+        edges = window_edges(trace, w)
+    except TraceTooShort:
+        edges = np.zeros(1, dtype=np.intp)
+    lo = [int(e) for e in edges[:-1]] + [a % n for a, _ in extra]
+    hi = [int(e) for e in edges[1:]] + [min(n, a % n + b) for a, b in extra]
+    return np.array(lo, dtype=np.intp), np.array(hi, dtype=np.intp)
+
+
+_EXTRA = st.lists(st.tuples(st.integers(0, 500), st.integers(1, 60)), max_size=4)
+_BLOCK = st.sampled_from([1, 40, 1 << 14])
+
+
+@settings(max_examples=250, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 120),
+       per_window=st.floats(1.0, 8.0), kinds=st.tuples(*[st.sampled_from(
+           ["zeros", "constant", "ints", "walk"])] * 2),
+       savgol=st.sampled_from([(11, 3), (5, 2), (3, 0)]), extra=_EXTRA, block=_BLOCK)
+def test_batched_motion_features_equal_scalar_oracle(seed, n, per_window, kinds, savgol,
+                                                     extra, block):
+    rng = np.random.default_rng(seed)
+    trace = MotionTrace(_jittered(rng, n, 0.02), _signal(rng, kinds[0], (n, 3)),
+                        _signal(rng, kinds[1], (n, 3)))
+    lo, hi = _windows(trace, 0.02 * per_window, extra)
+    if not lo.size:
+        return
+    with mock.patch.object(pipeline, "_BLOCK_CELLS", block):
+        if (hi <= lo).any():  # a jittered gap emptied a window
+            with pytest.raises(EmptyWindow):
+                motion_features(trace, lo, hi, savgol_window=savgol[0], savgol_order=savgol[1])
+            return
+        feats, mags = motion_features(trace, lo, hi, savgol_window=savgol[0],
+                                      savgol_order=savgol[1])
+    accel = _smooth_columns(trace.accel, *savgol)
+    gyro = _smooth_columns(trace.gyro, *savgol)
+    want = np.stack([motion_window_features(accel[a:b], gyro[a:b]) for a, b in zip(lo, hi)])
+    assert np.array_equal(feats, want)
+    assert np.array_equal(mags, [motion_magnitude(trace.accel[a:b]) for a, b in zip(lo, hi)])
+
+
+@settings(max_examples=250, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 90),
+       per_window=st.floats(1.0, 8.0), kind=st.sampled_from(["constant", "ints", "walk"]),
+       absent=st.sets(st.sampled_from(KEYPOINT_NAMES), max_size=7),
+       dropout=st.lists(st.sampled_from(["none", "frames", "runs", "one_axis", "all"]),
+                        min_size=7, max_size=7),
+       extra=_EXTRA, block=_BLOCK)
+def test_batched_visual_features_equal_scalar_oracle(seed, n, per_window, kind, absent,
+                                                     dropout, extra, block):
+    rng = np.random.default_rng(seed)
+    points = {}
+    for name, drop in zip(KEYPOINT_NAMES, dropout):
+        xy = _signal(rng, kind, (n, 2))
+        if drop == "frames":
+            xy[rng.random(n) < rng.uniform(0.1, 0.9)] = np.nan
+        elif drop == "runs":
+            start = int(rng.integers(0, n))
+            xy[start:start + int(rng.integers(1, 8))] = np.nan
+        elif drop == "one_axis":  # a half-missing coordinate drops the frame
+            xy[rng.random(n) < 0.5, int(rng.integers(0, 2))] = np.nan
+        elif drop == "all":
+            xy[:] = np.nan
+        if name not in absent:
+            points[name] = xy
+    trace = KeypointTrace(_jittered(rng, n, 1 / 30.0), points)
+    lo, hi = _windows(trace, per_window / 30.0, extra)
+    if not lo.size:
+        return
+    with mock.patch.object(pipeline, "_BLOCK_CELLS", block):
+        if (hi <= lo).any():
+            with pytest.raises(EmptyWindow):
+                visual_features(trace, lo, hi)
+            return
+        feats, mags = visual_features(trace, lo, hi)
+    spans = [WindowSpan(i, 0.0, 0.0, int(a), int(b)) for i, (a, b) in enumerate(zip(lo, hi))]
+    assert np.array_equal(feats, np.stack([visual_window_features(trace, s) for s in spans]))
+    want = [[np.nan if (m := visual_magnitude(trace, s, p)) is None else m
+             for p in SensorPosition] for s in spans]
+    assert np.array_equal(mags, want, equal_nan=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), dim=st.sampled_from([1, 2, 13, 24]),
+       n=st.integers(1, 60), twins=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)),
+                                            max_size=4), block=_BLOCK)
+def test_classify_windows_equals_scalar_oracle(seed, dim, n, twins, block):
+    # small integer grids make exact distance ties common; twin centroids
+    # tie on every window
+    rng = np.random.default_rng(seed)
+    centroids = rng.integers(-2, 3, (8, dim)).astype(float)
+    for a, b in twins:
+        centroids[b] = centroids[a]
+    model = ClassifierModel(Channel.MOTION, rng.integers(-1, 2, dim).astype(float),
+                            rng.choice([0.5, 1.0, 2.0], dim), centroids)
+    feats = rng.integers(-3, 4, (n, dim)).astype(float)
+    with mock.patch.object(pipeline, "_BLOCK_CELLS", block):
+        codes = classify_windows(model, feats)
+    assert codes.tolist() == [int(classify_window(model, f)) for f in feats]
+
+
+def test_gap_that_empties_a_window_raises_empty_window():
+    motion = flat_trace(6.0)
+    keep = (motion.timestamps < 2.0) | (motion.timestamps >= 3.2)
+    gapped = MotionTrace(motion.timestamps[keep], motion.accel[keep], motion.gyro[keep],
+                         motion.nominal_interval)
+    model = _fit_motion_model_from_trace(motion, segment_windows(motion, 1.0))
+    with pytest.raises(EmptyWindow):
+        build_series(gapped, 1.0, model, "m0")
+    with pytest.raises(EmptyWindow):
+        shift_and_rebuild(gapped, 0.0, 1.0, model, "m0")
+
+    kp = keypoint_trace(6.0, jitter=1.0)
+    keep = (kp.timestamps < 2.0) | (kp.timestamps >= 3.2)
+    gapped = KeypointTrace(kp.timestamps[keep],
+                           {k: v[keep] for k, v in kp.points.items()}, kp.frame_rate)
+    rng = np.random.default_rng(0)
+    visual_model = fit_classifier(rng.normal(0, 1, (80, 13)), np.repeat(np.arange(8), 10),
+                                  Channel.VISUAL)
+    with pytest.raises(EmptyWindow, match="visual window 2 has no frames"):
+        build_series(gapped, 1.0, visual_model, "a0")

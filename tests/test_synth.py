@@ -25,9 +25,9 @@ from motionlink.model import (
 from motionlink.pipeline import (
     ConfusionMatrix,
     build_series,
-    motion_magnitude,
-    segment_windows,
-    visual_magnitude,
+    motion_features,
+    visual_features,
+    window_edges,
 )
 from motionlink.synth import (
     DEFAULT_MAGNITUDE_BASE,
@@ -274,6 +274,19 @@ class TestPermuteExpand:
             permute_expand(np.empty((0, 4), dtype=np.uint8), 5)
 
 
+def motion_mags(trace):
+    """Per-window magnitudes of a trace cut into 1 s windows."""
+    edges = window_edges(trace, 1.0)
+    return motion_features(trace, edges[:-1], edges[1:])[1]
+
+
+def visual_mags(trace, position):
+    """One position's per-window magnitudes (NaN: unobservable), 1 s windows."""
+    edges = window_edges(trace, 1.0)
+    mags = visual_features(trace, edges[:-1], edges[1:])[1]
+    return mags[:, list(SensorPosition).index(position)]
+
+
 class TestMotionTraceSynthesis:
     def test_magnitude_calibration(self):
         rng = np.random.default_rng(0)
@@ -281,17 +294,14 @@ class TestMotionTraceSynthesis:
         trace = synthesize_motion_trace(
             [int(ActivityLabel.WALKING)] * 6, [amp] * 6, 1.0, rng
         )
-        for span in segment_windows(trace, 1.0):
-            got = motion_magnitude(trace.accel[span.lo:span.hi])
+        for got in motion_mags(trace):
             assert got == pytest.approx(amp, rel=0.05)
 
     def test_magnitude_calibration_all_labels(self):
         rng = np.random.default_rng(1)
         for lab in ActivityLabel:
             trace = synthesize_motion_trace([int(lab)] * 3, [1.5] * 3, 1.0, rng)
-            spans = segment_windows(trace, 1.0)
-            mags = [motion_magnitude(trace.accel[s.lo:s.hi]) for s in spans]
-            assert np.mean(mags) == pytest.approx(1.5, rel=0.08)
+            assert np.mean(motion_mags(trace)) == pytest.approx(1.5, rel=0.08)
 
     def test_magnitude_monotone_in_amplitude(self):
         rng = np.random.default_rng(2)
@@ -299,8 +309,7 @@ class TestMotionTraceSynthesis:
         trace = synthesize_motion_trace(
             [int(ActivityLabel.JUMPING)] * 3, amps, 1.0, rng
         )
-        spans = segment_windows(trace, 1.0)
-        mags = [motion_magnitude(trace.accel[s.lo:s.hi]) for s in spans]
+        mags = motion_mags(trace)
         assert mags[0] < mags[1] < mags[2]
 
     def test_start_time_shifts_stamps_only(self):
@@ -325,11 +334,8 @@ class TestKeypointTraceSynthesis:
         trace = synthesize_keypoint_trace(
             [int(ActivityLabel.JUMPING)] * 3, amps, 1.0, rng
         )
-        spans = segment_windows(trace, 1.0)
-        mags = [
-            visual_magnitude(trace, s, SensorPosition.LEFT_WRIST) for s in spans
-        ]
-        assert all(m is not None and m > 0 for m in mags)
+        mags = visual_mags(trace, SensorPosition.LEFT_WRIST)
+        assert all(m > 0 for m in mags)  # observed: NaN fails the comparison
         assert mags[0] < mags[1] < mags[2]
 
     def test_magnitude_proportional_to_amplitude_for_every_label(self):
@@ -339,9 +345,8 @@ class TestKeypointTraceSynthesis:
         script = [int(l) for l in ActivityLabel] * 4
         amps = rng.uniform(0.5, 3.0, size=len(script))
         trace = synthesize_keypoint_trace(script, amps, 1.0, rng)
-        spans = segment_windows(trace, 1.0)
         for pos in (SensorPosition.LEFT_WRIST, SensorPosition.RIGHT_BACK_POCKET):
-            mags = np.array([visual_magnitude(trace, s, pos) for s in spans])
+            mags = visual_mags(trace, pos)
             ratios = mags / amps
             assert np.allclose(ratios, ratios.mean(), rtol=0.05)
 
@@ -354,10 +359,10 @@ class TestKeypointTraceSynthesis:
             rng,
             keypoint_observability={"left_wrist": 0.4},
         )
-        spans = segment_windows(trace, 1.0)
+        edges = window_edges(trace, 1.0)
         missing = 0
-        for span in spans:
-            xy = trace.points["left_wrist"][span.lo:span.hi]
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            xy = trace.points["left_wrist"][lo:hi]
             nan = np.isnan(xy).any(axis=1)
             assert nan.all() or not nan.any()  # all-or-nothing per window
             missing += int(nan.all())
