@@ -27,7 +27,6 @@ from .engine import (
     DEFAULT_MIN_OBSERVED_FRACTION,
     FilterConfig,
     RankedIdentityList,
-    _position_matrix,
     _rank_pairs,
     _ranked,
     _restricted_lut,
@@ -37,8 +36,7 @@ from .engine import (
 from .model import (
     ActivityLabel,
     ActivityVectorSeries,
-    Channel,
-    MagnitudeSeq,
+    MotionDataset,
     VisualDataset,
 )
 from .pipeline import (
@@ -178,14 +176,7 @@ def shift_and_rebuild(
     if not rebuilt:
         raise NoOverlap(f"no full {w}s window fits the trace shifted by {offset:+g}s")
     codes, mags, first = rebuilt[offset]
-    series = ActivityVectorSeries(
-        source_id=source_id,
-        channel=Channel.MOTION,
-        window_seconds=w,
-        activities=tuple(codes.tolist()),
-        magnitudes={ActivityVectorSeries.MOTION_KEY: MagnitudeSeq(mags.tolist())},
-    )
-    return series, first
+    return MotionDataset.from_arrays((source_id,), codes[None], mags[None], w)[0], first
 
 
 class _Scored(NamedTuple):
@@ -227,7 +218,7 @@ def align_offset_search(
     """
     _check_savgol(savgol_window, savgol_order)
     w = visual_series.window_seconds
-    v_codes = visual_series.activity_codes()
+    v_codes = visual_series.codes
     lut = _restricted_lut(restricted) if restricted is not None else None
     origin = float(trace.timestamps[0]) if grid_origin is None else float(grid_origin)
     rebuilt = _rebuild(trace, align.offsets(), w, model, origin, (savgol_window, savgol_order))
@@ -278,15 +269,10 @@ def correlate_with_alignment(
     every evaluated pair.
     """
     _check_savgol(savgol_window, savgol_order)
-    n_visual = visual.uniform_length()
-    w = None
-    for series in visual:
-        w = series.window_seconds
-        break
-    if w is None:
-        raise DataError("visual dataset is empty")
+    w = visual.window_seconds
+    v_codes = visual.codes
+    n_visual = v_codes.shape[1]
     lut = _restricted_lut(config.restricted) if config.restricted is not None else None
-    v_codes = visual.label_matrix()
 
     # one rebuild per identity covers every offset; each rebuilt label
     # sequence is scored against all avatars at once.  scored[ident] lists
@@ -323,8 +309,8 @@ def correlate_with_alignment(
 
     rankings = []
     chosen: dict[str, dict[str, float]] = {}
-    for a, avatar in enumerate(visual):
-        avatar_mags = _position_matrix(avatar)
+    for a, avatar_id in enumerate(visual.ids):
+        avatar_mags = visual.mags[a]
         ids, rows = [], []
         offsets_here: dict[str, float] = {}
         for ident in sorted(best_row):
@@ -341,6 +327,6 @@ def correlate_with_alignment(
             ids.append(ident)
             rows.append((vis, mot, hi - lo))
         rho, pos = _rank_pairs(rows, min_observed_fraction)
-        rankings.append(_ranked(avatar.source_id, ids, rho, pos))
-        chosen[avatar.source_id] = offsets_here
+        rankings.append(_ranked(avatar_id, ids, rho, pos))
+        chosen[avatar_id] = offsets_here
     return rankings, chosen

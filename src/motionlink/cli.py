@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, fields
 from importlib import metadata
@@ -387,7 +386,6 @@ def cmd_sweep(args) -> int:
         restricted=restricted,
         top_k=args.top_k,
         train_seed=args.train_seed,
-        threads=args.threads or (os.cpu_count() or 1),
     )
     write_sweep_csv(grid, args.out)
     print(f"swept {len(grid)} cells -> {args.out}")
@@ -511,7 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restricted", action="store_true")
     p.add_argument("--top-k", dest="top_k", type=int, default=3)
     p.add_argument("--train-seed", dest="train_seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_sweep)
 
     return parser

@@ -141,6 +141,18 @@ def filter_codes_absolute(v_mat: np.ndarray, m_mat: np.ndarray, t_abs: int):
     return out
 
 
+def _common_grid(visual: VisualDataset, motion: MotionDataset) -> int:
+    """The window count n both datasets share, which must be on one grid."""
+    n_v, n_m = visual.codes.shape[1], motion.codes.shape[1]
+    if n_v != n_m:
+        raise LengthMismatch(f"visual series have n={n_v}, motion series n={n_m}")
+    if visual.window_seconds != motion.window_seconds:
+        raise DataError(
+            f"window width mismatch: {visual.window_seconds} vs {motion.window_seconds}"
+        )
+    return n_v
+
+
 def activity_filter(visual: VisualDataset, motion: MotionDataset,
                     config: FilterConfig) -> CandidatePairSet:
     """Keep (avatar, identity) pairs within the normalized mismatch budget.
@@ -149,21 +161,13 @@ def activity_filter(visual: VisualDataset, motion: MotionDataset,
     O(p * q * n): every pair is scanned.  The wildcard index offers the
     same answer in near-linear time for the unrestricted case.
     """
-    n_v, n_m = visual.uniform_length(), motion.uniform_length()
-    if n_v != n_m:
-        raise LengthMismatch(f"visual series have n={n_v}, motion series n={n_m}")
-    if visual.window_seconds != motion.window_seconds:
-        raise DataError(
-            f"window width mismatch: {visual.window_seconds} vs {motion.window_seconds}"
-        )
-    v_mat = visual.label_matrix()
-    m_mat = motion.label_matrix()
-    m_ids = motion.source_ids
+    n = _common_grid(visual, motion)
+    v_mat, m_mat, m_ids = visual.codes, motion.codes, motion.ids
     lut = None if config.restricted is None else _restricted_lut(config.restricted)
     m_in = None if lut is None else lut[m_mat]
-    budget = mismatch_budget(config.t_norm, n_v)
+    budget = mismatch_budget(config.t_norm, n)
     result = CandidatePairSet()
-    for row, avatar_id in zip(v_mat, visual.source_ids):
+    for row, avatar_id in zip(v_mat, visual.ids):
         if lut is None:
             dists, _ = mismatch_counts(row, m_mat)
         else:
@@ -310,11 +314,6 @@ def _rank_pairs(rows: Iterable[tuple[np.ndarray, np.ndarray, int]],
     return np.concatenate(rho), np.concatenate(pos)
 
 
-def _position_matrix(visual_series: ActivityVectorSeries) -> np.ndarray:
-    """(6, n) magnitudes of a visual series, NaN where unobservable."""
-    return np.stack([visual_series.magnitude_for(p).values for p in _POSITIONS])
-
-
 def _ranked(avatar_id: str, identity_ids: Sequence[str], rho: np.ndarray,
             pos: np.ndarray) -> RankedIdentityList:
     """Entries of the pairs not skipped, best rho first, ties on identity id."""
@@ -344,13 +343,15 @@ def rank_identities(visual_series: ActivityVectorSeries,
         items = list(candidates.values())
     else:
         items = list(candidates)
+    if visual_series.channel is not Channel.VISUAL:
+        raise DataError(f"{visual_series.source_id}: ranking needs a visual series")
     if not items:
         return RankedIdentityList(visual_series.source_id, ())
     n = len(visual_series)
     for m in items:
         if len(m) != n:
             raise LengthMismatch(f"{m.source_id}: length {len(m)} vs avatar length {n}")
-    vis = _position_matrix(visual_series)
+    vis = visual_series.mags
     rho, pos = _rank_pairs(((vis, m.motion_magnitudes.values, n) for m in items),
                            min_observed_fraction)
     ranking = _ranked(visual_series.source_id, [m.source_id for m in items], rho, pos)
@@ -378,32 +379,26 @@ def correlate(visual: VisualDataset, motion: MotionDataset, config: FilterConfig
             raise ConfigError("indexed filtering does not support restricted label sets")
         from .windex import filter_with_index
 
-        n = motion.uniform_length()
-        if visual.uniform_length() != n:
-            raise LengthMismatch(
-                f"visual series have n={visual.uniform_length()}, motion series n={n}"
-            )
+        n = _common_grid(visual, motion)
         pair_set = filter_with_index(visual, motion, mismatch_budget(config.t_norm, n))
     else:
         pair_set = activity_filter(visual, motion, config)
-        n = visual.uniform_length()
+        n = visual.codes.shape[1]
 
-    candidate_ids = [sorted(pair_set.candidates(a.source_id)) for a in visual]
+    candidate_ids = [sorted(pair_set.candidates(a)) for a in visual.ids]
 
     def rows():
-        for avatar, ids in zip(visual, candidate_ids):
-            if ids:
-                vis = _position_matrix(avatar)
-                for i in ids:
-                    yield vis, motion[i].motion_magnitudes.values, n
+        for vis, ids in zip(visual.mags, candidate_ids):
+            for i in ids:
+                yield vis, motion[i].mags, n
 
     rho, pos = _rank_pairs(rows(), min_observed_fraction)
 
     rankings = []
     start = 0
-    for avatar, ids in zip(visual, candidate_ids):
+    for avatar_id, ids in zip(visual.ids, candidate_ids):
         stop = start + len(ids)
-        rankings.append(_ranked(avatar.source_id, ids, rho[start:stop], pos[start:stop]))
+        rankings.append(_ranked(avatar_id, ids, rho[start:stop], pos[start:stop]))
         start = stop
     return rankings
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Mapping, Sequence
@@ -185,8 +184,7 @@ def sweep_parameters(cohort: TraceCohort | CohortSpec, w_values: Sequence[float]
                      restricted: frozenset[ActivityLabel] | None = None,
                      min_observed_fraction: float = DEFAULT_MIN_OBSERVED_FRACTION,
                      top_k: int = 3,
-                     train_seed: int = 0,
-                     threads: int = 1) -> dict[tuple[float, float], EvalReport]:
+                     train_seed: int = 0) -> dict[tuple[float, float], EvalReport]:
     """Full factorial grid over window width and normalized threshold.
 
     Given a TraceCohort, series are rebuilt from the raw traces for every
@@ -237,13 +235,7 @@ def sweep_parameters(cohort: TraceCohort | CohortSpec, w_values: Sequence[float]
         }
         return evaluate(rankings, truths[w], top_k, config=echo)
 
-    cells = [(w, t) for w in w_values for t in t_values]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(lambda c: cell(*c), cells))
-    else:
-        reports = [cell(w, t) for w, t in cells]
-    return dict(zip(cells, reports))
+    return {(w, t): cell(w, t) for w in w_values for t in t_values}
 
 
 def sweep_to_rows(grid: Mapping[tuple[float, float], EvalReport]) -> list[dict]:

@@ -1,24 +1,28 @@
-"""Core domain model: activity labels, sensor positions, and activity-vector series.
+"""Core domain model: activity labels, sensor positions, and activity-vector datasets.
 
 An activity-vector series is the common representation both channels reduce
 to: a sequence of classified activity labels over fixed-width time windows,
 paired with per-window movement magnitudes.  Motion-channel series carry one
 magnitude sequence; visual-channel series carry one per candidate sensor
 position, with entries that may be unobservable.
+
+A dataset holds the series of one channel as columns: `ids`, `codes` and
+`mags`.  A single series is a row view of a dataset.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
 from enum import Enum, IntEnum
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .errors import DataError, InvalidLabelCode, LengthMismatch
 
 SERIES_FORMAT_VERSION = 1
+MOTION_KEY = "motion"
 
 
 class ActivityLabel(IntEnum):
@@ -37,6 +41,9 @@ class ActivityLabel(IntEnum):
     @property
     def token(self) -> str:
         return self.name.lower()
+
+
+_LABELS = tuple(ActivityLabel)
 
 
 def label_from_code(code: int) -> ActivityLabel:
@@ -65,11 +72,7 @@ class SensorPosition(Enum):
     RIGHT_WRIST = "right_wrist"
 
 
-def position_from_token(token: str) -> SensorPosition:
-    try:
-        return SensorPosition(token)
-    except ValueError:
-        raise DataError(f"unknown sensor position {token!r}") from None
+_POSITION_NAMES = tuple(p.value for p in SensorPosition)
 
 
 class Channel(Enum):
@@ -77,46 +80,40 @@ class Channel(Enum):
     VISUAL = "visual"
 
 
+def _sequence_names(channel: Channel) -> tuple[str, ...]:
+    """Names of a series' magnitude sequences, in `mags` order."""
+    return (MOTION_KEY,) if channel is Channel.MOTION else _POSITION_NAMES
+
+
 class MagnitudeSeq:
     """Per-window movement magnitudes; entries are floats or None (unobservable).
 
-    Internally the values live in a float array with NaN holes plus a boolean
-    observed mask, so vector math has to go through `values`/`observed_mask`
-    explicitly and can never fold a missing entry into a mean by accident.
+    The values live in a read-only float array with NaN holes, so vector
+    math has to go through `values`/`observed_mask` explicitly and can never
+    fold a missing entry into a mean by accident.  The sequences of a
+    dataset series are views of the dataset's `mags`.
     """
 
-    __slots__ = ("_values", "_mask")
+    __slots__ = ("_values",)
 
     def __init__(self, entries: Iterable[float | None]):
-        entries = list(entries)
-        values = np.empty(len(entries), dtype=np.float64)
-        mask = np.empty(len(entries), dtype=bool)
-        for i, e in enumerate(entries):
-            if e is None:
-                values[i] = np.nan
-                mask[i] = False
-            else:
-                v = float(e)
-                if not np.isfinite(v):
-                    raise DataError(f"magnitude entry {i} is not finite: {v!r}")
-                if v < 0:
-                    raise DataError(f"magnitude entry {i} is negative: {v!r}")
-                values[i] = v
-                mask[i] = True
+        raw = np.array(list(entries), dtype=object)
+        # only None marks an unobservable entry: a NaN entry reads as inf,
+        # which validation rejects as not finite
+        values = np.where(np.equal(raw, None), np.nan,
+                          np.where(np.not_equal(raw, raw), np.inf, raw)).astype(np.float64)
+        _check_magnitudes(values[None, None], ("",), lambda i: "magnitudes")
         values.setflags(write=False)
-        mask.setflags(write=False)
         self._values = values
-        self._mask = mask
+
+    @classmethod
+    def _view(cls, values: np.ndarray) -> "MagnitudeSeq":
+        seq = object.__new__(cls)
+        seq._values = values
+        return seq
 
     def __len__(self) -> int:
         return len(self._values)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MagnitudeSeq):
-            return NotImplemented
-        return len(self) == len(other) and np.array_equal(
-            self._values, other._values, equal_nan=True
-        )
 
     def __repr__(self) -> str:
         return f"MagnitudeSeq({self.entries()!r})"
@@ -128,102 +125,237 @@ class MagnitudeSeq:
 
     @property
     def observed_mask(self) -> np.ndarray:
-        return self._mask
+        return ~np.isnan(self._values)
 
     @property
     def n_observed(self) -> int:
-        return int(self._mask.sum())
+        return int(self.observed_mask.sum())
 
     def observed_fraction(self) -> float:
         return self.n_observed / len(self) if len(self) else 0.0
 
     def entries(self) -> list[float | None]:
-        return [float(v) if m else None for v, m in zip(self._values, self._mask)]
+        return np.where(np.isnan(self._values), None, self._values).tolist()
 
 
-@dataclass(frozen=True)
-class ActivityVectorSeries:
-    """One source's activity labels plus magnitudes on a fixed window grid.
+def _first(bad: np.ndarray) -> tuple[int, ...] | None:
+    """Index of the first True in `bad`, or None."""
+    if not bad.any():
+        return None
+    return tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
 
-    Parameters
-    ----------
-    source_id : str
-        Identifier of the trace this series was derived from.
-    channel : Channel
-        MOTION series hold a single fully observed magnitude sequence under
-        the reserved name "motion"; VISUAL series hold one sequence per
-        SensorPosition, entries possibly unobservable.
-    window_seconds : float
-        Window width w used to build the series.
-    activities : tuple[ActivityLabel, ...]
-    magnitudes : mapping of sequence name to MagnitudeSeq
-    """
 
-    source_id: str
+def _check_magnitudes(mags: np.ndarray, names: tuple[str, ...], where) -> None:
+    """Reject infinite and negative entries of (N, sequences, n) magnitudes."""
+    for bad, what in ((np.isinf(mags), "is not finite"), (mags < 0, "is negative")):
+        at = _first(bad)
+        if at is not None:
+            i, s, j = at
+            name = f"{names[s]} " if len(names) > 1 else ""
+            raise DataError(f"{where(i)}: {name}magnitude entry {j} {what}: {float(mags[at])!r}")
+
+
+# ---------------------------------------------------------------------------
+# datasets and their row views
+
+class _SeriesDataset:
+    """Ordered, immutable series of one channel on one window grid, as
+    read-only columns: `ids`, a tuple of unique source ids; `codes`, (N, n)
+    uint8 activity codes; `mags`, float64 magnitudes, (N, n) for motion and
+    (N, 6, n) for visual series in SensorPosition order, NaN where a window
+    is unobservable; and `window_seconds`.  Iteration, `dataset[i]` and
+    `dataset[id]` yield ActivityVectorSeries row views."""
+
+    __slots__ = ("ids", "codes", "mags", "window_seconds", "_rows")
     channel: Channel
-    window_seconds: float
-    activities: tuple[ActivityLabel, ...]
-    magnitudes: Mapping[str, MagnitudeSeq] = field(default_factory=dict)
 
-    MOTION_KEY = "motion"
+    def __init__(self, series: Iterable["ActivityVectorSeries"]):
+        rows = [(s.source_id, s.channel, s.window_seconds, s.codes, s.mags) for s in series]
+        self._stack(rows, lambda i: f"series {rows[i][0]!r}")
 
-    def __post_init__(self):
-        if not self.source_id:
-            raise DataError("source_id must be non-empty")
-        if not self.window_seconds > 0:
-            raise DataError(f"window_seconds must be positive, got {self.window_seconds}")
-        acts = tuple(
-            a if isinstance(a, ActivityLabel) else label_from_code(a) for a in self.activities
-        )
-        object.__setattr__(self, "activities", acts)
-        mags = dict(self.magnitudes)
-        n = len(acts)
-        if self.channel is Channel.MOTION:
-            if set(mags) != {self.MOTION_KEY}:
+    @classmethod
+    def from_arrays(cls, ids: Iterable[str], codes, mags, window_seconds: float):
+        """A dataset over copies of the given columns, validated like any other."""
+        ids = tuple(ids)
+        if not len(ids) == len(codes) == len(mags):
+            raise LengthMismatch(
+                f"{len(ids)} ids, {len(codes)} code rows, {len(mags)} magnitude rows"
+            )
+        rows = [(i, cls.channel, window_seconds, np.asarray(c), np.asarray(m, dtype=np.float64))
+                for i, c, m in zip(ids, codes, mags)]
+        dataset = cls.__new__(cls)
+        dataset._stack(rows, lambda i: f"series {rows[i][0]!r}")
+        return dataset
+
+    def _stack(self, rows, where) -> None:
+        """Fill the columns from (source_id, channel, w, codes, mags) rows,
+        checking every dataset, and so every series, once.  `where(i)` names
+        row i in error messages."""
+        if not rows:
+            raise DataError("dataset must contain at least one series")
+        w, n = rows[0][2], rows[0][3].size
+        if not 0 < w < math.inf:
+            raise DataError(f"{where(0)}: window width must be positive and finite, got {w!r}")
+        names = _sequence_names(self.channel)
+        lead = () if self.channel is Channel.MOTION else (len(names),)
+        for i, (_, channel, w_i, codes, mags) in enumerate(rows):
+            if channel is not self.channel:
                 raise DataError(
-                    f"motion series needs exactly one magnitude sequence {self.MOTION_KEY!r}, "
-                    f"got {sorted(mags)}"
+                    f"{where(i)}: expected {self.channel.value} series, got {channel.value}"
                 )
-            seq = mags[self.MOTION_KEY]
-            if len(seq) != n:
+            if w_i != w:
+                raise DataError(f"{where(i)}: window width {w_i} differs from {w} in {where(0)}")
+            if codes.ndim != 1 or mags.shape != lead + codes.shape:
                 raise LengthMismatch(
-                    f"{self.source_id}: {n} activities vs {len(seq)} magnitudes"
+                    f"{where(i)}: {codes.size} activities vs magnitudes of shape {mags.shape}"
                 )
-            if seq.n_observed != n:
-                raise DataError(f"{self.source_id}: motion magnitudes cannot be unobservable")
-        else:
-            want = {p.value for p in SensorPosition}
-            if set(mags) != want:
-                raise DataError(
-                    f"visual series must carry all sensor positions, got {sorted(mags)}"
-                )
-            for name, seq in mags.items():
-                if len(seq) != n:
-                    raise LengthMismatch(
-                        f"{self.source_id}/{name}: {n} activities vs {len(seq)} magnitudes"
-                    )
-        object.__setattr__(self, "magnitudes", mags)
+            if codes.size != n:
+                raise LengthMismatch(f"{where(i)}: {codes.size} windows, {where(0)} has {n}")
+        ids, _, _, codes, mags = zip(*rows)
+        codes, mags = np.array(codes), np.array(mags, dtype=np.float64)
+        if codes.dtype.kind not in "iu":
+            raise DataError(f"{where(0)}: activity codes must be integers, got {codes.dtype}")
+        at = _first((codes < 0) | (codes >= len(_LABELS)))
+        if at is not None:
+            raise InvalidLabelCode(f"{where(at[0])}: no activity label with code {int(codes[at])}")
+        _check_magnitudes(mags.reshape(len(ids), len(names), n), names, where)
+        at = _first(np.isnan(mags)) if self.channel is Channel.MOTION else None
+        if at is not None:
+            raise DataError(f"{where(at[0])}: motion magnitudes cannot be unobservable")
+        by_id = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))  # first occurrences
+        if len(by_id) != len(ids):
+            i = next(i for i, source_id in enumerate(ids) if by_id[source_id] != i)
+            raise DataError(f"{where(i)}: duplicate source_id {ids[i]!r}")
+        if "" in by_id:
+            raise DataError(f"{where(by_id[''])}: source_id must be non-empty")
+        codes = codes.astype(np.uint8)
+        codes.setflags(write=False)
+        mags.setflags(write=False)
+        self.ids, self.codes, self.mags, self.window_seconds = ids, codes, mags, float(w)
+        self._rows = by_id
 
     def __len__(self) -> int:
-        return len(self.activities)
+        return len(self.ids)
 
-    def activity_codes(self) -> np.ndarray:
-        return np.fromiter((int(a) for a in self.activities), dtype=np.uint8, count=len(self))
+    def __iter__(self) -> Iterator["ActivityVectorSeries"]:
+        return (ActivityVectorSeries._view(self, i) for i in range(len(self.ids)))
+
+    def __getitem__(self, key: int | str) -> "ActivityVectorSeries":
+        row = self._rows[key] if isinstance(key, str) else range(len(self.ids))[key]
+        return ActivityVectorSeries._view(self, row)
+
+    def __contains__(self, source_id: str) -> bool:
+        return source_id in self._rows
+
+
+class MotionDataset(_SeriesDataset):
+    """The q motion-channel series (one per known identity)."""
+
+    __slots__ = ()
+    channel = Channel.MOTION
+
+
+class VisualDataset(_SeriesDataset):
+    """The p visual-channel series (one per observed avatar)."""
+
+    __slots__ = ()
+    channel = Channel.VISUAL
+
+
+def _series_row(source_id: str, channel: Channel, w: float, activities,
+                sequences: Mapping) -> tuple:
+    """The (source_id, channel, w, codes, mags) dataset row of one series,
+    its magnitude sequences given by name."""
+    names = _sequence_names(channel)
+    if set(sequences) != set(names):
+        raise DataError(f"{channel.value} series needs magnitude sequences "
+                        f"{sorted(names)}, got {sorted(map(str, sequences))}")
+    seqs = [sequences[name] for name in names]
+    if len({len(seq) for seq in seqs}) > 1:
+        raise LengthMismatch(f"{source_id!r}: magnitude sequences of different lengths")
+    return (source_id, channel, w, np.array(activities, dtype=np.int64),
+            np.array(seqs if len(names) > 1 else seqs[0], dtype=np.float64))
+
+
+def _from_rows(rows: list[tuple], where) -> MotionDataset | VisualDataset:
+    cls = MotionDataset if rows[0][1] is Channel.MOTION else VisualDataset
+    dataset = cls.__new__(cls)
+    dataset._stack(rows, where)
+    return dataset
+
+
+class ActivityVectorSeries:
+    """One source's activity labels plus magnitudes on a fixed window grid:
+    a row view of a dataset.  Constructed directly from its `source_id`,
+    `channel`, `window_seconds`, `activities` (labels or codes) and
+    `magnitudes` (name -> MagnitudeSeq: "motion" alone for a MOTION series,
+    one per SensorPosition for a VISUAL one), it is the only row of a
+    one-series dataset, validated like any other."""
+
+    __slots__ = ("_data", "_row")
+
+    def __init__(self, source_id: str, channel: Channel, window_seconds: float,
+                 activities, magnitudes: Mapping[str, MagnitudeSeq]):
+        sequences = {name: seq.values for name, seq in magnitudes.items()}
+        row = _series_row(source_id, channel, window_seconds, activities, sequences)
+        self._data, self._row = _from_rows([row], lambda i: f"series {source_id!r}"), 0
+
+    @classmethod
+    def _view(cls, data: _SeriesDataset, row: int) -> "ActivityVectorSeries":
+        view = object.__new__(cls)
+        view._data, view._row = data, row
+        return view
+
+    @property
+    def source_id(self) -> str:
+        return self._data.ids[self._row]
+
+    @property
+    def channel(self) -> Channel:
+        return self._data.channel
+
+    @property
+    def window_seconds(self) -> float:
+        return self._data.window_seconds
+
+    @property
+    def codes(self) -> np.ndarray:
+        """(n,) uint8 activity codes."""
+        return self._data.codes[self._row]
+
+    @property
+    def mags(self) -> np.ndarray:
+        """(n,) motion or (6, n) visual magnitudes, NaN where unobservable."""
+        return self._data.mags[self._row]
+
+    @property
+    def activities(self) -> tuple[ActivityLabel, ...]:
+        return tuple(map(_LABELS.__getitem__, self.codes.tolist()))
+
+    def __len__(self) -> int:
+        return self._data.codes.shape[1]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ActivityVectorSeries):
+            return NotImplemented
+        return (self.source_id == other.source_id and self.channel is other.channel
+                and self.window_seconds == other.window_seconds
+                and np.array_equal(self.codes, other.codes)
+                and np.array_equal(self.mags, other.mags, equal_nan=True))
 
     @property
     def motion_magnitudes(self) -> MagnitudeSeq:
         if self.channel is not Channel.MOTION:
             raise DataError("motion_magnitudes on a visual series")
-        return self.magnitudes[self.MOTION_KEY]
+        return MagnitudeSeq._view(self.mags)
 
     def magnitude_for(self, position: "SensorPosition | str") -> MagnitudeSeq:
         if self.channel is not Channel.VISUAL:
             raise DataError("magnitude_for(position) on a motion series")
         key = position.value if isinstance(position, SensorPosition) else str(position)
-        try:
-            return self.magnitudes[key]
-        except KeyError:
-            raise DataError(f"unknown sensor position {position!r}") from None
+        if key not in _POSITION_NAMES:
+            raise DataError(f"unknown sensor position {position!r}")
+        return MagnitudeSeq._view(self.mags[_POSITION_NAMES.index(key)])
 
 
 # ---------------------------------------------------------------------------
@@ -232,144 +364,41 @@ class ActivityVectorSeries:
 # One JSON object per series.  Writers emit sorted keys and compact
 # separators so identical series always produce identical bytes.
 
-def series_to_dict(series: ActivityVectorSeries) -> dict:
-    return {
-        "source_id": series.source_id,
-        "channel": series.channel.value,
-        "w": series.window_seconds,
-        "activities": [int(a) for a in series.activities],
-        "magnitudes": {name: seq.entries() for name, seq in series.magnitudes.items()},
-    }
-
-
-def series_from_dict(obj: Mapping) -> ActivityVectorSeries:
-    try:
-        channel = Channel(obj["channel"])
-        activities = tuple(label_from_code(int(c)) for c in obj["activities"])
-        magnitudes = {
-            str(name): MagnitudeSeq(entries) for name, entries in obj["magnitudes"].items()
-        }
-        return ActivityVectorSeries(
-            source_id=str(obj["source_id"]),
-            channel=channel,
-            window_seconds=float(obj["w"]),
-            activities=activities,
-            magnitudes=magnitudes,
-        )
-    except KeyError as exc:
-        raise DataError(f"series object missing field {exc.args[0]!r}") from None
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise DataError(f"malformed series object: {exc}") from None
-
-
 def dumps_canonical(obj) -> str:
     """Canonical JSON: sorted keys, no whitespace, NaN forbidden."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-def series_to_json(series: ActivityVectorSeries) -> str:
-    return dumps_canonical(series_to_dict(series))
+def _series_json(data: _SeriesDataset, row: int) -> str:
+    mags = data.mags[row].reshape(-1, data.codes.shape[1])
+    entries = np.where(np.isnan(mags), None, mags).tolist()
+    return dumps_canonical({
+        "source_id": data.ids[row],
+        "channel": data.channel.value,
+        "w": data.window_seconds,
+        "activities": data.codes[row].tolist(),
+        "magnitudes": dict(zip(_sequence_names(data.channel), entries)),
+    })
 
 
-def series_from_json(line: str) -> ActivityVectorSeries:
+def _parse_series(line: str) -> tuple:
+    """The dataset row of one series line."""
     try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"bad series JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise DataError("series JSON must be an object")
-    return series_from_dict(obj)
-
-
-# ---------------------------------------------------------------------------
-# datasets
-
-class _SeriesDataset:
-    """Ordered, immutable collection of same-channel series on one window grid."""
-
-    channel: Channel | None = None
-
-    def __init__(self, series: Iterable[ActivityVectorSeries]):
-        series = tuple(series)
-        if not series:
-            raise DataError("dataset must contain at least one series")
-        w = series[0].window_seconds
-        seen: set[str] = set()
-        for s in series:
-            if self.channel is not None and s.channel is not self.channel:
-                raise DataError(
-                    f"expected {self.channel.value} series, got {s.channel.value} "
-                    f"({s.source_id})"
-                )
-            if s.window_seconds != w:
-                raise DataError(
-                    f"mixed window widths in dataset: {w} vs {s.window_seconds} "
-                    f"({s.source_id})"
-                )
-            if s.source_id in seen:
-                raise DataError(f"duplicate source_id {s.source_id!r}")
-            seen.add(s.source_id)
-        self._series = series
-        self._by_id = {s.source_id: s for s in series}
-
-    def __len__(self) -> int:
-        return len(self._series)
-
-    def __iter__(self) -> Iterator[ActivityVectorSeries]:
-        return iter(self._series)
-
-    def __getitem__(self, key: int | str) -> ActivityVectorSeries:
-        if isinstance(key, str):
-            return self._by_id[key]
-        return self._series[key]
-
-    def __contains__(self, source_id: str) -> bool:
-        return source_id in self._by_id
-
-    @property
-    def window_seconds(self) -> float:
-        return self._series[0].window_seconds
-
-    @property
-    def source_ids(self) -> tuple[str, ...]:
-        return tuple(s.source_id for s in self._series)
-
-    def uniform_length(self) -> int:
-        """Common series length n; raises LengthMismatch if lengths differ."""
-        lengths = {len(s) for s in self._series}
-        if len(lengths) != 1:
-            raise LengthMismatch(f"series lengths differ: {sorted(lengths)}")
-        return lengths.pop()
-
-    def label_matrix(self) -> np.ndarray:
-        """(count, n) uint8 matrix of activity codes; requires uniform length."""
-        n = self.uniform_length()
-        out = np.empty((len(self._series), n), dtype=np.uint8)
-        for i, s in enumerate(self._series):
-            out[i] = s.activity_codes()
-        return out
-
-
-class MotionDataset(_SeriesDataset):
-    """The q motion-channel series (one per known identity)."""
-
-    channel = Channel.MOTION
-
-
-class VisualDataset(_SeriesDataset):
-    """The p visual-channel series (one per observed avatar)."""
-
-    channel = Channel.VISUAL
-
-
-def _dataset_class(channel: Channel):
-    return MotionDataset if channel is Channel.MOTION else VisualDataset
+        # json accepts NaN and +-Infinity literals; read them all as inf,
+        # which validation rejects, so a NaN in `mags` only ever means null
+        obj = json.loads(line, parse_constant=lambda _: math.inf)
+        return _series_row(str(obj["source_id"]), Channel(obj["channel"]), float(obj["w"]),
+                           obj["activities"], obj["magnitudes"])
+    except KeyError as exc:
+        raise DataError(f"series object missing field {exc.args[0]!r}") from None
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise DataError(f"malformed series object: {exc}") from None
 
 
 def write_dataset_jsonl(dataset: _SeriesDataset, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for s in dataset:
-            fh.write(series_to_json(s))
+        for row in range(len(dataset)):
+            fh.write(_series_json(dataset, row))
             fh.write("\n")
 
 
@@ -388,7 +417,11 @@ def not_utf8(path, error_type=DataError) -> Exception:
 
 
 def read_dataset_jsonl(path) -> MotionDataset | VisualDataset:
-    series = []
+    """Read a series file into one dataset, validated once after every
+    line is parsed.  An error names its line, for a duplicate source id
+    the second occurrence; series of mixed channel, width or length are
+    refused."""
+    rows, lines = [], []
     with open(path, "r", encoding="utf-8") as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
@@ -396,11 +429,12 @@ def read_dataset_jsonl(path) -> MotionDataset | VisualDataset:
                 if not line:
                     continue
                 try:
-                    series.append(series_from_json(line))
+                    rows.append(_parse_series(line))
                 except DataError as exc:
                     raise DataError(f"{path}:{lineno}: {exc}") from None
+                lines.append(lineno)
         except UnicodeDecodeError:
             raise not_utf8(path) from None
-    if not series:
+    if not rows:
         raise DataError(f"{path}: no series found")
-    return _dataset_class(series[0].channel)(series)
+    return _from_rows(rows, lambda i: f"{path}:{lines[i]}")

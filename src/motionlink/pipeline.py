@@ -34,8 +34,9 @@ from .model import (
     ActivityLabel,
     ActivityVectorSeries,
     Channel,
-    MagnitudeSeq,
+    MotionDataset,
     SensorPosition,
+    VisualDataset,
     not_utf8,
 )
 
@@ -615,19 +616,19 @@ class ConfusionMatrix:
         return np.array_equal(self.rows, other.rows)
 
 
-def apply_confusion(labels: Sequence[ActivityLabel], matrix: ConfusionMatrix,
-                    rng: np.random.Generator | int) -> tuple[ActivityLabel, ...]:
-    """Resample each label through the confusion channel, deterministically per seed."""
+def apply_confusion(codes, matrix: ConfusionMatrix,
+                    rng: np.random.Generator | int) -> np.ndarray:
+    """Resample each activity code through the confusion channel,
+    deterministically per seed; returns uint8 codes."""
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
-    codes = np.asarray([int(ActivityLabel(l)) for l in labels], dtype=np.intp)
-    if codes.size == 0:
-        return ()
+    codes = np.asarray(codes, dtype=np.intp)
+    if ((codes < 0) | (codes >= len(ActivityLabel))).any():
+        raise InvalidLabelCode("activity codes must lie in 0..7")
     cum = np.cumsum(matrix.rows, axis=1)
     cum[:, -1] = 1.0  # guard against rounding in the last column
     u = rng.random(codes.size)
-    out = (u[:, None] >= cum[codes]).sum(axis=1)
-    return tuple(ActivityLabel(int(c)) for c in out)
+    return (u[:, None] >= cum[codes]).sum(axis=1).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -649,22 +650,15 @@ def build_series(trace: MotionTrace | KeypointTrace, w: float, model: Classifier
         edges = window_edges(trace, w)
         feats, mags = motion_features(trace, edges[:-1], edges[1:],
                                       savgol_window=savgol_window, savgol_order=savgol_order)
-        magnitudes = {ActivityVectorSeries.MOTION_KEY: MagnitudeSeq(mags.tolist())}
+        dataset = MotionDataset
     elif isinstance(trace, KeypointTrace):
         if model.channel is not Channel.VISUAL:
             raise ModelMismatch("keypoint trace needs a visual-channel model")
         edges = window_edges(trace, w)
         feats, mags = visual_features(trace, edges[:-1], edges[1:])
-        magnitudes = {
-            position.value: MagnitudeSeq(np.where(np.isnan(col), None, col).tolist())
-            for position, col in zip(SensorPosition, mags.T)
-        }
+        mags = mags.T
+        dataset = VisualDataset
     else:
         raise DataError(f"cannot build a series from {type(trace).__name__}")
-    return ActivityVectorSeries(
-        source_id=source_id,
-        channel=model.channel,
-        window_seconds=w,
-        activities=tuple(classify_windows(model, feats).tolist()),
-        magnitudes=magnitudes,
-    )
+    codes = classify_windows(model, feats)
+    return dataset.from_arrays((source_id,), codes[None], mags[None], w)[0]

@@ -28,9 +28,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .model import (
     ActivityLabel,
-    ActivityVectorSeries,
     Channel,
-    MagnitudeSeq,
     MotionDataset,
     SensorPosition,
     VisualDataset,
@@ -108,6 +106,7 @@ _SALT_TRACE_VISUAL = 10
 _SALT_TRAIN = 11
 
 _POSITIONS = tuple(SensorPosition)
+_LABELS = tuple(ActivityLabel)
 
 
 def _rng(seed: int, salt: int, index: int = 0, session: int = 0) -> np.random.Generator:
@@ -266,13 +265,11 @@ def avatar_permutation(spec: CohortSpec) -> np.ndarray:
     return _rng(spec.seed, _SALT_PERMUTE).permutation(spec.num_identities)
 
 
-def _confuse(
-    codes: np.ndarray, matrix: ConfusionMatrix | None, rng: np.random.Generator
-) -> tuple[ActivityLabel, ...]:
-    labels = tuple(ActivityLabel(int(c)) for c in codes)
+def _confuse(codes: np.ndarray, matrix: ConfusionMatrix | None, seed: int, salt: int,
+             index: int, session: int) -> np.ndarray:
     if matrix is None:
-        return labels
-    return apply_confusion(labels, matrix, rng)
+        return codes
+    return apply_confusion(codes, matrix, _rng(seed, salt, index, session))
 
 
 def generate_cohort(
@@ -285,75 +282,42 @@ def generate_cohort(
     (same standard deviation as the realization noise) and per-position
     dropout according to `position_observability`.
     """
+    count, n, n_pos = spec.num_identities, spec.n_windows, len(_POSITIONS)
+    m_codes = np.empty((count, n), dtype=np.uint8)
+    m_mags = np.empty((count, n))
+    v_codes = np.empty((count, n), dtype=np.uint8)
+    v_mags = np.empty((count, n_pos, n))
     scripts = {}
-    motion_series = []
-    per_identity_visual = {}
     obs = spec.observability_vector()
-    for i in range(spec.num_identities):
-        ident = identity_id(i)
+    for i in range(count):
         script = _draw_script(spec, i, session)
-        scripts[ident] = tuple(ActivityLabel(int(c)) for c in script)
+        scripts[identity_id(i)] = tuple(map(_LABELS.__getitem__, script.tolist()))
         amps = _realized_amplitudes(spec, script, i, session)
-
-        m_labels = _confuse(
-            script, spec.motion_confusion, _rng(spec.seed, _SALT_CONF_MOTION, i, session)
-        )
-        motion_series.append(
-            ActivityVectorSeries(
-                source_id=ident,
-                channel=Channel.MOTION,
-                window_seconds=spec.window_seconds,
-                activities=m_labels,
-                magnitudes={
-                    ActivityVectorSeries.MOTION_KEY: MagnitudeSeq(amps.tolist())
-                },
-            )
-        )
-
-        v_labels = _confuse(
-            script, spec.visual_confusion, _rng(spec.seed, _SALT_CONF_VISUAL, i, session)
-        )
-        mag_rng = _rng(spec.seed, _SALT_MAG_VISUAL, i, session)
+        m_codes[i] = _confuse(script, spec.motion_confusion, spec.seed, _SALT_CONF_MOTION,
+                              i, session)
+        m_mags[i] = amps
+        v_codes[i] = _confuse(script, spec.visual_confusion, spec.seed, _SALT_CONF_VISUAL,
+                              i, session)
         if spec.magnitude_noise_sd > 0:
-            eps = mag_rng.normal(
-                0.0, spec.magnitude_noise_sd, size=(len(_POSITIONS), spec.n_windows)
+            eps = _rng(spec.seed, _SALT_MAG_VISUAL, i, session).normal(
+                0.0, spec.magnitude_noise_sd, size=(n_pos, n)
             )
-            v_mags = amps[None, :] * np.clip(1.0 + eps, 0.0, None)
+            v_mags[i] = amps * np.clip(1.0 + eps, 0.0, None)
         else:
-            v_mags = np.repeat(amps[None, :], len(_POSITIONS), axis=0)
-        observed = _rng(spec.seed, _SALT_OBSERVE, i, session).random(
-            (len(_POSITIONS), spec.n_windows)
-        ) < obs[:, None]
-        per_identity_visual[i] = (v_labels, v_mags, observed)
+            v_mags[i] = amps
+        observed = _rng(spec.seed, _SALT_OBSERVE, i, session).random((n_pos, n)) < obs[:, None]
+        v_mags[i][~observed] = np.nan
 
     perm = avatar_permutation(spec)
-    visual_series = []
-    mapping = {}
-    for j in range(spec.num_identities):
-        i = int(perm[j])
-        aid = avatar_id(j)
-        mapping[aid] = identity_id(i)
-        v_labels, v_mags, observed = per_identity_visual[i]
-        magnitudes = {}
-        for p, pos in enumerate(_POSITIONS):
-            magnitudes[pos.value] = MagnitudeSeq(
-                [
-                    float(v_mags[p, t]) if observed[p, t] else None
-                    for t in range(spec.n_windows)
-                ]
-            )
-        visual_series.append(
-            ActivityVectorSeries(
-                source_id=aid,
-                channel=Channel.VISUAL,
-                window_seconds=spec.window_seconds,
-                activities=v_labels,
-                magnitudes=magnitudes,
-            )
-        )
-
-    truth = GroundTruth(mapping=mapping, scripts=scripts)
-    return VisualDataset(visual_series), MotionDataset(motion_series), truth
+    avatars = [avatar_id(j) for j in range(count)]
+    truth = GroundTruth(
+        mapping={aid: identity_id(int(i)) for aid, i in zip(avatars, perm)}, scripts=scripts
+    )
+    visual = VisualDataset.from_arrays(avatars, v_codes[perm], v_mags[perm], spec.window_seconds)
+    motion = MotionDataset.from_arrays(
+        [identity_id(i) for i in range(count)], m_codes, m_mags, spec.window_seconds
+    )
+    return visual, motion, truth
 
 
 def generate_sessions(

@@ -102,6 +102,26 @@ def estimate_index_memory(q: int, k: int, t_abs: int) -> int:
     return base + base // 16 + 64 * 1024
 
 
+def estimate_query_memory(p: int, k: int, t_abs: int, raw_hits: int = 0) -> int:
+    """Upper bound on the peak bytes a query of p length-k sequences
+    allocates against a built index, checked against the tracemalloc peak
+    in the tests.  `raw_hits`, the (query key, index entry) matches to
+    expand, is known only once the keys have been looked up."""
+    keys = p * math.comb(k, t_abs)
+    words = -(-k // _WORD)
+    # per query key: its key and owner, the lookup bounds and their
+    # temporaries; per raw hit (a key with hits has at least one): the hit
+    # keys' bounds and counts, the expanded rows, ids and offsets, the pair
+    # codes np.unique sorts, and the gathered codes of the distance check
+    base = keys * 48 + raw_hits * (120 + 3 * k) + p * (8 * words + 32 + k)
+    return base + base // 16 + 64 * 1024
+
+
+def _refuse_over(cap: int, need: int, what: str) -> None:
+    if need > cap:
+        raise MemoryCapExceeded(f"{what} needs about {need} bytes, cap is {cap}")
+
+
 def _resolve_cap(memory_cap_bytes: int | None) -> int:
     if memory_cap_bytes is not None:
         return int(memory_cap_bytes)
@@ -183,7 +203,7 @@ def _sort_keys(keys: np.ndarray, m: int, k: int) -> tuple[np.ndarray, np.ndarray
 
 def _codes_matrix(source) -> tuple[np.ndarray, tuple[str, ...]]:
     if isinstance(source, MotionDataset):
-        return source.label_matrix(), source.source_ids
+        return source.codes, source.ids
     mat = np.asarray(source, dtype=np.uint8)
     if mat.ndim != 2:
         raise DataError(f"expected a (q, k) code matrix, got shape {mat.shape}")
@@ -224,11 +244,7 @@ class WildcardIndex:
             q, k, t_abs, q * math.comb(k, t_abs),
             estimate / 1024 ** 2, cap / 1024 ** 2,
         )
-        if estimate > cap:
-            raise MemoryCapExceeded(
-                f"index over q={q} k={k} t_abs={t_abs} needs about "
-                f"{estimate} bytes, cap is {cap}"
-            )
+        _refuse_over(cap, estimate, f"index over q={q} k={k} t_abs={t_abs}")
         keys, ids = _sort_keys(_expand(codes, _masks_of_size(k, t_abs)), q, k)
         return cls(codes, source_ids, t_abs, keys, ids)
 
@@ -237,13 +253,23 @@ def build_index(source, t_abs: int, *, memory_cap_bytes: int | None = None) -> W
     return WildcardIndex.build(source, t_abs, memory_cap_bytes=memory_cap_bytes)
 
 
-def filter_pairs_indexed(v_mat: np.ndarray, index: WildcardIndex):
+def filter_pairs_indexed(v_mat: np.ndarray, index: WildcardIndex, *,
+                         memory_cap_bytes: int | None = None):
     """(rows, ids, distances) of all pairs within the index budget, sorted
-    by (row, id)."""
+    by (row, id).
+
+    Refuses with MemoryCapExceeded when the index plus the query's
+    estimated peak would blow the cap: once before the query keys are
+    expanded, and again, with the raw hits counted, before those are.
+    """
     v_mat = np.ascontiguousarray(v_mat, dtype=np.uint8)
     if v_mat.ndim != 2 or v_mat.shape[1] != index.k:
         raise DataError(f"query matrix must be (p, {index.k}), got {v_mat.shape}")
     p, k = v_mat.shape
+    cap = _resolve_cap(memory_cap_bytes)
+    resident = index._keys.nbytes + index._ids.nbytes + index.codes.nbytes
+    what = f"query of p={p} k={k} t_abs={index.t_abs}"
+    _refuse_over(cap, resident + estimate_query_memory(p, k, index.t_abs), what)
     qkeys, owners = _sort_keys(_expand(v_mat, _masks_of_size(k, index.t_abs)), p, k)
     ks = index._keys
     n = ks.size
@@ -257,6 +283,8 @@ def filter_pairs_indexed(v_mat: np.ndarray, index: WildcardIndex):
     h_hi = np.searchsorted(ks, h_keys, side="right")
     counts = h_hi - h_lo
     total = int(counts.sum())
+    _refuse_over(cap, resident + estimate_query_memory(p, k, index.t_abs, total),
+                 f"{what} with {total} raw hits")
     run = np.repeat(np.arange(h_lo.size), counts)
     offsets = np.concatenate(([0], np.cumsum(counts)))
     pos = np.arange(total) - offsets[run]
@@ -291,13 +319,19 @@ def filter_with_index(visual: VisualDataset, motion, t_abs: int | None = None,
     else:
         if t_abs is None:
             raise ConfigError("t_abs is required when building an index on the fly")
+        q, k = _codes_matrix(motion)[0].shape
+        p = len(visual)
+        _check_budget(k, t_abs)
+        need = estimate_index_memory(q, k, t_abs) + estimate_query_memory(p, k, t_abs)
+        _refuse_over(_resolve_cap(memory_cap_bytes), need,
+                     f"index over q={q} k={k} t_abs={t_abs} and its query of p={p}")
         index = WildcardIndex.build(motion, t_abs, memory_cap_bytes=memory_cap_bytes)
-    v_mat = visual.label_matrix()
+    v_mat = visual.codes
     if v_mat.shape[1] != index.k:
         raise DataError(f"visual n={v_mat.shape[1]} against index k={index.k}")
-    rows, ids, dists = filter_pairs_indexed(v_mat, index)
+    rows, ids, dists = filter_pairs_indexed(v_mat, index, memory_cap_bytes=memory_cap_bytes)
     result = CandidatePairSet()
-    v_ids = visual.source_ids
+    v_ids = visual.ids
     for r, i, d in zip(rows, ids, dists):
         result.add(v_ids[r], index.source_ids[i], int(d))
     return result

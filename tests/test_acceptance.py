@@ -267,15 +267,9 @@ def test_c06_alignment_recovers_a_2p4s_offset():
     visual = VisualDataset(vis)
     truth = GroundTruth(mapping=mapping, scripts={})
 
-    def first_windows(series):
-        return ActivityVectorSeries(
-            source_id=series.source_id, channel=series.channel,
-            window_seconds=series.window_seconds, activities=series.activities[:n],
-            magnitudes={name: MagnitudeSeq(seq.entries()[:n])
-                        for name, seq in series.magnitudes.items()})
-
-    motion = MotionDataset([first_windows(build_series(tr, 1.0, model, ident))
-                            for ident, tr in traces.items()])
+    built = MotionDataset(build_series(tr, 1.0, model, ident) for ident, tr in traces.items())
+    motion = MotionDataset.from_arrays(built.ids, built.codes[:, :n], built.mags[:, :n],
+                                       built.window_seconds)
     plain = evaluate(correlate(visual, motion, FilterConfig(t_norm=t_norm)), truth)
 
     corrected, offsets = correlate_with_alignment(

@@ -276,8 +276,8 @@ class TestCorrelateWithAlignment:
         visual = visual_from_script(script[:60], amps[:60], "a0")
         uncorrected = build_series(trace, 1.0, motion_model, "u0")
         raw, _ = mismatch_counts(
-            visual.activity_codes()[:len(uncorrected)],
-            uncorrected.activity_codes()[:60],
+            visual.codes[:len(uncorrected)],
+            uncorrected.codes[:60],
         )
         assert raw > 20  # hopeless without alignment
         rankings, offsets = correlate_with_alignment(

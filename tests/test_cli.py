@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ from motionlink.cli import (
     main,
 )
 from motionlink.errors import ConfigError
+from motionlink.windex import estimate_index_memory
 
 
 def write_spec(path, **overrides):
@@ -86,6 +89,36 @@ class TestGenerate:
             assert main(["generate", "--spec", spec, "--out-dir", str(tmp_path / d)]) == EXIT_OK
         for name in ("visual.jsonl", "motion.jsonl", "truth.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    # sha256 of visual.jsonl, motion.jsonl and truth.json, taken before
+    # datasets became columnar
+    PINNED = {
+        "c10": ("dd2b3f094f4585765b8f6e839402ba35d687bd16d07d5a276fe3287fb61ca0eb",
+                "83d649d5ea75d39552fdcd774b388b2b8149f9159fac237940a6df684fba862d",
+                "e887d9540eddb954bcb4b07d100c4d3dcfd91db6b18c845653e14d86cc0728b1"),
+        "271x60": ("8b55a2be954e7611edf526fe8e2454aa09a64fa240ff728412588610d15ef281",
+                   "d26b0f8857f3c526b9279f6f84b71ecd9507633e35cceddfb920e8bc307fab28",
+                   "9f32f2cd2d9681afa4ea18333cacda555a7b739e58c3a1ca59fe56a7d5f67b04"),
+    }
+
+    @pytest.mark.parametrize("name, spec", [
+        ("c10", {"num_identities": 6, "n_windows": 24, "seed": 77, "magnitude_noise_sd": 0.1}),
+        ("271x60", {"num_identities": 271, "n_windows": 60, "seed": 42,
+                    "magnitude_noise_sd": 0.15,
+                    "motion_confusion": [[0.8 if i == j else 0.2 / 7 for j in range(8)]
+                                         for i in range(8)],
+                    "visual_confusion": [[0.7 if i == j else 0.3 / 7 for j in range(8)]
+                                         for i in range(8)],
+                    "position_observability": {"left_wrist": 0.7,
+                                               "right_back_pocket": 0.5}}),
+    ])
+    def test_generated_bytes_are_pinned(self, tmp_path, name, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["generate", "--spec", str(path), "--out-dir", str(tmp_path / "d")]) == 0
+        digests = tuple(hashlib.sha256((tmp_path / "d" / f).read_bytes()).hexdigest()
+                        for f in ("visual.jsonl", "motion.jsonl", "truth.json"))
+        assert digests == self.PINNED[name]
 
     def test_bad_prior_names_the_field(self, tmp_path, capsys):
         prior = {"idle": 0.9}  # nowhere near summing to 1
@@ -176,6 +209,47 @@ class TestCorrelate:
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("which, lineno, mutate, message", [
+        # a series at odds with the rest of its file: the line that breaks
+        # the dataset is named, for a duplicate id its second occurrence
+        ("visual", 3, lambda obj, first: obj.update(source_id=first["source_id"]),
+         "duplicate source_id"),
+        ("visual", 2, lambda obj, first: obj.update(
+            channel="motion", magnitudes={"motion": obj["magnitudes"]["left_wrist"]}),
+         "expected visual series, got motion"),
+        ("motion", 4, lambda obj, first: obj.update(w=2.0), "window width 2.0"),
+        ("motion", 5, lambda obj, first: obj.update(
+            activities=obj["activities"][:-1],
+            magnitudes={"motion": obj["magnitudes"]["motion"][:-1]}), "23 windows"),
+        # bad entries; a non-finite literal is never read as an unobservable null
+        ("visual", 2, lambda obj, first: obj["magnitudes"]["left_wrist"].__setitem__(
+            0, math.nan), "magnitude entry 0 is not finite"),
+        ("motion", 2, lambda obj, first: obj["magnitudes"]["motion"].__setitem__(
+            0, math.nan), "magnitude entry 0 is not finite"),
+        ("visual", 2, lambda obj, first: obj["magnitudes"]["right_wrist"].__setitem__(
+            3, math.inf), "magnitude entry 3 is not finite"),
+        ("motion", 2, lambda obj, first: obj["magnitudes"]["motion"].__setitem__(
+            1, -0.5), "magnitude entry 1 is negative"),
+        ("visual", 2, lambda obj, first: obj["activities"].__setitem__(0, 8),
+         "no activity label with code 8"),
+    ], ids=["duplicate-id", "second-channel", "second-width", "other-length",
+            "visual-nan", "motion-nan", "infinity", "negative", "code-8"])
+    def test_bad_series_line_is_named(self, dataset, tmp_path, capsys, which, lineno,
+                                      mutate, message):
+        objs = [json.loads(line) for line in Path(dataset[which]).read_text().splitlines()]
+        mutate(objs[lineno - 1], objs[0])
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+        files = {"visual": dataset["visual"], "motion": dataset["motion"], which: str(bad)}
+        out = tmp_path / "r.jsonl"
+        rc = main(["correlate", "--visual", files["visual"], "--motion", files["motion"],
+                   "--out", str(out)])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{bad}:{lineno}: " in err and message in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
     def test_missing_motion_file_is_io_error(self, dataset, tmp_path):
         rc = main(["correlate", "--visual", dataset["visual"], "--motion",
                    str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "r.jsonl")])
@@ -212,6 +286,16 @@ class TestCorrelate:
                    "--out", str(tmp_path / "r.jsonl"), "--t-norm", "0.1",
                    "--index-mode", "indexed"])
         assert rc == EXIT_RESOURCE
+
+    def test_memory_cap_covers_the_index_query(self, dataset, tmp_path, monkeypatch):
+        # 6 x 24 windows at t_norm 0.1: t_abs 2.  The cap clears the build
+        # estimate but not the build plus the query
+        monkeypatch.setenv("MOTIONLINK_MEMORY_CAP", str(estimate_index_memory(6, 24, 2) + 1))
+        out = tmp_path / "r.jsonl"
+        rc = main(["correlate", "--visual", dataset["visual"], "--motion", dataset["motion"],
+                   "--out", str(out), "--t-norm", "0.1", "--index-mode", "indexed"])
+        assert rc == EXIT_RESOURCE
+        assert not out.exists()
 
     def test_config_file_with_flag_override(self, dataset, tmp_path):
         cfg = tmp_path / "run.json"
@@ -313,6 +397,14 @@ class TestSweep:
         # a full-width threshold never filters, so nobody is left unmatched
         full = next(r for r in rows if r["t_norm"] == "1.0")
         assert full["fraction_none"] == "0.0"
+
+    def test_threads_flag_is_rejected(self, tmp_path, capsys):
+        spec = write_spec(tmp_path / "spec.json", num_identities=4, n_windows=16)
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--spec", spec, "--w-values", "1.0", "--t-values", "0.3",
+                   "--out", str(out), "--threads", "2"])
+        assert rc == EXIT_CONFIG
+        assert not out.exists()
 
     def test_bad_values_list_is_config_error(self, tmp_path, capsys):
         spec = write_spec(tmp_path / "spec.json")

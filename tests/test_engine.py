@@ -29,6 +29,7 @@ from motionlink.engine import (
 )
 from motionlink.errors import (
     ConfigError,
+    DataError,
     EmptyRanking,
     InsufficientData,
     LengthMismatch,
@@ -261,6 +262,14 @@ def test_activity_filter_rejects_mismatched_grids():
     m2 = MotionDataset([motion_series("m0", [0, 1], w=1.0)])
     with pytest.raises(Exception):
         activity_filter(v2, m2, FilterConfig())
+
+
+@pytest.mark.parametrize("use_index", [False, True])
+def test_correlate_rejects_mixed_window_widths(use_index):
+    v = VisualDataset([visual_series("a0", [0, 1], w=2.0)])
+    m = MotionDataset([motion_series("m0", [0, 1], w=1.0)])
+    with pytest.raises(DataError, match="window width"):
+        correlate(v, m, FilterConfig(t_norm=0.5), use_index=use_index)
 
 
 def test_filter_codes_absolute_matches_dataset_filter():

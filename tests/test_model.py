@@ -15,8 +15,6 @@ from motionlink.model import (
     label_from_code,
     label_from_token,
     read_dataset_jsonl,
-    series_from_json,
-    series_to_json,
     write_dataset_jsonl,
 )
 
@@ -169,51 +167,61 @@ def test_series_rejects_bad_window():
 
 def test_activity_codes_array():
     s = make_motion_series(codes=(0, 4, 6), mags=[1, 2, 3])
-    codes = s.activity_codes()
-    assert codes.dtype == np.uint8
-    assert codes.tolist() == [0, 4, 6]
+    assert s.codes.dtype == np.uint8
+    assert s.codes.tolist() == [0, 4, 6]
+    assert s.activities == (ActivityLabel.IDLE, ActivityLabel.WALKING, ActivityLabel.JUMPING)
+    with pytest.raises(ValueError):
+        s.codes[0] = 1  # a row view of read-only dataset columns
 
 
-def test_motion_series_json_golden():
+def series_file(tmp_path, series, name="s.jsonl"):
+    """A series file holding the one series `series`."""
+    path = tmp_path / name
+    dataset = MotionDataset if series.channel is Channel.MOTION else VisualDataset
+    write_dataset_jsonl(dataset([series]), path)
+    return path
+
+
+def test_motion_series_json_golden(tmp_path):
     s = make_motion_series(source_id="m1", codes=(0, 4), mags=[0.5, 2.0], w=1.0)
-    line = series_to_json(s)
-    assert line == (
+    assert series_file(tmp_path, s).read_text() == (
         '{"activities":[0,4],"channel":"motion","magnitudes":{"motion":[0.5,2.0]},'
-        '"source_id":"m1","w":1.0}'
+        '"source_id":"m1","w":1.0}\n'
     )
 
 
-def test_series_json_roundtrip_motion():
+def test_series_json_roundtrip_motion(tmp_path):
     s = make_motion_series(source_id="m2", codes=(0, 1, 2, 3, 4, 5, 6, 7),
                            mags=[0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7])
-    back = series_from_json(series_to_json(s))
+    path = series_file(tmp_path, s)
+    back = read_dataset_jsonl(path)[0]
     assert back == s
-    assert series_to_json(back) == series_to_json(s)
+    assert series_file(tmp_path, back, "back.jsonl").read_bytes() == path.read_bytes()
 
 
-def test_series_json_roundtrip_visual_with_unobservable():
+def test_series_json_roundtrip_visual_with_unobservable(tmp_path):
     mags = make_visual_mags(3)
     mags["left_wrist"] = MagnitudeSeq([None, 1.25, None])
     s = make_visual_series(source_id="a7", codes=(4, 4, 6), mags=mags)
-    line = series_to_json(s)
-    assert '"left_wrist":[null,1.25,null]' in line
-    back = series_from_json(line)
+    path = series_file(tmp_path, s)
+    assert '"left_wrist":[null,1.25,null]' in path.read_text()
+    back = read_dataset_jsonl(path)[0]
     assert back == s
     assert back.magnitude_for(SensorPosition.LEFT_WRIST).entries() == [None, 1.25, None]
 
 
-def test_series_from_json_rejects_garbage():
-    with pytest.raises(DataError):
-        series_from_json("not json at all {")
-    with pytest.raises(DataError):
-        series_from_json('["a","list"]')
-    with pytest.raises(DataError):
-        series_from_json('{"source_id":"x","channel":"motion","w":1.0}')
-    with pytest.raises(InvalidLabelCode):
-        series_from_json(
-            '{"source_id":"x","channel":"motion","w":1.0,"activities":[9],'
-            '"magnitudes":{"motion":[1.0]}}'
-        )
+def test_series_from_json_rejects_garbage(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    for line, error in [
+        ("not json at all {", DataError),
+        ('["a","list"]', DataError),
+        ('{"source_id":"x","channel":"motion","w":1.0}', DataError),
+        ('{"source_id":"x","channel":"motion","w":1.0,"activities":[9],'
+         '"magnitudes":{"motion":[1.0]}}', InvalidLabelCode),
+    ]:
+        path.write_text(line + "\n")
+        with pytest.raises(error, match=f"{path}:1: "):
+            read_dataset_jsonl(path)
 
 
 def test_dataset_invariants():
@@ -221,7 +229,7 @@ def test_dataset_invariants():
     b = make_motion_series(source_id="m1")
     ds = MotionDataset([a, b])
     assert len(ds) == 2
-    assert ds.source_ids == ("m0", "m1")
+    assert ds.ids == ("m0", "m1")
     assert ds["m1"] == b
     assert "m0" in ds
 
@@ -240,16 +248,19 @@ def test_dataset_uniform_length_and_matrix():
         make_motion_series(source_id="m0", codes=(0, 4, 6), mags=[1, 2, 3]),
         make_motion_series(source_id="m1", codes=(7, 7, 7), mags=[1, 2, 3]),
     ])
-    mat = ds.label_matrix()
-    assert mat.shape == (2, 3)
-    assert mat.tolist() == [[0, 4, 6], [7, 7, 7]]
+    assert ds.codes.dtype == np.uint8
+    assert ds.codes.tolist() == [[0, 4, 6], [7, 7, 7]]
+    assert ds.mags.tolist() == [[1, 2, 3], [1, 2, 3]]
+    assert not ds.codes.flags.writeable and not ds.mags.flags.writeable
 
-    ragged = MotionDataset([
-        make_motion_series(source_id="m0", codes=(0,), mags=[1]),
-        make_motion_series(source_id="m1", codes=(0, 1), mags=[1, 2]),
-    ])
     with pytest.raises(LengthMismatch):
-        ragged.uniform_length()
+        MotionDataset.from_arrays(["m0"], ds.codes, ds.mags, 1.0)  # one id, two rows
+    # a dataset cannot be ragged
+    with pytest.raises(LengthMismatch):
+        MotionDataset([
+            make_motion_series(source_id="m0", codes=(0,), mags=[1]),
+            make_motion_series(source_id="m1", codes=(0, 1), mags=[1, 2]),
+        ])
 
 
 def test_dataset_jsonl_roundtrip_byte_identical(tmp_path):
@@ -264,15 +275,16 @@ def test_dataset_jsonl_roundtrip_byte_identical(tmp_path):
     write_dataset_jsonl(ds, p1)
     back = read_dataset_jsonl(p1)
     assert isinstance(back, VisualDataset)
-    assert back.source_ids == ds.source_ids
+    assert back.ids == ds.ids
+    assert tuple(back) == tuple(ds)
     write_dataset_jsonl(back, p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_read_dataset_reports_line(tmp_path):
     p = tmp_path / "bad.jsonl"
-    good = series_to_json(make_motion_series())
-    p.write_text(good + "\n{broken\n")
+    good = series_file(tmp_path, make_motion_series()).read_text()
+    p.write_text(good + "{broken\n")
     with pytest.raises(DataError, match="2"):
         read_dataset_jsonl(p)
     empty = tmp_path / "empty.jsonl"
@@ -281,9 +293,9 @@ def test_read_dataset_reports_line(tmp_path):
         read_dataset_jsonl(empty)
 
 
-def test_json_floats_are_plain_numbers():
+def test_json_floats_are_plain_numbers(tmp_path):
     # w serializes as a JSON number so readers in any language can parse it
     s = make_motion_series(w=0.5)
-    obj = json.loads(series_to_json(s))
+    obj = json.loads(series_file(tmp_path, s).read_text())
     assert obj["w"] == 0.5
     assert isinstance(obj["w"], float)

@@ -26,6 +26,7 @@ from motionlink.model import (
 from motionlink.windex import (
     build_index,
     estimate_index_memory,
+    estimate_query_memory,
     expansion_count,
     filter_pairs_indexed,
     filter_with_index,
@@ -268,7 +269,7 @@ def test_filter_with_index_equals_naive_filter():
     ])
     visuals = []
     for i in range(p):
-        codes = np.array(m[rng.integers(0, q)].activity_codes())
+        codes = m.codes[rng.integers(0, q)].copy()
         for f in rng.integers(0, n, size=rng.integers(0, 4)):
             codes[f] = rng.integers(0, 8)
         visuals.append(visual_series(f"a{i:03d}", codes))
@@ -317,6 +318,47 @@ def test_memory_estimate_bounds_measured_build_peak():
                     tracemalloc.stop()
                 estimate = estimate_index_memory(q, k, t_abs)
                 assert estimate >= peak, (q, k, t_abs, estimate, peak)
+
+
+def test_query_estimate_bounds_measured_query_peak(monkeypatch):
+    # the estimate filter_pairs_indexed checks once the raw hits are counted
+    # bounds the query's whole peak; the index is built before tracing starts
+    estimates = []
+    monkeypatch.setattr(windex, "estimate_query_memory",
+                        lambda *args: estimates.append(estimate_query_memory(*args))
+                        or estimates[-1])
+    rng = np.random.default_rng(37)
+    for q in (1_000, 10_000):
+        for k in (5, 10, 15, 16, 20):
+            mat = rng.integers(0, 8, (q, k)).astype(np.uint8)
+            queries = mat[rng.integers(0, q, 500)]
+            flip = rng.random(queries.shape) < 0.15
+            queries[flip] = rng.integers(0, 8, flip.sum())
+            for t_abs in range(4):
+                index = build_index(mat, t_abs)
+                estimates.clear()
+                tracemalloc.start()
+                try:
+                    filter_pairs_indexed(queries, index)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert len(estimates) == 2 and max(estimates) >= peak, \
+                    (q, k, t_abs, estimates, peak)
+
+
+def test_query_cap_refusal():
+    mat = np.zeros((1000, 10), dtype=np.uint8)
+    index = build_index(mat, 3)
+    # every query key hits all 1000 identities: the raw hits blow the cap
+    # though the query keys alone fit
+    keys_only = estimate_query_memory(10, 10, 3) + index.entry_count * 16 + 20_000
+    with pytest.raises(MemoryCapExceeded, match="raw hits"):
+        filter_pairs_indexed(mat[:10], index, memory_cap_bytes=keys_only)
+    v = VisualDataset([visual_series("a0", [0] * 10)])
+    m = MotionDataset([motion_series(f"m{j}", [0] * 10) for j in range(20)])
+    with pytest.raises(MemoryCapExceeded, match="its query"):
+        filter_with_index(v, m, 3, memory_cap_bytes=estimate_index_memory(20, 10, 3) + 1)
 
 
 def test_memory_cap_refusal():
