@@ -27,7 +27,7 @@ from .engine import (
     DEFAULT_MIN_OBSERVED_FRACTION,
     FilterConfig,
     RankedIdentityList,
-    _rank_pairs,
+    _rank_candidates,
     _ranked,
     _restricted_lut,
     mismatch_budget,
@@ -309,9 +309,13 @@ def correlate_with_alignment(
 
     rankings = []
     chosen: dict[str, dict[str, float]] = {}
+    # one avatar's kept candidates, filled from the front
+    vis = np.empty((len(best_row), *visual.mags.shape[1:]))
+    mot = np.empty((len(best_row), n_visual))
+    spans = np.empty(len(best_row), dtype=np.int64)
     for a, avatar_id in enumerate(visual.ids):
         avatar_mags = visual.mags[a]
-        ids, rows = [], []
+        ids = []
         offsets_here: dict[str, float] = {}
         for ident in sorted(best_row):
             offset, mags, first, lo, hi, dist, n_eff = scored[ident][best_row[ident][a]]
@@ -320,13 +324,16 @@ def correlate_with_alignment(
                 continue
             # rank over the compared span [lo, hi) only: windows outside
             # it are unobservable for every position
-            vis = np.full_like(avatar_mags, np.nan)
-            vis[:, lo:hi] = avatar_mags[:, lo:hi]
-            mot = np.zeros(n_visual)
-            mot[lo:hi] = mags[lo - first:hi - first]
+            c = len(ids)
+            vis[c] = np.nan
+            vis[c, :, lo:hi] = avatar_mags[:, lo:hi]
+            mot[c] = 0.0
+            mot[c, lo:hi] = mags[lo - first:hi - first]
+            spans[c] = hi - lo
             ids.append(ident)
-            rows.append((vis, mot, hi - lo))
-        rho, pos = _rank_pairs(rows, min_observed_fraction)
+        kept = np.arange(len(ids))
+        rho, pos = _rank_candidates(vis, mot, kept, kept, spans[:len(ids)],
+                                    min_observed_fraction)
         rankings.append(_ranked(avatar_id, ids, rho, pos))
         chosen[avatar_id] = offsets_here
     return rankings, chosen

@@ -10,10 +10,10 @@ magnitudes.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -97,23 +97,34 @@ def mismatch_budget(t_norm: float, n_effective: int) -> int:
     return int(math.floor(t_norm * n_effective + _BUDGET_EPS))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CandidatePairSet:
-    """Surviving (avatar, identity) pairs with their Hamming distances."""
+    """Surviving (avatar, identity) pairs with their Hamming distances.
 
-    pairs: dict[str, dict[str, int]] = field(default_factory=dict)
+    `rows` index `avatar_ids` and `ids` index `identity_ids`; with `dists`
+    they are int64 arrays sorted by (avatar row, identity row).  `pairs`
+    and `candidates()` are dict views of them, keyed by source id.
+    """
 
-    def add(self, avatar_id: str, identity_id: str, distance: int) -> None:
-        self.pairs.setdefault(avatar_id, {})[identity_id] = distance
+    avatar_ids: tuple[str, ...]
+    identity_ids: tuple[str, ...]
+    rows: np.ndarray
+    ids: np.ndarray
+    dists: np.ndarray
+
+    @cached_property
+    def pairs(self) -> dict[str, dict[str, int]]:
+        names = np.array(self.identity_ids, dtype=object)[self.ids].tolist()
+        dists = self.dists.tolist()
+        bounds = np.searchsorted(self.rows, np.arange(len(self.avatar_ids) + 1)).tolist()
+        return {a: dict(zip(names[lo:hi], dists[lo:hi]))
+                for a, lo, hi in zip(self.avatar_ids, bounds, bounds[1:]) if hi > lo}
 
     def candidates(self, avatar_id: str) -> dict[str, int]:
         return self.pairs.get(avatar_id, {})
 
     def total_pairs(self) -> int:
-        return sum(len(v) for v in self.pairs.values())
-
-    def pair_set(self) -> set[tuple[str, str]]:
-        return {(a, i) for a, ids in self.pairs.items() for i in ids}
+        return int(self.rows.size)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CandidatePairSet):
@@ -121,24 +132,32 @@ class CandidatePairSet:
         return self.pairs == other.pairs
 
 
-def filter_codes_absolute(v_mat: np.ndarray, m_mat: np.ndarray, t_abs: int):
-    """Naive filter over raw code matrices with an absolute budget.
+def filter_pairs_naive(v_mat: np.ndarray, m_mat: np.ndarray, t_norm: float,
+                       restricted: frozenset[ActivityLabel] | None = None):
+    """(rows, ids, distances) of all pairs within the mismatch budget,
+    sorted by (row, id): the quadratic-scan reference, every pair compared.
 
-    Returns a list of (identity-index array, distance array) per visual row.
-    This is the quadratic-scan reference path: every pair is compared.
+    A pair is kept within floor(t_norm * n_effective) mismatches, where
+    n_effective is the window count, or with a restricted label set the
+    count of windows whose labels both lie in it (only those count).
     """
-    v_mat = np.ascontiguousarray(v_mat, dtype=np.uint8)
-    m_mat = np.ascontiguousarray(m_mat, dtype=np.uint8)
-    if v_mat.shape[1] != m_mat.shape[1]:
-        raise LengthMismatch(f"k mismatch: {v_mat.shape[1]} vs {m_mat.shape[1]}")
-    if t_abs < 0:
-        raise ConfigError(f"t_abs must be >= 0, got {t_abs}")
-    out = []
+    budget = mismatch_budget(t_norm, m_mat.shape[1])
+    lut = None if restricted is None else _restricted_lut(restricted)
+    m_in = None if lut is None else lut[m_mat]
+    ids, dists = [], []
     for row in v_mat:
-        dists, _ = mismatch_counts(row, m_mat)
-        keep = np.flatnonzero(dists <= t_abs)
-        out.append((keep, dists[keep].astype(np.int64)))
-    return out
+        if lut is None:
+            d, _ = mismatch_counts(row, m_mat)
+        else:
+            d, n_eff = mismatch_counts(row, m_mat, lut[row] & m_in)
+            budget = np.floor(t_norm * n_eff + _BUDGET_EPS)
+        keep = np.flatnonzero(d <= budget)
+        ids.append(keep)
+        dists.append(d[keep])
+    rows = np.repeat(np.arange(len(ids)), [keep.size for keep in ids])
+    if not ids:
+        return rows, rows.copy(), rows.copy()
+    return rows, np.concatenate(ids), np.concatenate(dists)
 
 
 def _common_grid(visual: VisualDataset, motion: MotionDataset) -> int:
@@ -161,24 +180,10 @@ def activity_filter(visual: VisualDataset, motion: MotionDataset,
     O(p * q * n): every pair is scanned.  The wildcard index offers the
     same answer in near-linear time for the unrestricted case.
     """
-    n = _common_grid(visual, motion)
-    v_mat, m_mat, m_ids = visual.codes, motion.codes, motion.ids
-    lut = None if config.restricted is None else _restricted_lut(config.restricted)
-    m_in = None if lut is None else lut[m_mat]
-    budget = mismatch_budget(config.t_norm, n)
-    result = CandidatePairSet()
-    for row, avatar_id in zip(v_mat, visual.ids):
-        if lut is None:
-            dists, _ = mismatch_counts(row, m_mat)
-        else:
-            dists, n_eff = mismatch_counts(row, m_mat, lut[row] & m_in)
-            budget = np.floor(config.t_norm * n_eff + _BUDGET_EPS).astype(np.int64)
-        keep = np.flatnonzero(dists <= budget)
-        if keep.size:
-            result.pairs[avatar_id] = dict(
-                zip([m_ids[j] for j in keep.tolist()], dists[keep].tolist())
-            )
-    return result
+    _common_grid(visual, motion)
+    rows, ids, dists = filter_pairs_naive(visual.codes, motion.codes, config.t_norm,
+                                          config.restricted)
+    return CandidatePairSet(visual.ids, motion.ids, rows, ids, dists)
 
 
 # ---------------------------------------------------------------------------
@@ -293,25 +298,20 @@ def _rank_block(vis: np.ndarray, mot: np.ndarray, n_windows,
     return best_rho, np.where(usable.any(axis=1), best_pos, -1)
 
 
-def _rank_pairs(rows: Iterable[tuple[np.ndarray, np.ndarray, int]],
-                min_observed_fraction: float) -> tuple[np.ndarray, np.ndarray]:
-    """`_rank_block` over (vis (6, n), mot (n,), n_windows) rows of one
-    width n, taken from `rows` `_BLOCK_CELLS` cells at a time, so only one
-    block's rows need to exist at once."""
-    rows = iter(rows)
-    first = next(rows, None)
-    if first is None:
-        return np.empty(0), np.empty(0, dtype=np.intp)
-    rows = itertools.chain([first], rows)
-    step = max(1, _BLOCK_CELLS // max(1, first[0].size))
-    rho, pos = [], []
-    while block := list(itertools.islice(rows, step)):
-        vis, mot, n_windows = zip(*block)
-        block_rho, block_pos = _rank_block(np.stack(vis), np.stack(mot),
-                                           np.array(n_windows), min_observed_fraction)
-        rho.append(block_rho)
-        pos.append(block_pos)
-    return np.concatenate(rho), np.concatenate(pos)
+def _rank_candidates(vis: np.ndarray, mot: np.ndarray, rows: np.ndarray, ids: np.ndarray,
+                     n_windows, min_observed_fraction: float) -> tuple[np.ndarray, np.ndarray]:
+    """`_rank_block` over the pairs (vis[rows[s]], mot[ids[s]]), gathered
+    `_BLOCK_CELLS` cells at a time, so only one block's magnitudes need to
+    exist at once.  `n_windows` is a scalar or one count per pair."""
+    n_windows = np.broadcast_to(n_windows, rows.shape)
+    step = max(1, _BLOCK_CELLS // max(1, math.prod(vis.shape[1:])))
+    rho = np.empty(rows.size)
+    pos = np.empty(rows.size, dtype=np.intp)
+    for s in range(0, rows.size, step):
+        e = s + step
+        rho[s:e], pos[s:e] = _rank_block(vis[rows[s:e]], mot[ids[s:e]], n_windows[s:e],
+                                         min_observed_fraction)
+    return rho, pos
 
 
 def _ranked(avatar_id: str, identity_ids: Sequence[str], rho: np.ndarray,
@@ -351,9 +351,10 @@ def rank_identities(visual_series: ActivityVectorSeries,
     for m in items:
         if len(m) != n:
             raise LengthMismatch(f"{m.source_id}: length {len(m)} vs avatar length {n}")
-    vis = visual_series.mags
-    rho, pos = _rank_pairs(((vis, m.motion_magnitudes.values, n) for m in items),
-                           min_observed_fraction)
+    mot = np.stack([m.motion_magnitudes.values for m in items])
+    ids = np.arange(len(items))
+    rho, pos = _rank_candidates(visual_series.mags[None], mot, np.zeros_like(ids), ids, n,
+                                min_observed_fraction)
     ranking = _ranked(visual_series.source_id, [m.source_id for m in items], rho, pos)
     if not ranking.entries:
         raise EmptyRanking(
@@ -380,27 +381,17 @@ def correlate(visual: VisualDataset, motion: MotionDataset, config: FilterConfig
         from .windex import filter_with_index
 
         n = _common_grid(visual, motion)
-        pair_set = filter_with_index(visual, motion, mismatch_budget(config.t_norm, n))
+        pairs = filter_with_index(visual, motion, mismatch_budget(config.t_norm, n))
     else:
-        pair_set = activity_filter(visual, motion, config)
+        pairs = activity_filter(visual, motion, config)
         n = visual.codes.shape[1]
 
-    candidate_ids = [sorted(pair_set.candidates(a)) for a in visual.ids]
-
-    def rows():
-        for vis, ids in zip(visual.mags, candidate_ids):
-            for i in ids:
-                yield vis, motion[i].mags, n
-
-    rho, pos = _rank_pairs(rows(), min_observed_fraction)
-
-    rankings = []
-    start = 0
-    for avatar_id, ids in zip(visual.ids, candidate_ids):
-        stop = start + len(ids)
-        rankings.append(_ranked(avatar_id, ids, rho[start:stop], pos[start:stop]))
-        start = stop
-    return rankings
+    rho, pos = _rank_candidates(visual.mags, motion.mags, pairs.rows, pairs.ids, n,
+                                min_observed_fraction)
+    names = np.array(motion.ids, dtype=object)[pairs.ids].tolist()
+    bounds = np.searchsorted(pairs.rows, np.arange(len(visual) + 1)).tolist()
+    return [_ranked(avatar_id, names[lo:hi], rho[lo:hi], pos[lo:hi])
+            for avatar_id, lo, hi in zip(visual.ids, bounds, bounds[1:])]
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from .engine import (
     RankEntry,
     RankedIdentityList,
     correlate,
-    filter_codes_absolute,
+    filter_pairs_naive,
 )
 from .errors import ConfigError, DataError, MemoryCapExceeded, MissingGroundTruth
 from .model import (
@@ -413,10 +413,11 @@ def bench_matrices(p: int, q: int, k: int, *, seed: int = 0, n_base: int = 32,
 
 def _time_naive(v_mat, m_mat, t_abs: int) -> tuple[float, int]:
     start = time.perf_counter()
-    out = filter_codes_absolute(v_mat, m_mat, t_abs)
+    # mismatch_budget(t_abs / k, k) is t_abs exactly: the budget is floored
+    # after a nudge far above the quotient's rounding error
+    rows, _, _ = filter_pairs_naive(v_mat, m_mat, t_abs / v_mat.shape[1])
     elapsed = time.perf_counter() - start
-    retained = sum(len(keep) for keep, _ in out)
-    return elapsed * 1e3, retained
+    return elapsed * 1e3, int(rows.size)
 
 
 def _time_indexed(v_mat, m_mat, t_abs: int, memory_cap_bytes) -> tuple[float, int]:
@@ -424,7 +425,7 @@ def _time_indexed(v_mat, m_mat, t_abs: int, memory_cap_bytes) -> tuple[float, in
 
     start = time.perf_counter()
     index = WildcardIndex.build(m_mat, t_abs, memory_cap_bytes=memory_cap_bytes)
-    rows, ids, _ = filter_pairs_indexed(v_mat, index)
+    rows, ids, _ = filter_pairs_indexed(v_mat, index, memory_cap_bytes=memory_cap_bytes)
     elapsed = time.perf_counter() - start
     return elapsed * 1e3, int(rows.size)
 
@@ -438,10 +439,12 @@ def bench_scaling(sizes: Sequence[tuple[int, int]], k: int = 10, t_abs: int = 3,
 
     Dataset generation is excluded from the clock.  Naive rows whose p*q
     reaches `naive_cutoff` are emitted with status "skipped"; an index
-    build refused by the memory cap becomes status "refused".  The
-    retained-pair count is deterministic given the seed; wall times are
-    not.
+    build or query refused by the memory cap becomes status "refused".
+    The retained-pair count is deterministic given the seed; wall times
+    are not.
     """
+    if not 0 <= t_abs <= k:
+        raise ConfigError(f"t_abs must lie in [0, k={k}], got {t_abs}")
     for method in methods:
         if method not in ("naive", "indexed"):
             raise ConfigError(f"unknown method {method!r}")

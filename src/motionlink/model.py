@@ -46,14 +46,6 @@ class ActivityLabel(IntEnum):
 _LABELS = tuple(ActivityLabel)
 
 
-def label_from_code(code: int) -> ActivityLabel:
-    """Map an integer code to its label; raise InvalidLabelCode outside 0..7."""
-    try:
-        return ActivityLabel(code)
-    except ValueError:
-        raise InvalidLabelCode(f"no activity label with code {code!r}") from None
-
-
 def label_from_token(token: str) -> ActivityLabel:
     try:
         return ActivityLabel[token.strip().upper()]

@@ -329,9 +329,5 @@ def filter_with_index(visual: VisualDataset, motion, t_abs: int | None = None,
     v_mat = visual.codes
     if v_mat.shape[1] != index.k:
         raise DataError(f"visual n={v_mat.shape[1]} against index k={index.k}")
-    rows, ids, dists = filter_pairs_indexed(v_mat, index, memory_cap_bytes=memory_cap_bytes)
-    result = CandidatePairSet()
-    v_ids = visual.ids
-    for r, i, d in zip(rows, ids, dists):
-        result.add(v_ids[r], index.source_ids[i], int(d))
-    return result
+    return CandidatePairSet(visual.ids, index.source_ids,
+                            *filter_pairs_indexed(v_mat, index, memory_cap_bytes=memory_cap_bytes))

@@ -18,7 +18,7 @@ from motionlink.cli import main as cli_main
 from motionlink.engine import (
     FilterConfig,
     correlate,
-    filter_codes_absolute,
+    filter_pairs_naive,
     mismatch_budget,
     spearman_rho,
 )
@@ -218,11 +218,11 @@ def test_c05_threshold_endpoints():
         for i in np.flatnonzero(flip):  # plant exactly one mismatch
             j = int(rng.integers(0, k))
             v_mat[i, j] = (v_mat[i, j] + 1) % 8
-        out = filter_codes_absolute(v_mat, m_mat, 0)
-        for i, (keep, dists) in enumerate(out):
+        rows, ids, dists = filter_pairs_naive(v_mat, m_mat, 0.0)
+        for i in range(q):
             expected = np.flatnonzero((m_mat != v_mat[i]).sum(axis=1) == 0)
-            assert np.array_equal(np.sort(keep), expected)
-            assert all(d == 0 for d in dists)
+            assert np.array_equal(np.sort(ids[rows == i]), expected)
+        assert all(d == 0 for d in dists)
     # a full-width budget never produces a none-correlated outcome
     noisy = diag_confusion([0.5] * 8)
     nones_full = []

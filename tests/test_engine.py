@@ -16,7 +16,6 @@ from motionlink.engine import (
     activity_filter,
     correlate,
     _restricted_lut,
-    filter_codes_absolute,
     fractional_ranks,
     mismatch_budget,
     mismatch_counts,
@@ -270,17 +269,6 @@ def test_correlate_rejects_mixed_window_widths(use_index):
     m = MotionDataset([motion_series("m0", [0, 1], w=1.0)])
     with pytest.raises(DataError, match="window width"):
         correlate(v, m, FilterConfig(t_norm=0.5), use_index=use_index)
-
-
-def test_filter_codes_absolute_matches_dataset_filter():
-    rng = np.random.default_rng(5)
-    v_mat = rng.integers(0, 8, (6, 12)).astype(np.uint8)
-    m_mat = rng.integers(0, 8, (9, 12)).astype(np.uint8)
-    rows = filter_codes_absolute(v_mat, m_mat, 4)
-    for i, (keep, dists) in enumerate(rows):
-        ref = (m_mat != v_mat[i]).sum(axis=1)
-        assert np.array_equal(keep, np.flatnonzero(ref <= 4))
-        assert np.array_equal(dists, ref[ref <= 4])
 
 
 # ---------------------------------------------------------------------------

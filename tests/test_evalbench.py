@@ -30,6 +30,7 @@ from motionlink.synth import (
     synthesize_trace_cohort,
     train_classifier,
 )
+from motionlink.windex import estimate_index_memory
 
 LW = SensorPosition.LEFT_WRIST
 RW = SensorPosition.RIGHT_WRIST
@@ -389,6 +390,17 @@ class TestBench:
                              methods=("indexed",), memory_cap_bytes=1024)
         assert rows[0].status == "refused"
         assert rows[0].wall_time_ms is None
+
+    def test_memory_cap_covers_the_query(self):
+        # the cap admits the build by one byte; the query must be refused
+        cap = estimate_index_memory(2000, 10, 3) + 1
+        rows = bench_scaling([(2000, 2000)], k=10, t_abs=3,
+                             methods=("indexed",), memory_cap_bytes=cap)
+        assert rows[0].status == "refused"
+
+    def test_budget_outside_sequence_is_config_error(self):
+        with pytest.raises(ConfigError):
+            bench_scaling([(10, 10)], k=5, t_abs=6, methods=("naive",))
 
     def test_retained_counts_reproducible(self):
         first = bench_scaling([(80, 80)], k=10, t_abs=3, seed=5)

@@ -12,7 +12,6 @@ from motionlink.model import (
     MotionDataset,
     SensorPosition,
     VisualDataset,
-    label_from_code,
     label_from_token,
     read_dataset_jsonl,
     write_dataset_jsonl,
@@ -71,15 +70,6 @@ def make_visual_series(source_id="a0", codes=(0, 4, 4), w=1.0, mags=None):
 
 def test_label_codes_are_frozen():
     assert [(l.name, int(l)) for l in ActivityLabel] == EXPECTED_LABEL_CODES
-
-
-def test_label_from_code_roundtrip_and_bounds():
-    assert label_from_code(0) is ActivityLabel.IDLE
-    assert label_from_code(7) is ActivityLabel.OTHER
-    assert label_from_code(4) is ActivityLabel.WALKING
-    for bad in (-1, 8, 99):
-        with pytest.raises(InvalidLabelCode):
-            label_from_code(bad)
 
 
 def test_label_tokens():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import motionlink.windex as windex
 
-from motionlink.engine import FilterConfig, activity_filter
+from motionlink.engine import FilterConfig, activity_filter, filter_pairs_naive
 from motionlink.errors import (
     BudgetExceedsLength,
     ConfigError,
@@ -226,6 +226,9 @@ def test_index_equals_brute_force_property(case):
     assert rows.tolist() == e_rows.tolist()
     assert ids.tolist() == e_ids.tolist()
     assert dists.tolist() == e_dists.tolist()
+    # the naive scan, at the normalized budget that floors to t_abs
+    naive = filter_pairs_naive(v_mat, m_mat, t_abs / v_mat.shape[1])
+    assert [a.tolist() for a in naive] == [e_rows.tolist(), e_ids.tolist(), e_dists.tolist()]
 
 
 def test_hash_collisions_are_dropped_by_the_distance_check(monkeypatch):
