@@ -332,8 +332,8 @@ def correlate_with_alignment(
             spans[c] = hi - lo
             ids.append(ident)
         kept = np.arange(len(ids))
-        rho, pos = _rank_candidates(vis, mot, kept, kept, spans[:len(ids)],
-                                    min_observed_fraction)
-        rankings.append(_ranked(avatar_id, ids, rho, pos))
+        rho, pos = _rank_candidates(vis[:len(ids)], mot[:len(ids)], kept, kept,
+                                    spans[:len(ids)], min_observed_fraction)
+        rankings += _ranked([avatar_id], ids, np.zeros_like(kept), kept, rho, pos)
         chosen[avatar_id] = offsets_here
     return rankings, chosen

@@ -249,81 +249,90 @@ class RankedIdentityList:
         return tuple(e.identity_id for e in self.entries)
 
 
-# Pairs are ranked a block at a time, with at most this many magnitude cells
-# (pairs x positions x windows) per block.  Larger blocks gain little speed
-# and raise peak memory with the number of pairs.
-_BLOCK_CELLS = 4096
-
+# Ranking builds its tables, and ranks pairs, at most this many magnitude cells
+# at a time, so no temporary grows with the dataset or the number of pairs.
+_BLOCK_CELLS = 16384
 _POSITIONS = tuple(SensorPosition)
 
 
-def _rank_block(vis: np.ndarray, mot: np.ndarray, n_windows,
-                min_observed_fraction: float) -> tuple[np.ndarray, np.ndarray]:
-    """Best per-position Spearman rho for a block of P (avatar, identity) pairs.
+def _tie_starts(values: np.ndarray) -> np.ndarray:
+    """int32 position in its row's sorted order of the first of each entry's ties."""
+    starts, n = np.empty(values.shape, dtype=np.int32), values.shape[1]
+    at, step = np.arange(n, dtype=np.int32), max(1, _BLOCK_CELLS // max(1, n))
+    for s in range(0, len(values), step):
+        order = np.argsort(values[s:s + step], axis=-1)
+        order += (np.arange(len(order)) * n)[:, None]
+        v = values[s:s + step].take(order)
+        first = np.concatenate([np.ones((len(v), 1), bool), v[:, 1:] != v[:, :-1]], axis=1)
+        starts[s:s + step].put(order, np.maximum.accumulate(np.where(first, at, 0), axis=-1))
+    return starts
 
-    `vis` holds each pair's visual magnitudes, shape (P, 6, n), with NaN at
-    unobservable windows; `mot` the identity's motion magnitudes, (P, n).
-    `n_windows`, (P,) or a scalar, is the window count the coverage rule
-    divides by.  Pairwise deletion: a position drops the windows it cannot
-    observe.  A position is skipped below two observed windows or below
-    `min_observed_fraction` coverage; an undefined correlation scores -inf.
-    Returns (best_rho, best_position_index); the index is -1 where every
-    position was skipped, and the first position wins ties.
 
-    Unobserved windows are padded with +inf on both sides, so they rank
-    after every observed one and the observed entries get the average-tie
-    ranks of `fractional_ranks`.  Those ranks and their centre
-    (n_obs + 1) / 2 are multiples of 0.5, so every sum below is exact and
-    rho is bit-identical to `spearman_rho` on the observed windows.
-    """
-    from scipy.stats import rankdata
-
-    observed = ~np.isnan(vis)
-    n_obs = observed.sum(axis=-1)
-    centre = ((n_obs + 1) / 2.0)[..., None]
-    padded = np.where(observed, np.stack(np.broadcast_arrays(vis, mot[:, None, :])), np.inf)
-    dx, dy = np.where(observed, rankdata(padded, axis=-1) - centre, 0.0)
-    sxy = np.einsum("pkn,pkn->pk", dx, dy)
-    sxx = np.einsum("pkn,pkn->pk", dx, dx)
-    syy = np.einsum("pkn,pkn->pk", dy, dy)
-    rho = np.full(sxy.shape, -np.inf)
-    np.divide(sxy, np.sqrt(sxx * syy), out=rho, where=(sxx > 0) & (syy > 0))
-
-    n_windows = np.asarray(n_windows)[..., None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        coverage = n_obs / n_windows
-    usable = (n_windows > 0) & (n_obs >= 2) & ~(coverage < min_observed_fraction)
-    best_rho = np.where(usable, rho, -np.inf).max(axis=1)
-    best_pos = np.argmax(usable & (rho == best_rho[:, None]), axis=1)
-    return best_rho, np.where(usable.any(axis=1), best_pos, -1)
+def _centred_ranks(starts: np.ndarray, seen: np.ndarray) -> np.ndarray:
+    """Doubled centred average-tie ranks 2r - (n_seen + 1) of each row's `seen`
+    entries among themselves (0 elsewhere), from the row's `_tie_starts`: if
+    in_group[j] of them tie from sorted position j, and up_to is its running
+    sum, theirs is 2 * up_to[j] - in_group[j] - n_seen."""
+    *lead, n = seen.shape
+    at = starts + (np.arange(math.prod(lead)) * n).reshape(*lead, 1)
+    in_group = np.bincount(at[seen], minlength=seen.size).astype(np.int32).reshape(seen.shape)
+    doubled = 2 * np.cumsum(in_group, axis=-1, dtype=np.int32) - in_group
+    return (doubled.take(at) - seen.sum(axis=-1, keepdims=True, dtype=np.int32)) * seen
 
 
 def _rank_candidates(vis: np.ndarray, mot: np.ndarray, rows: np.ndarray, ids: np.ndarray,
                      n_windows, min_observed_fraction: float) -> tuple[np.ndarray, np.ndarray]:
-    """`_rank_block` over the pairs (vis[rows[s]], mot[ids[s]]), gathered
-    `_BLOCK_CELLS` cells at a time, so only one block's magnitudes need to
-    exist at once.  `n_windows` is a scalar or one count per pair."""
-    n_windows = np.broadcast_to(n_windows, rows.shape)
-    step = max(1, _BLOCK_CELLS // max(1, math.prod(vis.shape[1:])))
-    rho = np.empty(rows.size)
-    pos = np.empty(rows.size, dtype=np.intp)
+    """Best per-position Spearman rho of each pair (vis[rows[s]], mot[ids[s]]).
+
+    `vis` is (R, 6, n), NaN where unobservable; `mot` is (Q, n).  A position
+    drops its unobservable windows, is skipped below two observed windows or
+    below `min_observed_fraction` of `n_windows` (a scalar or one per pair),
+    and scores -inf where rho is undefined.  Returns (best rho, best position
+    index), the index -1 where every position was skipped; the first wins ties.
+
+    Each row is sorted once, into `_tie_starts`; a pair then ranks the
+    identity over the avatar's observed windows with `_centred_ranks`.
+    Doubled ranks are integers, so the int64 sums of their products are
+    exact, and a quarter of each is exactly the float sum `spearman_rho`
+    forms from half-integer deviations: rho is bit-identical to it.
+    """
+    k, n = vis.shape[1:]
+    observed = ~np.isnan(vis)
+    n_obs = observed.sum(axis=-1)
+    dx = _tie_starts(vis.reshape(len(vis) * k, n)).reshape(vis.shape)
+    step = max(1, _BLOCK_CELLS // max(1, k * n))
+    for s in range(0, len(vis), step):
+        dx[s:s + step] = _centred_ranks(dx[s:s + step], observed[s:s + step])
+    sxx = np.einsum("rkn,rkn->rk", dx, dx, dtype=np.int64) / 4
+    starts = _tie_starts(mot)
+    rho, pos = np.empty(rows.size), np.empty(rows.size, dtype=np.intp)
     for s in range(0, rows.size, step):
-        e = s + step
-        rho[s:e], pos[s:e] = _rank_block(vis[rows[s:e]], mot[ids[s:e]], n_windows[s:e],
-                                         min_observed_fraction)
+        r, e = rows[s:s + step], s + step
+        dy = _centred_ranks(starts[ids[s:e], None, :], observed[r])
+        sxy = np.einsum("pkn,pkn->pk", dx[r], dy, dtype=np.int64) / 4
+        syy = np.einsum("pkn,pkn->pk", dy, dy, dtype=np.int64) / 4
+        corr = np.full(sxy.shape, -np.inf)
+        np.divide(sxy, np.sqrt(sxx[r] * syy), out=corr, where=(sxx[r] > 0) & (syy > 0))
+        count, windows = n_obs[r], np.broadcast_to(n_windows, rows.shape)[s:e, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            usable = (windows > 0) & (count >= 2) & ~(count / windows < min_observed_fraction)
+        rho[s:e] = best = np.where(usable, corr, -np.inf).max(axis=1)
+        pos[s:e] = np.where(usable.any(axis=1),
+                            np.argmax(usable & (corr == best[:, None]), axis=1), -1)
     return rho, pos
 
 
-def _ranked(avatar_id: str, identity_ids: Sequence[str], rho: np.ndarray,
-            pos: np.ndarray) -> RankedIdentityList:
-    """Entries of the pairs not skipped, best rho first, ties on identity id."""
-    entries = [
-        RankEntry(ident, r, _POSITIONS[k])
-        for ident, r, k in zip(identity_ids, rho.tolist(), pos.tolist())
-        if k >= 0
-    ]
-    entries.sort(key=lambda e: (-e.rho, e.identity_id))
-    return RankedIdentityList(avatar_id, tuple(entries))
+def _ranked(avatar_ids: Sequence[str], identity_ids: Sequence[str], rows: np.ndarray,
+            ids: np.ndarray, rho: np.ndarray, pos: np.ndarray) -> list[RankedIdentityList]:
+    """Per avatar, its pairs not skipped: best rho first, ties on identity id."""
+    name_rank = np.argsort(sorted(range(len(identity_ids)), key=identity_ids.__getitem__))
+    kept = np.flatnonzero(pos >= 0)
+    kept = kept[np.lexsort((name_rank[ids[kept]], -rho[kept], rows[kept]))]
+    entries = list(map(RankEntry, [identity_ids[j] for j in ids[kept].tolist()],
+                       rho[kept].tolist(), [_POSITIONS[k] for k in pos[kept].tolist()]))
+    bounds = np.searchsorted(rows[kept], np.arange(len(avatar_ids) + 1)).tolist()
+    return [RankedIdentityList(a, tuple(entries[lo:hi]))
+            for a, lo, hi in zip(avatar_ids, bounds, bounds[1:])]
 
 
 def _check_fraction(min_observed_fraction: float) -> None:
@@ -352,10 +361,9 @@ def rank_identities(visual_series: ActivityVectorSeries,
         if len(m) != n:
             raise LengthMismatch(f"{m.source_id}: length {len(m)} vs avatar length {n}")
     mot = np.stack([m.motion_magnitudes.values for m in items])
-    ids = np.arange(len(items))
-    rho, pos = _rank_candidates(visual_series.mags[None], mot, np.zeros_like(ids), ids, n,
-                                min_observed_fraction)
-    ranking = _ranked(visual_series.source_id, [m.source_id for m in items], rho, pos)
+    rows, ids = np.zeros(len(items), dtype=np.intp), np.arange(len(items))
+    rho, pos = _rank_candidates(visual_series.mags[None], mot, rows, ids, n, min_observed_fraction)
+    ranking, = _ranked([visual_series.source_id], [m.source_id for m in items], rows, ids, rho, pos)
     if not ranking.entries:
         raise EmptyRanking(
             f"{visual_series.source_id}: every position of every candidate was skipped"
@@ -386,12 +394,8 @@ def correlate(visual: VisualDataset, motion: MotionDataset, config: FilterConfig
         pairs = activity_filter(visual, motion, config)
         n = visual.codes.shape[1]
 
-    rho, pos = _rank_candidates(visual.mags, motion.mags, pairs.rows, pairs.ids, n,
-                                min_observed_fraction)
-    names = np.array(motion.ids, dtype=object)[pairs.ids].tolist()
-    bounds = np.searchsorted(pairs.rows, np.arange(len(visual) + 1)).tolist()
-    return [_ranked(avatar_id, names[lo:hi], rho[lo:hi], pos[lo:hi])
-            for avatar_id, lo, hi in zip(visual.ids, bounds, bounds[1:])]
+    return _ranked(visual.ids, motion.ids, pairs.rows, pairs.ids, *_rank_candidates(
+        visual.mags, motion.mags, pairs.rows, pairs.ids, n, min_observed_fraction))
 
 
 # ---------------------------------------------------------------------------

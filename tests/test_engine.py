@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -43,6 +44,7 @@ from motionlink.model import (
     SensorPosition,
     VisualDataset,
 )
+from motionlink.synth import CohortSpec, generate_cohort
 
 L = ActivityLabel
 
@@ -495,7 +497,7 @@ def test_batched_ranking_equals_scalar_oracle(cohort, min_observed_fraction, blo
                     rank_identities(avatar, identities, min_observed_fraction)
 
 
-def test_rank_block_skip_rules_and_first_position_wins():
+def test_rank_candidates_skip_rules_and_first_position_wins():
     vis = np.full((3, 6, 4), np.nan)
     vis[0, 2, :2] = [1.0, 2.0]          # 2 of 4 windows: at the 0.5 floor
     vis[1, 0, :1] = [1.0]               # one window: skipped at any floor
@@ -503,11 +505,113 @@ def test_rank_block_skip_rules_and_first_position_wins():
     vis[1, 3, :3] = [1.0, 2.0, 3.0]     # rho 1 ...
     vis[1, 4, :3] = [2.0, 4.0, 6.0]     # ... tied here; the earlier one wins
     mot = np.tile([1.0, 2.0, 3.0, 4.0], (3, 1))
-    rho, pos = engine._rank_block(vis, mot, 4, 0.5)
+    pairs = np.arange(3)
+    rho, pos = engine._rank_candidates(vis, mot, pairs, pairs, 4, 0.5)
     assert rho.tolist() == [1.0, 1.0, float("-inf")]
     assert pos.tolist() == [2, 3, -1]
-    rho, pos = engine._rank_block(vis, mot, 5, 0.5)  # 2 of 5 falls below it
+    rho, pos = engine._rank_candidates(vis, mot, pairs, pairs, 5, 0.5)  # 2 of 5 falls below it
     assert pos.tolist() == [-1, 3, -1]
+
+
+def scalar_best(vis_row, mot_row, n_windows, min_observed_fraction):
+    """(rho, position index) of one pair from `spearman_rho` per position:
+    the kernel's contract, with (-inf, -1) where every position is skipped."""
+    best = (float("-inf"), -1)
+    for k, values in enumerate(vis_row):
+        mask = ~np.isnan(values)
+        n_obs = int(mask.sum())
+        if n_windows == 0 or n_obs / n_windows < min_observed_fraction or n_obs < 2:
+            continue
+        try:
+            rho = spearman_rho(values[mask], mot_row[mask])
+        except UndefinedCorrelation:
+            rho = float("-inf")
+        if best[1] < 0 or rho > best[0]:
+            best = (rho, k)
+    return best
+
+
+@st.composite
+def kernel_inputs(draw):
+    """(vis, mot, rows, ids, n_windows) for `_rank_candidates`.  Each visual
+    row observes a span [lo, hi) with holes in it (coverage 0..span) and is
+    NaN outside; motion rows hold a finite filler outside their span and
+    may be constant.  Align-shaped draws pair row c with row c and divide
+    coverage by each span; the others pair rows at random over all n."""
+    n = draw(st.integers(1, 8))
+    align_shaped = draw(st.booleans())
+    n_vis = draw(st.integers(1, 4))
+    n_mot = n_vis if align_shaped else draw(st.integers(1, 4))
+    spans = []
+    for _ in range(max(n_vis, n_mot)):
+        lo = draw(st.integers(0, n - 1))
+        spans.append((lo, draw(st.integers(lo + 1, n))))
+    vis = np.full((n_vis, len(SensorPosition), n), np.nan)
+    for c, (lo, hi) in enumerate(spans[:n_vis]):
+        for k in range(len(SensorPosition)):
+            vals = draw(st.lists(grid_values, min_size=hi - lo, max_size=hi - lo))
+            holes = draw(st.permutations(range(hi - lo)))[:draw(st.integers(0, hi - lo))]
+            vis[c, k, lo:hi] = [np.nan if i in holes else v for i, v in enumerate(vals)]
+    mot = np.empty((n_mot, n))
+    for c, (lo, hi) in enumerate(spans[:n_mot]):
+        mot[c] = draw(grid_values)
+        if not draw(st.booleans()):  # else all tied: syy = 0 everywhere
+            mot[c, lo:hi] = draw(st.lists(grid_values, min_size=hi - lo, max_size=hi - lo))
+    if align_shaped:
+        rows = ids = np.arange(n_vis)
+        return vis, mot, rows, ids, np.array([hi - lo for lo, hi in spans])
+    n_pairs = draw(st.integers(0, 6))
+    rows = np.array(draw(st.lists(st.integers(0, n_vis - 1), min_size=n_pairs,
+                                  max_size=n_pairs)), dtype=np.int64)
+    ids = np.array(draw(st.lists(st.integers(0, n_mot - 1), min_size=n_pairs,
+                                 max_size=n_pairs)), dtype=np.int64)
+    return vis, mot, rows, ids, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_inputs(), st.sampled_from([0.0, 0.5, 1.0]), st.sampled_from([1, 7, 60, 4096]))
+def test_rank_candidates_equals_scalar_oracle(inputs, min_observed_fraction, block_cells):
+    vis, mot, rows, ids, n_windows = inputs
+    # small blocks split both the per-row tables and the pairs
+    with mock.patch.object(engine, "_BLOCK_CELLS", block_cells):
+        rho, pos = engine._rank_candidates(vis, mot, rows, ids, n_windows,
+                                           min_observed_fraction)
+    windows = np.broadcast_to(n_windows, rows.shape)
+    expected = [scalar_best(vis[r], mot[i], w, min_observed_fraction)
+                for r, i, w in zip(rows, ids, windows.tolist())]
+    assert rho.tolist() == [r for r, _ in expected]
+    assert pos.tolist() == [k for _, k in expected]
+
+
+def test_ranking_over_zero_windows_skips_every_position():
+    v = visual_series("a0", [])
+    m = motion_series("m0", [], [])
+    assert correlate(VisualDataset([v]), MotionDataset([m]), FilterConfig(t_norm=1.0)) == [
+        RankedIdentityList("a0", ())]
+    with pytest.raises(EmptyRanking):
+        rank_identities(v, [m])
+
+
+def test_ranking_memory_grows_only_by_its_outputs():
+    """Per-row tables and pair blocks are bounded, so ranking ~4x more pairs
+    of one cohort peaks higher only by the 16 bytes per pair of rho/pos."""
+    prior = {L.IDLE: 0.7, L.BODY_ROTATION: 0.3}
+    visual, motion, _ = generate_cohort(
+        CohortSpec(num_identities=200, n_windows=11, activity_prior=prior, seed=5))
+
+    def peak(t_norm):
+        pairs = activity_filter(visual, motion, FilterConfig(t_norm=t_norm))
+        tracemalloc.start()
+        try:
+            engine._rank_candidates(visual.mags, motion.mags, pairs.rows, pairs.ids, 11, 0.5)
+            return pairs.total_pairs(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    few, few_peak = peak(0.3)
+    many, many_peak = peak(1.0)
+    assert many > 4 * few
+    assert many_peak - few_peak <= 16 * (many - few) + 64 * 1024
 
 
 # ---------------------------------------------------------------------------
