@@ -15,12 +15,13 @@ mismatch positions, and variants with fewer wildcards can only repeat pairs
 the maximal ones already find.  An index over q sequences therefore holds
 q * C(k, t_abs) entries.
 
-A key packs a masked sequence 15 positions to a 64-bit word, one nibble per
-position (activity codes 0..7, 8 for the wildcard).  Up to k=15 that single
-word is the key, and equal keys mean equal variants.  Longer sequences fold
-their words into one 64-bit hash, h = h * MIX + word, so distinct variants
-may collide; the filter confirms every pair by its mismatch count, which it
-computes for each pair anyway.
+An entry is one 8-byte word: the key in the top 64 - b bits, the row that
+produced it in the low b = bits(q), so one in-place sort orders both.  A key
+packs the masked sequence a nibble per position (codes 0..7, 8 for the
+wildcard) and is exact when 4k + b <= 64; any other (k > 15 first folds its
+15-position words, h = h * MIX + word) is multiplied by MIX and keeps its
+top bits, so distinct variants may collide: the filter confirms every pair
+by its mismatch count, which it computes for each pair anyway.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ WILDCARD_BYTE = 0xFF
 WILDCARD_NIBBLE = 0x8
 _WORD = 15  # positions per key word: 4 bits each, with headroom for ids
 _FULL = (1 << 64) - 1
-MIX = 0x9E3779B97F4A7C15  # odd multiplier folding the words of a long key
+MIX = 0x9E3779B97F4A7C15  # odd multiplier hashing keys that do not fit exactly
 
 MEMORY_CAP_ENV = "MOTIONLINK_MEMORY_CAP"
 DEFAULT_MEMORY_CAP = 8 * 1024 ** 3
@@ -92,13 +93,11 @@ def estimate_index_memory(q: int, k: int, t_abs: int) -> int:
     masks = math.comb(k, t_abs)
     entries = q * masks
     words = -(-k // _WORD)
-    # keys and ids take 8 bytes each, and the argsort path briefly holds the
-    # unsorted keys, the order and the sorted keys at once; per sequence
-    # come its key words, two temporaries, its codes and a generated id
-    # string; per mask, its tuple.  A sixteenth on top covers allocator and
-    # sort-kernel differences between numpy builds.
-    per_entry = 16 if _combined_fits(k, q) else 24
-    base = entries * per_entry + q * (8 * words + 96 + k) + masks * (150 + 8 * t_abs)
+    # an entry is one 8-byte word, packed and sorted in place; per sequence
+    # come its key words, two temporaries, its row number, its codes and a
+    # generated id string; per mask, its tuple.  A sixteenth on top covers
+    # allocator and sort-kernel differences between numpy builds.
+    base = entries * 8 + q * (8 * words + 96 + k) + masks * (150 + 8 * t_abs)
     return base + base // 16 + 64 * 1024
 
 
@@ -109,7 +108,7 @@ def estimate_query_memory(p: int, k: int, t_abs: int, raw_hits: int = 0) -> int:
     expand, is known only once the keys have been looked up."""
     keys = p * math.comb(k, t_abs)
     words = -(-k // _WORD)
-    # per query key: its key and owner, the lookup bounds and their
+    # per query key: its word, the lookup bounds and their
     # temporaries; per raw hit (a key with hits has at least one): the hit
     # keys' bounds and counts, the expanded rows, ids and offsets, the pair
     # codes np.unique sorts, and the gathered codes of the distance check
@@ -148,10 +147,9 @@ def _nibble(k: int, pos: int) -> tuple[int, int]:
     return word, 4 * (width - 1 - rem)
 
 
-def _combined_fits(k: int, m: int) -> bool:
-    """Whether a key of length k and a row id below m fit in one word."""
-    key_bits = 4 * k if k <= _WORD else 64
-    return key_bits + max((m - 1).bit_length(), 1) <= 64
+def _id_bits(m: int) -> int:
+    """Bits that hold a row number below m."""
+    return max((m - 1).bit_length(), 1)
 
 
 def _expand(mat: np.ndarray, masks) -> np.ndarray:
@@ -179,24 +177,19 @@ def _expand(mat: np.ndarray, masks) -> np.ndarray:
     return out
 
 
-def _sort_keys(keys: np.ndarray, m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sort mask-major keys of m rows; returns (sorted keys, owning rows).
-
-    Key and row share one word when they fit, so a plain sort suffices;
-    otherwise the keys are argsorted.  `keys` is consumed.
-    """
-    if _combined_fits(k, m):
-        id_bits = max((m - 1).bit_length(), 1)
-        keys <<= id_bits
-        keys.reshape(keys.size // max(m, 1), m)[...] |= np.arange(m, dtype=np.uint64)
-        keys.sort()
-        owners = (keys & ((1 << id_bits) - 1)).view(np.int64)
-        keys >>= id_bits
-        return keys, owners
-    order = np.argsort(keys)
-    ordered = keys[order]
-    np.remainder(order, m, out=order)
-    return ordered, order
+def _pack(mat: np.ndarray, masks, key_bits: int, row_bits: int) -> np.ndarray:
+    """Sorted words of every row of `mat` under every mask: the key as an index
+    with `key_bits` id bits stores it, above the row in the low `row_bits`."""
+    m, k = mat.shape
+    words = _expand(mat, masks)
+    if 4 * k + key_bits <= 64:
+        words <<= key_bits
+    else:
+        words *= MIX
+    words &= _FULL ^ ((1 << row_bits) - 1)
+    words.reshape(len(masks), m)[...] |= np.arange(m, dtype=np.uint64)
+    words.sort()
+    return words
 
 
 # ---------------------------------------------------------------------------
@@ -213,18 +206,17 @@ def _codes_matrix(source) -> tuple[np.ndarray, tuple[str, ...]]:
 
 
 class WildcardIndex:
-    """Sorted maximal-mask keys, each with the identity that produced it."""
+    """Sorted maximal-mask entries: each word holds a key and the row that produced it."""
 
     def __init__(self, codes: np.ndarray, source_ids: tuple[str, ...], t_abs: int,
-                 keys: np.ndarray, ids: np.ndarray):
+                 words: np.ndarray):
         self.codes = codes
         self.source_ids = source_ids
         self.t_abs = t_abs
         self.k = codes.shape[1]
         self.size = codes.shape[0]
-        self.entry_count = int(keys.size)
-        self._keys = keys  # sorted keys, one per (sequence, size-t_abs mask)
-        self._ids = ids    # identity ordinals aligned with _keys
+        self.entry_count = int(words.size)
+        self._words = words  # sorted, one per (sequence, size-t_abs mask)
 
     @classmethod
     def build(cls, source, t_abs: int, *,
@@ -245,8 +237,8 @@ class WildcardIndex:
             estimate / 1024 ** 2, cap / 1024 ** 2,
         )
         _refuse_over(cap, estimate, f"index over q={q} k={k} t_abs={t_abs}")
-        keys, ids = _sort_keys(_expand(codes, _masks_of_size(k, t_abs)), q, k)
-        return cls(codes, source_ids, t_abs, keys, ids)
+        b = _id_bits(q)
+        return cls(codes, source_ids, t_abs, _pack(codes, _masks_of_size(k, t_abs), b, b))
 
 
 def build_index(source, t_abs: int, *, memory_cap_bytes: int | None = None) -> WildcardIndex:
@@ -267,20 +259,25 @@ def filter_pairs_indexed(v_mat: np.ndarray, index: WildcardIndex, *,
         raise DataError(f"query matrix must be (p, {index.k}), got {v_mat.shape}")
     p, k = v_mat.shape
     cap = _resolve_cap(memory_cap_bytes)
-    resident = index._keys.nbytes + index._ids.nbytes + index.codes.nbytes
+    resident = index._words.nbytes + index.codes.nbytes
     what = f"query of p={p} k={k} t_abs={index.t_abs}"
     _refuse_over(cap, resident + estimate_query_memory(p, k, index.t_abs), what)
-    qkeys, owners = _sort_keys(_expand(v_mat, _masks_of_size(k, index.t_abs)), p, k)
-    ks = index._keys
-    n = ks.size
-    lo = np.searchsorted(ks, qkeys, side="left")
-    at = np.minimum(lo, n - 1)
-    hit = (lo < n) & (ks[at] == qkeys)
+    # with p > q the row field widens, so fewer key bits are compared
+    b = _id_bits(index.size)
+    row_bits = max(b, _id_bits(p))
+    low = (1 << row_bits) - 1
+    words = _pack(v_mat, _masks_of_size(k, index.t_abs), b, row_bits)
+    ix = index._words
+    n = ix.size
+    lo = np.searchsorted(ix, words & (_FULL ^ low), side="left")
+    hit = lo < n
+    if n:
+        hit &= (ix[np.minimum(lo, n - 1)] ^ words) <= low
     if not hit.any():
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, empty.copy()
-    h_lo, h_keys, h_owners = lo[hit], qkeys[hit], owners[hit]
-    h_hi = np.searchsorted(ks, h_keys, side="right")
+    h_lo, h_words = lo[hit], words[hit]
+    h_hi = np.searchsorted(ix, h_words | low, side="right")
     counts = h_hi - h_lo
     total = int(counts.sum())
     _refuse_over(cap, resident + estimate_query_memory(p, k, index.t_abs, total),
@@ -288,12 +285,12 @@ def filter_pairs_indexed(v_mat: np.ndarray, index: WildcardIndex, *,
     run = np.repeat(np.arange(h_lo.size), counts)
     offsets = np.concatenate(([0], np.cumsum(counts)))
     pos = np.arange(total) - offsets[run]
-    ids = index._ids[h_lo[run] + pos]
-    rows = np.repeat(h_owners, counts)
+    ids = (ix[h_lo[run] + pos] & ((1 << b) - 1)).view(np.int64)
+    rows = np.repeat((h_words & low).view(np.int64), counts)
     pair_codes = np.unique(rows * index.size + ids)
     rows, ids = pair_codes // index.size, pair_codes % index.size
     dists = (v_mat[rows] != index.codes[ids]).sum(axis=1).astype(np.int64)
-    # equal hashed keys (k > 15) do not prove a match; the count does
+    # equal mixed or truncated keys do not prove a match; the count does
     within = dists <= index.t_abs
     if not within.all():
         rows, ids, dists = rows[within], ids[within], dists[within]

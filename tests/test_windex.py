@@ -231,16 +231,18 @@ def test_index_equals_brute_force_property(case):
     assert [a.tolist() for a in naive] == [e_rows.tolist(), e_ids.tolist(), e_dists.tolist()]
 
 
-def test_hash_collisions_are_dropped_by_the_distance_check(monkeypatch):
-    # MIX = 0 keeps only the last word of a long key, here position 15, so
-    # every variant that leaves it unmasked collides with every other one
+@pytest.mark.parametrize("k", [16, 15])
+def test_hash_collisions_are_dropped_by_the_distance_check(monkeypatch, k):
+    # MIX = 0 sends every mixed key to 0, so every variant collides with
+    # every other one: k=16 always mixes, and k=15 does beside 40 rows
+    # (4k + bits(40) > 64)
     monkeypatch.setattr(windex, "MIX", 0)
     rng = np.random.default_rng(77)
-    k, t_abs = 16, 1
+    t_abs = 1
     m_mat = rng.integers(0, 8, (40, k)).astype(np.uint8)
     v_mat = rng.integers(0, 8, (30, k)).astype(np.uint8)
-    m_mat[:, 15] = 3
-    v_mat[:, 15] = 3
+    m_mat[:, -1] = 3
+    v_mat[:, -1] = 3
     v_mat[::3] = m_mat[:10]
     v_mat[1::6, 0] = (v_mat[1::6, 0] + 1) % 8
     rows, ids, dists = filter_pairs_indexed(v_mat, build_index(m_mat, t_abs))
@@ -248,6 +250,36 @@ def test_hash_collisions_are_dropped_by_the_distance_check(monkeypatch):
     assert 0 < rows.size < v_mat.shape[0] * m_mat.shape[0]
     assert rows.tolist() == e_rows.tolist() and ids.tolist() == e_ids.tolist()
     assert (dists <= t_abs).all() and dists.tolist() == e_dists.tolist()
+
+
+@pytest.mark.parametrize("p", [12, 5000])
+@pytest.mark.parametrize("q", [16, 17])
+def test_index_equals_brute_force_at_the_exact_key_boundary(q, p):
+    # at k=15 a key fits exactly beside 16 rows (60 + 4 bits) and is mixed
+    # beside 17; 5000 query rows widen the row field past the index's, so
+    # the query compares fewer key bits than the index stores
+    rng = np.random.default_rng(q * 7919 + p)
+    k, t_abs = 15, 2
+    m_mat = rng.integers(0, 3, (q, k)).astype(np.uint8)
+    v_mat = m_mat[rng.integers(0, q, p)]
+    flip = rng.random(v_mat.shape) < 0.15
+    v_mat[flip] = rng.integers(0, 8, flip.sum())
+    rows, ids, dists = filter_pairs_indexed(v_mat, build_index(m_mat, t_abs))
+    e_rows, e_ids, e_dists = brute_arrays(v_mat, m_mat, t_abs)
+    assert e_rows.size > p // 2
+    assert rows.tolist() == e_rows.tolist()
+    assert ids.tolist() == e_ids.tolist()
+    assert dists.tolist() == e_dists.tolist()
+
+
+def test_empty_index_and_empty_query_find_no_pairs():
+    codes = np.random.default_rng(3).integers(0, 8, (4, 5)).astype(np.uint8)
+    empty = np.zeros((0, 5), dtype=np.uint8)
+    for v_mat, m_mat in ((codes, empty), (empty, codes), (empty, empty)):
+        got = filter_pairs_indexed(v_mat, build_index(m_mat, 1))
+        naive = filter_pairs_naive(v_mat, m_mat, 1 / 5)
+        assert [a.dtype for a in got] == [np.int64] * 3
+        assert [a.tolist() for a in got] == [a.tolist() for a in naive] == [[], [], []]
 
 
 def test_budget_monotonicity():
