@@ -22,7 +22,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NoOverlap
+from .errors import ConfigError, NoOverlap
 from .engine import (
     DEFAULT_MIN_OBSERVED_FRACTION,
     FilterConfig,
@@ -33,27 +33,13 @@ from .engine import (
     mismatch_budget,
     mismatch_counts,
 )
-from .model import (
-    ActivityLabel,
-    ActivityVectorSeries,
-    MotionDataset,
-    VisualDataset,
-)
-from .pipeline import (
-    SAVGOL_ORDER,
-    SAVGOL_WINDOW,
-    ClassifierModel,
-    MotionTrace,
-    _check_savgol,
-    classify_windows,
-    motion_features,
-)
+from .model import ActivityLabel, ActivityVectorSeries, VisualDataset
+from .pipeline import ClassifierModel, MotionTrace, classify_windows, motion_features
 
 __all__ = [
     "AlignConfig",
     "AlignmentResult",
     "OffsetScore",
-    "shift_and_rebuild",
     "align_offset_search",
     "correlate_with_alignment",
 ]
@@ -110,7 +96,6 @@ def _rebuild(
     w: float,
     model: ClassifierModel,
     origin: float,
-    savgol: tuple[int, int],
 ) -> dict[float, tuple[np.ndarray, np.ndarray, int]]:
     """{offset: (labels, magnitudes, first grid index)} of the trace shifted
     by each offset and cut on the window grid {origin + j*w}.
@@ -134,7 +119,6 @@ def _rebuild(
         trace,
         np.concatenate([idx[:-1] for idx, _ in edges.values()]),
         np.concatenate([idx[1:] for idx, _ in edges.values()]),
-        savgol_window=savgol[0], savgol_order=savgol[1],
     )
     codes = classify_windows(model, feats)
     out, start = {}, 0
@@ -143,40 +127,6 @@ def _rebuild(
         out[offset] = codes[start:stop], mags[start:stop], first
         start = stop
     return out
-
-
-def shift_and_rebuild(
-    trace: MotionTrace,
-    offset: float,
-    w: float,
-    model: ClassifierModel,
-    source_id: str,
-    *,
-    grid_origin: float | None = None,
-    savgol_window: int = SAVGOL_WINDOW,
-    savgol_order: int = SAVGOL_ORDER,
-) -> tuple[ActivityVectorSeries, int]:
-    """Shift the trace by `offset` seconds and rebuild its series on a fixed
-    window grid.
-
-    The grid is anchored at `grid_origin` (default: the unshifted trace
-    start), so the windows move relative to the data as the offset changes.
-    Returns the series plus the grid index of its first window; the index
-    can be negative for negative offsets.  At offset 0 with the default
-    origin this reproduces the plain series builder output.
-    """
-    _check_savgol(savgol_window, savgol_order)
-    if not isinstance(trace, MotionTrace):
-        raise DataError("alignment operates on body-sensor traces")
-    if not w > 0:
-        raise DataError(f"window width must be positive, got {w}")
-    origin = float(trace.timestamps[0]) if grid_origin is None else float(grid_origin)
-    offset = float(offset)
-    rebuilt = _rebuild(trace, (offset,), w, model, origin, (savgol_window, savgol_order))
-    if not rebuilt:
-        raise NoOverlap(f"no full {w}s window fits the trace shifted by {offset:+g}s")
-    codes, mags, first = rebuilt[offset]
-    return MotionDataset.from_arrays((source_id,), codes[None], mags[None], w)[0], first
 
 
 class _Scored(NamedTuple):
@@ -206,8 +156,6 @@ def align_offset_search(
     *,
     restricted: frozenset[ActivityLabel] | None = None,
     grid_origin: float | None = None,
-    savgol_window: int = SAVGOL_WINDOW,
-    savgol_order: int = SAVGOL_ORDER,
 ) -> AlignmentResult:
     """Find the trace offset whose rebuilt labels best match one series.
 
@@ -216,12 +164,11 @@ def align_offset_search(
     shifted trace shares no window with the series are skipped; if none
     overlaps, NoOverlap propagates.
     """
-    _check_savgol(savgol_window, savgol_order)
     w = visual_series.window_seconds
     v_codes = visual_series.codes
     lut = _restricted_lut(restricted) if restricted is not None else None
     origin = float(trace.timestamps[0]) if grid_origin is None else float(grid_origin)
-    rebuilt = _rebuild(trace, align.offsets(), w, model, origin, (savgol_window, savgol_order))
+    rebuilt = _rebuild(trace, align.offsets(), w, model, origin)
     curve = []
     best: OffsetScore | None = None
     for offset, (codes, _, first) in rebuilt.items():
@@ -253,8 +200,6 @@ def correlate_with_alignment(
     *,
     min_observed_fraction: float = DEFAULT_MIN_OBSERVED_FRACTION,
     grid_origin: float | None = None,
-    savgol_window: int = SAVGOL_WINDOW,
-    savgol_order: int = SAVGOL_ORDER,
 ) -> tuple[list[RankedIdentityList], dict[str, dict[str, float]]]:
     """Filter-and-rank where every identity's clock may be off.
 
@@ -268,7 +213,6 @@ def correlate_with_alignment(
     Returns the rankings plus {avatar_id: {identity_id: chosen offset}} for
     every evaluated pair.
     """
-    _check_savgol(savgol_window, savgol_order)
     w = visual.window_seconds
     v_codes = visual.codes
     n_visual = v_codes.shape[1]
@@ -280,8 +224,7 @@ def correlate_with_alignment(
     scored: dict[str, list[_Scored]] = {}
     for ident, trace in motion_traces.items():
         origin = float(trace.timestamps[0]) if grid_origin is None else float(grid_origin)
-        rebuilt = _rebuild(trace, align.offsets(), w, model, origin,
-                           (savgol_window, savgol_order))
+        rebuilt = _rebuild(trace, align.offsets(), w, model, origin)
         if not rebuilt:
             raise NoOverlap(f"trace {ident!r}: no offset produces a full window")
         rows = []

@@ -109,7 +109,6 @@ class RunConfig:
     index_mode: str = "naive"
     min_observed_fraction: float = DEFAULT_MIN_OBSERVED_FRACTION
     top_k: int = 3
-    seed: int = 0
 
     def __post_init__(self):
         if not self.w > 0:
@@ -409,7 +408,6 @@ def _add_run_flags(sub) -> None:
     sub.add_argument("--min-observed-fraction", dest="min_observed_fraction",
                      type=float, default=None)
     sub.add_argument("--top-k", dest="top_k", type=int, default=None)
-    sub.add_argument("--seed", type=int, default=None)
 
 
 def _add_model_flags(sub) -> None:

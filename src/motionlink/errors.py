@@ -37,10 +37,6 @@ class EmptyWindow(DataError):
     """A window contains no samples."""
 
 
-class FilterConfigError(ConfigError):
-    """Smoothing-filter parameters are unusable (even length, order too high, ...)."""
-
-
 class InvalidConfusionMatrix(DataError):
     """A confusion matrix is not row-stochastic or has entries outside [0, 1]."""
 

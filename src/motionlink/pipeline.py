@@ -14,17 +14,14 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.signal import savgol_filter
 
 from .errors import (
     DataError,
     EmptyWindow,
-    FilterConfigError,
     InvalidConfusionMatrix,
     InvalidLabelCode,
     ModelMismatch,
@@ -277,25 +274,34 @@ def window_edges(trace: MotionTrace | KeypointTrace, w: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # smoothing
 
-def _check_savgol(window_len: int, poly_order: int) -> None:
-    if not isinstance(window_len, numbers.Integral) or window_len < 3 or window_len % 2 == 0:
-        raise FilterConfigError(f"savgol window must be odd and >= 3, got {window_len!r}")
-    if not isinstance(poly_order, numbers.Integral) or not 0 <= poly_order < window_len:
-        raise FilterConfigError(
-            f"savgol order must satisfy 0 <= order < window {window_len}, got {poly_order!r}"
-        )
+# Savitzky-Golay weights, solved by least squares on the Vandermonde system
+# of the reversed abscissa as the reference filter solves them (the rounded
+# table values [-36, 9, 44, ...] / 429 differ in the last bits), then reversed
+# as a convolution reverses them; only the left half is read.
+_HALF = SAVGOL_WINDOW // 2
+_SMOOTH_WEIGHTS = np.linalg.lstsq(
+    np.arange(_HALF, -_HALF - 1, -1.0) ** np.arange(SAVGOL_ORDER + 1.0)[:, None],
+    np.eye(SAVGOL_ORDER + 1)[0], rcond=None)[0][::-1]
 
 
-def _smooth_columns(arr: np.ndarray, window_len: int, poly_order: int) -> np.ndarray:
-    """Savitzky-Golay smoothing of each column, with mirrored edges.
+def _smooth_columns(arr: np.ndarray) -> np.ndarray:
+    """Savitzky-Golay smoothing of each column (window SAVGOL_WINDOW, order
+    SAVGOL_ORDER), with mirrored edges.
 
-    Fits a poly_order polynomial over each odd-length window_len
-    neighbourhood and evaluates it at the centre.  The arguments are checked
-    by `_check_savgol` at the public entry points.
+    Reflect-pads the rows and sums each symmetric pair of taps, centre term
+    first and then from the outermost pair inward, the order in which
+    ndimage correlates a symmetric kernel; the tests pin the result bit for
+    bit against the reference Savitzky-Golay filter in "mirror" mode.
     """
-    if arr.shape[0] < window_len:
+    n = arr.shape[0]
+    if n < SAVGOL_WINDOW:
         return arr  # too short to smooth; classification still sees raw data
-    return savgol_filter(arr, window_len, poly_order, axis=0, mode="mirror")
+    h, w = _HALF, _SMOOTH_WEIGHTS
+    x = np.pad(arr, [(h, h)] + [(0, 0)] * (arr.ndim - 1), mode="reflect")
+    out = x[h:h + n] * w[h]
+    for j in range(h, 0, -1):
+        out += (x[h - j:h - j + n] + x[h + j:h + j + n]) * w[h - j]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +347,8 @@ def _axis_stats(block: np.ndarray) -> np.ndarray:
     return np.stack([mean, np.sqrt(energy), energy, dominant], axis=-1).swapaxes(0, 1)
 
 
-def motion_features(trace: MotionTrace, lo: np.ndarray, hi: np.ndarray, *,
-                    savgol_window: int = SAVGOL_WINDOW,
-                    savgol_order: int = SAVGOL_ORDER) -> tuple[np.ndarray, np.ndarray]:
+def motion_features(trace: MotionTrace, lo: np.ndarray,
+                    hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Features and magnitudes of the motion windows [lo[i], hi[i]).
 
     Features, (n, MOTION_FEATURE_DIM): for each axis, accelerometer then
@@ -356,8 +361,7 @@ def motion_features(trace: MotionTrace, lo: np.ndarray, hi: np.ndarray, *,
     lengths = np.asarray(hi, dtype=np.intp) - lo
     if (lengths <= 0).any():
         raise EmptyWindow("motion window has no samples")
-    sensors = (_smooth_columns(trace.accel, savgol_window, savgol_order).T,
-               _smooth_columns(trace.gyro, savgol_window, savgol_order).T)
+    sensors = _smooth_columns(trace.accel).T, _smooth_columns(trace.gyro).T
     feats = np.empty((lo.size, 3, 2, 4))
     mags = np.empty(lo.size)
     # nine channels per sample: smoothed accel and gyro, raw accel
@@ -635,21 +639,18 @@ def apply_confusion(codes, matrix: ConfusionMatrix,
 # series construction
 
 def build_series(trace: MotionTrace | KeypointTrace, w: float, model: ClassifierModel,
-                 source_id: str, *, savgol_window: int = SAVGOL_WINDOW,
-                 savgol_order: int = SAVGOL_ORDER) -> ActivityVectorSeries:
+                 source_id: str) -> ActivityVectorSeries:
     """Run the full pipeline on one trace.
 
     Motion traces are smoothed per axis before feature extraction (the
     magnitude is taken from the raw accelerometer so smoothing cannot bite
     into genuine movement energy); keypoint traces are used as-is.
     """
-    _check_savgol(savgol_window, savgol_order)
     if isinstance(trace, MotionTrace):
         if model.channel is not Channel.MOTION:
             raise ModelMismatch("motion trace needs a motion-channel model")
         edges = window_edges(trace, w)
-        feats, mags = motion_features(trace, edges[:-1], edges[1:],
-                                      savgol_window=savgol_window, savgol_order=savgol_order)
+        feats, mags = motion_features(trace, edges[:-1], edges[1:])
         dataset = MotionDataset
     elif isinstance(trace, KeypointTrace):
         if model.channel is not Channel.VISUAL:

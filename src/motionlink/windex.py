@@ -34,6 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .engine import mismatch_counts
 from .errors import (
     BudgetExceedsLength,
     ConfigError,
@@ -108,11 +109,13 @@ def estimate_query_memory(p: int, k: int, t_abs: int, raw_hits: int = 0) -> int:
     expand, is known only once the keys have been looked up."""
     keys = p * math.comb(k, t_abs)
     words = -(-k // _WORD)
-    # per query key: its word, the lookup bounds and their
-    # temporaries; per raw hit (a key with hits has at least one): the hit
-    # keys' bounds and counts, the expanded rows, ids and offsets, the pair
-    # codes np.unique sorts, and the gathered codes of the distance check
-    base = keys * 48 + raw_hits * (120 + 3 * k) + p * (8 * words + 32 + k)
+    # per query key, the arrays the lookup holds at once: its packed word,
+    # its lower bound, the hit mask, the gathered index word and their xor;
+    # per raw hit (a key with hits has at least one): the hit keys' bounds
+    # and counts, the expanded rows, ids and offsets, the sorted pair codes
+    # and their first-occurrence mask, and the gathered codes of the
+    # distance check
+    base = keys * 33 + raw_hits * (120 + 3 * k) + p * (8 * words + 32 + k)
     return base + base // 16 + 64 * 1024
 
 
@@ -287,9 +290,15 @@ def filter_pairs_indexed(v_mat: np.ndarray, index: WildcardIndex, *,
     pos = np.arange(total) - offsets[run]
     ids = (ix[h_lo[run] + pos] & ((1 << b) - 1)).view(np.int64)
     rows = np.repeat((h_words & low).view(np.int64), counts)
-    pair_codes = np.unique(rows * index.size + ids)
+    # a pair at distance d < t_abs is found once per mask covering its
+    # mismatches: sort in place and keep each code's first occurrence
+    pair_codes = rows * index.size + ids
+    pair_codes.sort()
+    first = np.ones(total, dtype=bool)
+    np.not_equal(pair_codes[1:], pair_codes[:-1], out=first[1:])
+    pair_codes = pair_codes[first]
     rows, ids = pair_codes // index.size, pair_codes % index.size
-    dists = (v_mat[rows] != index.codes[ids]).sum(axis=1).astype(np.int64)
+    dists = mismatch_counts(v_mat[rows], index.codes[ids])[0]
     # equal mixed or truncated keys do not prove a match; the count does
     within = dists <= index.t_abs
     if not within.all():

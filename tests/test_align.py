@@ -12,12 +12,12 @@ import pytest
 
 from motionlink.align import (
     AlignConfig,
+    _rebuild,
     align_offset_search,
     correlate_with_alignment,
-    shift_and_rebuild,
 )
 from motionlink.engine import FilterConfig, mismatch_counts
-from motionlink.errors import ConfigError, DataError, NoOverlap
+from motionlink.errors import ConfigError, NoOverlap
 from motionlink.model import (
     ActivityLabel,
     ActivityVectorSeries,
@@ -84,29 +84,32 @@ class TestAlignConfig:
 
 
 class TestShiftAndRebuild:
+    """A trace shifted by an offset and rebuilt on a fixed window grid
+    (`_rebuild`, which the offset search runs for every offset)."""
+
     def test_zero_offset_matches_plain_builder(self, motion_model):
         script = make_script(8, seed=1)
         trace = synthesize_motion_trace(
             script, script_amps(script), 1.0, np.random.default_rng(1)
         )
         plain = build_series(trace, 1.0, motion_model, "m")
-        series, first = shift_and_rebuild(trace, 0.0, 1.0, motion_model, "m")
+        origin = float(trace.timestamps[0])
+        codes, mags, first = _rebuild(trace, (0.0,), 1.0, motion_model, origin)[0.0]
         assert first == 0
-        assert series.activities == plain.activities
-        np.testing.assert_allclose(
-            series.motion_magnitudes.values, plain.motion_magnitudes.values
-        )
+        assert codes.tolist() == [int(a) for a in plain.activities]
+        np.testing.assert_allclose(mags, plain.motion_magnitudes.values)
 
     def test_whole_window_offsets_shift_indices_only(self, motion_model):
         script = make_script(8, seed=2)
         trace = synthesize_motion_trace(
             script, script_amps(script), 1.0, np.random.default_rng(2)
         )
-        plain = build_series(trace, 1.0, motion_model, "m")
+        plain = [int(a) for a in build_series(trace, 1.0, motion_model, "m").activities]
+        rebuilt = _rebuild(trace, (2.0, -3.0), 1.0, motion_model, float(trace.timestamps[0]))
         for offset, first_expected in ((2.0, 2), (-3.0, -3)):
-            series, first = shift_and_rebuild(trace, offset, 1.0, motion_model, "m")
+            codes, _, first = rebuilt[offset]
             assert first == first_expected
-            assert series.activities == plain.activities
+            assert codes.tolist() == plain
 
     def test_grid_origin_honoured(self, motion_model):
         script = make_script(6, seed=3)
@@ -114,21 +117,17 @@ class TestShiftAndRebuild:
             script, script_amps(script), 1.0, np.random.default_rng(3),
             start_time=3.0,
         )
-        series, first = shift_and_rebuild(
-            trace, 0.0, 1.0, motion_model, "m", grid_origin=0.0
-        )
+        codes, _, first = _rebuild(trace, (0.0,), 1.0, motion_model, 0.0)[0.0]
         assert first == 3
         plain = build_series(trace, 1.0, motion_model, "m")
-        assert series.activities == plain.activities
+        assert codes.tolist() == [int(a) for a in plain.activities]
 
     def test_too_short_trace_raises(self, motion_model):
         trace = synthesize_motion_trace([0], [0.1], 0.5, np.random.default_rng(4))
+        assert _rebuild(trace, (0.0,), 1.0, motion_model, 0.0) == {}
+        visual = visual_from_script([0], [0.1])
         with pytest.raises(NoOverlap):
-            shift_and_rebuild(trace, 0.0, 1.0, motion_model, "m")
-
-    def test_rejects_non_motion_input(self, motion_model):
-        with pytest.raises(DataError):
-            shift_and_rebuild(object(), 0.0, 1.0, motion_model, "m")
+            align_offset_search(trace, visual, motion_model, AlignConfig(delta_max=0.0))
 
 
 class TestOffsetSearch:

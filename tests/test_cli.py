@@ -325,6 +325,19 @@ class TestCorrelate:
         assert rc == EXIT_CONFIG
         assert "threads" in capsys.readouterr().err
 
+    def test_seed_config_key_and_flag_are_rejected(self, dataset, tmp_path, capsys):
+        # correlate draws nothing at random, so a seed would be ignored silently
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"seed": 3}))
+        out = tmp_path / "r.jsonl"
+        base = ["correlate", "--visual", dataset["visual"], "--motion", dataset["motion"],
+                "--out", str(out)]
+        assert main(base + ["--config", str(cfg)]) == EXIT_CONFIG
+        assert "unknown config keys: seed" in capsys.readouterr().err
+        assert main(base + ["--seed", "3"]) == EXIT_CONFIG
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBench:
     def test_one_size_two_rows(self, tmp_path, capsys):

@@ -1,21 +1,20 @@
+import os
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import savgol_filter
 
+import motionlink
 from motionlink import pipeline
-from motionlink.align import (
-    AlignConfig,
-    align_offset_search,
-    correlate_with_alignment,
-    shift_and_rebuild,
-)
+from motionlink.align import AlignConfig, align_offset_search
 from motionlink.errors import (
     DataError,
     EmptyWindow,
-    FilterConfigError,
     InvalidConfusionMatrix,
     ModelMismatch,
     TraceTooShort,
@@ -25,7 +24,6 @@ from motionlink.model import (
     ActivityVectorSeries,
     Channel,
     SensorPosition,
-    VisualDataset,
 )
 from motionlink.pipeline import (
     GRAVITY,
@@ -209,63 +207,63 @@ def test_savgol_preserves_polynomials():
     # constants survive everywhere; higher polynomials survive away from the
     # mirrored edges, where reflection deliberately bends the extension
     x = np.linspace(0, 4, 41)
-    out = _smooth_columns(np.full(41, 2.5), 11, 3)
+    out = _smooth_columns(np.full(41, 2.5))
     assert np.allclose(out, 2.5, atol=1e-9)
     for sig in (1.0 + 3.0 * x, 0.5 * x ** 2 - x + 2, x ** 3 - 2 * x):
-        out = _smooth_columns(sig, 11, 3)
+        out = _smooth_columns(sig)
         assert np.allclose(out[5:-5], sig[5:-5], atol=1e-9)
 
 
 def test_savgol_matches_direct_least_squares():
-    rng = np.random.default_rng(7)
-    for window_len, poly_order in ((5, 2), (11, 3), (9, 4)):
-        sig = rng.normal(0, 1, 60)
-        ours = _smooth_columns(sig, window_len, poly_order)
-        oracle = lsq_savgol_oracle(sig, window_len, poly_order)
-        assert np.allclose(ours, oracle, atol=1e-9)
+    sig = np.random.default_rng(7).normal(0, 1, 60)
+    assert np.allclose(_smooth_columns(sig), lsq_savgol_oracle(sig, 11, 3), atol=1e-9)
 
 
 def test_savgol_is_linear():
     rng = np.random.default_rng(8)
     a, b = rng.normal(0, 1, 50), rng.normal(0, 1, 50)
-    lhs = _smooth_columns(2.0 * a + 3.0 * b, 11, 3)
-    rhs = 2.0 * _smooth_columns(a, 11, 3) + 3.0 * _smooth_columns(b, 11, 3)
+    lhs = _smooth_columns(2.0 * a + 3.0 * b)
+    rhs = 2.0 * _smooth_columns(a) + 3.0 * _smooth_columns(b)
     assert np.allclose(lhs, rhs, atol=1e-9)
 
 
 def test_smoothing_is_per_column():
     rng = np.random.default_rng(9)
     arr = rng.normal(0, 1, (40, 3))
-    out = _smooth_columns(arr, 11, 3)
+    out = _smooth_columns(arr)
     for c in range(3):
-        assert np.array_equal(out[:, c], _smooth_columns(arr[:, c], 11, 3))
+        assert np.array_equal(out[:, c], _smooth_columns(arr[:, c]))
     # too short to smooth: returned as is
-    assert np.array_equal(_smooth_columns(arr[:10], 11, 3), arr[:10])
+    assert np.array_equal(_smooth_columns(arr[:10]), arr[:10])
 
 
-def test_savgol_config_errors():
-    # every entry point rejects a bad smoothing window before any compute
-    motion = flat_trace(12.0)
-    model = _fit_motion_model_from_trace(motion, segment_windows(motion, 1.0))
-    series = build_series(motion, 1.0, model, "a0")
-    visual = ActivityVectorSeries(
-        source_id="a0", channel=Channel.VISUAL, window_seconds=1.0,
-        activities=series.activities,
-        magnitudes={p.value: series.motion_magnitudes for p in SensorPosition},
-    )
-    grid = AlignConfig(delta_max=1.0, step=0.5)
-    calls = (
-        lambda **kw: build_series(motion, 1.0, model, "m0", **kw),
-        lambda **kw: build_series(keypoint_trace(3.0), 1.0, model, "a0", **kw),
-        lambda **kw: shift_and_rebuild(motion, 0.5, 1.0, model, "m0", **kw),
-        lambda **kw: align_offset_search(motion, visual, model, grid, **kw),
-        lambda **kw: correlate_with_alignment({"m0": motion}, VisualDataset([visual]),
-                                              model, align=grid, **kw),
-    )
-    for window, order in ((10, 3), (5, 5), (11, -1), (1, 0), (11.0, 3)):
-        for call in calls:
-            with pytest.raises(FilterConfigError):
-                call(savgol_window=window, savgol_order=order)
+def _smoothing_input(rng, kind, shape):
+    if kind == "normal":
+        return rng.normal(0, 1, shape)
+    if kind == "gravity":  # an accelerometer offset at the 1e3 scale
+        return rng.normal(GRAVITY, 1, shape) * 1e3
+    return _signal(rng, kind, shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(11, 3000), columns=st.booleans(),
+       kind=st.sampled_from(["normal", "walk", "ints", "constant", "gravity"]))
+def test_smoothing_equals_scipy_savgol_bit_for_bit(seed, n, columns, kind):
+    rng = np.random.default_rng(seed)
+    x = _smoothing_input(rng, kind, (n, 3) if columns else (n,))
+    assert np.array_equal(_smooth_columns(x), savgol_filter(x, 11, 3, axis=0, mode="mirror"))
+
+
+def test_import_loads_no_scipy():
+    # the runtime needs numpy only; scipy is a test oracle
+    src = os.path.dirname(os.path.dirname(motionlink.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, motionlink; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -600,9 +598,8 @@ _BLOCK = st.sampled_from([1, 40, 1 << 14])
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 120),
        per_window=st.floats(1.0, 8.0), kinds=st.tuples(*[st.sampled_from(
            ["zeros", "constant", "ints", "walk"])] * 2),
-       savgol=st.sampled_from([(11, 3), (5, 2), (3, 0)]), extra=_EXTRA, block=_BLOCK)
-def test_batched_motion_features_equal_scalar_oracle(seed, n, per_window, kinds, savgol,
-                                                     extra, block):
+       extra=_EXTRA, block=_BLOCK)
+def test_batched_motion_features_equal_scalar_oracle(seed, n, per_window, kinds, extra, block):
     rng = np.random.default_rng(seed)
     trace = MotionTrace(_jittered(rng, n, 0.02), _signal(rng, kinds[0], (n, 3)),
                         _signal(rng, kinds[1], (n, 3)))
@@ -612,12 +609,11 @@ def test_batched_motion_features_equal_scalar_oracle(seed, n, per_window, kinds,
     with mock.patch.object(pipeline, "_BLOCK_CELLS", block):
         if (hi <= lo).any():  # a jittered gap emptied a window
             with pytest.raises(EmptyWindow):
-                motion_features(trace, lo, hi, savgol_window=savgol[0], savgol_order=savgol[1])
+                motion_features(trace, lo, hi)
             return
-        feats, mags = motion_features(trace, lo, hi, savgol_window=savgol[0],
-                                      savgol_order=savgol[1])
-    accel = _smooth_columns(trace.accel, *savgol)
-    gyro = _smooth_columns(trace.gyro, *savgol)
+        feats, mags = motion_features(trace, lo, hi)
+    accel = _smooth_columns(trace.accel)
+    gyro = _smooth_columns(trace.gyro)
     want = np.stack([motion_window_features(accel[a:b], gyro[a:b]) for a, b in zip(lo, hi)])
     assert np.array_equal(feats, want)
     assert np.array_equal(mags, [motion_magnitude(trace.accel[a:b]) for a, b in zip(lo, hi)])
@@ -691,8 +687,14 @@ def test_gap_that_empties_a_window_raises_empty_window():
     model = _fit_motion_model_from_trace(motion, segment_windows(motion, 1.0))
     with pytest.raises(EmptyWindow):
         build_series(gapped, 1.0, model, "m0")
+    series = build_series(motion, 1.0, model, "a0")
+    visual = ActivityVectorSeries(
+        source_id="a0", channel=Channel.VISUAL, window_seconds=1.0,
+        activities=series.activities,
+        magnitudes={p.value: series.motion_magnitudes for p in SensorPosition},
+    )
     with pytest.raises(EmptyWindow):
-        shift_and_rebuild(gapped, 0.0, 1.0, model, "m0")
+        align_offset_search(gapped, visual, model, AlignConfig(delta_max=0.0))
 
     kp = keypoint_trace(6.0, jitter=1.0)
     keep = (kp.timestamps < 2.0) | (kp.timestamps >= 3.2)
