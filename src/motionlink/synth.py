@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, InvalidLabelCode
 from .model import (
     ActivityLabel,
     Channel,
@@ -111,6 +111,11 @@ _LABELS = tuple(ActivityLabel)
 
 def _rng(seed: int, salt: int, index: int = 0, session: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, salt, index, session)))
+
+
+def _per_label(table: Mapping[ActivityLabel, object]) -> np.ndarray:
+    """A per-label table as a float array indexed by label code."""
+    return np.array([table[lab] for lab in ActivityLabel], dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -233,10 +238,10 @@ def avatar_id(index: int) -> str:
     return f"a{index:04d}"
 
 
-def _draw_script(spec: CohortSpec, index: int, session: int) -> np.ndarray:
+def _draw_script(spec: CohortSpec, prior: np.ndarray, index: int, session: int) -> np.ndarray:
     src = 0 if spec.shared_script else index
     rng = _rng(spec.seed, _SALT_SCRIPT, src, session)
-    return rng.choice(8, size=spec.n_windows, p=spec.prior_vector()).astype(np.uint8)
+    return rng.choice(8, size=spec.n_windows, p=prior).astype(np.uint8)
 
 
 def _intensity(spec: CohortSpec, index: int) -> float:
@@ -246,11 +251,8 @@ def _intensity(spec: CohortSpec, index: int) -> float:
 
 
 def _realized_amplitudes(
-    spec: CohortSpec, script: np.ndarray, index: int, session: int
+    spec: CohortSpec, base: np.ndarray, script: np.ndarray, index: int, session: int
 ) -> np.ndarray:
-    base = np.array(
-        [spec.magnitude_base[lab] for lab in ActivityLabel], dtype=np.float64
-    )
     amps = base[script] * _intensity(spec, index)
     if spec.magnitude_noise_sd > 0:
         eta = _rng(spec.seed, _SALT_REALIZE, index, session).normal(
@@ -289,10 +291,11 @@ def generate_cohort(
     v_mags = np.empty((count, n_pos, n))
     scripts = {}
     obs = spec.observability_vector()
+    prior, base = spec.prior_vector(), _per_label(spec.magnitude_base)
     for i in range(count):
-        script = _draw_script(spec, i, session)
+        script = _draw_script(spec, prior, i, session)
         scripts[identity_id(i)] = tuple(map(_LABELS.__getitem__, script.tolist()))
-        amps = _realized_amplitudes(spec, script, i, session)
+        amps = _realized_amplitudes(spec, base, script, i, session)
         m_codes[i] = _confuse(script, spec.motion_confusion, spec.seed, _SALT_CONF_MOTION,
                               i, session)
         m_mags[i] = amps
@@ -438,6 +441,15 @@ def _ellipse_mean(ex: float, ey: float) -> float:
 
 _ELLIPSE_MEAN = {lab: _ellipse_mean(*_VISUAL_ELLIPSE[lab]) for lab in ActivityLabel}
 
+# The tables above as arrays indexed by label code, for whole-script lookups:
+# motion columns are accel frequency, x and y weights, gyro frequency and the
+# three gyro weights.
+_MOTION_TABLE = _per_label({lab: (f, wx, wy, fg, *gw)
+                            for lab, (f, wx, wy, fg, gw) in _MOTION_SIGNATURES.items()})
+_WEIGHT_TABLE = _per_label(_VISUAL_WEIGHTS)
+_ELLIPSE_TABLE = _per_label(_VISUAL_ELLIPSE)
+_ELLIPSE_MEAN_TABLE = _per_label(_ELLIPSE_MEAN)
+
 _REST_POSE: dict[str, tuple[float, float]] = {
     "nose": (320.0, 80.0),
     "left_wrist": (240.0, 300.0),
@@ -447,6 +459,16 @@ _REST_POSE: dict[str, tuple[float, float]] = {
     "left_ankle": (285.0, 560.0),
     "right_ankle": (355.0, 560.0),
 }
+
+
+def _checked_script(script: Sequence[int], amplitudes: Sequence[float]):
+    script = np.asarray(script, dtype=np.int64)
+    amps = np.asarray(amplitudes, dtype=np.float64)
+    if script.shape != amps.shape:
+        raise DataError("script and amplitudes must have the same length")
+    if ((script < 0) | (script >= len(_LABELS))).any():
+        raise InvalidLabelCode(f"activity codes must lie in 0..{len(_LABELS) - 1}")
+    return script, amps
 
 
 def synthesize_motion_trace(
@@ -465,35 +487,30 @@ def synthesize_motion_trace(
     signature sets the frequency, the lateral leakage, and the gyroscope
     mix.
     """
-    script = np.asarray(script, dtype=np.int64)
-    amps = np.asarray(amplitudes, dtype=np.float64)
-    if script.shape != amps.shape:
-        raise DataError("script and amplitudes must have the same length")
+    script, amps = _checked_script(script, amplitudes)
     per_win = int(round(window_seconds * sample_rate))
     if per_win < 2:
         raise ConfigError("window too short for the requested sample rate")
     n = len(script)
     dt = window_seconds / per_win
     ts = start_time + np.arange(n * per_win, dtype=np.float64) * dt
-    accel = np.zeros((n * per_win, 3), dtype=np.float64)
-    gyro = np.zeros((n * per_win, 3), dtype=np.float64)
     tau = np.arange(per_win, dtype=np.float64) * dt
-    for t in range(n):
-        lab = ActivityLabel(int(script[t]))
-        freq, wx, wy, freq_g, gw = _MOTION_SIGNATURES[lab]
-        a = amps[t]
-        # peak = (pi/2) * amplitude makes mean |sin| come out to `amplitude`
-        peak = 0.5 * math.pi * a
-        phase = rng.uniform(0.0, 2.0 * math.pi)
-        phase_g = rng.uniform(0.0, 2.0 * math.pi)
-        arg = 2.0 * math.pi * freq * tau
-        arg_g = 2.0 * math.pi * freq_g * tau
-        sl = slice(t * per_win, (t + 1) * per_win)
-        accel[sl, 0] = peak * wx * np.sin(arg + phase + 1.1)
-        accel[sl, 1] = peak * wy * np.cos(arg + phase + 0.4)
-        accel[sl, 2] = GRAVITY + peak * np.sin(arg + phase)
-        for axis in range(3):
-            gyro[sl, axis] = gw[axis] * a * np.sin(arg_g + phase_g + 0.7 * axis)
+    sig = _MOTION_TABLE[script]
+    # peak = (pi/2) * amplitude makes mean |sin| come out to `amplitude`
+    peak = 0.5 * math.pi * amps
+    phase, phase_g = rng.uniform(0.0, 2.0 * math.pi, size=(n, 2)).T
+    # (windows, samples) blocks; each product and sum keeps the order of the
+    # per-window loop this replaced, so traces stay bit-identical to it
+    arg = (2.0 * math.pi * sig[:, 0])[:, None] * tau + phase[:, None]
+    arg_g = (2.0 * math.pi * sig[:, 3])[:, None] * tau + phase_g[:, None]
+    accel = np.empty((n, per_win, 3), dtype=np.float64)
+    accel[:, :, 0] = (peak * sig[:, 1])[:, None] * np.sin(arg + 1.1)
+    accel[:, :, 1] = (peak * sig[:, 2])[:, None] * np.cos(arg + 0.4)
+    accel[:, :, 2] = GRAVITY + peak[:, None] * np.sin(arg)
+    gyro = (sig[:, 4:] * amps[:, None])[:, None, :] * np.sin(
+        arg_g[:, :, None] + 0.7 * np.arange(3)
+    )
+    accel, gyro = accel.reshape(n * per_win, 3), gyro.reshape(n * per_win, 3)
     return MotionTrace(
         timestamps=ts, accel=accel, gyro=gyro, nominal_interval=dt
     )
@@ -519,10 +536,7 @@ def synthesize_keypoint_trace(
     keypoint per window (a whole window of a keypoint disappears at once,
     matching how occlusion behaves).
     """
-    script = np.asarray(script, dtype=np.int64)
-    amps = np.asarray(amplitudes, dtype=np.float64)
-    if script.shape != amps.shape:
-        raise DataError("script and amplitudes must have the same length")
+    script, amps = _checked_script(script, amplitudes)
     per_win = int(round(window_seconds * frame_rate))
     if per_win < 4:
         raise ConfigError("window too short for the requested frame rate")
@@ -532,30 +546,31 @@ def synthesize_keypoint_trace(
     tau = np.arange(per_win, dtype=np.float64) * dt
     obs = keypoint_observability or {}
     # second-central-difference gain of a unit sinusoid at each frequency
-    accel_gain = {
-        lab: (2.0 * math.sin(math.pi * sig[0] * dt) / dt) ** 2 * _ELLIPSE_MEAN[lab]
-        for lab, sig in _MOTION_SIGNATURES.items()
-    }
+    accel_gain = np.array([
+        (2.0 * math.sin(math.pi * freq * dt) / dt) ** 2 * mean
+        for freq, mean in zip(_MOTION_TABLE[:, 0].tolist(), _ELLIPSE_MEAN_TABLE.tolist())
+    ])
+    gain, (ex, ey) = accel_gain[script], _ELLIPSE_TABLE[script].T
+    cycle = (2.0 * math.pi * _MOTION_TABLE[script, 0])[:, None] * tau
     points: dict[str, np.ndarray] = {}
     for name in KEYPOINT_NAMES:
         rest = _REST_POSE[name]
-        group = _KEYPOINT_GROUP[name]
-        xy = np.empty((n * per_win, 2), dtype=np.float64)
+        amp_px = _ACCEL_PER_UNIT * amps * _WEIGHT_TABLE[script, _KEYPOINT_GROUP[name]] / gain
         p_obs = float(obs.get(name, 1.0))
-        for t in range(n):
-            lab = ActivityLabel(int(script[t]))
-            freq = _MOTION_SIGNATURES[lab][0]
-            weight = _VISUAL_WEIGHTS[lab][group]
-            ex, ey = _VISUAL_ELLIPSE[lab]
-            amp_px = _ACCEL_PER_UNIT * amps[t] * weight / accel_gain[lab]
-            phase = rng.uniform(0.0, 2.0 * math.pi)
-            arg = 2.0 * math.pi * freq * tau + phase
-            sl = slice(t * per_win, (t + 1) * per_win)
-            xy[sl, 0] = rest[0] + amp_px * ex * np.sin(arg)
-            xy[sl, 1] = rest[1] + amp_px * ey * 0.6 * np.cos(arg)
-            if p_obs < 1.0 and rng.random() >= p_obs:
-                xy[sl] = np.nan
-        points[name] = xy
+        # per window, the phase draw and then (below full observability)
+        # the dropout draw
+        if p_obs < 1.0:
+            u = rng.random((n, 2))
+            phase, dropped = 2.0 * math.pi * u[:, 0], u[:, 1] >= p_obs
+        else:
+            phase, dropped = rng.uniform(0.0, 2.0 * math.pi, size=n), None
+        arg = cycle + phase[:, None]
+        xy = np.empty((n, per_win, 2), dtype=np.float64)
+        xy[:, :, 0] = rest[0] + (amp_px * ex)[:, None] * np.sin(arg)
+        xy[:, :, 1] = rest[1] + (amp_px * ey * 0.6)[:, None] * np.cos(arg)
+        if dropped is not None:
+            xy[dropped] = np.nan
+        points[name] = xy.reshape(n * per_win, 2)
     return KeypointTrace(timestamps=ts, points=points, frame_rate=frame_rate)
 
 
@@ -590,15 +605,17 @@ def synthesize_trace_cohort(spec: CohortSpec, session: int = 0) -> TraceCohort:
         name: float(obs_vec[_POSITIONS.index(gate)])
         for name, gate in _KEYPOINT_GATE.items()
     }
+    prior, base = spec.prior_vector(), _per_label(spec.magnitude_base)
+    codes = {}
     scripts = {}
     amplitudes = {}
     motion_traces = {}
     keypoint_traces = {}
     for i in range(spec.num_identities):
         ident = identity_id(i)
-        script = _draw_script(spec, i, session)
-        scripts[ident] = tuple(ActivityLabel(int(c)) for c in script)
-        amps = _realized_amplitudes(spec, script, i, session)
+        script = codes[ident] = _draw_script(spec, prior, i, session)
+        scripts[ident] = tuple(map(_LABELS.__getitem__, script.tolist()))
+        amps = _realized_amplitudes(spec, base, script, i, session)
         amplitudes[ident] = amps
         motion_traces[ident] = synthesize_motion_trace(
             script,
@@ -612,9 +629,8 @@ def synthesize_trace_cohort(spec: CohortSpec, session: int = 0) -> TraceCohort:
         aid = avatar_id(j)
         ident = identity_id(i)
         mapping[aid] = ident
-        script_codes = np.array([int(lab) for lab in scripts[ident]], dtype=np.int64)
         keypoint_traces[aid] = synthesize_keypoint_trace(
-            script_codes,
+            codes[ident],
             amplitudes[ident],
             spec.window_seconds,
             _rng(spec.seed, _SALT_TRACE_VISUAL, i, session),
@@ -655,8 +671,7 @@ def train_classifier(
     script = np.repeat(np.arange(8, dtype=np.int64), reps)
     rng.shuffle(script)
     lo, hi = intensity_range
-    base_vec = np.array([base[lab] for lab in ActivityLabel])
-    amps = base_vec[script] * rng.uniform(lo, hi, size=script.size)
+    amps = _per_label(base)[script] * rng.uniform(lo, hi, size=script.size)
     if channel is Channel.MOTION:
         trace = synthesize_motion_trace(script, amps, window_seconds, rng)
         edges = window_edges(trace, window_seconds)

@@ -109,13 +109,18 @@ def estimate_query_memory(p: int, k: int, t_abs: int, raw_hits: int = 0) -> int:
     expand, is known only once the keys have been looked up."""
     keys = p * math.comb(k, t_abs)
     words = -(-k // _WORD)
-    # per query key, the arrays the lookup holds at once: its packed word,
-    # its lower bound, the hit mask, the gathered index word and their xor;
-    # per raw hit (a key with hits has at least one): the hit keys' bounds
-    # and counts, the expanded rows, ids and offsets, the sorted pair codes
-    # and their first-occurrence mask, and the gathered codes of the
-    # distance check
-    base = keys * 33 + raw_hits * (120 + 3 * k) + p * (8 * words + 32 + k)
+    # Per query key, the lookup keeps its packed word, lower bound and hit
+    # mask (17 bytes) and briefly holds the clamped bound, the gathered index
+    # word and their xor: 33.  Per raw hit, since a hit key has at least one
+    # hit and no more pairs come out than hits go in: 24 toward the hit keys'
+    # bounds, words, counts and offsets (40 bytes each, 16 of them in the
+    # freed lookup temporaries); 41 for the run and offset, the
+    # first-occurrence mask and a pair code, row and id; and the most any
+    # one later stage adds: the replaced rows and ids (16), the distance
+    # check's gathered sequences, mismatch mask and count (3k + 8), or the
+    # distances, their mask and the kept rows, ids and distances (33).
+    per_hit = 24 + 41 + max(16, 3 * k + 8, 33)
+    base = keys * 33 + raw_hits * per_hit + p * (8 * words + 32 + k)
     return base + base // 16 + 64 * 1024
 
 

@@ -1,29 +1,46 @@
-"""Scalar per-window reference for the batched window featurizer.
+"""Scalar per-window references for the batched window code.
 
 These are the one-window-at-a-time feature, magnitude and classification
-functions the pipeline used before it featurized windows in blocks.  Tests
-compare `pipeline.motion_features`, `pipeline.visual_features` and
-`pipeline.classify_windows` against them with exact equality, and use them
-to read single windows of synthesized traces.
+functions the pipeline used before it featurized windows in blocks, and the
+per-window trace synthesizers `synth` used before it built traces as block
+arithmetic.  Tests compare `pipeline.motion_features`,
+`pipeline.visual_features`, `pipeline.classify_windows`,
+`synth.synthesize_motion_trace` and `synth.synthesize_keypoint_trace`
+against them with exact equality (the synthesizers also on the generator
+state they leave behind), and use them to read single windows of
+synthesized traces.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from motionlink.errors import DataError, EmptyWindow, ModelMismatch
+from motionlink.errors import ConfigError, DataError, EmptyWindow, ModelMismatch
 from motionlink.model import ActivityLabel, SensorPosition
 from motionlink.pipeline import (
+    DEFAULT_FRAME_RATE,
     FEATURE_GROUPS,
     GRAVITY,
+    KEYPOINT_NAMES,
     POSITION_PROXIES,
     UNOBSERVABLE_MISSING_FRACTION,
     ClassifierModel,
     KeypointTrace,
     MotionTrace,
     window_edges,
+)
+from motionlink.synth import (
+    _ACCEL_PER_UNIT,
+    _ELLIPSE_MEAN,
+    _KEYPOINT_GROUP,
+    _MOTION_SIGNATURES,
+    _REST_POSE,
+    _VISUAL_ELLIPSE,
+    _VISUAL_WEIGHTS,
 )
 
 
@@ -177,3 +194,113 @@ def classify_window(model: ClassifierModel, features: np.ndarray) -> ActivityLab
     z = (features - model.feature_mean) / model.feature_std
     d2 = ((model.centroids - z) ** 2).sum(axis=1)
     return ActivityLabel(int(np.argmin(d2)))  # argmin returns the first == lowest code
+
+
+def synthesize_motion_trace(
+    script: Sequence[int],
+    amplitudes: Sequence[float],
+    window_seconds: float,
+    rng: np.random.Generator,
+    *,
+    sample_rate: float = 50.0,
+    start_time: float = 0.0,
+) -> MotionTrace:
+    """Inertial trace acting out `script`, one entry per window.
+
+    Within window t the vertical acceleration oscillates around gravity with
+    mean absolute deviation equal to amplitudes[t]; the per-activity
+    signature sets the frequency, the lateral leakage, and the gyroscope
+    mix.
+    """
+    script = np.asarray(script, dtype=np.int64)
+    amps = np.asarray(amplitudes, dtype=np.float64)
+    if script.shape != amps.shape:
+        raise DataError("script and amplitudes must have the same length")
+    per_win = int(round(window_seconds * sample_rate))
+    if per_win < 2:
+        raise ConfigError("window too short for the requested sample rate")
+    n = len(script)
+    dt = window_seconds / per_win
+    ts = start_time + np.arange(n * per_win, dtype=np.float64) * dt
+    accel = np.zeros((n * per_win, 3), dtype=np.float64)
+    gyro = np.zeros((n * per_win, 3), dtype=np.float64)
+    tau = np.arange(per_win, dtype=np.float64) * dt
+    for t in range(n):
+        lab = ActivityLabel(int(script[t]))
+        freq, wx, wy, freq_g, gw = _MOTION_SIGNATURES[lab]
+        a = amps[t]
+        # peak = (pi/2) * amplitude makes mean |sin| come out to `amplitude`
+        peak = 0.5 * math.pi * a
+        phase = rng.uniform(0.0, 2.0 * math.pi)
+        phase_g = rng.uniform(0.0, 2.0 * math.pi)
+        arg = 2.0 * math.pi * freq * tau
+        arg_g = 2.0 * math.pi * freq_g * tau
+        sl = slice(t * per_win, (t + 1) * per_win)
+        accel[sl, 0] = peak * wx * np.sin(arg + phase + 1.1)
+        accel[sl, 1] = peak * wy * np.cos(arg + phase + 0.4)
+        accel[sl, 2] = GRAVITY + peak * np.sin(arg + phase)
+        for axis in range(3):
+            gyro[sl, axis] = gw[axis] * a * np.sin(arg_g + phase_g + 0.7 * axis)
+    return MotionTrace(
+        timestamps=ts, accel=accel, gyro=gyro, nominal_interval=dt
+    )
+
+
+def synthesize_keypoint_trace(
+    script: Sequence[int],
+    amplitudes: Sequence[float],
+    window_seconds: float,
+    rng: np.random.Generator,
+    *,
+    frame_rate: float = DEFAULT_FRAME_RATE,
+    start_time: float = 0.0,
+    keypoint_observability: Mapping[str, float] | None = None,
+) -> KeypointTrace:
+    """2-D keypoint trace acting out `script`.
+
+    Each keypoint oscillates around its rest position; excursion scales with
+    the realized amplitude and the activity's per-group weight, divided by
+    the activity's frequency-squared and path-shape factor so the per-window
+    acceleration magnitude comes back as amplitude times one constant no
+    matter which activity produced it.  Dropout, if requested, is drawn per
+    keypoint per window (a whole window of a keypoint disappears at once,
+    matching how occlusion behaves).
+    """
+    script = np.asarray(script, dtype=np.int64)
+    amps = np.asarray(amplitudes, dtype=np.float64)
+    if script.shape != amps.shape:
+        raise DataError("script and amplitudes must have the same length")
+    per_win = int(round(window_seconds * frame_rate))
+    if per_win < 4:
+        raise ConfigError("window too short for the requested frame rate")
+    n = len(script)
+    dt = window_seconds / per_win
+    ts = start_time + np.arange(n * per_win, dtype=np.float64) * dt
+    tau = np.arange(per_win, dtype=np.float64) * dt
+    obs = keypoint_observability or {}
+    # second-central-difference gain of a unit sinusoid at each frequency
+    accel_gain = {
+        lab: (2.0 * math.sin(math.pi * sig[0] * dt) / dt) ** 2 * _ELLIPSE_MEAN[lab]
+        for lab, sig in _MOTION_SIGNATURES.items()
+    }
+    points: dict[str, np.ndarray] = {}
+    for name in KEYPOINT_NAMES:
+        rest = _REST_POSE[name]
+        group = _KEYPOINT_GROUP[name]
+        xy = np.empty((n * per_win, 2), dtype=np.float64)
+        p_obs = float(obs.get(name, 1.0))
+        for t in range(n):
+            lab = ActivityLabel(int(script[t]))
+            freq = _MOTION_SIGNATURES[lab][0]
+            weight = _VISUAL_WEIGHTS[lab][group]
+            ex, ey = _VISUAL_ELLIPSE[lab]
+            amp_px = _ACCEL_PER_UNIT * amps[t] * weight / accel_gain[lab]
+            phase = rng.uniform(0.0, 2.0 * math.pi)
+            arg = 2.0 * math.pi * freq * tau + phase
+            sl = slice(t * per_win, (t + 1) * per_win)
+            xy[sl, 0] = rest[0] + amp_px * ex * np.sin(arg)
+            xy[sl, 1] = rest[1] + amp_px * ey * 0.6 * np.cos(arg)
+            if p_obs < 1.0 and rng.random() >= p_obs:
+                xy[sl] = np.nan
+        points[name] = xy
+    return KeypointTrace(timestamps=ts, points=points, frame_rate=frame_rate)
