@@ -12,9 +12,8 @@ cap hit, 5 file-system trouble.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from importlib import metadata
 from pathlib import Path
 
@@ -44,9 +43,10 @@ from .model import (
     Channel,
     MotionDataset,
     VisualDataset,
-    not_utf8,
     read_dataset_jsonl,
+    read_json,
     write_dataset_jsonl,
+    write_json,
 )
 from .pipeline import (
     build_series,
@@ -123,26 +123,22 @@ class RunConfig:
             raise ConfigError(
                 f"min_observed_fraction must lie in [0, 1], got {self.min_observed_fraction}"
             )
-        if self.top_k < 1:
-            raise ConfigError(f"top_k must be >= 1, got {self.top_k}")
+        if not isinstance(self.restricted, bool):
+            raise ConfigError(f"restricted must be true or false, got {self.restricted!r}")
+        if type(self.top_k) is not int or self.top_k < 1:
+            raise ConfigError(f"top_k must be an integer >= 1, got {self.top_k!r}")
 
 
 _RUN_FIELDS = tuple(f.name for f in fields(RunConfig))
 
 
-def _load_config_file(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-        except UnicodeDecodeError:
-            raise not_utf8(path, ConfigError) from None
+def _config_from_dict(payload) -> dict:
     if not isinstance(payload, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
+        raise ConfigError("config must be a JSON object")
     unknown = sorted(set(payload) - set(_RUN_FIELDS))
     if unknown:
-        raise ConfigError(f"{path}: unknown config keys: {', '.join(unknown)}")
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    RunConfig(**payload)  # the file's values must be valid on their own
     return payload
 
 
@@ -151,16 +147,12 @@ def resolve_run_config(args) -> tuple[RunConfig, set]:
     set of field names that were given explicitly (either way)."""
     values = {}
     if getattr(args, "config", None):
-        values.update(_load_config_file(args.config))
+        values.update(read_json(args.config, _config_from_dict, "config", ConfigError))
     for name in _RUN_FIELDS:
         flag = getattr(args, name, None)
         if flag is not None:
             values[name] = flag
-    try:
-        cfg = RunConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(f"bad run config: {exc}") from exc
-    return cfg, set(values)
+    return RunConfig(**values), set(values)
 
 
 def _parse_floats(text: str, what: str) -> list[float]:
@@ -263,24 +255,7 @@ def cmd_align(args) -> int:
     model = _classifier_for(Channel.MOTION, args)
     align = AlignConfig(delta_max=args.delta_max, step=args.step)
     result = align_offset_search(trace, visual[args.avatar], model, align)
-    payload = {
-        "offset": result.offset,
-        "distance": result.distance,
-        "n_common": result.n_common,
-        "n_effective": result.n_effective,
-        "curve": [
-            {
-                "offset": pt.offset,
-                "distance": pt.distance,
-                "n_common": pt.n_common,
-                "n_effective": pt.n_effective,
-            }
-            for pt in result.curve
-        ],
-    }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+    write_json(args.out, asdict(result))
     print(f"best offset {result.offset:+.3f}s (distance {result.distance})")
     return EXIT_OK
 
@@ -327,9 +302,7 @@ def cmd_correlate(args) -> int:
                 "min_observed_fraction": cfg.min_observed_fraction,
             },
         )
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, sort_keys=True)
-            fh.write("\n")
+        write_json(args.report, report.to_dict())
         print(f"top-1 {report.top_1_rate:.3f}, top-3 {report.top_3_rate:.3f}")
     return EXIT_OK
 
@@ -366,9 +339,7 @@ def cmd_evaluate(args) -> int:
     print(f"incorrectly correlated {report.fraction_incorrect:.4f}")
     print(f"none correlated {report.fraction_none:.4f}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, sort_keys=True)
-            fh.write("\n")
+        write_json(args.out, report.to_dict())
     return EXIT_OK
 
 

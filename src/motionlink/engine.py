@@ -10,7 +10,6 @@ magnitudes.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -33,8 +32,8 @@ from .model import (
     MotionDataset,
     SensorPosition,
     VisualDataset,
-    dumps_canonical,
-    not_utf8,
+    read_json_lines,
+    write_json_lines,
 )
 
 DEFAULT_T_NORM = 0.30
@@ -441,24 +440,8 @@ def ranking_from_dict(obj: Mapping) -> RankedIdentityList:
 
 def write_rankings_jsonl(rankings: Sequence[RankedIdentityList], path,
                          truth: Mapping[str, str] | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in rankings:
-            fh.write(dumps_canonical(ranking_to_dict(r, truth)))
-            fh.write("\n")
+    write_json_lines(path, (ranking_to_dict(r, truth) for r in rankings))
 
 
 def read_rankings_jsonl(path) -> list[RankedIdentityList]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    out.append(ranking_from_dict(json.loads(line)))
-                except (json.JSONDecodeError, DataError) as exc:
-                    raise DataError(f"{path}:{lineno}: {exc}") from None
-        except UnicodeDecodeError:
-            raise not_utf8(path) from None
-    return out
+    return list(read_json_lines(path, ranking_from_dict, "ranking").values())

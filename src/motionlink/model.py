@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from enum import Enum, IntEnum
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import DataError, InvalidLabelCode, LengthMismatch
+from .errors import DataError, InvalidLabelCode, LengthMismatch, MotionLinkError
 
 SERIES_FORMAT_VERSION = 1
 MOTION_KEY = "motion"
@@ -203,10 +204,10 @@ class _SeriesDataset:
                 )
             if codes.size != n:
                 raise LengthMismatch(f"{where(i)}: {codes.size} windows, {where(0)} has {n}")
+            if n and codes.dtype.kind not in "iu":
+                raise DataError(f"{where(i)}: activity codes must be integers, got {codes.dtype}")
         ids, _, _, codes, mags = zip(*rows)
         codes, mags = np.array(codes), np.array(mags, dtype=np.float64)
-        if codes.dtype.kind not in "iu":
-            raise DataError(f"{where(0)}: activity codes must be integers, got {codes.dtype}")
         at = _first((codes < 0) | (codes >= len(_LABELS)))
         if at is not None:
             raise InvalidLabelCode(f"{where(at[0])}: no activity label with code {int(codes[at])}")
@@ -265,7 +266,7 @@ def _series_row(source_id: str, channel: Channel, w: float, activities,
     seqs = [sequences[name] for name in names]
     if len({len(seq) for seq in seqs}) > 1:
         raise LengthMismatch(f"{source_id!r}: magnitude sequences of different lengths")
-    return (source_id, channel, w, np.array(activities, dtype=np.int64),
+    return (source_id, channel, w, np.array(activities),
             np.array(seqs if len(names) > 1 else seqs[0], dtype=np.float64))
 
 
@@ -353,45 +354,39 @@ class ActivityVectorSeries:
 # ---------------------------------------------------------------------------
 # serialization
 #
-# One JSON object per series.  Writers emit sorted keys and compact
-# separators so identical series always produce identical bytes.
+# Every JSON file the toolkit reads or writes goes through the functions
+# below.  Writers emit sorted keys, so identical objects always produce
+# identical bytes; a JSON-lines file holds one canonical object per line.
+# Readers turn whatever malformed content raises into one error naming the
+# file and line.
+
+# What decoding a malformed file, or building objects from its values, can
+# raise; UnicodeDecodeError and JSONDecodeError are ValueErrors.
+_MALFORMED = (RecursionError, KeyError, TypeError, ValueError, AttributeError, OverflowError)
+
+# json accepts NaN and +-Infinity literals; read them all as inf, which
+# validation rejects as not finite, so a NaN read from a file only ever
+# means null
+_decode = json.JSONDecoder(parse_constant=lambda _: math.inf).decode
+
 
 def dumps_canonical(obj) -> str:
     """Canonical JSON: sorted keys, no whitespace, NaN forbidden."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-def _series_json(data: _SeriesDataset, row: int) -> str:
-    mags = data.mags[row].reshape(-1, data.codes.shape[1])
-    entries = np.where(np.isnan(mags), None, mags).tolist()
-    return dumps_canonical({
-        "source_id": data.ids[row],
-        "channel": data.channel.value,
-        "w": data.window_seconds,
-        "activities": data.codes[row].tolist(),
-        "magnitudes": dict(zip(_sequence_names(data.channel), entries)),
-    })
-
-
-def _parse_series(line: str) -> tuple:
-    """The dataset row of one series line."""
-    try:
-        # json accepts NaN and +-Infinity literals; read them all as inf,
-        # which validation rejects, so a NaN in `mags` only ever means null
-        obj = json.loads(line, parse_constant=lambda _: math.inf)
-        return _series_row(str(obj["source_id"]), Channel(obj["channel"]), float(obj["w"]),
-                           obj["activities"], obj["magnitudes"])
-    except KeyError as exc:
-        raise DataError(f"series object missing field {exc.args[0]!r}") from None
-    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
-        raise DataError(f"malformed series object: {exc}") from None
-
-
-def write_dataset_jsonl(dataset: _SeriesDataset, path) -> None:
+def write_json(path, obj) -> None:
+    """One JSON value, sorted keys and default separators, then a newline."""
+    text = json.dumps(obj, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        for row in range(len(dataset)):
-            fh.write(_series_json(dataset, row))
-            fh.write("\n")
+        fh.write(text)
+
+
+def write_json_lines(path, objs: Iterable) -> None:
+    """One canonical JSON line per object."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for obj in objs:
+            fh.write(dumps_canonical(obj) + "\n")
 
 
 def not_utf8(path, error_type=DataError) -> Exception:
@@ -408,25 +403,84 @@ def not_utf8(path, error_type=DataError) -> Exception:
     return error_type(f"{path}: not UTF-8 text")
 
 
+@contextmanager
+def in_file(path, line: int | None = None, what: str = "content", error_type=DataError):
+    """Re-raise what the block raises on malformed content as one
+    error_type naming path:line.  A toolkit error keeps its type and gets
+    the same prefix; a JSON syntax error names its own line, counting the
+    decoded text as starting on `line`."""
+    where = f"{path}:{line}" if line else f"{path}"
+    try:
+        yield
+    except MotionLinkError as exc:
+        raise type(exc)(f"{where}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise error_type(f"{path}:{line + exc.lineno - 1}: not valid JSON "
+                         f"({exc.msg} at column {exc.colno})") from None
+    except _MALFORMED as exc:
+        reason = (f"missing field {exc.args[0]!r}" if isinstance(exc, KeyError)
+                  else "nested too deeply" if isinstance(exc, RecursionError) else exc)
+        raise error_type(f"{where}: bad {what}: {reason}") from None
+
+
+def read_json(path, parse, what: str, error_type=DataError):
+    """parse(value) of the one JSON value in a file.  Malformed content, in
+    the text or in what `parse` makes of it, raises one error_type naming
+    the file and a line: that of a bad byte or a syntax error, else 1."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        raise not_utf8(path, error_type) from None
+    with in_file(path, 1, what, error_type):
+        return parse(_decode(text))
+
+
+def read_json_lines(path, parse, what: str) -> dict:
+    """{line number: parse(value)} of each non-blank line of a JSON-lines
+    file, in file order.  Malformed content raises one DataError naming
+    its line."""
+    out = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if line.strip():
+                    with in_file(path, lineno, what):
+                        out[lineno] = parse(_decode(line))
+        except UnicodeDecodeError:
+            raise not_utf8(path) from None
+    return out
+
+
+def _series_obj(data: _SeriesDataset, row: int) -> dict:
+    mags = data.mags[row].reshape(-1, data.codes.shape[1])
+    entries = np.where(np.isnan(mags), None, mags).tolist()
+    return {
+        "source_id": data.ids[row],
+        "channel": data.channel.value,
+        "w": data.window_seconds,
+        "activities": data.codes[row].tolist(),
+        "magnitudes": dict(zip(_sequence_names(data.channel), entries)),
+    }
+
+
+def _parse_series(obj) -> tuple:
+    """The dataset row of one series object."""
+    return _series_row(str(obj["source_id"]), Channel(obj["channel"]), float(obj["w"]),
+                       obj["activities"], obj["magnitudes"])
+
+
+def write_dataset_jsonl(dataset: _SeriesDataset, path) -> None:
+    write_json_lines(path, (_series_obj(dataset, row) for row in range(len(dataset))))
+
+
 def read_dataset_jsonl(path) -> MotionDataset | VisualDataset:
     """Read a series file into one dataset, validated once after every
     line is parsed.  An error names its line, for a duplicate source id
     the second occurrence; series of mixed channel, width or length are
     refused."""
-    rows, lines = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rows.append(_parse_series(line))
-                except DataError as exc:
-                    raise DataError(f"{path}:{lineno}: {exc}") from None
-                lines.append(lineno)
-        except UnicodeDecodeError:
-            raise not_utf8(path) from None
+    rows = read_json_lines(path, _parse_series, "series")
     if not rows:
         raise DataError(f"{path}: no series found")
-    return _from_rows(rows, lambda i: f"{path}:{lines[i]}")
+    lines = list(rows)
+    return _from_rows(list(rows.values()), lambda i: f"{path}:{lines[i]}")

@@ -12,7 +12,6 @@ and may be unobservable).
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -34,7 +33,11 @@ from .model import (
     MotionDataset,
     SensorPosition,
     VisualDataset,
+    in_file,
     not_utf8,
+    read_json,
+    read_json_lines,
+    write_json_lines,
 )
 
 GRAVITY = 9.81
@@ -129,8 +132,9 @@ class MotionTrace:
 class KeypointTrace:
     """2-D keypoint tracks of one observed avatar.
 
-    points maps keypoint name -> (N, 2) pixel coordinates with NaN rows
-    where the keypoint was not detected in that frame.
+    timestamps are finite and strictly increasing; points maps keypoint
+    name -> (N, 2) pixel coordinates, NaN where the keypoint was not
+    detected in that frame and finite elsewhere.
     """
 
     timestamps: np.ndarray
@@ -141,6 +145,8 @@ class KeypointTrace:
         ts = np.asarray(self.timestamps, dtype=np.float64)
         if ts.ndim != 1 or ts.size == 0:
             raise DataError("timestamps must be a non-empty 1-D array")
+        if not np.isfinite(ts).all():
+            raise DataError("timestamps must be finite")
         if ts.size > 1 and not (np.diff(ts) > 0).all():
             raise DataError("timestamps must be strictly increasing")
         if not self.frame_rate > 0:
@@ -150,6 +156,8 @@ class KeypointTrace:
             arr = np.asarray(arr, dtype=np.float64)
             if arr.shape != (ts.size, 2):
                 raise DataError(f"keypoint {name!r} must be ({ts.size}, 2), got {arr.shape}")
+            if np.isinf(arr).any():
+                raise DataError(f"keypoint {name!r} has infinite coordinates")
             arr.setflags(write=False)
             pts[str(name)] = arr
         ts.setflags(write=False)
@@ -205,48 +213,39 @@ def read_motion_csv(path, nominal_interval: float = DEFAULT_SAMPLE_INTERVAL) -> 
     if not rows:
         raise DataError(f"{path}: no samples")
     arr = np.asarray(rows, dtype=np.float64)
-    return MotionTrace(arr[:, 0], arr[:, 1:4], arr[:, 4:7], nominal_interval)
+    with in_file(path):
+        return MotionTrace(arr[:, 0], arr[:, 1:4], arr[:, 4:7], nominal_interval)
 
 
 def write_keypoint_jsonl(trace: KeypointTrace, path) -> None:
     names = sorted(trace.points)
-    with open(path, "w", encoding="utf-8") as fh:
-        for i in range(len(trace)):
-            kp = {}
-            for name in names:
-                xy = trace.points[name][i]
-                kp[name] = None if np.isnan(xy).any() else [float(xy[0]), float(xy[1])]
-            fh.write(json.dumps({"ts": float(trace.timestamps[i]), "kp": kp},
-                               sort_keys=True, separators=(",", ":")))
-            fh.write("\n")
+    write_json_lines(path, ({
+        "ts": float(trace.timestamps[i]),
+        "kp": {name: None if np.isnan(trace.points[name][i]).any()
+               else trace.points[name][i].tolist() for name in names},
+    } for i in range(len(trace))))
+
+
+def _keypoint_frame(obj) -> tuple[float, dict]:
+    """The timestamp and {keypoint: [x, y] or None} of one frame object."""
+    kp = {}
+    for name, xy in obj["kp"].items():
+        if xy is not None:
+            x, y = xy
+            xy = [float(x), float(y)]
+        kp[name] = xy
+    return float(obj["ts"]), kp
 
 
 def read_keypoint_jsonl(path, frame_rate: float = DEFAULT_FRAME_RATE) -> KeypointTrace:
-    ts, frames = [], []
-    names: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                    ts.append(float(obj["ts"]))
-                    frames.append(obj["kp"])
-                    names.update(obj["kp"])
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                    raise DataError(f"{path}:{lineno}: bad keypoint frame: {exc}") from None
-        except UnicodeDecodeError:
-            raise not_utf8(path) from None
-    if not ts:
+    frames = list(read_json_lines(path, _keypoint_frame, "keypoint frame").values())
+    if not frames:
         raise DataError(f"{path}: no frames")
-    points = {name: np.full((len(ts), 2), np.nan) for name in names}
-    for i, frame in enumerate(frames):
-        for name, xy in frame.items():
-            if xy is not None:
-                points[name][i] = xy
-    return KeypointTrace(np.asarray(ts), points, frame_rate)
+    missing = [math.nan, math.nan]
+    points = {name: np.array([kp.get(name) or missing for _, kp in frames])
+              for name in sorted(set().union(*(kp for _, kp in frames)))}
+    with in_file(path):
+        return KeypointTrace(np.array([ts for ts, _ in frames]), points, frame_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -558,29 +557,18 @@ def fit_classifier(features: np.ndarray, labels: Sequence[ActivityLabel] | np.nd
 
 
 def save_classifier(model: ClassifierModel, path) -> None:
-    obj = {
+    write_json_lines(path, [{  # one compact line
         "channel": model.channel.value,
         "feature_mean": model.feature_mean.tolist(),
         "feature_std": model.feature_std.tolist(),
         "centroids": model.centroids.tolist(),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    }])
 
 
 def load_classifier(path) -> ClassifierModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-            return ClassifierModel(
-                Channel(obj["channel"]),
-                np.asarray(obj["feature_mean"]),
-                np.asarray(obj["feature_std"]),
-                np.asarray(obj["centroids"]),
-            )
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
-            raise DataError(f"{path}: bad classifier model: {exc}") from None
+    return read_json(path, lambda obj: ClassifierModel(
+        Channel(obj["channel"]), obj["feature_mean"], obj["feature_std"], obj["centroids"],
+    ), "classifier model")
 
 
 # ---------------------------------------------------------------------------

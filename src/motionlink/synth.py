@@ -18,7 +18,6 @@ identity's data is reproducible regardless of generation order.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -33,7 +32,8 @@ from .model import (
     SensorPosition,
     VisualDataset,
     label_from_token,
-    not_utf8,
+    read_json,
+    write_json,
 )
 from .pipeline import (
     DEFAULT_FRAME_RATE,
@@ -149,23 +149,25 @@ class CohortSpec:
             raise ConfigError("num_identities must be >= 1")
         if self.n_windows < 1:
             raise ConfigError("n_windows must be >= 1")
-        if not self.window_seconds > 0:
-            raise ConfigError("window_seconds must be positive")
+        if not 0 < self.window_seconds < math.inf:
+            raise ConfigError("window_seconds must be positive and finite")
         lo, hi = self.intensity_range
-        if not (0 < lo <= hi):
-            raise ConfigError("intensity_range must satisfy 0 < low <= high")
-        if self.magnitude_noise_sd < 0:
-            raise ConfigError("magnitude_noise_sd must be >= 0")
+        if not (0 < lo <= hi < math.inf):
+            raise ConfigError("intensity_range must satisfy 0 < low <= high < inf")
+        if not 0 <= self.magnitude_noise_sd < math.inf:
+            raise ConfigError("magnitude_noise_sd must be finite and >= 0")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.activity_prior is not None:
+            if not all(0 <= v < math.inf for v in self.activity_prior.values()):
+                raise ConfigError("activity_prior entries must be finite and >= 0")
             total = math.fsum(self.activity_prior.get(lab, 0.0) for lab in ActivityLabel)
             if abs(total - 1.0) > 1e-9:
                 raise ConfigError(f"activity_prior must sum to 1, got {total!r}")
-            if any(v < 0 for v in self.activity_prior.values()):
-                raise ConfigError("activity_prior entries must be >= 0")
         for lab in ActivityLabel:
             base = self.magnitude_base.get(lab)
-            if base is None or base < 0:
-                raise ConfigError(f"magnitude_base missing or negative for {lab.token}")
+            if base is None or not 0 <= base < math.inf:
+                raise ConfigError(f"magnitude_base for {lab.token} must be given, finite, >= 0")
         if self.position_observability is not None:
             for pos, p in self.position_observability.items():
                 if not 0.0 <= p <= 1.0:
@@ -207,27 +209,25 @@ class GroundTruth:
     def from_dict(cls, payload: Mapping) -> "GroundTruth":
         try:
             mapping = {str(k): str(v) for k, v in payload["avatars"].items()}
-            scripts = {
-                str(k): tuple(ActivityLabel(int(c)) for c in v)
-                for k, v in payload["scripts"].items()
-            }
+            scripts = {str(k): tuple(map(_label, v)) for k, v in payload["scripts"].items()}
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise DataError(f"malformed ground truth payload: {exc}") from exc
         return cls(mapping=mapping, scripts=scripts)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path) -> "GroundTruth":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                payload = json.load(fh)
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                raise DataError(f"{path}: not valid JSON ({exc})") from None
-        return cls.from_dict(payload)
+        return read_json(path, cls.from_dict, "ground truth")
+
+
+def _label(code) -> ActivityLabel:
+    """The label of an integer code read from a file; a float or a
+    boolean is refused rather than truncated."""
+    if type(code) is not int or not 0 <= code < len(_LABELS):
+        raise ValueError(f"no activity label with code {code!r}")
+    return _LABELS[code]
 
 
 def identity_id(index: int) -> str:
@@ -804,11 +804,4 @@ def cohort_spec_to_dict(spec: CohortSpec) -> dict:
 
 
 def load_cohort_spec(path) -> CohortSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"cohort spec {path}: invalid JSON ({exc})") from exc
-        except UnicodeDecodeError:
-            raise not_utf8(path, ConfigError) from None
-    return cohort_spec_from_dict(payload)
+    return read_json(path, cohort_spec_from_dict, "cohort spec", ConfigError)

@@ -126,6 +126,25 @@ class TestGenerate:
         assert main(["generate", "--spec", spec, "--out-dir", str(tmp_path / "d")]) == EXIT_CONFIG
         assert "activity_prior" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", -1),
+        ("activity_prior", {"idle": math.nan, "walking": 1.0}),
+        ("intensity_range", [1.0, math.inf]),
+        ("magnitude_noise_sd", math.nan),
+        ("magnitude_base", {"idle": math.nan}),
+        ("magnitude_base", {"walking": math.inf}),
+        ("window_seconds", math.inf),
+    ], ids=["seed", "prior-nan", "intensity-inf", "noise-nan", "base-nan", "base-inf",
+            "width-inf"])
+    def test_bad_spec_value_is_config_error(self, tmp_path, capsys, field, value):
+        spec = write_spec(tmp_path / "spec.json", **{field: value})
+        out = tmp_path / "d"
+        assert main(["generate", "--spec", spec, "--out-dir", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {spec}:1: {field} ")
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
     def test_traces_layout(self, tmp_path):
         spec = write_spec(tmp_path / "spec.json", num_identities=2, n_windows=10)
         out = tmp_path / "d"
@@ -232,8 +251,15 @@ class TestCorrelate:
             1, -0.5), "magnitude entry 1 is negative"),
         ("visual", 2, lambda obj, first: obj["activities"].__setitem__(0, 8),
          "no activity label with code 8"),
+        # a float or boolean code is refused, never truncated
+        ("visual", 3, lambda obj, first: obj.update(
+            activities=[c + 0.5 for c in obj["activities"]]), "activity codes must be integers"),
+        ("motion", 2, lambda obj, first: obj.update(
+            activities=[c % 2 == 1 for c in obj["activities"]]),
+         "activity codes must be integers"),
     ], ids=["duplicate-id", "second-channel", "second-width", "other-length",
-            "visual-nan", "motion-nan", "infinity", "negative", "code-8"])
+            "visual-nan", "motion-nan", "infinity", "negative", "code-8", "float-codes",
+            "bool-codes"])
     def test_bad_series_line_is_named(self, dataset, tmp_path, capsys, which, lineno,
                                       mutate, message):
         objs = [json.loads(line) for line in Path(dataset[which]).read_text().splitlines()]
@@ -435,31 +461,92 @@ def trace_dir(tmp_path_factory):
     return out
 
 
-@pytest.mark.parametrize("argv,code", [
-    (["correlate", "--visual", "{bad}", "--motion", "{motion}", "--out", "{out}"], EXIT_DATA),
-    (["correlate", "--visual", "{visual}", "--motion", "{bad}", "--out", "{out}"], EXIT_DATA),
-    (["correlate", "--config", "{bad}", "--visual", "{visual}", "--motion", "{motion}",
-      "--out", "{out}"], EXIT_CONFIG),
-    (["evaluate", "--rankings", "{bad}", "--truth", "{truth}"], EXIT_DATA),
-    (["generate", "--spec", "{bad}", "--out-dir", "{out}"], EXIT_CONFIG),
-    (["build-series", "--trace", "{bad}.csv", "--channel", "motion", "--out", "{out}"],
-     EXIT_DATA),
-    (["build-series", "--trace", "{bad}.jsonl", "--channel", "visual", "--out", "{out}"],
-     EXIT_DATA),
-], ids=["visual", "motion", "config", "rankings", "spec", "motion-csv", "keypoints"])
-def test_undecodable_input_is_one_line_error(dataset, tmp_path, capsys, argv, code):
-    # a UTF-16 byte-order mark on line 2: not UTF-8
+# one command per input-file reader, {bad} the file under test; each
+# command's other inputs are well formed
+READERS = {
+    "visual": (["correlate", "--visual", "{bad}", "--motion", "{motion}", "--out", "{out}"],
+               EXIT_DATA),
+    "motion": (["correlate", "--visual", "{visual}", "--motion", "{bad}", "--out", "{out}"],
+               EXIT_DATA),
+    "config": (["correlate", "--config", "{bad}", "--visual", "{visual}", "--motion",
+                "{motion}", "--out", "{out}"], EXIT_CONFIG),
+    "rankings": (["evaluate", "--rankings", "{bad}", "--truth", "{truth}", "--out", "{out}"],
+                 EXIT_DATA),
+    "spec": (["generate", "--spec", "{bad}", "--out-dir", "{out}"], EXIT_CONFIG),
+    "motion-csv": (["build-series", "--trace", "{bad}", "--channel", "motion", "--out",
+                    "{out}"], EXIT_DATA),
+    "keypoints": (["build-series", "--trace", "{bad}", "--channel", "visual", "--out",
+                   "{out}"], EXIT_DATA),
+    "truth": (["evaluate", "--rankings", "{rankings}", "--truth", "{bad}", "--out", "{out}"],
+              EXIT_DATA),
+    "model": (["build-series", "--trace", "{trace}", "--channel", "motion", "--out", "{out}",
+               "--model", "{bad}"], EXIT_DATA),
+}
+JSON_READERS = [name for name in READERS if name != "motion-csv"]
+
+
+def run_on_bad_file(reader, content: bytes, dataset, trace_dir, tmp_path, capsys) -> str:
+    """stderr of the reader's command on a file holding `content`, after
+    checking its exit code, that it is one line naming the file, and that
+    no output was written."""
     bad = tmp_path / "bad"
-    for path in (bad, bad.with_suffix(".csv"), bad.with_suffix(".jsonl")):
-        path.write_bytes(b"{}\n\xff\xfe{}\n")
+    bad.write_bytes(content)
+    rankings = tmp_path / "rankings.jsonl"
+    rankings.write_text("")
     out = tmp_path / "out"
-    names = dict(dataset, bad=str(bad), out=str(out))
-    rc = main([arg.format(**names) for arg in argv])
-    assert rc == code
+    names = dict(dataset, bad=str(bad), out=str(out), rankings=str(rankings),
+                 trace=str(trace_dir / "motion" / "u0000.csv"))
+    argv, code = READERS[reader]
+    assert main([arg.format(**names) for arg in argv]) == code
     err = capsys.readouterr().err
-    assert f"{bad}" in err and ":2: not UTF-8 text" in err
+    assert err.startswith(f"error: {bad}:")
     assert len(err.strip().splitlines()) == 1
     assert not out.exists()
+    return err
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_undecodable_input_is_one_line_error(dataset, trace_dir, tmp_path, capsys, reader):
+    # a UTF-16 byte-order mark on line 2: not UTF-8
+    err = run_on_bad_file(reader, b"{}\n\xff\xfe{}\n", dataset, trace_dir, tmp_path, capsys)
+    assert ":2: not UTF-8 text" in err
+
+
+DEEP = "[" * 100_000 + "]" * 100_000
+
+# a wrongly typed field for each JSON reader
+WRONG_TYPE = {
+    "visual": '{"source_id": "a", "channel": "visual", "w": "x", "activities": [], '
+              '"magnitudes": {}}',
+    "motion": '{"source_id": "u", "channel": "motion", "w": 1.0, "activities": [1], '
+              '"magnitudes": {"motion": "ab"}}',
+    "config": '{"t_norm": "x"}',
+    "rankings": '{"avatar": "a0", "ranking": [{"identity": "u0", "rho": "x", '
+                '"position": "left_wrist"}]}',
+    "spec": '{"num_identities": "x", "n_windows": 3}',
+    "keypoints": '{"ts": "x", "kp": {}}',
+    "truth": '{"avatars": {"a0": "u0"}, "scripts": {"u0": [1.5]}}',
+    "model": '{"channel": 5, "feature_mean": [], "feature_std": [], "centroids": []}',
+}
+
+
+@pytest.mark.parametrize("reader, content", [
+    *(pytest.param(r, "[1, 2]", id=f"{r}-list") for r in JSON_READERS),
+    *(pytest.param(r, DEEP, id=f"{r}-deep") for r in JSON_READERS),
+    *(pytest.param(r, WRONG_TYPE[r], id=f"{r}-type") for r in JSON_READERS),
+    pytest.param("config", '{"top_k": 2.5}', id="config-float-top-k"),
+    pytest.param("config", '{"restricted": "no"}', id="config-string-flag"),
+    pytest.param("model", '"x"', id="model-string"),
+    pytest.param("keypoints", '{"ts": 0.0, "kp": [1]}', id="keypoints-kp-list"),
+    pytest.param("keypoints", '{"ts": 0.0, "kp": {"nose": "ab"}}', id="keypoints-xy-string"),
+    pytest.param("spec", '{"num_identities": 2, "n_windows": 3, "magnitude_noise_sd": [1]}',
+                 id="spec-noise-list"),
+    pytest.param("truth", '{"avatars": {"a0": "u0"}, "scripts": {"u0": [true]}}',
+                 id="truth-bool-code"),
+])
+def test_malformed_content_is_one_line_error(dataset, trace_dir, tmp_path, capsys,
+                                             reader, content):
+    run_on_bad_file(reader, f"{content}\n".encode(), dataset, trace_dir, tmp_path, capsys)
 
 
 class TestTraceCommands:
@@ -495,6 +582,22 @@ class TestTraceCommands:
                    "--visual", str(visual), "--avatar", "a9999",
                    "--out", str(tmp_path / "x.json")])
         assert rc == EXIT_DATA
+
+    @pytest.mark.parametrize("frame, message", [
+        ('{"ts": NaN, "kp": {}}', "timestamps must be finite"),
+        ('{"ts": 0.0, "kp": {"nose": [Infinity, 1.0]}}',
+         "keypoint 'nose' has infinite coordinates"),
+    ], ids=["nan-stamp", "infinite-point"])
+    def test_non_finite_keypoint_frame_is_data_error(self, tmp_path, capsys, frame, message):
+        trace = tmp_path / "kp.jsonl"
+        trace.write_text(frame + "\n")
+        out = tmp_path / "v.jsonl"
+        rc = main(["build-series", "--trace", str(trace), "--channel", "visual",
+                   "--out", str(out)])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == f"error: {trace}: {message}\n"
+        assert not out.exists()
 
     def test_model_channel_mismatch_is_config_error(self, trace_dir, tmp_path, capsys):
         model = tmp_path / "model.json"

@@ -1,8 +1,11 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import motionlink
 from motionlink.errors import DataError, InvalidLabelCode, LengthMismatch
 from motionlink.model import (
     ActivityLabel,
@@ -212,6 +215,38 @@ def test_series_from_json_rejects_garbage(tmp_path):
         path.write_text(line + "\n")
         with pytest.raises(error, match=f"{path}:1: "):
             read_dataset_jsonl(path)
+
+
+@pytest.mark.parametrize("codes", ["[1.5]", "[2.0]", "[true]"])
+def test_series_codes_must_be_integers(tmp_path, codes):
+    # a float or boolean code is refused, never truncated to an integer
+    path = tmp_path / "bad.jsonl"
+    path.write_text(f'{{"source_id":"x","channel":"motion","w":1.0,"activities":{codes},'
+                    f'"magnitudes":{{"motion":[1.0]}}}}\n')
+    with pytest.raises(DataError, match=f"{path}:1: activity codes must be integers"):
+        read_dataset_jsonl(path)
+    with pytest.raises(DataError, match="activity codes must be integers"):
+        ActivityVectorSeries("x", Channel.MOTION, 1.0, json.loads(codes),
+                             {"motion": MagnitudeSeq([1.0])})
+
+
+def _imports_json(path: Path) -> bool:
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name == "json" or name.startswith("json.") for name in names):
+            return True
+    return False
+
+
+def test_only_model_imports_json():
+    # every file reader and writer goes through the JSON functions of model.py
+    package = Path(motionlink.__file__).parent
+    assert [p.name for p in sorted(package.rglob("*.py")) if _imports_json(p)] == ["model.py"]
 
 
 def test_dataset_invariants():

@@ -141,6 +141,31 @@ def test_keypoint_jsonl_roundtrip(tmp_path):
         assert np.array_equal(back.points[name], tr.points[name], equal_nan=True)
 
 
+def test_keypoint_trace_rejects_non_finite_stamps_and_infinite_points():
+    ts = np.arange(3) / 30.0
+    ok = np.array([[1.0, 2.0], [np.nan, np.nan], [3.0, 4.0]])  # NaN: not detected
+    KeypointTrace(ts, {"nose": ok})
+    for bad_ts in (np.nan, np.inf):
+        with pytest.raises(DataError, match="timestamps must be finite"):
+            KeypointTrace(np.array([0.0, bad_ts, 1.0]), {"nose": ok})
+    with pytest.raises(DataError, match="'nose' has infinite coordinates"):
+        KeypointTrace(ts, {"nose": np.where(np.isnan(ok), -np.inf, ok)})
+
+
+def test_motion_csv_names_the_file_of_a_bad_trace(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("ts,ax,ay,az,gx,gy,gz\n0,nan,0,9.81,0,0,0\n")
+    with pytest.raises(DataError, match=f"^{path}: trace contains non-finite values"):
+        read_motion_csv(path)
+
+
+def test_keypoint_jsonl_names_the_file_of_a_bad_trace(tmp_path):
+    path = tmp_path / "kp.jsonl"
+    path.write_text('{"ts": 1.0, "kp": {}}\n{"ts": 0.5, "kp": {}}\n')
+    with pytest.raises(DataError, match=f"^{path}: timestamps must be strictly increasing"):
+        read_keypoint_jsonl(path)
+
+
 # ---------------------------------------------------------------------------
 # windowing
 

@@ -81,6 +81,21 @@ class TestSpecValidation:
                 position_observability={SensorPosition.LEFT_WRIST: 1.5},
             )
 
+    @pytest.mark.parametrize("kwargs", [
+        {"seed": -1},
+        {"activity_prior": {ActivityLabel.IDLE: math.nan, ActivityLabel.WALKING: 1.0}},
+        {"intensity_range": (1.0, math.inf)},
+        {"magnitude_noise_sd": math.nan},
+        {"magnitude_noise_sd": math.inf},
+        {"magnitude_base": {**DEFAULT_MAGNITUDE_BASE, ActivityLabel.IDLE: math.nan}},
+        {"magnitude_base": {**DEFAULT_MAGNITUDE_BASE, ActivityLabel.WALKING: math.inf}},
+        {"window_seconds": math.inf},
+    ], ids=["seed", "prior-nan", "intensity-inf", "noise-nan", "noise-inf", "base-nan",
+            "base-inf", "width-inf"])
+    def test_rejects_non_finite_values_and_negative_seed(self, kwargs):
+        with pytest.raises(ConfigError, match=next(iter(kwargs))):
+            CohortSpec(num_identities=2, n_windows=4, **kwargs)
+
 
 class TestChannelMode:
     def test_shapes_and_ids(self):
@@ -231,6 +246,11 @@ class TestGroundTruth:
         loaded = GroundTruth.load(path)
         assert dict(loaded.mapping) == dict(truth.mapping)
         assert dict(loaded.scripts) == dict(truth.scripts)
+
+    @pytest.mark.parametrize("code", [1.5, 2.0, True, -1, 8, "1"])
+    def test_label_codes_must_be_integers_in_range(self, code):
+        with pytest.raises(DataError, match="no activity label with code"):
+            GroundTruth.from_dict({"avatars": {"a0": "u0"}, "scripts": {"u0": [0, code]}})
 
     def test_unknown_avatar(self):
         truth = GroundTruth(mapping={"a0000": "u0000"}, scripts={})
