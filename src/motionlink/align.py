@@ -155,7 +155,6 @@ def align_offset_search(
     align: AlignConfig = AlignConfig(),
     *,
     restricted: frozenset[ActivityLabel] | None = None,
-    grid_origin: float | None = None,
 ) -> AlignmentResult:
     """Find the trace offset whose rebuilt labels best match one series.
 
@@ -167,8 +166,7 @@ def align_offset_search(
     w = visual_series.window_seconds
     v_codes = visual_series.codes
     lut = _restricted_lut(restricted) if restricted is not None else None
-    origin = float(trace.timestamps[0]) if grid_origin is None else float(grid_origin)
-    rebuilt = _rebuild(trace, align.offsets(), w, model, origin)
+    rebuilt = _rebuild(trace, align.offsets(), w, model, float(trace.timestamps[0]))
     curve = []
     best: OffsetScore | None = None
     for offset, (codes, _, first) in rebuilt.items():
@@ -199,7 +197,6 @@ def correlate_with_alignment(
     align: AlignConfig = AlignConfig(),
     *,
     min_observed_fraction: float = DEFAULT_MIN_OBSERVED_FRACTION,
-    grid_origin: float | None = None,
 ) -> tuple[list[RankedIdentityList], dict[str, dict[str, float]]]:
     """Filter-and-rank where every identity's clock may be off.
 
@@ -223,8 +220,7 @@ def correlate_with_alignment(
     # the overlapping offsets in preference order
     scored: dict[str, list[_Scored]] = {}
     for ident, trace in motion_traces.items():
-        origin = float(trace.timestamps[0]) if grid_origin is None else float(grid_origin)
-        rebuilt = _rebuild(trace, align.offsets(), w, model, origin)
+        rebuilt = _rebuild(trace, align.offsets(), w, model, float(trace.timestamps[0]))
         if not rebuilt:
             raise NoOverlap(f"trace {ident!r}: no offset produces a full window")
         rows = []

@@ -111,6 +111,10 @@ class RunConfig:
     top_k: int = 3
 
     def __post_init__(self):
+        for name in ("w", "t_norm", "min_observed_fraction"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
         if not self.w > 0:
             raise ConfigError(f"w must be positive, got {self.w}")
         if not 0.0 <= self.t_norm <= 1.0:

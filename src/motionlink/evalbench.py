@@ -41,6 +41,7 @@ from .synth import (
     permute_expand,
     train_classifier,
 )
+from .windex import build_index, filter_pairs_indexed
 
 __all__ = [
     "Outcome",
@@ -420,12 +421,9 @@ def _time_naive(v_mat, m_mat, t_abs: int) -> tuple[float, int]:
     return elapsed * 1e3, int(rows.size)
 
 
-def _time_indexed(v_mat, m_mat, t_abs: int, memory_cap_bytes) -> tuple[float, int]:
-    from .windex import WildcardIndex, filter_pairs_indexed
-
+def _time_indexed(v_mat, m_mat, t_abs: int) -> tuple[float, int]:
     start = time.perf_counter()
-    index = WildcardIndex.build(m_mat, t_abs, memory_cap_bytes=memory_cap_bytes)
-    rows, ids, _ = filter_pairs_indexed(v_mat, index, memory_cap_bytes=memory_cap_bytes)
+    rows, _, _ = filter_pairs_indexed(v_mat, build_index(m_mat, t_abs))
     elapsed = time.perf_counter() - start
     return elapsed * 1e3, int(rows.size)
 
@@ -433,8 +431,7 @@ def _time_indexed(v_mat, m_mat, t_abs: int, memory_cap_bytes) -> tuple[float, in
 def bench_scaling(sizes: Sequence[tuple[int, int]], k: int = 10, t_abs: int = 3,
                   methods: Sequence[str] = ("naive", "indexed"), *,
                   seed: int = 0,
-                  naive_cutoff: int = DEFAULT_NAIVE_CUTOFF,
-                  memory_cap_bytes: int | None = None) -> list[ScalingRow]:
+                  naive_cutoff: int = DEFAULT_NAIVE_CUTOFF) -> list[ScalingRow]:
     """Time the filtering stage per size and method.
 
     Dataset generation is excluded from the clock.  Naive rows whose p*q
@@ -459,7 +456,7 @@ def bench_scaling(sizes: Sequence[tuple[int, int]], k: int = 10, t_abs: int = 3,
                 wall_ms, retained = _time_naive(v_mat, m_mat, t_abs)
             else:
                 try:
-                    wall_ms, retained = _time_indexed(v_mat, m_mat, t_abs, memory_cap_bytes)
+                    wall_ms, retained = _time_indexed(v_mat, m_mat, t_abs)
                 except MemoryCapExceeded:
                     rows.append(ScalingRow(p, q, k, t_abs, method, "refused", None, None))
                     continue

@@ -120,13 +120,6 @@ class MagnitudeSeq:
     def observed_mask(self) -> np.ndarray:
         return ~np.isnan(self._values)
 
-    @property
-    def n_observed(self) -> int:
-        return int(self.observed_mask.sum())
-
-    def observed_fraction(self) -> float:
-        return self.n_observed / len(self) if len(self) else 0.0
-
     def entries(self) -> list[float | None]:
         return np.where(np.isnan(self._values), None, self._values).tolist()
 

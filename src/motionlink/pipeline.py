@@ -191,7 +191,7 @@ def write_motion_csv(trace: MotionTrace, path) -> None:
             )
 
 
-def read_motion_csv(path, nominal_interval: float = DEFAULT_SAMPLE_INTERVAL) -> MotionTrace:
+def read_motion_csv(path) -> MotionTrace:
     with open(path, "r", newline="", encoding="utf-8") as fh:
         try:
             reader = csv.reader(fh)
@@ -214,7 +214,7 @@ def read_motion_csv(path, nominal_interval: float = DEFAULT_SAMPLE_INTERVAL) -> 
         raise DataError(f"{path}: no samples")
     arr = np.asarray(rows, dtype=np.float64)
     with in_file(path):
-        return MotionTrace(arr[:, 0], arr[:, 1:4], arr[:, 4:7], nominal_interval)
+        return MotionTrace(arr[:, 0], arr[:, 1:4], arr[:, 4:7])
 
 
 def write_keypoint_jsonl(trace: KeypointTrace, path) -> None:
@@ -226,18 +226,25 @@ def write_keypoint_jsonl(trace: KeypointTrace, path) -> None:
     } for i in range(len(trace))))
 
 
+def _number(value) -> float:
+    """A JSON number as a float; a boolean or a string is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _keypoint_frame(obj) -> tuple[float, dict]:
     """The timestamp and {keypoint: [x, y] or None} of one frame object."""
     kp = {}
     for name, xy in obj["kp"].items():
         if xy is not None:
             x, y = xy
-            xy = [float(x), float(y)]
+            xy = [_number(x), _number(y)]
         kp[name] = xy
-    return float(obj["ts"]), kp
+    return _number(obj["ts"]), kp
 
 
-def read_keypoint_jsonl(path, frame_rate: float = DEFAULT_FRAME_RATE) -> KeypointTrace:
+def read_keypoint_jsonl(path) -> KeypointTrace:
     frames = list(read_json_lines(path, _keypoint_frame, "keypoint frame").values())
     if not frames:
         raise DataError(f"{path}: no frames")
@@ -245,7 +252,7 @@ def read_keypoint_jsonl(path, frame_rate: float = DEFAULT_FRAME_RATE) -> Keypoin
     points = {name: np.array([kp.get(name) or missing for _, kp in frames])
               for name in sorted(set().union(*(kp for _, kp in frames)))}
     with in_file(path):
-        return KeypointTrace(np.array([ts for ts, _ in frames]), points, frame_rate)
+        return KeypointTrace(np.array([ts for ts, _ in frames]), points)
 
 
 # ---------------------------------------------------------------------------
@@ -598,22 +605,15 @@ class ConfusionMatrix:
         rows.setflags(write=False)
         self.rows = rows
 
-    @classmethod
-    def identity(cls) -> "ConfusionMatrix":
-        return cls(np.eye(len(ActivityLabel)))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ConfusionMatrix):
             return NotImplemented
         return np.array_equal(self.rows, other.rows)
 
 
-def apply_confusion(codes, matrix: ConfusionMatrix,
-                    rng: np.random.Generator | int) -> np.ndarray:
-    """Resample each activity code through the confusion channel,
-    deterministically per seed; returns uint8 codes."""
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
+def apply_confusion(codes, matrix: ConfusionMatrix, rng: np.random.Generator) -> np.ndarray:
+    """Resample each activity code through the confusion channel with
+    `rng`'s draws; returns uint8 codes."""
     codes = np.asarray(codes, dtype=np.intp)
     if ((codes < 0) | (codes >= len(ActivityLabel))).any():
         raise InvalidLabelCode("activity codes must lie in 0..7")

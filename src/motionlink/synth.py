@@ -63,7 +63,6 @@ __all__ = [
     "synthesize_trace_cohort",
     "train_classifier",
     "load_cohort_spec",
-    "cohort_spec_to_dict",
     "cohort_spec_from_dict",
 ]
 
@@ -189,12 +188,6 @@ class GroundTruth:
 
     mapping: Mapping[str, str]
     scripts: Mapping[str, tuple[ActivityLabel, ...]]
-
-    def identity_for(self, avatar_id: str) -> str:
-        try:
-            return self.mapping[avatar_id]
-        except KeyError:
-            raise DataError(f"unknown avatar id {avatar_id!r}") from None
 
     def to_dict(self) -> dict:
         return {
@@ -651,8 +644,6 @@ def train_classifier(
     *,
     seed: int = 0,
     reps: int = 60,
-    magnitude_base: Mapping[ActivityLabel, float] | None = None,
-    intensity_range: tuple[float, float] = (0.5, 1.6),
 ) -> ClassifierModel:
     """Fit a window classifier on a synthetic mixed-activity trace.
 
@@ -664,14 +655,10 @@ def train_classifier(
     part of its signature, so the training distribution has to match per
     label, not globally.
     """
-    base = dict(DEFAULT_MAGNITUDE_BASE)
-    if magnitude_base is not None:
-        base.update(magnitude_base)
     rng = _rng(seed, _SALT_TRAIN, 0, 0 if channel is Channel.MOTION else 1)
     script = np.repeat(np.arange(8, dtype=np.int64), reps)
     rng.shuffle(script)
-    lo, hi = intensity_range
-    amps = _per_label(base)[script] * rng.uniform(lo, hi, size=script.size)
+    amps = _per_label(DEFAULT_MAGNITUDE_BASE)[script] * rng.uniform(0.5, 1.6, size=script.size)
     if channel is Channel.MOTION:
         trace = synthesize_motion_trace(script, amps, window_seconds, rng)
         edges = window_edges(trace, window_seconds)
@@ -704,6 +691,16 @@ def _confusion_from_json(obj, what: str) -> ConfusionMatrix | None:
         raise ConfigError(f"{what}: {exc}") from exc
 
 
+def _spec_field(payload: Mapping, key: str, kind: type = int):
+    """A spec field that must be a JSON integer, or a JSON boolean for
+    kind=bool: anything else is refused rather than truncated or cast."""
+    value = payload[key]
+    if type(value) is not kind:
+        raise ConfigError(f"{key} must be a JSON {'integer' if kind is int else 'boolean'}, "
+                          f"got {value!r}")
+    return value
+
+
 def cohort_spec_from_dict(payload: Mapping) -> CohortSpec:
     if not isinstance(payload, Mapping):
         raise ConfigError("cohort spec must be a JSON object")
@@ -726,8 +723,8 @@ def cohort_spec_from_dict(payload: Mapping) -> CohortSpec:
         raise ConfigError(f"unknown cohort spec keys: {sorted(unknown)}")
     try:
         kwargs: dict = {
-            "num_identities": int(payload["num_identities"]),
-            "n_windows": int(payload["n_windows"]),
+            "num_identities": _spec_field(payload, "num_identities"),
+            "n_windows": _spec_field(payload, "n_windows"),
         }
     except KeyError as exc:
         raise ConfigError(f"cohort spec missing required key {exc.args[0]!r}") from exc
@@ -769,38 +766,10 @@ def cohort_spec_from_dict(payload: Mapping) -> CohortSpec:
             obs[pos] = float(val)
         kwargs["position_observability"] = obs
     if "seed" in payload:
-        kwargs["seed"] = int(payload["seed"])
+        kwargs["seed"] = _spec_field(payload, "seed")
     if "shared_script" in payload:
-        kwargs["shared_script"] = bool(payload["shared_script"])
+        kwargs["shared_script"] = _spec_field(payload, "shared_script", bool)
     return CohortSpec(**kwargs)
-
-
-def cohort_spec_to_dict(spec: CohortSpec) -> dict:
-    out: dict = {
-        "num_identities": spec.num_identities,
-        "n_windows": spec.n_windows,
-        "window_seconds": spec.window_seconds,
-        "intensity_range": list(spec.intensity_range),
-        "magnitude_noise_sd": spec.magnitude_noise_sd,
-        "seed": spec.seed,
-        "shared_script": spec.shared_script,
-    }
-    if spec.activity_prior is not None:
-        out["activity_prior"] = {
-            lab.token: float(p) for lab, p in spec.activity_prior.items()
-        }
-    out["magnitude_base"] = {
-        lab.token: float(v) for lab, v in spec.magnitude_base.items()
-    }
-    if spec.motion_confusion is not None:
-        out["motion_confusion"] = spec.motion_confusion.rows.tolist()
-    if spec.visual_confusion is not None:
-        out["visual_confusion"] = spec.visual_confusion.rows.tolist()
-    if spec.position_observability is not None:
-        out["position_observability"] = {
-            pos.value: float(p) for pos, p in spec.position_observability.items()
-        }
-    return out
 
 
 def load_cohort_spec(path) -> CohortSpec:

@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import mismatch_counts
+from .engine import CandidatePairSet, _common_grid, mismatch_counts
 from .errors import (
     BudgetExceedsLength,
     ConfigError,
@@ -95,10 +95,10 @@ def estimate_index_memory(q: int, k: int, t_abs: int) -> int:
     entries = q * masks
     words = -(-k // _WORD)
     # an entry is one 8-byte word, packed and sorted in place; per sequence
-    # come its key words, two temporaries, its row number, its codes and a
-    # generated id string; per mask, its tuple.  A sixteenth on top covers
-    # allocator and sort-kernel differences between numpy builds.
-    base = entries * 8 + q * (8 * words + 96 + k) + masks * (150 + 8 * t_abs)
+    # come its key words, two temporaries, its row number and its codes; per
+    # mask, its tuple.  A sixteenth on top covers allocator and sort-kernel
+    # differences between numpy builds.
+    base = entries * 8 + q * (8 * words + 36 + k) + masks * (150 + 8 * t_abs)
     return base + base // 16 + 64 * 1024
 
 
@@ -129,9 +129,8 @@ def _refuse_over(cap: int, need: int, what: str) -> None:
         raise MemoryCapExceeded(f"{what} needs about {need} bytes, cap is {cap}")
 
 
-def _resolve_cap(memory_cap_bytes: int | None) -> int:
-    if memory_cap_bytes is not None:
-        return int(memory_cap_bytes)
+def _resolve_cap() -> int:
+    """The memory cap in bytes: MOTIONLINK_MEMORY_CAP, or 8 GiB by default."""
     env = os.environ.get(MEMORY_CAP_ENV)
     if env:
         try:
@@ -139,10 +138,6 @@ def _resolve_cap(memory_cap_bytes: int | None) -> int:
         except ValueError:
             raise ConfigError(f"{MEMORY_CAP_ENV} must be an integer, got {env!r}") from None
     return DEFAULT_MEMORY_CAP
-
-
-def _masks_of_size(k: int, size: int) -> list[tuple[int, ...]]:
-    return list(itertools.combinations(range(k), size))
 
 
 # ---------------------------------------------------------------------------
@@ -185,10 +180,11 @@ def _expand(mat: np.ndarray, masks) -> np.ndarray:
     return out
 
 
-def _pack(mat: np.ndarray, masks, key_bits: int, row_bits: int) -> np.ndarray:
-    """Sorted words of every row of `mat` under every mask: the key as an index
-    with `key_bits` id bits stores it, above the row in the low `row_bits`."""
+def _pack(mat: np.ndarray, t_abs: int, key_bits: int, row_bits: int) -> np.ndarray:
+    """Sorted words of every row of `mat` under every size-t_abs mask: the key as
+    an index with `key_bits` id bits stores it, above the row in the low `row_bits`."""
     m, k = mat.shape
+    masks = list(itertools.combinations(range(k), t_abs))
     words = _expand(mat, masks)
     if 4 * k + key_bits <= 64:
         words <<= key_bits
@@ -202,59 +198,46 @@ def _pack(mat: np.ndarray, masks, key_bits: int, row_bits: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 
-def _codes_matrix(source) -> tuple[np.ndarray, tuple[str, ...]]:
-    if isinstance(source, MotionDataset):
-        return source.codes, source.ids
-    mat = np.asarray(source, dtype=np.uint8)
-    if mat.ndim != 2:
-        raise DataError(f"expected a (q, k) code matrix, got shape {mat.shape}")
-    if (mat >= len(ActivityLabel)).any():
-        raise DataError("code matrix contains values outside the label range")
-    return mat, tuple(str(i) for i in range(mat.shape[0]))
-
-
 class WildcardIndex:
     """Sorted maximal-mask entries: each word holds a key and the row that produced it."""
 
-    def __init__(self, codes: np.ndarray, source_ids: tuple[str, ...], t_abs: int,
-                 words: np.ndarray):
+    def __init__(self, codes: np.ndarray, t_abs: int, words: np.ndarray):
         self.codes = codes
-        self.source_ids = source_ids
         self.t_abs = t_abs
         self.k = codes.shape[1]
         self.size = codes.shape[0]
         self.entry_count = int(words.size)
         self._words = words  # sorted, one per (sequence, size-t_abs mask)
 
-    @classmethod
-    def build(cls, source, t_abs: int, *,
-              memory_cap_bytes: int | None = None) -> "WildcardIndex":
-        """Expand and sort the keys lookups run against.
 
-        Refuses with MemoryCapExceeded when the documented estimate blows
-        the cap (MOTIONLINK_MEMORY_CAP or 8 GiB by default).
-        """
-        codes, source_ids = _codes_matrix(source)
-        q, k = codes.shape
-        _check_budget(k, t_abs)
-        estimate = estimate_index_memory(q, k, t_abs)
-        cap = _resolve_cap(memory_cap_bytes)
-        logger.info(
-            "index build: q=%d k=%d t_abs=%d entries=%d estimated %.1f MiB (cap %.1f MiB)",
-            q, k, t_abs, q * math.comb(k, t_abs),
-            estimate / 1024 ** 2, cap / 1024 ** 2,
-        )
-        _refuse_over(cap, estimate, f"index over q={q} k={k} t_abs={t_abs}")
-        b = _id_bits(q)
-        return cls(codes, source_ids, t_abs, _pack(codes, _masks_of_size(k, t_abs), b, b))
+def build_index(source, t_abs: int) -> WildcardIndex:
+    """Expand and sort the keys lookups run against, over a MotionDataset
+    or a (q, k) code matrix.
+
+    Refuses with MemoryCapExceeded when the documented estimate blows
+    the cap (MOTIONLINK_MEMORY_CAP or 8 GiB by default).
+    """
+    codes = np.asarray(source.codes if isinstance(source, MotionDataset) else source,
+                       dtype=np.uint8)
+    if codes.ndim != 2:
+        raise DataError(f"expected a (q, k) code matrix, got shape {codes.shape}")
+    if (codes >= len(ActivityLabel)).any():
+        raise DataError("code matrix contains values outside the label range")
+    q, k = codes.shape
+    _check_budget(k, t_abs)
+    estimate = estimate_index_memory(q, k, t_abs)
+    cap = _resolve_cap()
+    logger.info(
+        "index build: q=%d k=%d t_abs=%d entries=%d estimated %.1f MiB (cap %.1f MiB)",
+        q, k, t_abs, q * math.comb(k, t_abs),
+        estimate / 1024 ** 2, cap / 1024 ** 2,
+    )
+    _refuse_over(cap, estimate, f"index over q={q} k={k} t_abs={t_abs}")
+    b = _id_bits(q)
+    return WildcardIndex(codes, t_abs, _pack(codes, t_abs, b, b))
 
 
-def build_index(source, t_abs: int, *, memory_cap_bytes: int | None = None) -> WildcardIndex:
-    return WildcardIndex.build(source, t_abs, memory_cap_bytes=memory_cap_bytes)
-
-
-def filter_pairs_indexed(v_mat: np.ndarray, index: WildcardIndex, *,
-                         memory_cap_bytes: int | None = None):
+def filter_pairs_indexed(v_mat: np.ndarray, index: WildcardIndex):
     """(rows, ids, distances) of all pairs within the index budget, sorted
     by (row, id).
 
@@ -266,7 +249,7 @@ def filter_pairs_indexed(v_mat: np.ndarray, index: WildcardIndex, *,
     if v_mat.ndim != 2 or v_mat.shape[1] != index.k:
         raise DataError(f"query matrix must be (p, {index.k}), got {v_mat.shape}")
     p, k = v_mat.shape
-    cap = _resolve_cap(memory_cap_bytes)
+    cap = _resolve_cap()
     resident = index._words.nbytes + index.codes.nbytes
     what = f"query of p={p} k={k} t_abs={index.t_abs}"
     _refuse_over(cap, resident + estimate_query_memory(p, k, index.t_abs), what)
@@ -274,7 +257,7 @@ def filter_pairs_indexed(v_mat: np.ndarray, index: WildcardIndex, *,
     b = _id_bits(index.size)
     row_bits = max(b, _id_bits(p))
     low = (1 << row_bits) - 1
-    words = _pack(v_mat, _masks_of_size(k, index.t_abs), b, row_bits)
+    words = _pack(v_mat, index.t_abs, b, row_bits)
     ix = index._words
     n = ix.size
     lo = np.searchsorted(ix, words & (_FULL ^ low), side="left")
@@ -294,6 +277,7 @@ def filter_pairs_indexed(v_mat: np.ndarray, index: WildcardIndex, *,
     offsets = np.concatenate(([0], np.cumsum(counts)))
     pos = np.arange(total) - offsets[run]
     ids = (ix[h_lo[run] + pos] & ((1 << b) - 1)).view(np.int64)
+    del run, pos, offsets  # per raw hit; free them before the sort and distance check
     rows = np.repeat((h_words & low).view(np.int64), counts)
     # a pair at distance d < t_abs is found once per mask covering its
     # mismatches: sort in place and keep each code's first occurrence
@@ -302,6 +286,7 @@ def filter_pairs_indexed(v_mat: np.ndarray, index: WildcardIndex, *,
     first = np.ones(total, dtype=bool)
     np.not_equal(pair_codes[1:], pair_codes[:-1], out=first[1:])
     pair_codes = pair_codes[first]
+    del first
     rows, ids = pair_codes // index.size, pair_codes % index.size
     dists = mismatch_counts(v_mat[rows], index.codes[ids])[0]
     # equal mixed or truncated keys do not prove a match; the count does
@@ -311,34 +296,17 @@ def filter_pairs_indexed(v_mat: np.ndarray, index: WildcardIndex, *,
     return rows, ids, dists
 
 
-def filter_with_index(visual: VisualDataset, motion, t_abs: int | None = None,
-                      *, memory_cap_bytes: int | None = None):
-    """Index-backed equivalent of the naive absolute-budget activity filter.
-
-    `motion` may be a MotionDataset (an index is built on the fly) or a
-    prebuilt WildcardIndex.  Returns the same CandidatePairSet, distances
-    included, that the naive scan produces.
+def filter_with_index(visual: VisualDataset, motion: MotionDataset, t_abs: int):
+    """Index-backed equivalent of the naive absolute-budget activity filter:
+    the same CandidatePairSet, distances included, that the naive scan
+    produces.  The grids, the budget and the cap on the index and its
+    query are checked before anything is built.
     """
-    from .engine import CandidatePairSet
-
-    if isinstance(motion, WildcardIndex):
-        index = motion
-        if t_abs is not None and t_abs != index.t_abs:
-            raise ConfigError(
-                f"index was built for t_abs={index.t_abs}, asked for {t_abs}"
-            )
-    else:
-        if t_abs is None:
-            raise ConfigError("t_abs is required when building an index on the fly")
-        q, k = _codes_matrix(motion)[0].shape
-        p = len(visual)
-        _check_budget(k, t_abs)
-        need = estimate_index_memory(q, k, t_abs) + estimate_query_memory(p, k, t_abs)
-        _refuse_over(_resolve_cap(memory_cap_bytes), need,
-                     f"index over q={q} k={k} t_abs={t_abs} and its query of p={p}")
-        index = WildcardIndex.build(motion, t_abs, memory_cap_bytes=memory_cap_bytes)
-    v_mat = visual.codes
-    if v_mat.shape[1] != index.k:
-        raise DataError(f"visual n={v_mat.shape[1]} against index k={index.k}")
-    return CandidatePairSet(visual.ids, index.source_ids,
-                            *filter_pairs_indexed(v_mat, index, memory_cap_bytes=memory_cap_bytes))
+    k = _common_grid(visual, motion)
+    _check_budget(k, t_abs)
+    p, q = len(visual), len(motion)
+    need = estimate_index_memory(q, k, t_abs) + estimate_query_memory(p, k, t_abs)
+    _refuse_over(_resolve_cap(), need,
+                 f"index over q={q} k={k} t_abs={t_abs} and its query of p={p}")
+    index = build_index(motion, t_abs)
+    return CandidatePairSet(visual.ids, motion.ids, *filter_pairs_indexed(visual.codes, index))

@@ -134,8 +134,14 @@ class TestGenerate:
         ("magnitude_base", {"idle": math.nan}),
         ("magnitude_base", {"walking": math.inf}),
         ("window_seconds", math.inf),
+        ("seed", 1.5),
+        ("num_identities", 3.9),
+        ("n_windows", "12"),
+        ("num_identities", True),
+        ("shared_script", "false"),
     ], ids=["seed", "prior-nan", "intensity-inf", "noise-nan", "base-nan", "base-inf",
-            "width-inf"])
+            "width-inf", "seed-float", "count-float", "windows-string", "count-bool",
+            "shared-string"])
     def test_bad_spec_value_is_config_error(self, tmp_path, capsys, field, value):
         spec = write_spec(tmp_path / "spec.json", **{field: value})
         out = tmp_path / "d"
@@ -536,9 +542,17 @@ WRONG_TYPE = {
     *(pytest.param(r, WRONG_TYPE[r], id=f"{r}-type") for r in JSON_READERS),
     pytest.param("config", '{"top_k": 2.5}', id="config-float-top-k"),
     pytest.param("config", '{"restricted": "no"}', id="config-string-flag"),
+    pytest.param("config", '{"min_observed_fraction": true}', id="config-bool-fraction"),
+    pytest.param("config", '{"w": true}', id="config-bool-w"),
+    pytest.param("config", '{"t_norm": false}', id="config-bool-t-norm"),
     pytest.param("model", '"x"', id="model-string"),
     pytest.param("keypoints", '{"ts": 0.0, "kp": [1]}', id="keypoints-kp-list"),
     pytest.param("keypoints", '{"ts": 0.0, "kp": {"nose": "ab"}}', id="keypoints-xy-string"),
+    pytest.param("keypoints", '{"ts": 0.0, "kp": {"nose": ["1", "2"]}}',
+                 id="keypoints-xy-numeric-strings"),
+    pytest.param("keypoints", '{"ts": 0.0, "kp": {"nose": [true, false]}}',
+                 id="keypoints-xy-bools"),
+    pytest.param("keypoints", '{"ts": "0.5", "kp": {}}', id="keypoints-ts-numeric-string"),
     pytest.param("spec", '{"num_identities": 2, "n_windows": 3, "magnitude_noise_sd": [1]}',
                  id="spec-noise-list"),
     pytest.param("truth", '{"avatars": {"a0": "u0"}, "scripts": {"u0": [true]}}',

@@ -144,7 +144,7 @@ def weak_idle_pair():
 
 class TestRestrictedSet:
     def test_identity_matrices_keep_everything(self):
-        pair = (ConfusionMatrix.identity(), ConfusionMatrix.identity())
+        pair = (ConfusionMatrix(np.eye(8)), ConfusionMatrix(np.eye(8)))
         assert restricted_set_from_confusion(pair, 0.6) == frozenset(ActivityLabel)
 
     def test_low_agreement_labels_dropped(self):
@@ -385,17 +385,16 @@ class TestBench:
         assert naive.wall_time_ms is None and naive.pairs_retained is None
         assert indexed.status == "ok"
 
-    def test_memory_cap_refusal_is_a_row(self):
-        rows = bench_scaling([(100, 100)], k=10, t_abs=3,
-                             methods=("indexed",), memory_cap_bytes=1024)
+    def test_memory_cap_refusal_is_a_row(self, monkeypatch):
+        monkeypatch.setenv("MOTIONLINK_MEMORY_CAP", "1024")
+        rows = bench_scaling([(100, 100)], k=10, t_abs=3, methods=("indexed",))
         assert rows[0].status == "refused"
         assert rows[0].wall_time_ms is None
 
-    def test_memory_cap_covers_the_query(self):
+    def test_memory_cap_covers_the_query(self, monkeypatch):
         # the cap admits the build by one byte; the query must be refused
-        cap = estimate_index_memory(2000, 10, 3) + 1
-        rows = bench_scaling([(2000, 2000)], k=10, t_abs=3,
-                             methods=("indexed",), memory_cap_bytes=cap)
+        monkeypatch.setenv("MOTIONLINK_MEMORY_CAP", str(estimate_index_memory(2000, 10, 3) + 1))
+        rows = bench_scaling([(2000, 2000)], k=10, t_abs=3, methods=("indexed",))
         assert rows[0].status == "refused"
 
     def test_budget_outside_sequence_is_config_error(self):

@@ -90,8 +90,7 @@ def test_sensor_positions_are_frozen():
 def test_magnitude_seq_basics():
     seq = MagnitudeSeq([1.0, None, 0.0, 2.5])
     assert len(seq) == 4
-    assert seq.n_observed == 3
-    assert seq.observed_fraction() == 0.75
+    assert seq.observed_mask.sum() == 3
     assert seq.entries() == [1.0, None, 0.0, 2.5]
     assert list(seq.observed_mask) == [True, False, True, True]
     assert np.isnan(seq.values[1])
@@ -247,6 +246,22 @@ def test_only_model_imports_json():
     # every file reader and writer goes through the JSON functions of model.py
     package = Path(motionlink.__file__).parent
     assert [p.name for p in sorted(package.rglob("*.py")) if _imports_json(p)] == ["model.py"]
+
+
+def _reads_environ(path: Path) -> bool:
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+            return True
+        if isinstance(node, ast.ImportFrom) and node.module == "os" and any(
+                alias.name in ("environ", "getenv") for alias in node.names):
+            return True
+    return False
+
+
+def test_only_windex_reads_os_environ():
+    # the memory cap has one source: MOTIONLINK_MEMORY_CAP, read in windex
+    package = Path(motionlink.__file__).parent
+    assert [p.name for p in sorted(package.rglob("*.py")) if _reads_environ(p)] == ["windex.py"]
 
 
 def test_dataset_invariants():

@@ -130,7 +130,7 @@ def test_entry_count_identity():
 
 def query_ids(idx, seq):
     _, ids, _ = filter_pairs_indexed(np.array([seq], dtype=np.uint8), idx)
-    return tuple(idx.source_ids[i] for i in ids)
+    return tuple(ids.tolist())
 
 
 def test_query_within_budget():
@@ -140,8 +140,8 @@ def test_query_within_budget():
         [0, 0, 0, 0, 0],  # distance 5
     ], dtype=np.uint8)
     idx = build_index(mat, 2)
-    assert query_ids(idx, [4, 7, 6, 3, 4]) == ("0", "1")
-    assert query_ids(idx, [0, 0, 0, 0, 0]) == ("2",)
+    assert query_ids(idx, [4, 7, 6, 3, 4]) == (0, 1)
+    assert query_ids(idx, [0, 0, 0, 0, 0]) == (2,)
     assert query_ids(idx, [1, 2, 3, 4, 5]) == ()
 
 
@@ -316,17 +316,20 @@ def test_filter_with_index_equals_naive_filter():
     assert indexed == naive
 
 
-def test_filter_with_prebuilt_index_and_budget_check():
+def test_filter_with_index_checks_inputs_before_building(monkeypatch):
+    def no_build(*args):
+        raise AssertionError("index built before the inputs were checked")
+
+    monkeypatch.setattr(windex, "build_index", no_build)
     rng = np.random.default_rng(10)
     m = MotionDataset([motion_series(f"m{j}", rng.integers(0, 8, 6)) for j in range(5)])
+    with pytest.raises(DataError):
+        filter_with_index(VisualDataset([visual_series("a0", rng.integers(0, 8, 7))]), m, 2)
     v = VisualDataset([visual_series("a0", rng.integers(0, 8, 6))])
-    idx = build_index(m, 2)
-    got = filter_with_index(v, idx)
-    assert got == filter_with_index(v, m, 2)
+    with pytest.raises(BudgetExceedsLength):
+        filter_with_index(v, m, 7)
     with pytest.raises(ConfigError):
-        filter_with_index(v, idx, 3)
-    with pytest.raises(ConfigError):
-        filter_with_index(v, m, None)
+        filter_with_index(v, m, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -382,25 +385,29 @@ def test_query_estimate_bounds_measured_query_peak(monkeypatch):
                     (q, k, t_abs, estimates, peak)
 
 
-def test_query_cap_refusal():
+def test_query_cap_refusal(monkeypatch):
     mat = np.zeros((1000, 10), dtype=np.uint8)
     index = build_index(mat, 3)
     # every query key hits all 1000 identities: the raw hits blow the cap
     # though the query keys alone fit
     keys_only = estimate_query_memory(10, 10, 3) + index.entry_count * 16 + 20_000
+    monkeypatch.setenv("MOTIONLINK_MEMORY_CAP", str(keys_only))
     with pytest.raises(MemoryCapExceeded, match="raw hits"):
-        filter_pairs_indexed(mat[:10], index, memory_cap_bytes=keys_only)
+        filter_pairs_indexed(mat[:10], index)
     v = VisualDataset([visual_series("a0", [0] * 10)])
     m = MotionDataset([motion_series(f"m{j}", [0] * 10) for j in range(20)])
+    monkeypatch.setenv("MOTIONLINK_MEMORY_CAP", str(estimate_index_memory(20, 10, 3) + 1))
     with pytest.raises(MemoryCapExceeded, match="its query"):
-        filter_with_index(v, m, 3, memory_cap_bytes=estimate_index_memory(20, 10, 3) + 1)
+        filter_with_index(v, m, 3)
 
 
-def test_memory_cap_refusal():
+def test_memory_cap_refusal(monkeypatch):
     mat = np.zeros((1000, 10), dtype=np.uint8)
+    monkeypatch.setenv("MOTIONLINK_MEMORY_CAP", "1000")
     with pytest.raises(MemoryCapExceeded):
-        build_index(mat, 3, memory_cap_bytes=1000)
-    build_index(mat, 3, memory_cap_bytes=10 ** 9)  # generous cap is fine
+        build_index(mat, 3)
+    monkeypatch.setenv("MOTIONLINK_MEMORY_CAP", str(10 ** 9))
+    build_index(mat, 3)  # generous cap is fine
 
 
 def test_memory_cap_env_var(monkeypatch):
