@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .engine import (
     mismatch_counts,
 )
 from .model import ActivityLabel, ActivityVectorSeries, VisualDataset
-from .pipeline import ClassifierModel, MotionTrace, classify_windows, motion_features
+from .pipeline import _EPS, ClassifierModel, MotionTrace, classify_windows, motion_features
 
 __all__ = [
     "AlignConfig",
@@ -43,8 +43,6 @@ __all__ = [
     "align_offset_search",
     "correlate_with_alignment",
 ]
-
-_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -129,23 +127,29 @@ def _rebuild(
     return out
 
 
-class _Scored(NamedTuple):
-    """One identity rebuilt at one offset, scored against every avatar over
-    the compared grid span [lo, hi)."""
+def _scores(trace: MotionTrace, v_codes: np.ndarray, w: float, model: ClassifierModel,
+            align: AlignConfig, lut: np.ndarray | None) -> list[tuple] | None:
+    """The trace rebuilt at each offset of `align` and scored against the
+    label rows `v_codes`, (p, n): None if no offset produces a full window.
 
-    offset: float
-    mags: np.ndarray
-    first: int  # grid index of mags[0]
-    lo: int
-    hi: int
-    distance: np.ndarray  # (p,), one per avatar
-    n_effective: np.ndarray  # (p,)
-
-
-def _overlap(first: int, length: int, n_visual: int) -> tuple[int, int]:
-    """Common grid index range [lo, hi) between a rebuilt sequence starting
-    at grid index `first` and a visual series occupying indices [0, n)."""
-    return max(0, first), min(n_visual, first + length)
+    For each offset whose rebuilt sequence overlaps the grid [0, n), in
+    preference order, one (offset, mags, first, lo, hi, distance,
+    n_effective): the sequence's magnitudes and the grid index `first` of
+    their start, the compared span [lo, hi), and one distance and one
+    effective window count per visual row over that span.
+    """
+    rebuilt = _rebuild(trace, align.offsets(), w, model, float(trace.timestamps[0]))
+    if not rebuilt:
+        return None
+    scores = []
+    for offset, (codes, mags, first) in rebuilt.items():
+        lo, hi = max(0, first), min(v_codes.shape[1], first + codes.size)
+        if hi <= lo:
+            continue
+        v, m = v_codes[:, lo:hi], codes[lo - first:hi - first]
+        dist, n_eff = mismatch_counts(v, m, None if lut is None else lut[v] & lut[m])
+        scores.append((offset, mags, first, lo, hi, dist, np.broadcast_to(n_eff, dist.shape)))
+    return scores
 
 
 def align_offset_search(
@@ -163,30 +167,18 @@ def align_offset_search(
     shifted trace shares no window with the series are skipped; if none
     overlaps, NoOverlap propagates.
     """
-    w = visual_series.window_seconds
-    v_codes = visual_series.codes
     lut = _restricted_lut(restricted) if restricted is not None else None
-    rebuilt = _rebuild(trace, align.offsets(), w, model, float(trace.timestamps[0]))
-    curve = []
-    best: OffsetScore | None = None
-    for offset, (codes, _, first) in rebuilt.items():
-        lo, hi = _overlap(first, codes.size, v_codes.size)
-        if hi <= lo:
-            continue
-        v, m = v_codes[lo:hi], codes[lo - first:hi - first]
-        dist, n_eff = mismatch_counts(v, m, None if lut is None else lut[v] & lut[m])
-        score = OffsetScore(offset, int(dist), hi - lo, int(n_eff))
-        curve.append(score)
-        if best is None or score.distance < best.distance:
-            best = score
-    if best is None:
+    scores = _scores(trace, visual_series.codes[None], visual_series.window_seconds, model,
+                     align, lut)
+    if not scores:
         raise NoOverlap(
             f"no offset in ±{align.delta_max}s overlaps series {visual_series.source_id!r}"
         )
-    curve.sort(key=lambda s: s.offset)
-    return AlignmentResult(
-        best.offset, best.distance, best.n_common, best.n_effective, tuple(curve)
-    )
+    curve = [OffsetScore(offset, int(dist[0]), hi - lo, int(n_eff[0]))
+             for offset, _, _, lo, hi, dist, n_eff in scores]
+    best = min(curve, key=lambda score: score.distance)  # the first minimum
+    return AlignmentResult(best.offset, best.distance, best.n_common, best.n_effective,
+                           tuple(sorted(curve, key=lambda score: score.offset)))
 
 
 def correlate_with_alignment(
@@ -210,69 +202,48 @@ def correlate_with_alignment(
     Returns the rankings plus {avatar_id: {identity_id: chosen offset}} for
     every evaluated pair.
     """
-    w = visual.window_seconds
-    v_codes = visual.codes
-    n_visual = v_codes.shape[1]
+    n = visual.codes.shape[1]
     lut = _restricted_lut(config.restricted) if config.restricted is not None else None
-
-    # one rebuild per identity covers every offset; each rebuilt label
-    # sequence is scored against all avatars at once.  scored[ident] lists
-    # the overlapping offsets in preference order
-    scored: dict[str, list[_Scored]] = {}
+    avatars = np.arange(len(visual))
+    names, chosen_offsets = [], []
+    # kept pairs as (avatar row, identity, motion row, lo, hi) rows, and the
+    # motion rows: each rebuilt sequence on the grid, zero outside its span
+    pairs, mot = [np.empty((0, 5), dtype=np.int64)], []
     for ident, trace in motion_traces.items():
-        rebuilt = _rebuild(trace, align.offsets(), w, model, float(trace.timestamps[0]))
-        if not rebuilt:
+        scores = _scores(trace, visual.codes, visual.window_seconds, model, align, lut)
+        if scores is None:
             raise NoOverlap(f"trace {ident!r}: no offset produces a full window")
-        rows = []
-        for offset, (codes, mags, first) in rebuilt.items():
-            lo, hi = _overlap(first, codes.size, n_visual)
-            if hi <= lo:
-                continue
-            v, m = v_codes[:, lo:hi], codes[lo - first:hi - first]
-            dist, n_eff = mismatch_counts(v, m, None if lut is None else lut[v] & lut[m])
-            rows.append(_Scored(offset, mags, first, lo, hi, dist,
-                                np.broadcast_to(n_eff, dist.shape)))
-        if align.share_offset:
-            if not rows:
+        if not scores:
+            if align.share_offset:
                 raise NoOverlap(f"identity {ident!r} overlaps no avatar")
+            continue
+        offsets, mags, first, lo, hi, dist, n_eff = zip(*scores)
+        dist, n_eff = np.stack(dist), np.stack(n_eff)
+        # each avatar's best offset: the first minimum in preference order
+        best = np.argmin(dist, axis=0)
+        if align.share_offset:
             # an identity's clock error is one constant: commit to the offset
             # that best explains its closest avatar
-            best = int(np.argmin(np.stack([row.distance for row in rows]))) // len(visual)
-            rows = [rows[best]]
-        scored[ident] = rows
-    # per identity, each avatar's best offset: the first minimum in preference order
-    best_row = {
-        ident: np.argmin(np.stack([row.distance for row in rows]), axis=0)
-        for ident, rows in scored.items() if rows
-    }
-
-    rankings = []
-    chosen: dict[str, dict[str, float]] = {}
-    # one avatar's kept candidates, filled from the front
-    vis = np.empty((len(best_row), *visual.mags.shape[1:]))
-    mot = np.empty((len(best_row), n_visual))
-    spans = np.empty(len(best_row), dtype=np.int64)
-    for a, avatar_id in enumerate(visual.ids):
-        avatar_mags = visual.mags[a]
-        ids = []
-        offsets_here: dict[str, float] = {}
-        for ident in sorted(best_row):
-            offset, mags, first, lo, hi, dist, n_eff = scored[ident][best_row[ident][a]]
-            offsets_here[ident] = offset
-            if dist[a] > mismatch_budget(config.t_norm, int(n_eff[a])):
-                continue
-            # rank over the compared span [lo, hi) only: windows outside
-            # it are unobservable for every position
-            c = len(ids)
-            vis[c] = np.nan
-            vis[c, :, lo:hi] = avatar_mags[:, lo:hi]
-            mot[c] = 0.0
-            mot[c, lo:hi] = mags[lo - first:hi - first]
-            spans[c] = hi - lo
-            ids.append(ident)
-        kept = np.arange(len(ids))
-        rho, pos = _rank_candidates(vis[:len(ids)], mot[:len(ids)], kept, kept,
-                                    spans[:len(ids)], min_observed_fraction)
-        rankings += _ranked([avatar_id], ids, np.zeros_like(kept), kept, rho, pos)
-        chosen[avatar_id] = offsets_here
-    return rankings, chosen
+            best[:] = np.argmin(dist) // len(visual)
+        kept = np.flatnonzero(dist[best, avatars]
+                              <= mismatch_budget(config.t_norm, n_eff[best, avatars]))
+        kept_best = best[kept]
+        pairs.append(np.stack([kept, np.full_like(kept, len(names)), len(mot) + kept_best,
+                               np.take(lo, kept_best), np.take(hi, kept_best)], axis=1))
+        names.append(ident)
+        chosen_offsets.append(np.take(offsets, best).tolist())
+        mot += [np.pad(seq[l - f:h - f], (l, n - h))
+                for seq, f, l, h in zip(mags, first, lo, hi)]
+    rows, ids, mot_rows, lo, hi = np.concatenate(pairs).T
+    # rank over the compared span [lo, hi) only: one visual row per (span,
+    # avatar) in use, every position unobservable outside the span
+    spans, vis_rows = np.unique(np.stack([lo, hi, rows], axis=1), axis=0, return_inverse=True)
+    window = np.arange(n)
+    inside = (spans[:, :1] <= window) & (window < spans[:, 1:2])
+    vis = np.where(inside[:, None, :], visual.mags[spans[:, 2]], np.nan)
+    rho, pos = _rank_candidates(vis, np.reshape(mot, (-1, n)), vis_rows, mot_rows, hi - lo,
+                                min_observed_fraction)
+    by_name = sorted(zip(names, chosen_offsets))
+    chosen = {avatar_id: {name: column[a] for name, column in by_name}
+              for a, avatar_id in enumerate(visual.ids)}
+    return _ranked(visual.ids, names, rows, ids, rho, pos), chosen

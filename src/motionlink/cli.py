@@ -43,6 +43,7 @@ from .model import (
     Channel,
     MotionDataset,
     VisualDataset,
+    json_value,
     read_dataset_jsonl,
     read_json,
     write_dataset_jsonl,
@@ -111,10 +112,9 @@ class RunConfig:
     top_k: int = 3
 
     def __post_init__(self):
-        for name in ("w", "t_norm", "min_observed_fraction"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"{name} must be a number, got {value!r}")
+        for name, kind in (("w", float), ("t_norm", float), ("min_observed_fraction", float),
+                           ("restricted", bool), ("top_k", int)):
+            json_value(getattr(self, name), kind, name, ConfigError)
         if not self.w > 0:
             raise ConfigError(f"w must be positive, got {self.w}")
         if not 0.0 <= self.t_norm <= 1.0:
@@ -127,9 +127,7 @@ class RunConfig:
             raise ConfigError(
                 f"min_observed_fraction must lie in [0, 1], got {self.min_observed_fraction}"
             )
-        if not isinstance(self.restricted, bool):
-            raise ConfigError(f"restricted must be true or false, got {self.restricted!r}")
-        if type(self.top_k) is not int or self.top_k < 1:
+        if self.top_k < 1:
             raise ConfigError(f"top_k must be an integer >= 1, got {self.top_k!r}")
 
 

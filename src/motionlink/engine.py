@@ -32,6 +32,7 @@ from .model import (
     MotionDataset,
     SensorPosition,
     VisualDataset,
+    json_value,
     read_json_lines,
     write_json_lines,
 )
@@ -83,17 +84,20 @@ def mismatch_counts(a: np.ndarray, b: np.ndarray, counted: np.ndarray | None = N
     return (differ & counted).sum(axis=-1), counted.sum(axis=-1)
 
 
-def mismatch_budget(t_norm: float, n_effective: int) -> int:
-    """Allowed absolute mismatches: floor(t_norm * n_effective).
+def mismatch_budget(t_norm: float, n_effective: int | np.ndarray) -> int | np.ndarray:
+    """Allowed absolute mismatches: floor(t_norm * n_effective), an int for
+    one count and an int64 array for an array of counts.
 
     The product is nudged before flooring so that thresholds like 0.30 of 10
     windows give 3, not 2, despite binary float representation.
     """
     if not 0.0 <= t_norm <= 1.0:
         raise ConfigError(f"t_norm must lie in [0, 1], got {t_norm}")
-    if n_effective < 0:
-        raise DataError(f"n_effective must be >= 0, got {n_effective}")
-    return int(math.floor(t_norm * n_effective + _BUDGET_EPS))
+    counts = np.asarray(n_effective)
+    if (counts < 0).any():
+        raise DataError(f"n_effective must be >= 0, got {counts.min()}")
+    budget = np.floor(t_norm * counts + _BUDGET_EPS).astype(np.int64)
+    return int(budget) if budget.ndim == 0 else budget
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,7 +153,7 @@ def filter_pairs_naive(v_mat: np.ndarray, m_mat: np.ndarray, t_norm: float,
             d, _ = mismatch_counts(row, m_mat)
         else:
             d, n_eff = mismatch_counts(row, m_mat, lut[row] & m_in)
-            budget = np.floor(t_norm * n_eff + _BUDGET_EPS)
+            budget = mismatch_budget(t_norm, n_eff)
         keep = np.flatnonzero(d <= budget)
         ids.append(keep)
         dists.append(d[keep])
@@ -427,13 +431,13 @@ def ranking_from_dict(obj: Mapping) -> RankedIdentityList:
     try:
         entries = tuple(
             RankEntry(
-                str(e["identity"]),
-                float("-inf") if e["rho"] is None else float(e["rho"]),
+                json_value(e["identity"], str, "identity"),
+                float("-inf") if e["rho"] is None else json_value(e["rho"], float, "rho"),
                 SensorPosition(e["position"]),
             )
             for e in obj["ranking"]
         )
-        return RankedIdentityList(str(obj["avatar"]), entries)
+        return RankedIdentityList(json_value(obj["avatar"], str, "avatar"), entries)
     except (KeyError, ValueError, TypeError) as exc:
         raise DataError(f"bad ranking object: {exc}") from None
 

@@ -363,6 +363,21 @@ _MALFORMED = (RecursionError, KeyError, TypeError, ValueError, AttributeError, O
 _decode = json.JSONDecoder(parse_constant=lambda _: math.inf).decode
 
 
+_JSON_KINDS = {float: "number", int: "integer", bool: "boolean", str: "string"}
+
+
+def json_value(value, kind: type, name: str, error_type=DataError):
+    """`value`, the field `name` read from a file, if it is a JSON `kind`:
+    for float any number but a boolean, returned as a float; for int, bool
+    or str exactly that type.  Anything else raises error_type rather than
+    being cast."""
+    if kind is float and type(value) in (int, float):
+        return float(value)
+    if type(value) is not kind:
+        raise error_type(f"{name} must be a JSON {_JSON_KINDS[kind]}, got {value!r}")
+    return value
+
+
 def dumps_canonical(obj) -> str:
     """Canonical JSON: sorted keys, no whitespace, NaN forbidden."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
@@ -459,8 +474,8 @@ def _series_obj(data: _SeriesDataset, row: int) -> dict:
 
 def _parse_series(obj) -> tuple:
     """The dataset row of one series object."""
-    return _series_row(str(obj["source_id"]), Channel(obj["channel"]), float(obj["w"]),
-                       obj["activities"], obj["magnitudes"])
+    return _series_row(json_value(obj["source_id"], str, "source_id"), Channel(obj["channel"]),
+                       json_value(obj["w"], float, "w"), obj["activities"], obj["magnitudes"])
 
 
 def write_dataset_jsonl(dataset: _SeriesDataset, path) -> None:

@@ -34,6 +34,7 @@ from .model import (
     SensorPosition,
     VisualDataset,
     in_file,
+    json_value,
     not_utf8,
     read_json,
     read_json_lines,
@@ -226,22 +227,15 @@ def write_keypoint_jsonl(trace: KeypointTrace, path) -> None:
     } for i in range(len(trace))))
 
 
-def _number(value) -> float:
-    """A JSON number as a float; a boolean or a string is refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
-
-
 def _keypoint_frame(obj) -> tuple[float, dict]:
     """The timestamp and {keypoint: [x, y] or None} of one frame object."""
     kp = {}
     for name, xy in obj["kp"].items():
         if xy is not None:
             x, y = xy
-            xy = [_number(x), _number(y)]
+            xy = [json_value(x, float, f"{name} x"), json_value(y, float, f"{name} y")]
         kp[name] = xy
-    return _number(obj["ts"]), kp
+    return json_value(obj["ts"], float, "ts"), kp
 
 
 def read_keypoint_jsonl(path) -> KeypointTrace:
@@ -626,6 +620,16 @@ def apply_confusion(codes, matrix: ConfusionMatrix, rng: np.random.Generator) ->
 # ---------------------------------------------------------------------------
 # series construction
 
+def window_features(trace: MotionTrace | KeypointTrace,
+                    w: float) -> tuple[np.ndarray, np.ndarray]:
+    """Features and magnitudes of a trace's windows of width w: those of
+    `motion_features` for a motion trace, of `visual_features` for a
+    keypoint trace."""
+    edges = window_edges(trace, w)
+    features = motion_features if isinstance(trace, MotionTrace) else visual_features
+    return features(trace, edges[:-1], edges[1:])
+
+
 def build_series(trace: MotionTrace | KeypointTrace, w: float, model: ClassifierModel,
                  source_id: str) -> ActivityVectorSeries:
     """Run the full pipeline on one trace.
@@ -635,19 +639,13 @@ def build_series(trace: MotionTrace | KeypointTrace, w: float, model: Classifier
     into genuine movement energy); keypoint traces are used as-is.
     """
     if isinstance(trace, MotionTrace):
-        if model.channel is not Channel.MOTION:
-            raise ModelMismatch("motion trace needs a motion-channel model")
-        edges = window_edges(trace, w)
-        feats, mags = motion_features(trace, edges[:-1], edges[1:])
-        dataset = MotionDataset
+        kind, dataset = "motion", MotionDataset
     elif isinstance(trace, KeypointTrace):
-        if model.channel is not Channel.VISUAL:
-            raise ModelMismatch("keypoint trace needs a visual-channel model")
-        edges = window_edges(trace, w)
-        feats, mags = visual_features(trace, edges[:-1], edges[1:])
-        mags = mags.T
-        dataset = VisualDataset
+        kind, dataset = "keypoint", VisualDataset
     else:
         raise DataError(f"cannot build a series from {type(trace).__name__}")
+    if model.channel is not dataset.channel:
+        raise ModelMismatch(f"{kind} trace needs a {dataset.channel.value}-channel model")
+    feats, mags = window_features(trace, w)
     codes = classify_windows(model, feats)
-    return dataset.from_arrays((source_id,), codes[None], mags[None], w)[0]
+    return dataset.from_arrays((source_id,), codes[None], mags.T[None], w)[0]

@@ -31,6 +31,7 @@ from .model import (
     MotionDataset,
     SensorPosition,
     VisualDataset,
+    json_value,
     label_from_token,
     read_json,
     write_json,
@@ -45,9 +46,7 @@ from .pipeline import (
     MotionTrace,
     apply_confusion,
     fit_classifier,
-    motion_features,
-    visual_features,
-    window_edges,
+    window_features,
 )
 
 __all__ = [
@@ -201,8 +200,9 @@ class GroundTruth:
     @classmethod
     def from_dict(cls, payload: Mapping) -> "GroundTruth":
         try:
-            mapping = {str(k): str(v) for k, v in payload["avatars"].items()}
-            scripts = {str(k): tuple(map(_label, v)) for k, v in payload["scripts"].items()}
+            mapping = {k: json_value(v, str, f"identity of {k}")
+                       for k, v in payload["avatars"].items()}
+            scripts = {k: tuple(map(_label, v)) for k, v in payload["scripts"].items()}
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise DataError(f"malformed ground truth payload: {exc}") from exc
         return cls(mapping=mapping, scripts=scripts)
@@ -659,14 +659,9 @@ def train_classifier(
     script = np.repeat(np.arange(8, dtype=np.int64), reps)
     rng.shuffle(script)
     amps = _per_label(DEFAULT_MAGNITUDE_BASE)[script] * rng.uniform(0.5, 1.6, size=script.size)
-    if channel is Channel.MOTION:
-        trace = synthesize_motion_trace(script, amps, window_seconds, rng)
-        edges = window_edges(trace, window_seconds)
-        feats, _ = motion_features(trace, edges[:-1], edges[1:])
-    else:
-        trace = synthesize_keypoint_trace(script, amps, window_seconds, rng)
-        edges = window_edges(trace, window_seconds)
-        feats, _ = visual_features(trace, edges[:-1], edges[1:])
+    synthesize = (synthesize_motion_trace if channel is Channel.MOTION
+                  else synthesize_keypoint_trace)
+    feats, _ = window_features(synthesize(script, amps, window_seconds, rng), window_seconds)
     return fit_classifier(feats, script, channel)
 
 
@@ -676,60 +671,40 @@ def train_classifier(
 def _label_map_from_json(obj, what: str) -> dict[ActivityLabel, float]:
     if not isinstance(obj, Mapping):
         raise ConfigError(f"{what} must be an object of label token -> number")
-    out = {}
-    for key, val in obj.items():
-        out[label_from_token(str(key))] = float(val)
-    return out
+    return {label_from_token(key): json_value(val, float, what, ConfigError)
+            for key, val in obj.items()}
 
 
 def _confusion_from_json(obj, what: str) -> ConfusionMatrix | None:
     if obj is None or obj == "identity":
         return None
     try:
-        return ConfusionMatrix(np.asarray(obj, dtype=np.float64))
+        entries = np.asarray(obj, dtype=object)
+        for entry in entries.flat:
+            json_value(entry, float, what, ConfigError)
+        return ConfusionMatrix(entries.astype(np.float64))
     except (TypeError, ValueError, DataError) as exc:
         raise ConfigError(f"{what}: {exc}") from exc
 
 
-def _spec_field(payload: Mapping, key: str, kind: type = int):
-    """A spec field that must be a JSON integer, or a JSON boolean for
-    kind=bool: anything else is refused rather than truncated or cast."""
-    value = payload[key]
-    if type(value) is not kind:
-        raise ConfigError(f"{key} must be a JSON {'integer' if kind is int else 'boolean'}, "
-                          f"got {value!r}")
-    return value
+# the spec's scalar fields and the JSON kind of each
+_SPEC_SCALARS = {"num_identities": int, "n_windows": int, "window_seconds": float,
+                 "magnitude_noise_sd": float, "seed": int, "shared_script": bool}
+_SPEC_KEYS = {*_SPEC_SCALARS, "activity_prior", "motion_confusion", "visual_confusion",
+              "magnitude_base", "intensity_range", "position_observability"}
 
 
 def cohort_spec_from_dict(payload: Mapping) -> CohortSpec:
     if not isinstance(payload, Mapping):
         raise ConfigError("cohort spec must be a JSON object")
-    known = {
-        "num_identities",
-        "n_windows",
-        "window_seconds",
-        "activity_prior",
-        "motion_confusion",
-        "visual_confusion",
-        "magnitude_base",
-        "intensity_range",
-        "magnitude_noise_sd",
-        "position_observability",
-        "seed",
-        "shared_script",
-    }
-    unknown = set(payload) - known
+    unknown = set(payload) - _SPEC_KEYS
     if unknown:
         raise ConfigError(f"unknown cohort spec keys: {sorted(unknown)}")
-    try:
-        kwargs: dict = {
-            "num_identities": _spec_field(payload, "num_identities"),
-            "n_windows": _spec_field(payload, "n_windows"),
-        }
-    except KeyError as exc:
-        raise ConfigError(f"cohort spec missing required key {exc.args[0]!r}") from exc
-    if "window_seconds" in payload:
-        kwargs["window_seconds"] = float(payload["window_seconds"])
+    for key in ("num_identities", "n_windows"):
+        if key not in payload:
+            raise ConfigError(f"cohort spec missing required key {key!r}")
+    kwargs = {key: json_value(payload[key], kind, key, ConfigError)
+              for key, kind in _SPEC_SCALARS.items() if key in payload}
     if payload.get("activity_prior") is not None:
         kwargs["activity_prior"] = _label_map_from_json(
             payload["activity_prior"], "activity_prior"
@@ -750,9 +725,8 @@ def cohort_spec_from_dict(payload: Mapping) -> CohortSpec:
         pair = payload["intensity_range"]
         if not isinstance(pair, Sequence) or len(pair) != 2:
             raise ConfigError("intensity_range must be a [low, high] pair")
-        kwargs["intensity_range"] = (float(pair[0]), float(pair[1]))
-    if "magnitude_noise_sd" in payload:
-        kwargs["magnitude_noise_sd"] = float(payload["magnitude_noise_sd"])
+        kwargs["intensity_range"] = tuple(json_value(v, float, "intensity_range", ConfigError)
+                                          for v in pair)
     if payload.get("position_observability") is not None:
         obs_in = payload["position_observability"]
         if not isinstance(obs_in, Mapping):
@@ -760,15 +734,11 @@ def cohort_spec_from_dict(payload: Mapping) -> CohortSpec:
         obs = {}
         for key, val in obs_in.items():
             try:
-                pos = SensorPosition(str(key))
+                pos = SensorPosition(key)
             except ValueError:
                 raise ConfigError(f"unknown sensor position {key!r}") from None
-            obs[pos] = float(val)
+            obs[pos] = json_value(val, float, "position_observability", ConfigError)
         kwargs["position_observability"] = obs
-    if "seed" in payload:
-        kwargs["seed"] = _spec_field(payload, "seed")
-    if "shared_script" in payload:
-        kwargs["shared_script"] = _spec_field(payload, "shared_script", bool)
     return CohortSpec(**kwargs)
 
 

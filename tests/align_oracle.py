@@ -1,0 +1,179 @@
+"""The offset-search filter-and-rank as it ran before it moved to pair arrays.
+
+`correlate_with_alignment` here scores every (avatar, identity) pair in a
+Python loop, with a scalar `mismatch_budget` call per pair and one
+`_rank_candidates` call per avatar, and `align_offset_search` scores its
+offsets one at a time.  Tests compare the two `motionlink.align` entry
+points against them for equal rankings (rho bit for bit), equal chosen
+offsets, equal alignment results and the same exceptions.
+"""
+
+from __future__ import annotations
+
+from typing import Mapping, NamedTuple
+
+import numpy as np
+
+from motionlink.align import AlignConfig, AlignmentResult, OffsetScore, _rebuild
+from motionlink.engine import (
+    DEFAULT_MIN_OBSERVED_FRACTION,
+    FilterConfig,
+    RankedIdentityList,
+    _rank_candidates,
+    _ranked,
+    _restricted_lut,
+    mismatch_budget,
+    mismatch_counts,
+)
+from motionlink.errors import NoOverlap
+from motionlink.model import ActivityLabel, ActivityVectorSeries, VisualDataset
+from motionlink.pipeline import ClassifierModel, MotionTrace
+
+
+class _Scored(NamedTuple):
+    """One identity rebuilt at one offset, scored against every avatar over
+    the compared grid span [lo, hi)."""
+
+    offset: float
+    mags: np.ndarray
+    first: int  # grid index of mags[0]
+    lo: int
+    hi: int
+    distance: np.ndarray  # (p,), one per avatar
+    n_effective: np.ndarray  # (p,)
+
+
+def _overlap(first: int, length: int, n_visual: int) -> tuple[int, int]:
+    """Common grid index range [lo, hi) between a rebuilt sequence starting
+    at grid index `first` and a visual series occupying indices [0, n)."""
+    return max(0, first), min(n_visual, first + length)
+
+
+def align_offset_search(
+    trace: MotionTrace,
+    visual_series: ActivityVectorSeries,
+    model: ClassifierModel,
+    align: AlignConfig = AlignConfig(),
+    *,
+    restricted: frozenset[ActivityLabel] | None = None,
+) -> AlignmentResult:
+    """Find the trace offset whose rebuilt labels best match one series.
+
+    Minimizes the Hamming distance over the overlapping windows; ties go to
+    the smaller offset magnitude, then to the positive sign.  Offsets whose
+    shifted trace shares no window with the series are skipped; if none
+    overlaps, NoOverlap propagates.
+    """
+    w = visual_series.window_seconds
+    v_codes = visual_series.codes
+    lut = _restricted_lut(restricted) if restricted is not None else None
+    rebuilt = _rebuild(trace, align.offsets(), w, model, float(trace.timestamps[0]))
+    curve = []
+    best: OffsetScore | None = None
+    for offset, (codes, _, first) in rebuilt.items():
+        lo, hi = _overlap(first, codes.size, v_codes.size)
+        if hi <= lo:
+            continue
+        v, m = v_codes[lo:hi], codes[lo - first:hi - first]
+        dist, n_eff = mismatch_counts(v, m, None if lut is None else lut[v] & lut[m])
+        score = OffsetScore(offset, int(dist), hi - lo, int(n_eff))
+        curve.append(score)
+        if best is None or score.distance < best.distance:
+            best = score
+    if best is None:
+        raise NoOverlap(
+            f"no offset in ±{align.delta_max}s overlaps series {visual_series.source_id!r}"
+        )
+    curve.sort(key=lambda s: s.offset)
+    return AlignmentResult(
+        best.offset, best.distance, best.n_common, best.n_effective, tuple(curve)
+    )
+
+
+def correlate_with_alignment(
+    motion_traces: Mapping[str, MotionTrace],
+    visual: VisualDataset,
+    model: ClassifierModel,
+    config: FilterConfig = FilterConfig(),
+    align: AlignConfig = AlignConfig(),
+    *,
+    min_observed_fraction: float = DEFAULT_MIN_OBSERVED_FRACTION,
+) -> tuple[list[RankedIdentityList], dict[str, dict[str, float]]]:
+    """Filter-and-rank where every identity's clock may be off.
+
+    For each (avatar, identity) pair the offset grid is searched first; the
+    pair survives filtering if its best-offset distance fits the mismatch
+    budget of the compared span, and ranking then correlates magnitudes
+    over that same span.  With `align.share_offset` each identity commits
+    to one offset (its best across all avatars) instead of choosing per
+    pair, which suits clocks that are wrong by one constant per device.
+
+    Returns the rankings plus {avatar_id: {identity_id: chosen offset}} for
+    every evaluated pair.
+    """
+    w = visual.window_seconds
+    v_codes = visual.codes
+    n_visual = v_codes.shape[1]
+    lut = _restricted_lut(config.restricted) if config.restricted is not None else None
+
+    # one rebuild per identity covers every offset; each rebuilt label
+    # sequence is scored against all avatars at once.  scored[ident] lists
+    # the overlapping offsets in preference order
+    scored: dict[str, list[_Scored]] = {}
+    for ident, trace in motion_traces.items():
+        rebuilt = _rebuild(trace, align.offsets(), w, model, float(trace.timestamps[0]))
+        if not rebuilt:
+            raise NoOverlap(f"trace {ident!r}: no offset produces a full window")
+        rows = []
+        for offset, (codes, mags, first) in rebuilt.items():
+            lo, hi = _overlap(first, codes.size, n_visual)
+            if hi <= lo:
+                continue
+            v, m = v_codes[:, lo:hi], codes[lo - first:hi - first]
+            dist, n_eff = mismatch_counts(v, m, None if lut is None else lut[v] & lut[m])
+            rows.append(_Scored(offset, mags, first, lo, hi, dist,
+                                np.broadcast_to(n_eff, dist.shape)))
+        if align.share_offset:
+            if not rows:
+                raise NoOverlap(f"identity {ident!r} overlaps no avatar")
+            # an identity's clock error is one constant: commit to the offset
+            # that best explains its closest avatar
+            best = int(np.argmin(np.stack([row.distance for row in rows]))) // len(visual)
+            rows = [rows[best]]
+        scored[ident] = rows
+    # per identity, each avatar's best offset: the first minimum in preference order
+    best_row = {
+        ident: np.argmin(np.stack([row.distance for row in rows]), axis=0)
+        for ident, rows in scored.items() if rows
+    }
+
+    rankings = []
+    chosen: dict[str, dict[str, float]] = {}
+    # one avatar's kept candidates, filled from the front
+    vis = np.empty((len(best_row), *visual.mags.shape[1:]))
+    mot = np.empty((len(best_row), n_visual))
+    spans = np.empty(len(best_row), dtype=np.int64)
+    for a, avatar_id in enumerate(visual.ids):
+        avatar_mags = visual.mags[a]
+        ids = []
+        offsets_here: dict[str, float] = {}
+        for ident in sorted(best_row):
+            offset, mags, first, lo, hi, dist, n_eff = scored[ident][best_row[ident][a]]
+            offsets_here[ident] = offset
+            if dist[a] > mismatch_budget(config.t_norm, int(n_eff[a])):
+                continue
+            # rank over the compared span [lo, hi) only: windows outside
+            # it are unobservable for every position
+            c = len(ids)
+            vis[c] = np.nan
+            vis[c, :, lo:hi] = avatar_mags[:, lo:hi]
+            mot[c] = 0.0
+            mot[c, lo:hi] = mags[lo - first:hi - first]
+            spans[c] = hi - lo
+            ids.append(ident)
+        kept = np.arange(len(ids))
+        rho, pos = _rank_candidates(vis[:len(ids)], mot[:len(ids)], kept, kept,
+                                    spans[:len(ids)], min_observed_fraction)
+        rankings += _ranked([avatar_id], ids, np.zeros_like(kept), kept, rho, pos)
+        chosen[avatar_id] = offsets_here
+    return rankings, chosen

@@ -139,9 +139,18 @@ class TestGenerate:
         ("n_windows", "12"),
         ("num_identities", True),
         ("shared_script", "false"),
+        ("window_seconds", True),
+        ("magnitude_noise_sd", "0.1"),
+        ("intensity_range", ["1", 2]),
+        ("activity_prior", {"idle": "0.5", "walking": 0.5}),
+        ("magnitude_base", {"idle": False}),
+        ("position_observability", {"left_wrist": True}),
+        ("motion_confusion", [[1.0 if i == j else 0 for j in range(8)] for i in range(7)]
+         + [["0"] * 7 + [1.0]]),
     ], ids=["seed", "prior-nan", "intensity-inf", "noise-nan", "base-nan", "base-inf",
             "width-inf", "seed-float", "count-float", "windows-string", "count-bool",
-            "shared-string"])
+            "shared-string", "width-bool", "noise-string", "intensity-string",
+            "prior-string", "base-bool", "observability-bool", "confusion-string"])
     def test_bad_spec_value_is_config_error(self, tmp_path, capsys, field, value):
         spec = write_spec(tmp_path / "spec.json", **{field: value})
         out = tmp_path / "d"
@@ -557,6 +566,17 @@ WRONG_TYPE = {
                  id="spec-noise-list"),
     pytest.param("truth", '{"avatars": {"a0": "u0"}, "scripts": {"u0": [true]}}',
                  id="truth-bool-code"),
+    pytest.param("motion", '{"source_id": "u", "channel": "motion", "w": true, '
+                 '"activities": [1], "magnitudes": {"motion": [1.0]}}', id="motion-bool-w"),
+    pytest.param("motion", '{"source_id": "u", "channel": "motion", "w": "1.0", '
+                 '"activities": [1], "magnitudes": {"motion": [1.0]}}', id="motion-string-w"),
+    pytest.param("rankings", '{"avatar": "a0000", "ranking": [{"identity": "u0000", '
+                 '"rho": "0.25", "position": "left_wrist"}]}', id="rankings-string-rho"),
+    pytest.param("rankings", '{"avatar": "a0000", "ranking": [{"identity": 5, '
+                 '"rho": 0.25, "position": "left_wrist"}]}', id="rankings-int-identity"),
+    pytest.param("rankings", '{"avatar": 7, "ranking": [{"identity": "u0000", '
+                 '"rho": 0.25, "position": "left_wrist"}]}', id="rankings-int-avatar"),
+    pytest.param("truth", '{"avatars": {"a0000": 5}, "scripts": {}}', id="truth-int-identity"),
 ])
 def test_malformed_content_is_one_line_error(dataset, trace_dir, tmp_path, capsys,
                                              reader, content):

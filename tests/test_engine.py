@@ -1,5 +1,7 @@
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -165,6 +167,45 @@ def test_mismatch_budget_floor_semantics():
     assert mismatch_budget(0.5, 0) == 0
     with pytest.raises(ConfigError):
         mismatch_budget(1.5, 10)
+
+
+@pytest.mark.parametrize("t_norm", [0.0, 0.3, 0.7, 1.0])
+def test_mismatch_budget_broadcasts_over_counts(t_norm):
+    counts = np.arange(201)
+    budgets = mismatch_budget(t_norm, counts)
+    assert budgets.dtype == np.int64
+    assert budgets.tolist() == [mismatch_budget(t_norm, n) for n in range(201)]
+    assert budgets.tolist() == [math.floor(t_norm * n + 1e-9) for n in range(201)]
+    assert all(type(mismatch_budget(t_norm, n)) is int for n in (0, 7, 200))
+    with pytest.raises(DataError, match="got -1"):
+        mismatch_budget(t_norm, -1)
+    with pytest.raises(DataError, match="got -2"):
+        mismatch_budget(t_norm, np.array([3, -2, 5]))
+
+
+def _loops_around(tree: ast.AST, name: str) -> list[int]:
+    """Line numbers of the calls to `name` that sit inside a loop or a
+    comprehension."""
+    loops = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+             ast.GeneratorExp)
+    found = []
+
+    def visit(node, in_loop):
+        if isinstance(node, ast.Call) and in_loop and name in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            found.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, in_loop or isinstance(node, loops))
+
+    visit(tree, False)
+    return found
+
+
+def test_rank_candidates_is_never_called_in_a_loop():
+    # every caller ranks all its pairs in one call
+    package = Path(engine.__file__).parent
+    assert [(p.name, line) for p in sorted(package.rglob("*.py"))
+            for line in _loops_around(ast.parse(p.read_text()), "_rank_candidates")] == []
 
 
 def test_filter_config_validation():
