@@ -33,8 +33,15 @@ from .engine import (
     mismatch_budget,
     mismatch_counts,
 )
-from .model import ActivityLabel, ActivityVectorSeries, VisualDataset
-from .pipeline import _EPS, ClassifierModel, MotionTrace, classify_windows, motion_features
+from .model import ActivityLabel, ActivityVectorSeries, Channel, VisualDataset
+from .pipeline import (
+    _EPS,
+    ClassifierModel,
+    MotionTrace,
+    _check_channel,
+    classify_windows,
+    motion_features,
+)
 
 __all__ = [
     "AlignConfig",
@@ -99,8 +106,12 @@ def _rebuild(
     by each offset and cut on the window grid {origin + j*w}.
 
     Only fully covered windows count; an offset whose shifted trace covers
-    none is left out.  The windows of every offset are featurized in one
-    call.
+    none is left out.  A window's features and magnitude depend only on the
+    trace and its sample range [lo, hi), and offsets a whole number of
+    windows apart cut the same ranges, so each distinct range is featurized
+    and classified once, in one call, and the results are scattered back to
+    every offset that cuts it: the cost follows the distinct windows (the
+    offsets' phases modulo w), not the number of offsets.
     """
     edges = {}
     for offset in offsets:
@@ -113,12 +124,13 @@ def _rebuild(
             edges[offset] = idx, j0
     if not edges:
         return {}
-    feats, mags = motion_features(
-        trace,
-        np.concatenate([idx[:-1] for idx, _ in edges.values()]),
-        np.concatenate([idx[1:] for idx, _ in edges.values()]),
-    )
-    codes = classify_windows(model, feats)
+    # one int64 code per (lo, hi) sample range; both lie in [0, N]
+    span = trace.timestamps.size + 1
+    windows, where = np.unique(
+        np.concatenate([idx[:-1] * span + idx[1:] for idx, _ in edges.values()]),
+        return_inverse=True)
+    feats, mags = motion_features(trace, windows // span, windows % span)
+    codes, mags = classify_windows(model, feats)[where], mags[where]
     out, start = {}, 0
     for offset, (idx, first) in edges.items():
         stop = start + idx.size - 1
@@ -167,6 +179,7 @@ def align_offset_search(
     shifted trace shares no window with the series are skipped; if none
     overlaps, NoOverlap propagates.
     """
+    _check_channel(model, "motion", Channel.MOTION)
     lut = _restricted_lut(restricted) if restricted is not None else None
     scores = _scores(trace, visual_series.codes[None], visual_series.window_seconds, model,
                      align, lut)
@@ -202,12 +215,14 @@ def correlate_with_alignment(
     Returns the rankings plus {avatar_id: {identity_id: chosen offset}} for
     every evaluated pair.
     """
+    _check_channel(model, "motion", Channel.MOTION)
     n = visual.codes.shape[1]
     lut = _restricted_lut(config.restricted) if config.restricted is not None else None
     avatars = np.arange(len(visual))
     names, chosen_offsets = [], []
     # kept pairs as (avatar row, identity, motion row, lo, hi) rows, and the
-    # motion rows: each rebuilt sequence on the grid, zero outside its span
+    # motion rows: each rebuilt sequence some kept pair uses, on the grid,
+    # zero outside its span
     pairs, mot = [np.empty((0, 5), dtype=np.int64)], []
     for ident, trace in motion_traces.items():
         scores = _scores(trace, visual.codes, visual.window_seconds, model, align, lut)
@@ -228,12 +243,13 @@ def correlate_with_alignment(
         kept = np.flatnonzero(dist[best, avatars]
                               <= mismatch_budget(config.t_norm, n_eff[best, avatars]))
         kept_best = best[kept]
-        pairs.append(np.stack([kept, np.full_like(kept, len(names)), len(mot) + kept_best,
+        used, row = np.unique(kept_best, return_inverse=True)
+        pairs.append(np.stack([kept, np.full_like(kept, len(names)), len(mot) + row,
                                np.take(lo, kept_best), np.take(hi, kept_best)], axis=1))
         names.append(ident)
         chosen_offsets.append(np.take(offsets, best).tolist())
-        mot += [np.pad(seq[l - f:h - f], (l, n - h))
-                for seq, f, l, h in zip(mags, first, lo, hi)]
+        mot += [np.pad(mags[i][lo[i] - first[i]:hi[i] - first[i]], (lo[i], n - hi[i]))
+                for i in used.tolist()]
     rows, ids, mot_rows, lo, hi = np.concatenate(pairs).T
     # rank over the compared span [lo, hi) only: one visual row per (span,
     # avatar) in use, every position unobservable outside the span

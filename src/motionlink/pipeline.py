@@ -34,6 +34,7 @@ from .model import (
     SensorPosition,
     VisualDataset,
     in_file,
+    json_numbers,
     json_value,
     not_utf8,
     read_json,
@@ -566,10 +567,16 @@ def save_classifier(model: ClassifierModel, path) -> None:
     }])
 
 
+def _parse_classifier(obj) -> ClassifierModel:
+    for name in ("feature_mean", "feature_std"):
+        json_numbers([obj[name]], name)
+    json_numbers(obj["centroids"], "centroids")
+    return ClassifierModel(Channel(obj["channel"]), obj["feature_mean"], obj["feature_std"],
+                           obj["centroids"])
+
+
 def load_classifier(path) -> ClassifierModel:
-    return read_json(path, lambda obj: ClassifierModel(
-        Channel(obj["channel"]), obj["feature_mean"], obj["feature_std"], obj["centroids"],
-    ), "classifier model")
+    return read_json(path, _parse_classifier, "classifier model")
 
 
 # ---------------------------------------------------------------------------
@@ -630,6 +637,13 @@ def window_features(trace: MotionTrace | KeypointTrace,
     return features(trace, edges[:-1], edges[1:])
 
 
+def _check_channel(model: ClassifierModel, kind: str, channel: Channel) -> None:
+    """Raise ModelMismatch unless `model` classifies `channel` windows, those
+    of a `kind` trace."""
+    if model.channel is not channel:
+        raise ModelMismatch(f"{kind} trace needs a {channel.value}-channel model")
+
+
 def build_series(trace: MotionTrace | KeypointTrace, w: float, model: ClassifierModel,
                  source_id: str) -> ActivityVectorSeries:
     """Run the full pipeline on one trace.
@@ -644,8 +658,7 @@ def build_series(trace: MotionTrace | KeypointTrace, w: float, model: Classifier
         kind, dataset = "keypoint", VisualDataset
     else:
         raise DataError(f"cannot build a series from {type(trace).__name__}")
-    if model.channel is not dataset.channel:
-        raise ModelMismatch(f"{kind} trace needs a {dataset.channel.value}-channel model")
+    _check_channel(model, kind, dataset.channel)
     feats, mags = window_features(trace, w)
     codes = classify_windows(model, feats)
     return dataset.from_arrays((source_id,), codes[None], mags.T[None], w)[0]

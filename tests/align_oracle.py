@@ -1,20 +1,24 @@
-"""The offset-search filter-and-rank as it ran before it moved to pair arrays.
+"""The offset search as it ran before it moved to pair arrays and before
+the rebuild featurized each distinct sample window once.
 
-`correlate_with_alignment` here scores every (avatar, identity) pair in a
-Python loop, with a scalar `mismatch_budget` call per pair and one
+`_rebuild` here featurizes every window of every offset, duplicates
+included.  `correlate_with_alignment` scores every (avatar, identity) pair
+in a Python loop, with a scalar `mismatch_budget` call per pair and one
 `_rank_candidates` call per avatar, and `align_offset_search` scores its
-offsets one at a time.  Tests compare the two `motionlink.align` entry
-points against them for equal rankings (rho bit for bit), equal chosen
-offsets, equal alignment results and the same exceptions.
+offsets one at a time.  Tests compare the `motionlink.align` functions
+against them for equal rebuilds (arrays bit for bit), equal rankings (rho
+bit for bit), equal chosen offsets, equal alignment results and the same
+exceptions.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from motionlink.align import AlignConfig, AlignmentResult, OffsetScore, _rebuild
+from motionlink.align import AlignConfig, AlignmentResult, OffsetScore
 from motionlink.engine import (
     DEFAULT_MIN_OBSERVED_FRACTION,
     FilterConfig,
@@ -27,7 +31,52 @@ from motionlink.engine import (
 )
 from motionlink.errors import NoOverlap
 from motionlink.model import ActivityLabel, ActivityVectorSeries, VisualDataset
-from motionlink.pipeline import ClassifierModel, MotionTrace
+from motionlink.pipeline import (
+    _EPS,
+    ClassifierModel,
+    MotionTrace,
+    classify_windows,
+    motion_features,
+)
+
+
+def _rebuild(
+    trace: MotionTrace,
+    offsets,
+    w: float,
+    model: ClassifierModel,
+    origin: float,
+) -> dict[float, tuple[np.ndarray, np.ndarray, int]]:
+    """{offset: (labels, magnitudes, first grid index)} of the trace shifted
+    by each offset and cut on the window grid {origin + j*w}.
+
+    Only fully covered windows count; an offset whose shifted trace covers
+    none is left out.  The windows of every offset are featurized in one
+    call.
+    """
+    edges = {}
+    for offset in offsets:
+        t_start = float(trace.timestamps[0]) + offset
+        j0 = math.ceil((t_start - origin) / w - _EPS)
+        j1 = math.floor((t_start + trace.duration - origin) / w + _EPS)
+        if j1 > j0:
+            grid = origin + w * np.arange(j0, j1 + 1, dtype=np.float64)
+            idx = np.searchsorted(trace.timestamps + offset, grid - _EPS, side="left")
+            edges[offset] = idx, j0
+    if not edges:
+        return {}
+    feats, mags = motion_features(
+        trace,
+        np.concatenate([idx[:-1] for idx, _ in edges.values()]),
+        np.concatenate([idx[1:] for idx, _ in edges.values()]),
+    )
+    codes = classify_windows(model, feats)
+    out, start = {}, 0
+    for offset, (idx, first) in edges.items():
+        stop = start + idx.size - 1
+        out[offset] = codes[start:stop], mags[start:stop], first
+        start = stop
+    return out
 
 
 class _Scored(NamedTuple):

@@ -10,6 +10,7 @@ the true lag.
 import numpy as np
 import pytest
 
+from motionlink import align
 from motionlink.align import (
     AlignConfig,
     _rebuild,
@@ -17,7 +18,7 @@ from motionlink.align import (
     correlate_with_alignment,
 )
 from motionlink.engine import FilterConfig, mismatch_counts
-from motionlink.errors import ConfigError, NoOverlap
+from motionlink.errors import ConfigError, ModelMismatch, NoOverlap
 from motionlink.model import (
     ActivityLabel,
     ActivityVectorSeries,
@@ -285,3 +286,18 @@ class TestCorrelateWithAlignment:
         )
         assert rankings[0].top().identity_id == "u0"
         assert abs(offsets["a0"]["u0"] - lag) <= 0.5
+
+
+def test_visual_model_is_refused_before_featurizing(cohort, monkeypatch):
+    traces, visual, _ = cohort
+    visual_model = train_classifier(Channel.VISUAL, 1.0, seed=0, reps=4)
+
+    def featurize(*args):
+        raise AssertionError("featurized with a wrong-channel model")
+
+    monkeypatch.setattr(align, "motion_features", featurize)
+    message = "motion trace needs a motion-channel model"
+    with pytest.raises(ModelMismatch, match=f"^{message}$"):
+        correlate_with_alignment(traces, visual, visual_model)
+    with pytest.raises(ModelMismatch, match=f"^{message}$"):
+        align_offset_search(traces["u0"], visual[0], visual_model)

@@ -1,9 +1,11 @@
-"""The offset search on pair arrays against the per-pair loop it replaced.
+"""The offset search against the implementation it replaced.
 
-`align_oracle` holds the loop implementation; on small synthesized cohorts
-with random clock lags, both must give the same rankings (rho compared with
-==), the same chosen offsets, the same alignment results and the same
-exceptions.
+`align_oracle` holds the per-pair loop and the rebuild that featurizes
+every window of every offset.  On small synthesized cohorts with random
+clock lags, regular or irregular sampling and grids whose step does or does
+not divide the window, both must give the same rebuilds (arrays bit for
+bit), the same rankings (rho compared with ==), the same chosen offsets,
+the same alignment results and the same exceptions.
 """
 
 import numpy as np
@@ -12,13 +14,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import align_oracle
+import motionlink.align
 from motionlink.align import AlignConfig, _rebuild, align_offset_search, correlate_with_alignment
 from motionlink.engine import FilterConfig
 from motionlink.errors import MotionLinkError
 from motionlink.evalbench import DEFAULT_RESTRICTED_SET
 from motionlink.model import Channel, VisualDataset
 from motionlink.pipeline import GRAVITY, MotionTrace
-from motionlink.synth import DEFAULT_MAGNITUDE_BASE, synthesize_motion_trace, train_classifier
+from motionlink.synth import (
+    DEFAULT_MAGNITUDE_BASE,
+    CohortSpec,
+    synthesize_motion_trace,
+    synthesize_trace_cohort,
+    train_classifier,
+)
 
 BASE = np.array([DEFAULT_MAGNITUDE_BASE[label] for label in sorted(DEFAULT_MAGNITUDE_BASE)])
 
@@ -29,6 +38,9 @@ BASE = np.array([DEFAULT_MAGNITUDE_BASE[label] for label in sorted(DEFAULT_MAGNI
 STUB = MotionTrace(np.arange(50) * 0.02, np.tile([0.0, 0.0, GRAVITY], (50, 1)),
                    np.zeros((50, 3)), nominal_interval=0.02 - 1.5e-9)
 GRIDS = (AlignConfig(delta_max=2.0, step=0.5), AlignConfig(delta_max=1.0, step=1 - 0.75e-9))
+# steps that do not divide the window, and one below a sample interval
+ODD_GRIDS = (AlignConfig(delta_max=1.5, step=0.3), AlignConfig(delta_max=1.5, step=0.75),
+             AlignConfig(delta_max=0.1, step=0.0125))
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +61,31 @@ def late_start(trace: MotionTrace, lag: float) -> MotionTrace:
     return MotionTrace(trace.timestamps[i0:], trace.accel[i0:], trace.gyro[i0:])
 
 
+def irregular(trace: MotionTrace, rng: np.random.Generator, drop: float) -> MotionTrace:
+    """The trace with each sample time jittered by up to 0.4 of the sample
+    interval and a share `drop` of its samples, never the first, dropped:
+    its windows differ in sample count."""
+    ts = trace.timestamps
+    ts = ts + rng.uniform(-0.4, 0.4, size=ts.size) * (ts[1] - ts[0])
+    keep = rng.random(ts.size) >= drop
+    keep[0] = True
+    return MotionTrace(ts[keep], trace.accel[keep], trace.gyro[keep])
+
+
+@st.composite
+def motion_traces(draw, rng: np.random.Generator, script, amps) -> MotionTrace:
+    """A trace acting out `script`, sampled at 50 Hz or at 64 Hz, then
+    made irregular or not and started late by a random lag.  At 64 Hz every
+    sample time is exact in binary, as are the grid edges of the dyadic
+    steps and origins, so shifted samples fall exactly on grid edges."""
+    rate = draw(st.sampled_from([50.0, 64.0]))
+    trace = synthesize_motion_trace(script, amps, 1.0, rng, sample_rate=rate)
+    drop = draw(st.sampled_from([None, 0.1, 0.4]))
+    if drop is not None:
+        trace = irregular(trace, rng, drop)
+    return late_start(trace, draw(st.sampled_from([0.0, 0.3, 0.5, 1.0, 1.5, 2.0])))
+
+
 @st.composite
 def cohorts(draw):
     """(traces, visual): q identities whose recordings start late by a
@@ -57,13 +94,11 @@ def cohorts(draw):
     stub trace among the identities."""
     p, q, n = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(8, 16))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    lags = draw(st.lists(st.sampled_from([0.0, 0.3, 0.5, 1.0, 1.5, 2.0]),
-                         min_size=q, max_size=q))
     traces, scripts = {}, []
-    for i, lag in zip(rng.permutation(q), lags):  # insertion order is not name order
+    for i in rng.permutation(q):  # insertion order is not name order
         script = rng.integers(0, 8, size=n + 3)
         amps = BASE[script] * rng.uniform(0.8, 1.5, size=script.size)
-        traces[f"u{i}"] = late_start(synthesize_motion_trace(script, amps, 1.0, rng), lag)
+        traces[f"u{i}"] = draw(motion_traces(rng, script, amps))
         scripts.append((script[:n], amps[:n]))
     if draw(st.booleans()):
         items = list(traces.items())
@@ -92,7 +127,7 @@ def outcome(fn, *args, **kwargs):
 
 @settings(max_examples=120, deadline=None)
 @given(cohort=cohorts(), t_norm=st.sampled_from([0.0, 0.4, 1.0]), restricted=st.booleans(),
-       share=st.booleans(), grid=st.sampled_from(GRIDS),
+       share=st.booleans(), grid=st.sampled_from(GRIDS + ODD_GRIDS),
        fraction=st.sampled_from([0.0, 0.5, 0.9]))
 def test_offset_search_equals_per_pair_loop(model, cohort, t_norm, restricted, share, grid,
                                             fraction):
@@ -107,3 +142,50 @@ def test_offset_search_equals_per_pair_loop(model, cohort, t_norm, restricted, s
         args = trace, visual[0], model, align
         assert (outcome(align_offset_search, *args, restricted=labels)
                 == outcome(align_oracle.align_offset_search, *args, restricted=labels))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data(),
+       grid=st.sampled_from(GRIDS + ODD_GRIDS), origin=st.sampled_from([None, 0.0, 0.25]))
+def test_rebuild_is_per_offset_and_equals_oracle(model, seed, data, grid, origin):
+    """Rebuilding all offsets at once gives each offset what rebuilding it
+    alone gives, and what the oracle gives, array for array, bit for bit."""
+    rng = np.random.default_rng(seed)
+    script = rng.integers(0, 8, size=6)
+    trace = data.draw(motion_traces(rng, script, BASE[script]))
+    origin = float(trace.timestamps[0]) if origin is None else origin
+    offsets = grid.offsets()
+    got = _rebuild(trace, offsets, 1.0, model, origin)
+    alone = {o: r[o] for o in offsets for r in [_rebuild(trace, (o,), 1.0, model, origin)] if r}
+    want = align_oracle._rebuild(trace, offsets, 1.0, model, origin)
+    for other in (alone, want):
+        assert list(got) == list(other)
+        for (codes, mags, first), (codes2, mags2, first2) in zip(got.values(), other.values()):
+            assert first == first2
+            assert codes.dtype == codes2.dtype and codes.tobytes() == codes2.tobytes()
+            assert mags.dtype == mags2.dtype and mags.tobytes() == mags2.tobytes()
+
+
+def test_rebuild_featurizes_each_distinct_window_once(model, monkeypatch):
+    """On a 40-window cohort trace that starts 2 s late, the ±2 s grid in
+    0.5 s steps cuts 338 windows over its 9 offsets, 75 of them distinct:
+    the rebuild featurizes those 75 only."""
+    trace = synthesize_trace_cohort(CohortSpec(num_identities=10, n_windows=40, seed=1))
+    trace = late_start(next(iter(trace.motion_traces.values())), 2.0)
+    offsets, origin = AlignConfig(2.0, 0.5).offsets(), float(trace.timestamps[0])
+
+    def recorded(module):
+        calls, features = [], module.motion_features
+        monkeypatch.setattr(module, "motion_features",
+                            lambda t, lo, hi: (calls.append((lo, hi)), features(t, lo, hi))[1])
+        return calls
+
+    oracle_calls, calls = recorded(align_oracle), recorded(motionlink.align)
+    align_oracle._rebuild(trace, offsets, 1.0, model, origin)
+    _rebuild(trace, offsets, 1.0, model, origin)
+    (lo, hi), = oracle_calls
+    distinct = set(zip(lo.tolist(), hi.tolist()))
+    assert (lo.size, len(distinct)) == (338, 75)
+    (lo, hi), = calls
+    assert lo.size == len(distinct)
+    assert set(zip(lo.tolist(), hi.tolist())) == distinct

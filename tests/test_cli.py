@@ -16,6 +16,7 @@ from motionlink.cli import (
     main,
 )
 from motionlink.errors import ConfigError
+from motionlink.model import SensorPosition
 from motionlink.windex import estimate_index_memory
 
 
@@ -545,6 +546,33 @@ WRONG_TYPE = {
 }
 
 
+# Well-formed files but for the leading entries of one array: a series of
+# the `dataset` cohort's length, a model of the motion feature dimension.
+N_WINDOWS, MOTION_DIM = 24, 24
+
+
+def motion_line(lead: list) -> str:
+    mags = lead + [1.0] * (N_WINDOWS - len(lead))
+    return json.dumps({"source_id": "u", "channel": "motion", "w": 1.0,
+                       "activities": [0] * N_WINDOWS, "magnitudes": {"motion": mags}})
+
+
+def visual_line(lead: list) -> str:
+    mags = {p.value: [None] * N_WINDOWS for p in SensorPosition}
+    mags["left_wrist"] = lead + [1.0] * (N_WINDOWS - len(lead))
+    return json.dumps({"source_id": "a", "channel": "visual", "w": 1.0,
+                       "activities": [0] * N_WINDOWS, "magnitudes": mags})
+
+
+def model_line(**lead) -> str:
+    obj = {"channel": "motion", "feature_mean": [0.0] * MOTION_DIM,
+           "feature_std": [1.0] * MOTION_DIM, "centroids": [[0.0] * MOTION_DIM for _ in range(8)]}
+    for name, values in lead.items():
+        row = obj[name][0] if name == "centroids" else obj[name]
+        row[:len(values)] = values
+    return json.dumps(obj)
+
+
 @pytest.mark.parametrize("reader, content", [
     *(pytest.param(r, "[1, 2]", id=f"{r}-list") for r in JSON_READERS),
     *(pytest.param(r, DEEP, id=f"{r}-deep") for r in JSON_READERS),
@@ -570,6 +598,14 @@ WRONG_TYPE = {
                  '"activities": [1], "magnitudes": {"motion": [1.0]}}', id="motion-bool-w"),
     pytest.param("motion", '{"source_id": "u", "channel": "motion", "w": "1.0", '
                  '"activities": [1], "magnitudes": {"motion": [1.0]}}', id="motion-string-w"),
+    pytest.param("motion", motion_line(["1.39"]), id="motion-numeric-string-magnitude"),
+    pytest.param("motion", motion_line([True]), id="motion-bool-magnitude"),
+    pytest.param("motion", motion_line([[1.0]]), id="motion-nested-magnitude"),
+    pytest.param("visual", visual_line([False]), id="visual-bool-magnitude"),
+    pytest.param("visual", visual_line(["0.5"]), id="visual-numeric-string-magnitude"),
+    pytest.param("model", model_line(feature_mean=["0.5"]), id="model-string-mean"),
+    pytest.param("model", model_line(feature_std=[True]), id="model-bool-std"),
+    pytest.param("model", model_line(centroids=["0.0"]), id="model-string-centroid"),
     pytest.param("rankings", '{"avatar": "a0000", "ranking": [{"identity": "u0000", '
                  '"rho": "0.25", "position": "left_wrist"}]}', id="rankings-string-rho"),
     pytest.param("rankings", '{"avatar": "a0000", "ranking": [{"identity": 5, '
