@@ -148,8 +148,10 @@ def _scores(trace: MotionTrace, v_codes: np.ndarray, w: float, model: Classifier
     preference order, one (offset, mags, first, lo, hi, distance,
     n_effective): the sequence's magnitudes and the grid index `first` of
     their start, the compared span [lo, hi), and one distance and one
-    effective window count per visual row over that span.
+    effective window count per visual row over that span.  A model of the
+    wrong channel raises ModelMismatch before anything is featurized.
     """
+    _check_channel(model, "motion", Channel.MOTION)
     rebuilt = _rebuild(trace, align.offsets(), w, model, float(trace.timestamps[0]))
     if not rebuilt:
         return None
@@ -179,7 +181,6 @@ def align_offset_search(
     shifted trace shares no window with the series are skipped; if none
     overlaps, NoOverlap propagates.
     """
-    _check_channel(model, "motion", Channel.MOTION)
     lut = _restricted_lut(restricted) if restricted is not None else None
     scores = _scores(trace, visual_series.codes[None], visual_series.window_seconds, model,
                      align, lut)
@@ -215,7 +216,6 @@ def correlate_with_alignment(
     Returns the rankings plus {avatar_id: {identity_id: chosen offset}} for
     every evaluated pair.
     """
-    _check_channel(model, "motion", Channel.MOTION)
     n = visual.codes.shape[1]
     lut = _restricted_lut(config.restricted) if config.restricted is not None else None
     avatars = np.arange(len(visual))

@@ -364,8 +364,9 @@ _MALFORMED = (RecursionError, KeyError, TypeError, ValueError, AttributeError, O
 _decode = json.JSONDecoder(parse_constant=lambda _: math.inf).decode
 
 
-_JSON_KINDS = {float: "number", int: "integer", bool: "boolean", str: "string", dict: "object"}
+_JSON_KINDS = {float: "number", int: "integer", bool: "boolean", str: "string"}
 _NUMBERS = frozenset({int, float})
+_NUMBERS_OR_NULL = _NUMBERS | {type(None)}
 
 
 def json_value(value, kind: type, name: str, error_type=DataError):
@@ -380,16 +381,15 @@ def json_value(value, kind: type, name: str, error_type=DataError):
     return value
 
 
-def json_numbers(arrays: Iterable[list], name: str, nullable: bool = False,
-                 error_type=DataError) -> None:
+def json_numbers(arrays: Iterable[list], name: str, nullable: bool = False) -> None:
     """Refuse `arrays`, JSON arrays read as `name`, if an entry is not a
     number or, with `nullable`, null: a numeric string or a boolean raises
-    error_type rather than being cast.  The entry types are scanned in C,
+    DataError rather than being cast.  The entry types are scanned in C,
     not checked by a call per entry."""
-    allowed = _NUMBERS | {type(None)} if nullable else _NUMBERS
+    allowed = _NUMBERS_OR_NULL if nullable else _NUMBERS
     if not allowed.issuperset(map(type, chain.from_iterable(arrays))):
         bad = next(v for v in chain.from_iterable(arrays) if type(v) not in allowed)
-        raise error_type(f"{name} must be JSON numbers{' or null' * nullable}, got {bad!r}")
+        raise DataError(f"{name} must be JSON numbers{' or null' * nullable}, got {bad!r}")
 
 
 def dumps_canonical(obj) -> str:
@@ -488,10 +488,9 @@ def _series_obj(data: _SeriesDataset, row: int) -> dict:
 
 def _parse_series(obj) -> tuple:
     """The dataset row of one series object."""
-    sequences = json_value(obj["magnitudes"], dict, "magnitudes")
-    json_numbers(sequences.values(), "magnitude entries", nullable=True)
+    json_numbers(obj["magnitudes"].values(), "magnitude entries", nullable=True)
     return _series_row(json_value(obj["source_id"], str, "source_id"), Channel(obj["channel"]),
-                       json_value(obj["w"], float, "w"), obj["activities"], sequences)
+                       json_value(obj["w"], float, "w"), obj["activities"], obj["magnitudes"])
 
 
 def write_dataset_jsonl(dataset: _SeriesDataset, path) -> None:

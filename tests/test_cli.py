@@ -17,6 +17,7 @@ from motionlink.cli import (
 )
 from motionlink.errors import ConfigError
 from motionlink.model import SensorPosition
+from motionlink.pipeline import MOTION_FEATURE_DIM
 from motionlink.windex import estimate_index_memory
 
 
@@ -548,7 +549,7 @@ WRONG_TYPE = {
 
 # Well-formed files but for the leading entries of one array: a series of
 # the `dataset` cohort's length, a model of the motion feature dimension.
-N_WINDOWS, MOTION_DIM = 24, 24
+N_WINDOWS = 24
 
 
 def motion_line(lead: list) -> str:
@@ -565,8 +566,9 @@ def visual_line(lead: list) -> str:
 
 
 def model_line(**lead) -> str:
-    obj = {"channel": "motion", "feature_mean": [0.0] * MOTION_DIM,
-           "feature_std": [1.0] * MOTION_DIM, "centroids": [[0.0] * MOTION_DIM for _ in range(8)]}
+    dim = MOTION_FEATURE_DIM
+    obj = {"channel": "motion", "feature_mean": [0.0] * dim, "feature_std": [1.0] * dim,
+           "centroids": [[0.0] * dim for _ in range(8)]}
     for name, values in lead.items():
         row = obj[name][0] if name == "centroids" else obj[name]
         row[:len(values)] = values
@@ -598,14 +600,6 @@ def model_line(**lead) -> str:
                  '"activities": [1], "magnitudes": {"motion": [1.0]}}', id="motion-bool-w"),
     pytest.param("motion", '{"source_id": "u", "channel": "motion", "w": "1.0", '
                  '"activities": [1], "magnitudes": {"motion": [1.0]}}', id="motion-string-w"),
-    pytest.param("motion", motion_line(["1.39"]), id="motion-numeric-string-magnitude"),
-    pytest.param("motion", motion_line([True]), id="motion-bool-magnitude"),
-    pytest.param("motion", motion_line([[1.0]]), id="motion-nested-magnitude"),
-    pytest.param("visual", visual_line([False]), id="visual-bool-magnitude"),
-    pytest.param("visual", visual_line(["0.5"]), id="visual-numeric-string-magnitude"),
-    pytest.param("model", model_line(feature_mean=["0.5"]), id="model-string-mean"),
-    pytest.param("model", model_line(feature_std=[True]), id="model-bool-std"),
-    pytest.param("model", model_line(centroids=["0.0"]), id="model-string-centroid"),
     pytest.param("rankings", '{"avatar": "a0000", "ranking": [{"identity": "u0000", '
                  '"rho": "0.25", "position": "left_wrist"}]}', id="rankings-string-rho"),
     pytest.param("rankings", '{"avatar": "a0000", "ranking": [{"identity": 5, '
@@ -617,6 +611,22 @@ def model_line(**lead) -> str:
 def test_malformed_content_is_one_line_error(dataset, trace_dir, tmp_path, capsys,
                                              reader, content):
     run_on_bad_file(reader, f"{content}\n".encode(), dataset, trace_dir, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("reader, content", [
+    pytest.param("motion", motion_line(["1.39"]), id="motion-numeric-string-magnitude"),
+    pytest.param("motion", motion_line([True]), id="motion-bool-magnitude"),
+    pytest.param("motion", motion_line([[1.0]]), id="motion-nested-magnitude"),
+    pytest.param("visual", visual_line([False]), id="visual-bool-magnitude"),
+    pytest.param("visual", visual_line(["0.5"]), id="visual-numeric-string-magnitude"),
+    pytest.param("model", model_line(feature_mean=["0.5"]), id="model-string-mean"),
+    pytest.param("model", model_line(feature_std=[True]), id="model-bool-std"),
+    pytest.param("model", model_line(centroids=["0.0"]), id="model-string-centroid"),
+])
+def test_non_numeric_array_entry_is_refused(dataset, trace_dir, tmp_path, capsys,
+                                            reader, content):
+    err = run_on_bad_file(reader, f"{content}\n".encode(), dataset, trace_dir, tmp_path, capsys)
+    assert "must be JSON numbers" in err
 
 
 class TestTraceCommands:
