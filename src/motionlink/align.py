@@ -42,6 +42,7 @@ from .pipeline import (
     classify_windows,
     motion_features,
 )
+from .windex import _refuse_over, _resolve_cap
 
 __all__ = [
     "AlignConfig",
@@ -50,6 +51,13 @@ __all__ = [
     "align_offset_search",
     "correlate_with_alignment",
 ]
+
+
+# Bytes the offset search holds per candidate offset: every offset rebuilds
+# the whole trace on the window grid.  Measured under tracemalloc: about 630
+# for a trace spanning four windows, growing by about 57 per window.
+_OFFSET_BYTES = 640
+_OFFSET_WINDOW_BYTES = 64
 
 
 @dataclass(frozen=True)
@@ -61,18 +69,34 @@ class AlignConfig:
     share_offset: bool = False
 
     def __post_init__(self):
-        if not self.step > 0:
-            raise ConfigError(f"step must be positive, got {self.step}")
-        if self.delta_max < 0:
-            raise ConfigError(f"delta_max must be >= 0, got {self.delta_max}")
+        if not 0 < self.step < math.inf:
+            raise ConfigError(f"step must be positive and finite, got {self.step}")
+        if not 0 <= self.delta_max < math.inf:
+            raise ConfigError(f"delta_max must be finite and >= 0, got {self.delta_max}")
+        if self.delta_max / self.step == math.inf:
+            raise ConfigError(f"delta_max / step overflows: {self.delta_max} / {self.step}")
+
+    @property
+    def n_offsets(self) -> int:
+        """How many offsets the grid holds, counted without building it."""
+        return 2 * math.floor(self.delta_max / self.step + _EPS) + 1
+
+    def check_memory(self, windows: float = 0.0) -> None:
+        """Refuse with MemoryCapExceeded a grid whose offsets the search
+        could not hold under the memory cap (MOTIONLINK_MEMORY_CAP or
+        8 GiB by default), for a trace spanning `windows` windows."""
+        per_offset = _OFFSET_BYTES + _OFFSET_WINDOW_BYTES * windows
+        _refuse_over(_resolve_cap(), math.ceil(self.n_offsets * per_offset),
+                     f"offset grid of {self.n_offsets} offsets")
 
     def offsets(self) -> tuple[float, ...]:
         """Candidate offsets in preference order: 0, then outward in pairs
         with the positive one first, so equal distances resolve to the
-        smallest magnitude and then to the positive sign."""
-        steps = int(math.floor(self.delta_max / self.step + _EPS))
+        smallest magnitude and then to the positive sign.  A grid over the
+        memory cap is refused before any offset is built."""
+        self.check_memory()
         out = [0.0]
-        for i in range(1, steps + 1):
+        for i in range(1, self.n_offsets // 2 + 1):
             out.append(i * self.step)
             out.append(-i * self.step)
         return tuple(out)
@@ -149,9 +173,11 @@ def _scores(trace: MotionTrace, v_codes: np.ndarray, w: float, model: Classifier
     n_effective): the sequence's magnitudes and the grid index `first` of
     their start, the compared span [lo, hi), and one distance and one
     effective window count per visual row over that span.  A model of the
-    wrong channel raises ModelMismatch before anything is featurized.
+    wrong channel raises ModelMismatch, and a grid the memory cap cannot
+    hold for this trace MemoryCapExceeded, before anything is featurized.
     """
     _check_channel(model, "motion", Channel.MOTION)
+    align.check_memory(trace.duration / w)
     rebuilt = _rebuild(trace, align.offsets(), w, model, float(trace.timestamps[0]))
     if not rebuilt:
         return None

@@ -248,6 +248,8 @@ def cmd_build_series(args) -> int:
 
 
 def cmd_align(args) -> int:
+    align = AlignConfig(delta_max=args.delta_max, step=args.step)
+    align.check_memory()
     trace = read_motion_csv(args.motion_csv)
     visual = read_dataset_jsonl(args.visual)
     if not isinstance(visual, VisualDataset):
@@ -255,7 +257,6 @@ def cmd_align(args) -> int:
     if args.avatar not in visual:
         raise DataError(f"avatar {args.avatar!r} not present in {args.visual}")
     model = _classifier_for(Channel.MOTION, args)
-    align = AlignConfig(delta_max=args.delta_max, step=args.step)
     result = align_offset_search(trace, visual[args.avatar], model, align)
     write_json(args.out, asdict(result))
     print(f"best offset {result.offset:+.3f}s (distance {result.distance})")

@@ -365,7 +365,8 @@ _decode = json.JSONDecoder(parse_constant=lambda _: math.inf).decode
 
 
 _JSON_KINDS = {float: "number", int: "integer", bool: "boolean", str: "string"}
-_NUMBERS = frozenset({int, float})
+_INTEGERS = frozenset({int})
+_NUMBERS = _INTEGERS | {float}
 _NUMBERS_OR_NULL = _NUMBERS | {type(None)}
 
 
@@ -384,12 +385,18 @@ def json_value(value, kind: type, name: str, error_type=DataError):
 def json_numbers(arrays: Iterable[list], name: str, nullable: bool = False) -> None:
     """Refuse `arrays`, JSON arrays read as `name`, if an entry is not a
     number or, with `nullable`, null: a numeric string or a boolean raises
-    DataError rather than being cast.  The entry types are scanned in C,
-    not checked by a call per entry."""
-    allowed = _NUMBERS_OR_NULL if nullable else _NUMBERS
+    DataError rather than being cast."""
+    _json_entries(arrays, _NUMBERS_OR_NULL if nullable else _NUMBERS,
+                  f"{name} must be JSON numbers{' or null' * nullable}")
+
+
+def _json_entries(arrays: Iterable[list], allowed: frozenset, rule: str) -> None:
+    """Raise DataError stating `rule` unless every entry of `arrays` has a
+    type in `allowed`.  The entry types are scanned in C, not checked by a
+    call per entry."""
     if not allowed.issuperset(map(type, chain.from_iterable(arrays))):
         bad = next(v for v in chain.from_iterable(arrays) if type(v) not in allowed)
-        raise DataError(f"{name} must be JSON numbers{' or null' * nullable}, got {bad!r}")
+        raise DataError(f"{rule}, got {bad!r}")
 
 
 def dumps_canonical(obj) -> str:
@@ -488,6 +495,7 @@ def _series_obj(data: _SeriesDataset, row: int) -> dict:
 
 def _parse_series(obj) -> tuple:
     """The dataset row of one series object."""
+    _json_entries([obj["activities"]], _INTEGERS, "activity codes must be integers")
     json_numbers(obj["magnitudes"].values(), "magnitude entries", nullable=True)
     return _series_row(json_value(obj["source_id"], str, "source_id"), Channel(obj["channel"]),
                        json_value(obj["w"], float, "w"), obj["activities"], obj["magnitudes"])

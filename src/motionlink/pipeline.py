@@ -618,10 +618,17 @@ def apply_confusion(codes, matrix: ConfusionMatrix, rng: np.random.Generator) ->
     codes = np.asarray(codes, dtype=np.intp)
     if ((codes < 0) | (codes >= len(ActivityLabel))).any():
         raise InvalidLabelCode("activity codes must lie in 0..7")
+    return _confusion_codes(codes, matrix, rng.random(codes.size))
+
+
+def _confusion_codes(codes: np.ndarray, matrix: ConfusionMatrix, u: np.ndarray) -> np.ndarray:
+    """The uint8 codes valid label codes `codes` turn into through the
+    confusion channel, given one uniform draw per code in `u` (same shape):
+    a code becomes the first column whose cumulative probability exceeds
+    its draw."""
     cum = np.cumsum(matrix.rows, axis=1)
     cum[:, -1] = 1.0  # guard against rounding in the last column
-    u = rng.random(codes.size)
-    return (u[:, None] >= cum[codes]).sum(axis=1).astype(np.uint8)
+    return (u[..., None] >= cum[codes]).sum(axis=-1).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------

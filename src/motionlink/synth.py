@@ -13,13 +13,22 @@ noise.  Two generation modes exist:
   exercises windowing, classification, and magnitude extraction for real.
 
 All randomness is derived from per-purpose seed streams so that any single
-identity's data is reproducible regardless of generation order.
+identity's data is reproducible regardless of generation order: the stream
+of salt s for identity i in session t is PCG64 seeded by
+`np.random.SeedSequence((seed, s, i, t))`.  `_seed_words` computes the seed
+words of all of a cohort's streams in one vectorized pass of the
+SeedSequence hash instead of building a SeedSequence per stream, and the
+draws then go salt by salt; the streams, and so every generated output,
+are the same as with one SeedSequence each.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import cache
+from itertools import accumulate, repeat
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -44,7 +53,7 @@ from .pipeline import (
     ConfusionMatrix,
     KeypointTrace,
     MotionTrace,
-    apply_confusion,
+    _confusion_codes,
     fit_classifier,
     window_features,
 )
@@ -89,8 +98,8 @@ DEFAULT_ACTIVITY_PRIOR: dict[ActivityLabel, float] = {
     ActivityLabel.OTHER: 0.07,
 }
 
-# Sub-stream salts; every random draw goes through _rng with one of these so
-# identity i's data never depends on how many identities precede it.
+# Sub-stream salts; every random draw comes from a stream seeded with one of
+# these, so identity i's data never depends on how many identities precede it.
 _SALT_SCRIPT = 1
 _SALT_INTENSITY = 2
 _SALT_REALIZE = 3
@@ -107,8 +116,113 @@ _POSITIONS = tuple(SensorPosition)
 _LABELS = tuple(ActivityLabel)
 
 
-def _rng(seed: int, salt: int, index: int = 0, session: int = 0) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, salt, index, session)))
+# numpy's SeedSequence: O'Neill's seed_seq_fe hash over 32-bit words, with a
+# pool of four words.  The hash constants advance by a fixed multiplier per
+# use, so their sequences are known before any entropy is seen.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_STATE_CONSTS = tuple(accumulate(repeat(0x58F38DED, 2 * _POOL_SIZE),
+                                 lambda c, m: c * m & _MASK32, initial=0x8B51F9DD))
+
+
+def _int_words(value) -> list[int]:
+    """SeedSequence's entropy words of a non-negative integer: 32-bit words,
+    least significant first; 0 is one word."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError(f"seed entropy must be non-negative, got {value}")
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _seed_words(seed, salt, index, session) -> np.ndarray:
+    """Seed words of the streams (seed, salt, index, session), all hashed
+    in one pass.
+
+    Each part is an int, or an integer array whose entries each fit one
+    32-bit word; the arrays broadcast together to a shape S.  Returns
+    S + (4,) uint64: for each element, the words
+    `np.random.SeedSequence((seed, salt, index, session))
+    .generate_state(4, np.uint64)` gives, the state PCG64 seeds from.  An
+    int part stays a Python int until it meets an array part, so what all
+    streams share is hashed once; every step masks to 32 bits, so the same
+    expressions serve both kinds.
+    """
+    entropy = []
+    for part in (seed, salt, index, session):
+        if isinstance(part, np.ndarray):
+            if part.dtype.kind not in "iu":
+                raise TypeError(f"seed entropy must be integers, got {part.dtype}")
+            if part.size and not 0 <= part.min() <= part.max() <= _MASK32:
+                raise ValueError("array seed entropy must lie in [0, 2**32)")
+            entropy.append(part.astype(np.uint32))
+        else:
+            entropy += _int_words(part)
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        xor, const = const, const * _MULT_A & _MASK32
+        value = (value ^ xor) * const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    shape = np.broadcast_shapes(*map(np.shape, entropy))
+    state = np.empty((*shape, 2 * _POOL_SIZE), dtype="<u4")
+    for k in range(2 * _POOL_SIZE):
+        value = (pool[k % _POOL_SIZE] ^ _STATE_CONSTS[k]) * _STATE_CONSTS[k + 1] & _MASK32
+        state[..., k] = value ^ value >> 16
+    # word pairs read as little-endian uint64, as generate_state does
+    return state.view("<u8").astype(np.uint64)
+
+
+@cache
+def _state_words_type() -> type:
+    """A seed sequence type that hands a bit generator state words computed
+    ahead of time: the four uint64 words PCG64 asks for when seeded.  It is
+    made on first use, so importing this module does not import
+    numpy.random."""
+
+    class StateWords(np.random.bit_generator.ISeedSequence):
+        __slots__ = ("words",)
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return StateWords
+
+
+def _stream(words: np.ndarray) -> np.random.Generator:
+    """The generator `np.random.default_rng` builds from a SeedSequence
+    whose state words are `words`, one row of `_seed_words`."""
+    return np.random.Generator(np.random.PCG64(_state_words_type()(words)))
+
+
+def _draw_rows(words: np.ndarray, shape: tuple, draw) -> np.ndarray:
+    """(m, *shape) floats: row i is `draw(rng, shape)` from the stream
+    seeded by words[i]."""
+    out = np.empty((len(words), *shape))
+    for i, row in enumerate(words):
+        out[i] = draw(_stream(row), shape)
+    return out
 
 
 def _per_label(table: Mapping[ActivityLabel, object]) -> np.ndarray:
@@ -231,40 +345,67 @@ def avatar_id(index: int) -> str:
     return f"a{index:04d}"
 
 
-def _draw_script(spec: CohortSpec, prior: np.ndarray, index: int, session: int) -> np.ndarray:
-    src = 0 if spec.shared_script else index
-    rng = _rng(spec.seed, _SALT_SCRIPT, src, session)
-    return rng.choice(8, size=spec.n_windows, p=prior).astype(np.uint8)
+def _cohort_words(spec: CohortSpec, session: int,
+                  salts: tuple[int, ...]) -> dict[int, np.ndarray]:
+    """{salt: (count, 4) seed words of every identity's stream}: the
+    `salts` at `session`, hashed in one pass, and the intensity, a stable
+    trait of the identity drawn without the session, at session 0."""
+    index = np.arange(spec.num_identities)
+    words = dict(zip(salts, _seed_words(spec.seed, np.array(salts)[:, None], index, session)))
+    words[_SALT_INTENSITY] = _seed_words(spec.seed, _SALT_INTENSITY, index, 0)
+    return words
 
 
-def _intensity(spec: CohortSpec, index: int) -> float:
-    # Intensity is a stable trait of the identity: no session salt.
+def _behaviour(spec: CohortSpec, words: dict[int, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Every identity's activity script, (count, n) uint8 codes, and the
+    amplitudes it realizes, (count, n), drawn from the `_cohort_words`.
+
+    A script is what `Generator.choice(8, n, p=prior)` draws: n uniforms
+    looked up in the prior's normalized CDF, `side="right"`; one script
+    serves everyone with `shared_script`.  The amplitude is the label's
+    base times the identity's intensity times the clipped realization
+    noise.
+    """
+    count, n = spec.num_identities, spec.n_windows
+    cdf = spec.prior_vector().cumsum()
+    cdf /= cdf[-1]
+    u = _draw_rows(words[_SALT_SCRIPT][:1 if spec.shared_script else count], (n,),
+                   np.random.Generator.random)
+    script = np.broadcast_to(cdf.searchsorted(u, side="right").astype(np.uint8), (count, n))
+    del u
     lo, hi = spec.intensity_range
-    return float(_rng(spec.seed, _SALT_INTENSITY, index).uniform(lo, hi))
-
-
-def _realized_amplitudes(
-    spec: CohortSpec, base: np.ndarray, script: np.ndarray, index: int, session: int
-) -> np.ndarray:
-    amps = base[script] * _intensity(spec, index)
+    intensity = _draw_rows(words[_SALT_INTENSITY], (), lambda rng, _: rng.uniform(lo, hi))
+    amps = _per_label(spec.magnitude_base)[script] * intensity[:, None]
     if spec.magnitude_noise_sd > 0:
-        eta = _rng(spec.seed, _SALT_REALIZE, index, session).normal(
-            0.0, spec.magnitude_noise_sd, size=script.shape
-        )
-        amps = amps * np.clip(1.0 + eta, 0.0, None)
-    return amps
+        amps *= _noise(spec, words[_SALT_REALIZE], (n,))
+    return script, amps
+
+
+def _noise(spec: CohortSpec, words: np.ndarray, shape: tuple) -> np.ndarray:
+    """Per-identity relative noise factors, clip(1 + N(0, sd), 0): (count, *shape)."""
+    sd = spec.magnitude_noise_sd
+    eps = _draw_rows(words, shape, lambda rng, size: rng.normal(0.0, sd, size=size))
+    eps += 1.0
+    return np.clip(eps, 0.0, None, out=eps)
 
 
 def avatar_permutation(spec: CohortSpec) -> np.ndarray:
     """Avatar j belongs to identity permutation[j]; stable across sessions."""
-    return _rng(spec.seed, _SALT_PERMUTE).permutation(spec.num_identities)
+    return _stream(_seed_words(spec.seed, _SALT_PERMUTE, 0, 0)).permutation(spec.num_identities)
 
 
-def _confuse(codes: np.ndarray, matrix: ConfusionMatrix | None, seed: int, salt: int,
-             index: int, session: int) -> np.ndarray:
+def _confuse(script: np.ndarray, matrix: ConfusionMatrix | None, words: np.ndarray) -> np.ndarray:
+    """The (count, n) script as one channel labels it through `matrix`."""
     if matrix is None:
-        return codes
-    return apply_confusion(codes, matrix, _rng(seed, salt, index, session))
+        return script
+    u = _draw_rows(words, script.shape[1:], np.random.Generator.random)
+    return _confusion_codes(script, matrix, u)
+
+
+def _scripts(script: np.ndarray) -> dict[str, tuple[ActivityLabel, ...]]:
+    """The ground-truth scripts of the (count, n) label codes."""
+    labels = np.array(_LABELS, dtype=object)[script]
+    return {identity_id(i): row for i, row in enumerate(map(tuple, labels.tolist()))}
 
 
 def generate_cohort(
@@ -275,43 +416,36 @@ def generate_cohort(
     The motion series carries the realized amplitudes exactly; the visual
     series carries six per-position copies with independent relative noise
     (same standard deviation as the realization noise) and per-position
-    dropout according to `position_observability`.
+    dropout according to `position_observability`.  Each random quantity
+    is drawn for all identities, stream by stream, into one array, and
+    everything after the draws runs once over the whole cohort.
     """
     count, n, n_pos = spec.num_identities, spec.n_windows, len(_POSITIONS)
-    m_codes = np.empty((count, n), dtype=np.uint8)
-    m_mags = np.empty((count, n))
-    v_codes = np.empty((count, n), dtype=np.uint8)
-    v_mags = np.empty((count, n_pos, n))
-    scripts = {}
+    words = _cohort_words(spec, session, (_SALT_SCRIPT, _SALT_REALIZE, _SALT_CONF_MOTION,
+                                          _SALT_CONF_VISUAL, _SALT_MAG_VISUAL, _SALT_OBSERVE))
+    script, amps = _behaviour(spec, words)
+    m_codes = _confuse(script, spec.motion_confusion, words[_SALT_CONF_MOTION])
+    v_codes = _confuse(script, spec.visual_confusion, words[_SALT_CONF_VISUAL])
+    if spec.magnitude_noise_sd > 0:
+        v_mags = _noise(spec, words[_SALT_MAG_VISUAL], (n_pos, n))
+        v_mags *= amps[:, None, :]
+    else:
+        v_mags = np.repeat(amps[:, None, :], n_pos, axis=1)
     obs = spec.observability_vector()
-    prior, base = spec.prior_vector(), _per_label(spec.magnitude_base)
-    for i in range(count):
-        script = _draw_script(spec, prior, i, session)
-        scripts[identity_id(i)] = tuple(map(_LABELS.__getitem__, script.tolist()))
-        amps = _realized_amplitudes(spec, base, script, i, session)
-        m_codes[i] = _confuse(script, spec.motion_confusion, spec.seed, _SALT_CONF_MOTION,
-                              i, session)
-        m_mags[i] = amps
-        v_codes[i] = _confuse(script, spec.visual_confusion, spec.seed, _SALT_CONF_VISUAL,
-                              i, session)
-        if spec.magnitude_noise_sd > 0:
-            eps = _rng(spec.seed, _SALT_MAG_VISUAL, i, session).normal(
-                0.0, spec.magnitude_noise_sd, size=(n_pos, n)
-            )
-            v_mags[i] = amps * np.clip(1.0 + eps, 0.0, None)
-        else:
-            v_mags[i] = amps
-        observed = _rng(spec.seed, _SALT_OBSERVE, i, session).random((n_pos, n)) < obs[:, None]
-        v_mags[i][~observed] = np.nan
+    if (obs < 1.0).any():  # at full observability every draw (< 1) is observed
+        u = _draw_rows(words[_SALT_OBSERVE], (n_pos, n), np.random.Generator.random)
+        v_mags[u >= obs[:, None]] = np.nan
+        del u
 
     perm = avatar_permutation(spec)
     avatars = [avatar_id(j) for j in range(count)]
     truth = GroundTruth(
-        mapping={aid: identity_id(int(i)) for aid, i in zip(avatars, perm)}, scripts=scripts
+        mapping={aid: identity_id(int(i)) for aid, i in zip(avatars, perm)},
+        scripts=_scripts(script),
     )
     visual = VisualDataset.from_arrays(avatars, v_codes[perm], v_mags[perm], spec.window_seconds)
     motion = MotionDataset.from_arrays(
-        [identity_id(i) for i in range(count)], m_codes, m_mags, spec.window_seconds
+        [identity_id(i) for i in range(count)], m_codes, amps, spec.window_seconds
     )
     return visual, motion, truth
 
@@ -598,43 +732,33 @@ def synthesize_trace_cohort(spec: CohortSpec, session: int = 0) -> TraceCohort:
         name: float(obs_vec[_POSITIONS.index(gate)])
         for name, gate in _KEYPOINT_GATE.items()
     }
-    prior, base = spec.prior_vector(), _per_label(spec.magnitude_base)
-    codes = {}
-    scripts = {}
-    amplitudes = {}
-    motion_traces = {}
-    keypoint_traces = {}
-    for i in range(spec.num_identities):
-        ident = identity_id(i)
-        script = codes[ident] = _draw_script(spec, prior, i, session)
-        scripts[ident] = tuple(map(_LABELS.__getitem__, script.tolist()))
-        amps = _realized_amplitudes(spec, base, script, i, session)
-        amplitudes[ident] = amps
-        motion_traces[ident] = synthesize_motion_trace(
-            script,
-            amps,
-            spec.window_seconds,
-            _rng(spec.seed, _SALT_TRACE_MOTION, i, session),
-        )
+    words = _cohort_words(spec, session, (_SALT_SCRIPT, _SALT_REALIZE, _SALT_TRACE_MOTION,
+                                          _SALT_TRACE_VISUAL))
+    script, amps = _behaviour(spec, words)
+    idents = [identity_id(i) for i in range(spec.num_identities)]
+    motion_traces = {
+        ident: synthesize_motion_trace(script[i], amps[i], spec.window_seconds,
+                                       _stream(words[_SALT_TRACE_MOTION][i]))
+        for i, ident in enumerate(idents)
+    }
     mapping = {}
-    for j in range(spec.num_identities):
-        i = int(perm[j])
+    keypoint_traces = {}
+    for j, i in enumerate(perm.tolist()):
         aid = avatar_id(j)
-        ident = identity_id(i)
-        mapping[aid] = ident
+        mapping[aid] = idents[i]
         keypoint_traces[aid] = synthesize_keypoint_trace(
-            codes[ident],
-            amplitudes[ident],
+            script[i],
+            amps[i],
             spec.window_seconds,
-            _rng(spec.seed, _SALT_TRACE_VISUAL, i, session),
+            _stream(words[_SALT_TRACE_VISUAL][i]),
             keypoint_observability=kp_obs,
         )
-    truth = GroundTruth(mapping=mapping, scripts=scripts)
+    truth = GroundTruth(mapping=mapping, scripts=_scripts(script))
     return TraceCohort(
         motion_traces=motion_traces,
         keypoint_traces=keypoint_traces,
         truth=truth,
-        amplitudes=amplitudes,
+        amplitudes=dict(zip(idents, amps)),
     )
 
 
@@ -655,7 +779,7 @@ def train_classifier(
     part of its signature, so the training distribution has to match per
     label, not globally.
     """
-    rng = _rng(seed, _SALT_TRAIN, 0, 0 if channel is Channel.MOTION else 1)
+    rng = _stream(_seed_words(seed, _SALT_TRAIN, 0, 0 if channel is Channel.MOTION else 1))
     script = np.repeat(np.arange(8, dtype=np.int64), reps)
     rng.shuffle(script)
     amps = _per_label(DEFAULT_MAGNITUDE_BASE)[script] * rng.uniform(0.5, 1.6, size=script.size)

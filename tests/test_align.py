@@ -18,7 +18,7 @@ from motionlink.align import (
     correlate_with_alignment,
 )
 from motionlink.engine import FilterConfig, mismatch_counts
-from motionlink.errors import ConfigError, ModelMismatch, NoOverlap
+from motionlink.errors import ConfigError, MemoryCapExceeded, ModelMismatch, NoOverlap
 from motionlink.model import (
     ActivityLabel,
     ActivityVectorSeries,
@@ -82,6 +82,49 @@ class TestAlignConfig:
             AlignConfig(step=0.0)
         with pytest.raises(ConfigError):
             AlignConfig(delta_max=-1.0)
+
+    @pytest.mark.parametrize("delta_max, step", [
+        (np.inf, 0.5), (np.nan, 0.5), (4.0, np.inf), (4.0, np.nan), (4.0, -np.inf),
+        (1e300, 1e-300),  # finite, but the count overflows a float
+    ])
+    def test_rejects_unbounded_grid(self, delta_max, step):
+        with pytest.raises(ConfigError):
+            AlignConfig(delta_max=delta_max, step=step)
+
+    @pytest.mark.parametrize("delta_max, step", [
+        (0.0, 0.5), (0.4, 0.5), (1.0, 0.5), (1.0, 0.1), (1.5, 0.3), (0.1, 0.0125), (3.0, 1.0),
+    ])
+    def test_offset_count_matches_the_grid(self, delta_max, step):
+        cfg = AlignConfig(delta_max=delta_max, step=step)
+        assert cfg.n_offsets == len(cfg.offsets())
+
+    def test_huge_grid_is_counted_and_refused_without_being_built(self):
+        cfg = AlignConfig(delta_max=2.0 ** 40, step=0.5)
+        assert cfg.n_offsets == 2 ** 42 + 1
+        with pytest.raises(MemoryCapExceeded, match=f"offset grid of {2 ** 42 + 1} offsets"):
+            cfg.offsets()
+
+    def test_memory_cap_charges_the_trace_length(self, monkeypatch, motion_model):
+        script = [0, 1, 2, 3, 4] * 4
+        trace = synthesize_motion_trace(script, script_amps(script), 1.0,
+                                        np.random.default_rng(5))
+        visual = visual_from_script(script, script_amps(script))
+        cfg = AlignConfig(delta_max=2.0, step=0.5)  # 9 offsets
+        # room for every offset's floor, not for a 20-window trace's rebuilds
+        monkeypatch.setenv("MOTIONLINK_MEMORY_CAP", str(9 * 2 * align._OFFSET_BYTES))
+        assert len(cfg.offsets()) == 9
+        with pytest.raises(MemoryCapExceeded):
+            align_offset_search(trace, visual, motion_model, cfg)
+        monkeypatch.setenv("MOTIONLINK_MEMORY_CAP", str(9 * (align._OFFSET_BYTES + 20 * 64)))
+        assert align_offset_search(trace, visual, motion_model, cfg).offset == 0.0
+
+    def test_memory_cap_bounds_the_grid(self, monkeypatch):
+        cfg = AlignConfig(delta_max=24.5, step=0.5)  # 99 offsets
+        monkeypatch.setenv("MOTIONLINK_MEMORY_CAP", str(99 * align._OFFSET_BYTES))
+        assert len(cfg.offsets()) == 99
+        monkeypatch.setenv("MOTIONLINK_MEMORY_CAP", str(99 * align._OFFSET_BYTES - 1))
+        with pytest.raises(MemoryCapExceeded):
+            cfg.offsets()
 
 
 class TestShiftAndRebuild:

@@ -274,9 +274,14 @@ class TestCorrelate:
         ("motion", 2, lambda obj, first: obj.update(
             activities=[c % 2 == 1 for c in obj["activities"]]),
          "activity codes must be integers"),
+        # one boolean among integer codes would otherwise be cast to 0 or 1
+        ("motion", 2, lambda obj, first: obj["activities"].__setitem__(1, True),
+         "activity codes must be integers, got True"),
+        ("visual", 3, lambda obj, first: obj["activities"].__setitem__(0, False),
+         "activity codes must be integers, got False"),
     ], ids=["duplicate-id", "second-channel", "second-width", "other-length",
             "visual-nan", "motion-nan", "infinity", "negative", "code-8", "float-codes",
-            "bool-codes"])
+            "bool-codes", "motion-bool-among-codes", "visual-bool-among-codes"])
     def test_bad_series_line_is_named(self, dataset, tmp_path, capsys, which, lineno,
                                       mutate, message):
         objs = [json.loads(line) for line in Path(dataset[which]).read_text().splitlines()]
@@ -662,6 +667,22 @@ class TestTraceCommands:
                    "--visual", str(visual), "--avatar", "a9999",
                    "--out", str(tmp_path / "x.json")])
         assert rc == EXIT_DATA
+
+    @pytest.mark.parametrize("flags, code, message", [
+        (["--delta-max", "inf"], EXIT_CONFIG, "delta_max must be finite and >= 0, got inf"),
+        (["--step", "nan"], EXIT_CONFIG, "step must be positive and finite, got nan"),
+        (["--delta-max", "1e15"], EXIT_RESOURCE, "offset grid of 4000000000000001 offsets"),
+    ], ids=["infinite-delta-max", "nan-step", "grid-over-cap"])
+    def test_unbounded_offset_grid_is_refused_before_input(self, tmp_path, capsys,
+                                                           flags, code, message):
+        # the inputs do not exist: the grid is refused before anything is read
+        rc = main(["align", "--motion-csv", str(tmp_path / "none.csv"),
+                   "--visual", str(tmp_path / "none.jsonl"), "--avatar", "a0000",
+                   "--out", str(tmp_path / "x.json"), *flags])
+        assert rc == code
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and message in err
+        assert not (tmp_path / "x.json").exists()
 
     @pytest.mark.parametrize("frame, message", [
         ('{"ts": NaN, "kp": {}}', "timestamps must be finite"),
