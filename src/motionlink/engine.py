@@ -231,11 +231,15 @@ def spearman_rho(x, y) -> float:
 # ---------------------------------------------------------------------------
 # ranking
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RankEntry:
     identity_id: str
     rho: float  # -inf marks a candidate whose correlation was undefined everywhere
     position: SensorPosition
+
+    def __init__(self, identity_id: str, rho: float, position: SensorPosition):
+        # one dict update, not the frozen __init__'s object.__setattr__ per field
+        self.__dict__.update(identity_id=identity_id, rho=rho, position=position)
 
 
 @dataclass(frozen=True)
@@ -253,7 +257,9 @@ class RankedIdentityList:
 
 
 # Ranking builds its tables, and ranks pairs, at most this many magnitude cells
-# at a time, so no temporary grows with the dataset or the number of pairs.
+# at a time.  Past its outputs, only the per-row tables grow with the dataset:
+# the avatar ranks, and the identity ranks per observed-window mask, which are
+# built only when they have fewer rows than the pairs have cells.
 _BLOCK_CELLS = 16384
 _POSITIONS = tuple(SensorPosition)
 
@@ -293,11 +299,15 @@ def _rank_candidates(vis: np.ndarray, mot: np.ndarray, rows: np.ndarray, ids: np
     and scores -inf where rho is undefined.  Returns (best rho, best position
     index), the index -1 where every position was skipped; the first wins ties.
 
-    Each row is sorted once, into `_tie_starts`; a pair then ranks the
-    identity over the avatar's observed windows with `_centred_ranks`.
-    Doubled ranks are integers, so the int64 sums of their products are
-    exact, and a quarter of each is exactly the float sum `spearman_rho`
-    forms from half-integer deviations: rho is bit-identical to it.
+    Each row is sorted once, into `_tie_starts`.  An identity's ranks over an
+    avatar position's observed windows depend only on the identity and that
+    window mask, so with M distinct masks among the R x 6 positions, when
+    Q * M < pairs * 6 they are ranked once per (identity, mask) into a table
+    that the pairs gather from; otherwise each pair ranks its identity under
+    each of its positions' masks.  Doubled ranks are integers, so the int64
+    sums of their products are exact, and a quarter of each is exactly the
+    float sum `spearman_rho` forms from half-integer deviations: rho is
+    bit-identical to it on either path.
     """
     k, n = vis.shape[1:]
     observed = ~np.isnan(vis)
@@ -308,12 +318,32 @@ def _rank_candidates(vis: np.ndarray, mot: np.ndarray, rows: np.ndarray, ids: np
         dx[s:s + step] = _centred_ranks(dx[s:s + step], observed[s:s + step])
     sxx = np.einsum("rkn,rkn->rk", dx, dx, dtype=np.int64) / 4
     starts = _tie_starts(mot)
+    # key each position's mask as packed bytes (np.unique(axis=0) on the
+    # booleans is far slower), a byte wider than needed so that n = 0 keys too
+    seen = observed.reshape(len(vis) * k, n)
+    keys = np.zeros((len(seen), n // 8 + 1), dtype=np.uint8)
+    keys[:, :(n + 7) // 8] = np.packbits(seen, axis=-1)
+    _, first, mask_of = np.unique(keys.view(f"V{keys.shape[1]}")[:, 0],
+                                  return_index=True, return_inverse=True)
+    masks, mask_of = seen[first], mask_of.reshape(len(vis), k)
+    n_masks, table = len(masks), None
+    if len(mot) * n_masks < rows.size * k:
+        table = np.empty((len(mot) * n_masks, n), dtype=np.int32)
+        row_step = max(1, _BLOCK_CELLS // max(1, n))
+        for s in range(0, len(table), row_step):
+            identity, mask = np.divmod(np.arange(s, min(s + row_step, len(table))), n_masks)
+            table[s:s + row_step] = _centred_ranks(starts[identity], masks[mask])
+        table_syy = np.einsum("tn,tn->t", table, table, dtype=np.int64) / 4
     rho, pos = np.empty(rows.size), np.empty(rows.size, dtype=np.intp)
     for s in range(0, rows.size, step):
         r, e = rows[s:s + step], s + step
-        dy = _centred_ranks(starts[ids[s:e], None, :], observed[r])
+        if table is None:
+            dy = _centred_ranks(starts[ids[s:e], None, :], observed[r])
+            syy = np.einsum("pkn,pkn->pk", dy, dy, dtype=np.int64) / 4
+        else:
+            cell = ids[s:e, None] * n_masks + mask_of[r]
+            dy, syy = table[cell], table_syy[cell]
         sxy = np.einsum("pkn,pkn->pk", dx[r], dy, dtype=np.int64) / 4
-        syy = np.einsum("pkn,pkn->pk", dy, dy, dtype=np.int64) / 4
         corr = np.full(sxy.shape, -np.inf)
         np.divide(sxy, np.sqrt(sxx[r] * syy), out=corr, where=(sxx[r] > 0) & (syy > 0))
         count, windows = n_obs[r], np.broadcast_to(n_windows, rows.shape)[s:e, None]
@@ -427,12 +457,23 @@ def ranking_to_dict(ranking: RankedIdentityList,
     return obj
 
 
+def _rho_value(value) -> float:
+    """A rho read from a file: null, an undefined correlation, is -inf; any
+    other value must be a number in [-1, 1], which NaN and +-inf are not."""
+    if value is None:
+        return float("-inf")
+    rho = json_value(value, float, "rho")
+    if not -1.0 <= rho <= 1.0:
+        raise DataError(f"rho must be null or a finite number in [-1, 1], got {value!r}")
+    return rho
+
+
 def ranking_from_dict(obj: Mapping) -> RankedIdentityList:
     try:
         entries = tuple(
             RankEntry(
                 json_value(e["identity"], str, "identity"),
-                float("-inf") if e["rho"] is None else json_value(e["rho"], float, "rho"),
+                _rho_value(e["rho"]),
                 SensorPosition(e["position"]),
             )
             for e in obj["ranking"]

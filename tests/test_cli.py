@@ -15,6 +15,7 @@ from motionlink.cli import (
     RunConfig,
     main,
 )
+from motionlink.engine import read_rankings_jsonl
 from motionlink.errors import ConfigError
 from motionlink.model import SensorPosition
 from motionlink.pipeline import MOTION_FEATURE_DIM
@@ -616,6 +617,27 @@ def model_line(**lead) -> str:
 def test_malformed_content_is_one_line_error(dataset, trace_dir, tmp_path, capsys,
                                              reader, content):
     run_on_bad_file(reader, f"{content}\n".encode(), dataset, trace_dir, tmp_path, capsys)
+
+
+def ranking_line(rho: str) -> str:
+    return ('{"avatar": "a0000", "ranking": [{"identity": "u0000", '
+            f'"rho": {rho}, "position": "left_wrist"}}]}}')
+
+
+# a non-finite rho once read as +inf, the best possible match
+@pytest.mark.parametrize("rho", ["-Infinity", "NaN", "1.5", "-2"])
+def test_rho_outside_its_range_is_refused(dataset, trace_dir, tmp_path, capsys, rho):
+    err = run_on_bad_file("rankings", f"{ranking_line(rho)}\n".encode(), dataset, trace_dir,
+                          tmp_path, capsys)
+    assert ":1: " in err and "rho must be null or a finite number in [-1, 1]" in err
+
+
+def test_null_rho_reads_as_undefined(tmp_path):
+    path = tmp_path / "rankings.jsonl"
+    path.write_text(f"{ranking_line('null')}\n{ranking_line('-1')}\n")
+    first, second = read_rankings_jsonl(path)
+    assert first.entries[0].rho == float("-inf")
+    assert second.entries[0].rho == -1.0
 
 
 @pytest.mark.parametrize("reader, content", [

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 import tracemalloc
 from pathlib import Path
@@ -7,7 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from motionlink import engine
@@ -46,6 +47,7 @@ from motionlink.model import (
     SensorPosition,
     VisualDataset,
 )
+from motionlink.pipeline import ConfusionMatrix
 from motionlink.synth import CohortSpec, generate_cohort
 
 L = ActivityLabel
@@ -653,6 +655,122 @@ def test_ranking_memory_grows_only_by_its_outputs():
     many, many_peak = peak(1.0)
     assert many > 4 * few
     assert many_peak - few_peak <= 16 * (many - few) + 64 * 1024
+
+
+def identity_rows_ranked(vis, mot, rows, ids, n_windows, min_observed_fraction=0.5):
+    """(rho, pos, rows ranked for identities) of one `_rank_candidates` call:
+    the rows its `_centred_ranks` calls rank, less the avatars' own R x 6."""
+    ranked = []
+    centred_ranks = engine._centred_ranks
+
+    def counted(starts, seen):
+        ranked.append(math.prod(seen.shape[:-1]))
+        return centred_ranks(starts, seen)
+
+    with mock.patch.object(engine, "_centred_ranks", counted):
+        rho, pos = engine._rank_candidates(vis, mot, rows, ids, n_windows, min_observed_fraction)
+    return rho, pos, sum(ranked) - len(vis) * len(SensorPosition)
+
+
+@st.composite
+def mask_inputs(draw):
+    """(vis, mot, rows, ids, n) for `_rank_candidates`, n on and beside the
+    byte edges of the packed mask keys.  Shared draws give every avatar
+    position one of a pool of one to three observed-window masks and rank at
+    least one pair per identity, so the per-mask table is smaller than the
+    pair cells; the others draw a mask per position, mostly per-pair work.
+    Values are small integers (ties), and some identity rows are constant."""
+    n = draw(st.sampled_from([1, 2, 8, 9, 64, 65]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_vis, n_mot, shared = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.booleans())
+
+    def mask():
+        return rng.random(n) < rng.choice([0.0, 0.5, 0.9, 1.0])
+
+    pool = [mask() for _ in range(draw(st.integers(1, 3)))]
+    observed = np.array([[pool[rng.integers(len(pool))] if shared else mask()
+                          for _ in SensorPosition] for _ in range(n_vis)])
+    vis = np.where(observed, rng.integers(0, 4, observed.shape), np.nan)
+    mot = rng.integers(0, 4, (n_mot, n)).astype(np.float64)
+    mot[rng.random(n_mot) < 0.25] = 1.0
+    n_pairs = draw(st.integers(n_mot if shared else 0, 12))
+    return vis, mot, rng.integers(0, n_vis, n_pairs), rng.integers(0, n_mot, n_pairs), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(mask_inputs(), st.sampled_from([0.0, 0.5, 1.0]), st.sampled_from([1, 60, 4096]))
+def test_both_ranking_paths_equal_scalar_oracle(inputs, min_observed_fraction, block_cells):
+    vis, mot, rows, ids, n = inputs
+    with mock.patch.object(engine, "_BLOCK_CELLS", block_cells):
+        rho, pos, ranked = identity_rows_ranked(vis, mot, rows, ids, n, min_observed_fraction)
+    masks = {tuple(m) for m in ~np.isnan(vis).reshape(-1, n)}
+    event("per-mask table" if len(mot) * len(masks) < rows.size * len(SensorPosition)
+          else "per pair")
+    # one row per (identity, mask) or one per pair cell, whichever is fewer
+    assert ranked == min(len(mot) * len(masks), rows.size * len(SensorPosition))
+    expected = [scalar_best(vis[r], mot[i], n, min_observed_fraction) for r, i in zip(rows, ids)]
+    assert rho.tolist() == [r for r, _ in expected]
+    assert pos.tolist() == [k for _, k in expected]
+
+
+@pytest.mark.parametrize("n_vis, n_mot, n_pairs, n", [
+    (0, 0, 0, 5),
+    (2, 3, 0, 5),
+    (1, 1, 3, 0),  # per-mask table: 1 identity x 1 mask < 3 pairs x 6 cells
+    (1, 6, 1, 0),  # per pair: 6 identities x 1 mask = 1 pair x 6 cells
+])
+def test_rank_candidates_without_pairs_or_windows(n_vis, n_mot, n_pairs, n):
+    vis, mot = np.ones((n_vis, len(SensorPosition), n)), np.ones((n_mot, n))
+    rows = ids = np.zeros(n_pairs, dtype=np.int64)
+    rho, pos, ranked = identity_rows_ranked(vis, mot, rows, ids, n, 0.0)
+    assert rho.tolist() == [float("-inf")] * n_pairs
+    assert pos.tolist() == [-1] * n_pairs
+    assert ranked == min(n_mot * (n_vis > 0), n_pairs * len(SensorPosition))
+
+
+def rank_heavy_cohort(**spec):
+    """perfbench's `rank_heavy` cohort at seed 3: 120 x 30, 0.5-diagonal
+    label confusion on both channels."""
+    rows = np.full((len(L), len(L)), 0.5 / (len(L) - 1))
+    np.fill_diagonal(rows, 0.5)
+    confusion = ConfusionMatrix(rows)
+    return generate_cohort(CohortSpec(num_identities=120, n_windows=30, seed=3,
+                                      motion_confusion=confusion, visual_confusion=confusion,
+                                      magnitude_noise_sd=0.15, **spec))
+
+
+@pytest.mark.parametrize("observability", [None, 0.7])
+def test_identity_rows_ranked_once_per_mask(observability):
+    """Fully observed, every position shares one mask: each identity is
+    ranked once, not once per pair cell.  At 0.7 observability nearly every
+    position has its own mask, and ranking stays per pair."""
+    spec = {} if observability is None else {
+        "position_observability": {p: observability for p in SensorPosition}}
+    visual, motion, _ = rank_heavy_cohort(**spec)
+    pairs = activity_filter(visual, motion, FilterConfig(t_norm=0.8))
+    _, _, ranked = identity_rows_ranked(visual.mags, motion.mags, pairs.rows, pairs.ids, 30)
+    if observability is None:
+        assert pairs.total_pairs() == 2958
+        assert ranked == len(motion) == 120
+    else:
+        assert ranked == pairs.total_pairs() * len(SensorPosition)
+
+
+def test_rank_entry_equals_a_field_by_field_instance():
+    fields = {"identity_id": "u1", "rho": 0.25, "position": SensorPosition.LEFT_WRIST}
+    plain = object.__new__(RankEntry)
+    for name, value in fields.items():
+        object.__setattr__(plain, name, value)
+    entry = RankEntry("u1", 0.25, SensorPosition.LEFT_WRIST)
+    assert entry == plain and vars(entry) == vars(plain) == fields
+    assert hash(entry) == hash(plain) == hash(tuple(fields.values()))
+    assert repr(entry) == repr(plain) == (
+        "RankEntry(identity_id='u1', rho=0.25, position=<SensorPosition.LEFT_WRIST: 'left_wrist'>)")
+    assert entry != RankEntry("u1", 0.5, SensorPosition.LEFT_WRIST)
+    assert dataclasses.replace(entry, rho=0.5) == RankEntry(**dict(fields, rho=0.5))
+    for change in (lambda e: setattr(e, "rho", 1.0), lambda e: delattr(e, "rho")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            change(entry)
 
 
 # ---------------------------------------------------------------------------
