@@ -612,15 +612,6 @@ class ConfusionMatrix:
         return np.array_equal(self.rows, other.rows)
 
 
-def apply_confusion(codes, matrix: ConfusionMatrix, rng: np.random.Generator) -> np.ndarray:
-    """Resample each activity code through the confusion channel with
-    `rng`'s draws; returns uint8 codes."""
-    codes = np.asarray(codes, dtype=np.intp)
-    if ((codes < 0) | (codes >= len(ActivityLabel))).any():
-        raise InvalidLabelCode("activity codes must lie in 0..7")
-    return _confusion_codes(codes, matrix, rng.random(codes.size))
-
-
 def _confusion_codes(codes: np.ndarray, matrix: ConfusionMatrix, u: np.ndarray) -> np.ndarray:
     """The uint8 codes valid label codes `codes` turn into through the
     confusion channel, given one uniform draw per code in `u` (same shape):

@@ -15,13 +15,13 @@ mismatch positions, and variants with fewer wildcards can only repeat pairs
 the maximal ones already find.  An index over q sequences therefore holds
 q * C(k, t_abs) entries.
 
-An entry is one 8-byte word: the key in the top 64 - b bits, the row that
-produced it in the low b = bits(q), so one in-place sort orders both.  A key
-packs the masked sequence a nibble per position (codes 0..7, 8 for the
-wildcard) and is exact when 4k + b <= 64; any other (k > 15 first folds its
-15-position words, h = h * MIX + word) is multiplied by MIX and keeps its
-top bits, so distinct variants may collide: the filter confirms every pair
-by its mismatch count, which it computes for each pair anyway.
+A key is one sum for every k: over the unmasked positions p of a variant,
+(code_p + 1) * MIX^(p+1) mod 2^64.  A wildcard adds nothing and every code
+a nonzero term, so a mask's key is the sequence's full sum less the terms at
+its positions.  An entry is one 8-byte word: the key's top 64 - b bits
+above the row that produced it in the low b = bits(q), so one in-place sort
+orders both.  Distinct variants may share those top bits: the filter
+confirms every pair by its mismatch count, which it computes anyway.
 """
 
 from __future__ import annotations
@@ -46,10 +46,8 @@ from .model import ActivityLabel, MotionDataset, VisualDataset
 logger = logging.getLogger(__name__)
 
 WILDCARD_BYTE = 0xFF
-WILDCARD_NIBBLE = 0x8
-_WORD = 15  # positions per key word: 4 bits each, with headroom for ids
 _FULL = (1 << 64) - 1
-MIX = 0x9E3779B97F4A7C15  # odd multiplier hashing keys that do not fit exactly
+MIX = 0x9E3779B97F4A7C15  # odd, so every power of it is too: the key's per-position base
 
 MEMORY_CAP_ENV = "MOTIONLINK_MEMORY_CAP"
 DEFAULT_MEMORY_CAP = 8 * 1024 ** 3
@@ -93,12 +91,11 @@ def estimate_index_memory(q: int, k: int, t_abs: int) -> int:
     sequences, checked against the tracemalloc peak in the tests."""
     masks = math.comb(k, t_abs)
     entries = q * masks
-    words = -(-k // _WORD)
     # an entry is one 8-byte word, packed and sorted in place; per sequence
-    # come its key words, two temporaries, its row number and its codes; per
-    # mask, its tuple.  A sixteenth on top covers allocator and sort-kernel
-    # differences between numpy builds.
-    base = entries * 8 + q * (8 * words + 36 + k) + masks * (150 + 8 * t_abs)
+    # come its k position terms and their sum (8k + 8), its row number and
+    # its codes; per mask, its tuple.  A sixteenth on top covers allocator
+    # and sort-kernel differences between numpy builds.
+    base = entries * 8 + q * (9 * k + 16) + masks * (150 + 8 * t_abs)
     return base + base // 16 + 64 * 1024
 
 
@@ -108,19 +105,20 @@ def estimate_query_memory(p: int, k: int, t_abs: int, raw_hits: int = 0) -> int:
     in the tests.  `raw_hits`, the (query key, index entry) matches to
     expand, is known only once the keys have been looked up."""
     keys = p * math.comb(k, t_abs)
-    words = -(-k // _WORD)
-    # Per query key, the lookup keeps its packed word, lower bound and hit
-    # mask (17 bytes) and briefly holds the clamped bound, the gathered index
-    # word and their xor: 33.  Per raw hit, since a hit key has at least one
-    # hit and no more pairs come out than hits go in: 24 toward the hit keys'
-    # bounds, words, counts and offsets (40 bytes each, 16 of them in the
-    # freed lookup temporaries); 41 for the run and offset, the
+    # Per query sequence, its k position terms and their sum, its row number
+    # and its codes, as in the build.  Per query key, the lookup keeps its
+    # packed word, lower bound and hit mask (17 bytes) and briefly holds the
+    # clamped bound, the gathered index word and their xor: 33.  Per raw hit,
+    # since a hit key has at least one hit and no more pairs come out than
+    # hits go in: 24 toward the hit keys' bounds, words, counts and start
+    # offsets (40 bytes each, 16 of them in the freed lookup temporaries);
+    # 41 for the hit's index position and the count added to it, the
     # first-occurrence mask and a pair code, row and id; and the most any
     # one later stage adds: the replaced rows and ids (16), the distance
     # check's gathered sequences, mismatch mask and count (3k + 8), or the
     # distances, their mask and the kept rows, ids and distances (33).
     per_hit = 24 + 41 + max(16, 3 * k + 8, 33)
-    base = keys * 33 + raw_hits * per_hit + p * (8 * words + 32 + k)
+    base = keys * 33 + raw_hits * per_hit + p * (9 * k + 16)
     return base + base // 16 + 64 * 1024
 
 
@@ -143,55 +141,31 @@ def _resolve_cap() -> int:
 # ---------------------------------------------------------------------------
 # keys
 
-def _nibble(k: int, pos: int) -> tuple[int, int]:
-    """(word, bit shift) of a position; nibbles are big-endian within a word."""
-    word, rem = divmod(pos, _WORD)
-    width = min(_WORD, k - word * _WORD)
-    return word, 4 * (width - 1 - rem)
-
-
 def _id_bits(m: int) -> int:
     """Bits that hold a row number below m."""
     return max((m - 1).bit_length(), 1)
 
 
-def _expand(mat: np.ndarray, masks) -> np.ndarray:
-    """Keys of every row of `mat` under every mask, mask-major: entry
-    j*m + i is row i under masks[j]."""
-    m, k = mat.shape
-    words = np.zeros((-(-k // _WORD), m), dtype=np.uint64)
-    for pos in range(k):
-        word, shift = _nibble(k, pos)
-        words[word] |= mat[:, pos].astype(np.uint64) << shift
-    out = np.empty(m * len(masks), dtype=np.uint64)
-    for j, mask in enumerate(masks):
-        keep = [_FULL] * len(words)
-        wild = [0] * len(words)
-        for pos in mask:
-            word, shift = _nibble(k, pos)
-            keep[word] ^= 0xF << shift
-            wild[word] |= WILDCARD_NIBBLE << shift
-        block = out[j * m:(j + 1) * m]
-        np.bitwise_and(words[0], keep[0], out=block)
-        block |= wild[0]
-        for w in range(1, len(words)):
-            block *= MIX
-            block += (words[w] & keep[w]) | wild[w]
-    return out
-
-
-def _pack(mat: np.ndarray, t_abs: int, key_bits: int, row_bits: int) -> np.ndarray:
-    """Sorted words of every row of `mat` under every size-t_abs mask: the key as
-    an index with `key_bits` id bits stores it, above the row in the low `row_bits`."""
+def _pack(mat: np.ndarray, t_abs: int, row_bits: int) -> np.ndarray:
+    """Sorted words of every row of `mat` under every size-t_abs mask: the top
+    bits of the key, the row's sum of position terms less the mask's, above the
+    row in the low `row_bits`."""
     m, k = mat.shape
     masks = list(itertools.combinations(range(k), t_abs))
-    words = _expand(mat, masks)
-    if 4 * k + key_bits <= 64:
-        words <<= key_bits
-    else:
-        words *= MIX
+    powers = np.array([pow(MIX, p + 1, 1 << 64) for p in range(k)], dtype=np.uint64)
+    terms = mat.T.astype(np.uint64, order="C")  # (k, m): a position's terms contiguous
+    terms += 1
+    terms *= powers[:, None]
+    full = terms.sum(axis=0, dtype=np.uint64)
+    words = np.empty((len(masks), m), dtype=np.uint64)
+    for block, mask in zip(words, masks):
+        block[...] = full
+        for pos in mask:
+            block -= terms[pos]
+    del terms, full
     words &= _FULL ^ ((1 << row_bits) - 1)
-    words.reshape(len(masks), m)[...] |= np.arange(m, dtype=np.uint64)
+    words |= np.arange(m, dtype=np.uint64)
+    words = words.reshape(-1)
     words.sort()
     return words
 
@@ -233,8 +207,7 @@ def build_index(source, t_abs: int) -> WildcardIndex:
         estimate / 1024 ** 2, cap / 1024 ** 2,
     )
     _refuse_over(cap, estimate, f"index over q={q} k={k} t_abs={t_abs}")
-    b = _id_bits(q)
-    return WildcardIndex(codes, t_abs, _pack(codes, t_abs, b, b))
+    return WildcardIndex(codes, t_abs, _pack(codes, t_abs, _id_bits(q)))
 
 
 def filter_pairs_indexed(v_mat: np.ndarray, index: WildcardIndex):
@@ -257,7 +230,7 @@ def filter_pairs_indexed(v_mat: np.ndarray, index: WildcardIndex):
     b = _id_bits(index.size)
     row_bits = max(b, _id_bits(p))
     low = (1 << row_bits) - 1
-    words = _pack(v_mat, index.t_abs, b, row_bits)
+    words = _pack(v_mat, index.t_abs, row_bits)
     ix = index._words
     n = ix.size
     lo = np.searchsorted(ix, words & (_FULL ^ low), side="left")
@@ -273,11 +246,12 @@ def filter_pairs_indexed(v_mat: np.ndarray, index: WildcardIndex):
     total = int(counts.sum())
     _refuse_over(cap, resident + estimate_query_memory(p, k, index.t_abs, total),
                  f"{what} with {total} raw hits")
-    run = np.repeat(np.arange(h_lo.size), counts)
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    pos = np.arange(total) - offsets[run]
-    ids = (ix[h_lo[run] + pos] & ((1 << b) - 1)).view(np.int64)
-    del run, pos, offsets  # per raw hit; free them before the sort and distance check
+    # hit j of a key sits at its lower bound plus j: the bound less the hits
+    # before the key, repeated per hit, plus the hit's overall number
+    at = np.repeat(h_lo - (np.cumsum(counts) - counts), counts)
+    at += np.arange(total)
+    ids = (ix[at] & ((1 << b) - 1)).view(np.int64)
+    del at  # per raw hit; free it before the sort and distance check
     rows = np.repeat((h_words & low).view(np.int64), counts)
     # a pair at distance d < t_abs is found once per mask covering its
     # mismatches: sort in place and keep each code's first occurrence
@@ -289,7 +263,7 @@ def filter_pairs_indexed(v_mat: np.ndarray, index: WildcardIndex):
     del first
     rows, ids = pair_codes // index.size, pair_codes % index.size
     dists = mismatch_counts(v_mat[rows], index.codes[ids])[0]
-    # equal mixed or truncated keys do not prove a match; the count does
+    # equal truncated keys do not prove a match; the count does
     within = dists <= index.t_abs
     if not within.all():
         rows, ids, dists = rows[within], ids[within], dists[within]

@@ -32,8 +32,8 @@ from motionlink.pipeline import (
     ConfusionMatrix,
     KeypointTrace,
     MotionTrace,
+    _confusion_codes,
     _smooth_columns,
-    apply_confusion,
     build_series,
     classify_windows,
     fit_classifier,
@@ -474,10 +474,16 @@ def test_confusion_matrix_validation():
     ConfusionMatrix(np.eye(8))  # identity is fine
 
 
+def confuse(labels, matrix, rng):
+    """The codes `labels` turn into through `matrix` on `rng`'s draws."""
+    codes = np.asarray(labels, dtype=np.intp)
+    return _confusion_codes(codes, matrix, rng.random(codes.size))
+
+
 def test_identity_confusion_is_exact():
     labels = tuple(ActivityLabel(c) for c in [0, 3, 7, 4, 4, 1])
     for seed in range(5):
-        out = apply_confusion(labels, ConfusionMatrix(np.eye(8)), np.random.default_rng(seed))
+        out = confuse(labels, ConfusionMatrix(np.eye(8)), np.random.default_rng(seed))
         assert out.dtype == np.uint8 and out.tolist() == list(labels)
 
 
@@ -485,9 +491,9 @@ def test_apply_confusion_is_deterministic_per_seed():
     rows = np.full((8, 8), 1 / 8)
     cm = ConfusionMatrix(rows)
     labels = tuple(ActivityLabel(c % 8) for c in range(100))
-    a = apply_confusion(labels, cm, np.random.default_rng(42))
-    b = apply_confusion(labels, cm, np.random.default_rng(42))
-    c = apply_confusion(labels, cm, np.random.default_rng(43))
+    a = confuse(labels, cm, np.random.default_rng(42))
+    b = confuse(labels, cm, np.random.default_rng(42))
+    c = confuse(labels, cm, np.random.default_rng(43))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -501,7 +507,7 @@ def test_apply_confusion_hits_target_rates():
     rows[0, int(ActivityLabel.OTHER)] = 0.2
     cm = ConfusionMatrix(rows)
     labels = (ActivityLabel.IDLE,) * 20000
-    out = apply_confusion(labels, cm, np.random.default_rng(9))
+    out = confuse(labels, cm, np.random.default_rng(9))
     frac_walk = np.mean(out == ActivityLabel.WALKING)
     frac_idle = np.mean(out == ActivityLabel.IDLE)
     assert abs(frac_walk - 0.4) < 0.02
@@ -509,7 +515,7 @@ def test_apply_confusion_hits_target_rates():
 
 
 def test_apply_confusion_empty():
-    assert apply_confusion((), ConfusionMatrix(np.eye(8)), np.random.default_rng(0)).size == 0
+    assert confuse((), ConfusionMatrix(np.eye(8)), np.random.default_rng(0)).size == 0
 
 
 # ---------------------------------------------------------------------------

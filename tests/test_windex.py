@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -160,7 +161,7 @@ def test_query_length_mismatch():
         filter_pairs_indexed(np.zeros((1, 2), dtype=np.uint8), idx)
 
 
-@pytest.mark.parametrize("k,t", [(5, 0), (5, 2), (10, 3), (8, 1), (4, 4)])
+@pytest.mark.parametrize("k,t", [(5, 0), (5, 2), (10, 3), (8, 1), (4, 4), (60, 2), (70, 1)])
 def test_index_matches_brute_force(k, t):
     rng = np.random.default_rng(100 + k + t)
     p, q = 40, 60
@@ -196,10 +197,22 @@ def test_long_sequences_use_hashed_keys_and_agree():
     assert set(zip(rows.tolist(), ids.tolist())) == brute_pairs(v_mat, m_mat, t)
 
 
+@pytest.mark.parametrize("t_abs", [0, 1, 2])
+def test_distinct_variants_never_share_a_key(t_abs):
+    # every length-4 sequence: the index must hold one key value per distinct
+    # (mask, masked sequence) variant, so no two variants share a key
+    mat = np.array(list(itertools.product(range(8), repeat=4)), dtype=np.uint8)
+    idx = build_index(mat, t_abs)
+    keys = np.unique(idx._words >> np.uint64(windex._id_bits(len(mat))))
+    variants = {key for row in mat for key in wildcard_expansions([L(int(c)) for c in row], t_abs)
+                if key.count(0xFF) == t_abs}
+    assert keys.size == len(variants) == math.comb(4, t_abs) * 8 ** (4 - t_abs)
+
+
 @st.composite
 def index_cases(draw):
-    """Motion and visual code matrices around the k=15/16 key boundary,
-    with duplicate rows and visual rows a few mutations from a motion row."""
+    """Motion and visual code matrices for k up to 40, with duplicate rows
+    and visual rows a few mutations from a motion row."""
     k = draw(st.one_of(st.integers(1, 40), st.sampled_from([15, 16])), label="k")
     t_abs = draw(st.sampled_from(sorted({0, 1, 2, k - 2, k - 1, k} & set(range(k + 1)))),
                  label="t_abs")
@@ -233,9 +246,9 @@ def test_index_equals_brute_force_property(case):
 
 @pytest.mark.parametrize("k", [16, 15])
 def test_hash_collisions_are_dropped_by_the_distance_check(monkeypatch, k):
-    # MIX = 0 sends every mixed key to 0, so every variant collides with
-    # every other one: k=16 always mixes, and k=15 does beside 40 rows
-    # (4k + bits(40) > 64)
+    # MIX = 0 makes every position term, and so every key, 0: every variant
+    # collides with every other one, and only the mismatch count tells
+    # true pairs from the rest
     monkeypatch.setattr(windex, "MIX", 0)
     rng = np.random.default_rng(77)
     t_abs = 1
@@ -255,9 +268,9 @@ def test_hash_collisions_are_dropped_by_the_distance_check(monkeypatch, k):
 @pytest.mark.parametrize("p", [12, 5000])
 @pytest.mark.parametrize("q", [16, 17])
 def test_index_equals_brute_force_at_the_exact_key_boundary(q, p):
-    # at k=15 a key fits exactly beside 16 rows (60 + 4 bits) and is mixed
-    # beside 17; 5000 query rows widen the row field past the index's, so
-    # the query compares fewer key bits than the index stores
+    # 16 index rows fill a 4-bit row field and 17 need 5; 5000 query rows
+    # widen the row field past the index's, so the query compares fewer key
+    # bits than the index stores
     rng = np.random.default_rng(q * 7919 + p)
     k, t_abs = 15, 2
     m_mat = rng.integers(0, 3, (q, k)).astype(np.uint8)
