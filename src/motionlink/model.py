@@ -358,25 +358,44 @@ class ActivityVectorSeries:
 # raise; UnicodeDecodeError and JSONDecodeError are ValueErrors.
 _MALFORMED = (RecursionError, KeyError, TypeError, ValueError, AttributeError, OverflowError)
 
-# json accepts NaN and +-Infinity literals; read them all as inf, which
-# validation rejects as not finite, so a NaN read from a file only ever
-# means null
-_decode = json.JSONDecoder(parse_constant=lambda _: math.inf).decode
+
+class _Literal(float):
+    """A NaN or +-Infinity literal read from a file.  It reads as inf, which
+    validation rejects as not finite, so a NaN read from a file only ever
+    means null; as text it is the literal the file holds, so the error
+    names what is there."""
+
+    __slots__ = ("text",)
+
+    def __new__(cls, text: str):
+        value = super().__new__(cls, math.inf)
+        value.text = text
+        return value
+
+    def __repr__(self) -> str:
+        return self.text
+
+    __str__ = __repr__
+
+
+_decode = json.JSONDecoder(parse_constant=_Literal).decode
 
 
 _JSON_KINDS = {float: "number", int: "integer", bool: "boolean", str: "string"}
 _INTEGERS = frozenset({int})
-_NUMBERS = _INTEGERS | {float}
+_NUMBERS = _INTEGERS | {float, _Literal}
 _NUMBERS_OR_NULL = _NUMBERS | {type(None)}
+_FINITE_OR_NULL = _NUMBERS_OR_NULL - {_Literal}
 
 
 def json_value(value, kind: type, name: str, error_type=DataError):
     """`value`, the field `name` read from a file, if it is a JSON `kind`:
     for float any number but a boolean, returned as a float; for int, bool
     or str exactly that type.  Anything else raises error_type rather than
-    being cast."""
-    if kind is float and type(value) in (int, float):
-        return float(value)
+    being cast; a non-finite literal is returned as it is, to be refused
+    by name."""
+    if kind is float and type(value) in _NUMBERS:
+        return float(value) if type(value) is int else value
     if type(value) is not kind:
         raise error_type(f"{name} must be a JSON {_JSON_KINDS[kind]}, got {value!r}")
     return value
@@ -496,9 +515,15 @@ def _series_obj(data: _SeriesDataset, row: int) -> dict:
 def _parse_series(obj) -> tuple:
     """The dataset row of one series object."""
     _json_entries([obj["activities"]], _INTEGERS, "activity codes must be integers")
-    json_numbers(obj["magnitudes"].values(), "magnitude entries", nullable=True)
+    seqs = obj["magnitudes"]
+    if not _FINITE_OR_NULL.issuperset(map(type, chain.from_iterable(seqs.values()))):
+        # a wrong type, or a non-finite literal named as the file writes it
+        json_numbers(seqs.values(), "magnitude entries", nullable=True)
+        name, j, value = next((name, j, v) for name, seq in seqs.items()
+                              for j, v in enumerate(seq) if type(v) is _Literal)
+        raise DataError(f"{name} magnitude entry {j} is not finite: {value!r}")
     return _series_row(json_value(obj["source_id"], str, "source_id"), Channel(obj["channel"]),
-                       json_value(obj["w"], float, "w"), obj["activities"], obj["magnitudes"])
+                       json_value(obj["w"], float, "w"), obj["activities"], seqs)
 
 
 def write_dataset_jsonl(dataset: _SeriesDataset, path) -> None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -310,9 +311,11 @@ def _smooth_columns(arr: np.ndarray) -> np.ndarray:
 #
 # Windows are featurized together, in blocks of windows that share one
 # length: one sample count, or for keypoints one count of detected frames.
-# Every per-window reduction then runs along the contiguous last axis of a
-# block, where numpy sums each row exactly as it sums a lone window, so the
-# results are bit-identical to featurizing the windows one at a time.
+# A keypoint trace lays every keypoint's steps end to end in one buffer, so
+# each statistic is one blocked pass over all its (keypoint, window) rows.
+# Every reduction runs along the contiguous last axis of a block, where
+# numpy sums each row exactly as it sums a lone window, so the results are
+# bit-identical to featurizing the windows one at a time.
 
 MOTION_FEATURE_DIM = 24  # 6 axes x (mean, std, detrended energy, dominant bin)
 VISUAL_FEATURE_DIM = 13  # 4 groups x (disp mean, disp std, share of total) + spread
@@ -363,26 +366,28 @@ def motion_features(trace: MotionTrace, lo: np.ndarray,
     if (lengths <= 0).any():
         raise EmptyWindow("motion window has no samples")
     sensors = _smooth_columns(trace.accel).T, _smooth_columns(trace.gyro).T
+    deviation = np.abs(np.linalg.norm(trace.accel, axis=1) - GRAVITY)
     feats = np.empty((lo.size, 3, 2, 4))
     mags = np.empty(lo.size)
-    # nine channels per sample: smoothed accel and gyro, raw accel
-    for length, sel in _blocks(lengths, width=9):
+    # seven channels per sample: smoothed accel and gyro, raw |accel| deviation
+    for length, sel in _blocks(lengths, width=7):
         idx = lo[sel, None] + np.arange(length)
         for s, signal in enumerate(sensors):
             feats[sel, :, s] = _axis_stats(np.take(signal, idx, axis=-1))
-        norms = np.linalg.norm(trace.accel[idx], axis=-1)
-        mags[sel] = np.abs(norms - GRAVITY).mean(axis=-1)
+        mags[sel] = deviation[idx].mean(axis=-1)
     return feats.reshape(lo.size, MOTION_FEATURE_DIM), mags
 
 
 def _run_stats(values: np.ndarray, parts, stats: tuple[str, ...]) -> np.ndarray:
-    """Reductions of each window's run of `values`, (n, len(stats)).
+    """Reductions of each row's run of `values`, (*shape, len(stats)).
 
-    `parts` is a sequence of (starts, lengths) array pairs; window i's run
-    is values[starts[i]:starts[i] + lengths[i]] of every part, concatenated
-    in order.  `stats` names ndarray reductions ("sum", "mean", "std").
-    Windows with an empty run get NaN.
+    `parts` is a sequence of (starts, lengths) pairs of index arrays of one
+    shape; row i's run is values[starts[i]:starts[i] + lengths[i]] of every
+    part, concatenated in order.  `stats` names ndarray reductions ("sum",
+    "mean", "std").  Rows with an empty run get NaN.
     """
+    shape = np.shape(parts[0][0])
+    parts = [(np.ravel(starts), np.ravel(lengths)) for starts, lengths in parts]
     lengths = sum(length for _, length in parts)
     out = np.full((lengths.size, len(stats)), np.nan)
     for length, sel in _blocks(lengths):
@@ -398,7 +403,7 @@ def _run_stats(values: np.ndarray, parts, stats: tuple[str, ...]) -> np.ndarray:
         block = values[idx]
         for k, stat in enumerate(stats):
             out[sel, k] = getattr(block, stat)(axis=-1)
-    return out
+    return out.reshape(shape + (len(stats),))
 
 
 def _zero_nan(x: np.ndarray) -> np.ndarray:
@@ -428,58 +433,53 @@ def visual_features(trace: KeypointTrace, lo: np.ndarray,
     if empty.size:
         raise EmptyWindow(f"visual window {empty[0]} has no frames")
     n = lo.size
-    feats = np.zeros((n, VISUAL_FEATURE_DIM))
-    paths, proxy_mags, group_paths = {}, {}, []
-    for g, (_, names) in enumerate(FEATURE_GROUPS):
-        steps, parts, offset = [], [], 0
-        group_path = np.zeros(n)
-        for name in names:
-            xy = trace.points.get(name)
-            if xy is None:
-                continue
-            # detected frames compacted to the front; a window's detected
-            # frames are det[first:first + count], its steps between them
-            # step[first:first + count - 1]
-            det = np.flatnonzero(~np.isnan(xy).any(axis=1))
-            first = np.searchsorted(det, lo)
-            count = np.searchsorted(det, hi) - first
-            pts, ts = xy[det], trace.timestamps[det]
-            disp = np.diff(pts, axis=0)
-            step = np.linalg.norm(disp, axis=1)
-            n_steps = np.maximum(count - 1, 0)
-            steps.append(step)
-            parts.append((first + offset, n_steps))
-            offset += step.size
-            paths[name] = _run_stats(step, [(first, n_steps)], ("sum",))[:, 0]
-            group_path = group_path + _zero_nan(paths[name])
-            if name in _PROXY_KEYPOINTS:
-                vel = disp / np.diff(ts)[:, None]
-                mid = 0.5 * (ts[1:] + ts[:-1])
-                acc = np.linalg.norm(np.diff(vel, axis=0) / np.diff(mid)[:, None], axis=1)
-                mag = _run_stats(acc, [(first, np.maximum(count - 2, 0))], ("mean",))[:, 0]
-                mag[(frames - count) / frames > UNOBSERVABLE_MISSING_FRACTION] = np.nan
-                proxy_mags[name] = mag
-        if steps:
-            stats = _run_stats(np.concatenate(steps), parts, ("mean", "std"))
-            feats[:, 3 * g:3 * g + 2] = _zero_nan(stats)
-        group_paths.append(group_path)
-    total_path = sum(group_paths)
-    for g, path in enumerate(group_paths):
-        np.divide(path, total_path, out=feats[:, 3 * g + 2], where=total_path > 0)
+    # the trace's feature keypoints in feature order, each one's row in the
+    # statistics (row len(present) is an empty run) and its detected frames
+    present = [name for _, names in FEATURE_GROUPS for name in names if name in trace.points]
+    row = {name: k for k, name in enumerate(present)}
+    detected = [~(np.isnan(xy[:, 0]) | np.isnan(xy[:, 1]))
+                for xy in (trace.points[name] for name in present)]
+    proxies = [k for k, name in enumerate(present) if name in _PROXY_KEYPOINTS]
+    # Detected frames compacted to the front: a window's are det[first:first +
+    # count]; its steps, and a proxy's accelerations, are the runs of count - 1
+    # and count - 2 from `first` in the keypoint's slice of `steps` and `accels`.
+    step_at = np.cumsum([0] + [max(np.count_nonzero(mask) - 1, 0) for mask in detected])
+    acc_at = np.cumsum([0] + [max(step_at[k + 1] - step_at[k] - 1, 0) for k in proxies])
+    steps, accels = np.empty(step_at[-1]), np.empty(acc_at[-1])
+    first, count = np.zeros((2, len(present) + 1, n), dtype=np.intp)
+    for k, (name, mask) in enumerate(zip(present, detected)):
+        det, xy = np.flatnonzero(mask), trace.points[name]
+        first[k] = np.searchsorted(det, lo)
+        count[k] = np.searchsorted(det, hi) - first[k]
+        dx, dy = np.diff(xy[:, 0].take(det)), np.diff(xy[:, 1].take(det))
+        np.sqrt(dx * dx + dy * dy, out=steps[step_at[k]:step_at[k + 1]])
+        if k in proxies:
+            p, ts = proxies.index(k), trace.timestamps.take(det)
+            dt, dmid = np.diff(ts), np.diff(0.5 * (ts[1:] + ts[:-1]))
+            ax, ay = np.diff(dx / dt) / dmid, np.diff(dy / dt) / dmid
+            np.sqrt(ax * ax + ay * ay, out=accels[acc_at[p]:acc_at[p + 1]])
+    # one _run_stats call per statistic, a row per window of each keypoint or group
+    starts, runs = first + step_at[:, None], np.maximum(count - 1, 0)
+    paths = _run_stats(steps, [(starts, runs)], ("sum",))[..., 0]
+    # a group's steps: its keypoints' runs in order, the empty row for a missing one
+    slots = [[row.get(name, len(present)) for name in slot]
+             for slot in zip_longest(*(names for _, names in FEATURE_GROUPS))]
+    stats = _run_stats(steps, [(starts[s], runs[s]) for s in slots], ("mean", "std"))
+    group_paths = sum(_zero_nan(paths[s]) for s in slots)
+    total = sum(group_paths)
+    shares = np.divide(group_paths, total, out=np.zeros_like(group_paths), where=total > 0)
     # spread: std of the path lengths the window has, in keypoint order
-    if paths:
-        table = np.stack(list(paths.values()), axis=1)
-        width = len(paths)
-        parts = [(np.arange(n) * width + k, (~np.isnan(table[:, k])).astype(np.intp))
-                 for k in range(width)]
-        feats[:, -1] = _zero_nan(_run_stats(table.ravel(), parts, ("std",))[:, 0])
-
-    mags = np.full((n, len(SensorPosition)), np.nan)
-    for p, position in enumerate(SensorPosition):
-        proxy = POSITION_PROXIES[position]
-        if proxy in proxy_mags:
-            mags[:, p] = proxy_mags[proxy]
-    return feats, mags
+    seen = runs[:-1].T > 0
+    lengths = np.count_nonzero(seen, axis=1)
+    spread = _run_stats(paths[:-1].T[seen], [(np.cumsum(lengths) - lengths, lengths)], ("std",))
+    per_group = np.concatenate([_zero_nan(stats), shares[..., None]], axis=-1).swapaxes(0, 1)
+    feats = np.column_stack([per_group.reshape(n, VISUAL_FEATURE_DIM - 1), _zero_nan(spread)])
+    at = proxies + [len(present)]  # the empty row: NaN for an absent proxy
+    mags = _run_stats(accels, [(first[at] + acc_at[:, None], np.maximum(count[at] - 2, 0))],
+                      ("mean",))[..., 0]
+    mags[(frames - count[at]) / frames > UNOBSERVABLE_MISSING_FRACTION] = np.nan
+    return feats, mags[[at.index(row.get(POSITION_PROXIES[p], len(present)))
+                        for p in SensorPosition]].T
 
 
 # ---------------------------------------------------------------------------

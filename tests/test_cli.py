@@ -258,13 +258,16 @@ class TestCorrelate:
         ("motion", 5, lambda obj, first: obj.update(
             activities=obj["activities"][:-1],
             magnitudes={"motion": obj["magnitudes"]["motion"][:-1]}), "23 windows"),
-        # bad entries; a non-finite literal is never read as an unobservable null
+        # bad entries; a non-finite literal is never read as an unobservable
+        # null, and is named as written
         ("visual", 2, lambda obj, first: obj["magnitudes"]["left_wrist"].__setitem__(
-            0, math.nan), "magnitude entry 0 is not finite"),
+            0, math.nan), "left_wrist magnitude entry 0 is not finite: NaN"),
         ("motion", 2, lambda obj, first: obj["magnitudes"]["motion"].__setitem__(
-            0, math.nan), "magnitude entry 0 is not finite"),
+            0, math.nan), "motion magnitude entry 0 is not finite: NaN"),
         ("visual", 2, lambda obj, first: obj["magnitudes"]["right_wrist"].__setitem__(
-            3, math.inf), "magnitude entry 3 is not finite"),
+            3, math.inf), "right_wrist magnitude entry 3 is not finite: Infinity"),
+        ("motion", 1, lambda obj, first: obj.update(w=-math.inf),
+         "window width must be positive and finite, got -Infinity"),
         ("motion", 2, lambda obj, first: obj["magnitudes"]["motion"].__setitem__(
             1, -0.5), "magnitude entry 1 is negative"),
         ("visual", 2, lambda obj, first: obj["activities"].__setitem__(0, 8),
@@ -281,8 +284,9 @@ class TestCorrelate:
         ("visual", 3, lambda obj, first: obj["activities"].__setitem__(0, False),
          "activity codes must be integers, got False"),
     ], ids=["duplicate-id", "second-channel", "second-width", "other-length",
-            "visual-nan", "motion-nan", "infinity", "negative", "code-8", "float-codes",
-            "bool-codes", "motion-bool-among-codes", "visual-bool-among-codes"])
+            "visual-nan", "motion-nan", "infinity", "minus-infinity-width", "negative",
+            "code-8", "float-codes", "bool-codes", "motion-bool-among-codes",
+            "visual-bool-among-codes"])
     def test_bad_series_line_is_named(self, dataset, tmp_path, capsys, which, lineno,
                                       mutate, message):
         objs = [json.loads(line) for line in Path(dataset[which]).read_text().splitlines()]
@@ -629,7 +633,8 @@ def ranking_line(rho: str) -> str:
 def test_rho_outside_its_range_is_refused(dataset, trace_dir, tmp_path, capsys, rho):
     err = run_on_bad_file("rankings", f"{ranking_line(rho)}\n".encode(), dataset, trace_dir,
                           tmp_path, capsys)
-    assert ":1: " in err and "rho must be null or a finite number in [-1, 1]" in err
+    # the value is named as the file writes it, a non-finite literal included
+    assert err.endswith(f":1: rho must be null or a finite number in [-1, 1], got {rho}\n")
 
 
 def test_null_rho_reads_as_undefined(tmp_path):

@@ -216,6 +216,25 @@ def test_series_from_json_rejects_garbage(tmp_path):
             read_dataset_jsonl(path)
 
 
+@pytest.mark.parametrize("w, motion, message", [
+    ("-Infinity", "[1.0]", "window width must be positive and finite, got -Infinity"),
+    ("NaN", "[1.0]", "window width must be positive and finite, got NaN"),
+    ("1.0", "[NaN]", "motion magnitude entry 0 is not finite: NaN"),
+    ("1.0", "[1.0, Infinity]", "motion magnitude entry 1 is not finite: Infinity"),
+    ("1.0", "[null, -Infinity]", "motion magnitude entry 1 is not finite: -Infinity"),
+], ids=["w-minus-infinity", "w-nan", "nan-entry", "infinity-entry", "minus-infinity-entry"])
+def test_non_finite_literals_are_refused_by_name(tmp_path, w, motion, message):
+    # NaN and +-Infinity read as inf, which every check refuses; the error
+    # quotes the literal in the file rather than that inf
+    path = tmp_path / "bad.jsonl"
+    codes = [0] * len(motion.split(","))
+    path.write_text(f'{{"source_id":"x","channel":"motion","w":{w},"activities":{codes},'
+                    f'"magnitudes":{{"motion":{motion}}}}}\n')
+    with pytest.raises(DataError) as err:
+        read_dataset_jsonl(path)
+    assert str(err.value) == f"{path}:1: {message}"
+
+
 @pytest.mark.parametrize("codes", ["[1.5]", "[2.0]", "[true]"])
 def test_series_codes_must_be_integers(tmp_path, codes):
     # a float or boolean code is refused, never truncated to an integer

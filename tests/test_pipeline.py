@@ -691,6 +691,90 @@ def test_batched_visual_features_equal_scalar_oracle(seed, n, per_window, kind, 
     assert np.array_equal(mags, want, equal_nan=True)
 
 
+def _sparse_keypoint_trace(detections, n=24, seed=7):
+    """A jittered n-frame trace whose keypoints, in KEYPOINT_NAMES order, are
+    detected in every frame unless `detections` maps them to a number of
+    frames (spread over the trace) or to None (absent from the trace)."""
+    rng = np.random.default_rng(seed)
+    points = {}
+    for name in KEYPOINT_NAMES:
+        xy = np.cumsum(rng.normal(0, 3, (n, 2)), axis=0)
+        count = detections.get(name, n)
+        if count is None:
+            continue
+        xy[np.setdiff1d(np.arange(n), np.linspace(0, n - 1, count).round())] = np.nan
+        points[name] = xy
+    return KeypointTrace(_jittered(rng, n, 1 / 30.0), points)
+
+
+def _oracle_visual(trace, lo, hi):
+    spans = [WindowSpan(i, 0.0, 0.0, int(a), int(b)) for i, (a, b) in enumerate(zip(lo, hi))]
+    feats = np.stack([visual_window_features(trace, s) for s in spans])
+    mags = [[np.nan if (m := visual_magnitude(trace, s, p)) is None else m
+             for p in SensorPosition] for s in spans]
+    return feats, np.array(mags)
+
+
+# Keypoints feed the step buffer in KEYPOINT_NAMES order and the proxy
+# acceleration buffer in the order left_wrist, right_wrist, left_hip,
+# right_hip; 0, 1 or 2 detected frames leave a keypoint's acceleration slice
+# empty, 0 or 1 its step slice.
+@pytest.mark.parametrize("detections", [
+    {"nose": 0, "left_wrist": 1, "right_wrist": 2, "left_hip": 3, "right_ankle": 0},
+    {"left_wrist": 3, "right_wrist": 0, "left_hip": 1, "right_hip": 2, "left_ankle": 1},
+    {"left_wrist": 2, "right_hip": 1, "right_ankle": 3},
+    {"left_wrist": None, "right_hip": None},  # a proxy absent, its group-mate present
+    {"nose": 2, "left_wrist": None, "right_wrist": 3, "left_ankle": None},
+    {name: None for name in KEYPOINT_NAMES if name != "nose"},  # the head alone
+    {name: 1 for name in KEYPOINT_NAMES},
+], ids=["empty-first-and-last", "empty-middle", "empty-proxy-last", "proxy-mate-absent",
+        "head-beside-lone-keypoints", "head-alone", "one-frame-each"])
+def test_visual_buffer_slice_edges_equal_scalar_oracle(detections):
+    trace = _sparse_keypoint_trace(detections)
+    edges = window_edges(trace, 0.2)
+    lo = np.r_[edges[:-1], 0, 5, 20, 0, 23]
+    hi = np.r_[edges[1:], 24, 13, 24, 1, 24]
+    feats, mags = visual_features(trace, lo, hi)
+    want_feats, want_mags = _oracle_visual(trace, lo, hi)
+    assert np.array_equal(feats, want_feats)
+    assert np.array_equal(mags, want_mags, equal_nan=True)
+
+
+@pytest.mark.parametrize("absent, extra", [
+    ((), None),
+    (("nose", "right_wrist", "left_hip"), None),
+    ((), "left_knee"),
+    (KEYPOINT_NAMES, None),
+], ids=["all-seven", "three-absent", "extra-keypoint", "none"])
+def test_visual_features_makes_four_run_stats_calls(absent, extra):
+    # one call per statistic kind (path sums, group mean and std, spread,
+    # proxy accelerations), whatever the keypoints
+    trace = _sparse_keypoint_trace({name: None for name in absent})
+    if extra:
+        points = dict(trace.points, **{extra: trace.points["nose"] * 2 + 1})
+        trace = KeypointTrace(trace.timestamps, points)
+    edges = window_edges(trace, 0.2)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return run_stats(*args)
+
+    run_stats = pipeline._run_stats
+    with mock.patch.object(pipeline, "_run_stats", counted):
+        feats, mags = visual_features(trace, edges[:-1], edges[1:])
+    assert len(calls) == 4
+    want_feats, want_mags = _oracle_visual(trace, edges[:-1], edges[1:])
+    assert np.array_equal(feats, want_feats)
+    assert np.array_equal(mags, want_mags, equal_nan=True)
+    if extra:  # a keypoint outside the feature groups changes nothing
+        without = KeypointTrace(trace.timestamps,
+                                {k: v for k, v in trace.points.items() if k != extra})
+        base_feats, base_mags = visual_features(without, edges[:-1], edges[1:])
+        assert np.array_equal(feats, base_feats)
+        assert np.array_equal(mags, base_mags, equal_nan=True)
+
+
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.sampled_from([1, 2, 13, 24]),
        n=st.integers(1, 60), twins=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)),
