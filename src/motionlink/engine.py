@@ -41,6 +41,13 @@ DEFAULT_T_NORM = 0.30
 DEFAULT_MIN_OBSERVED_FRACTION = 0.5
 _BUDGET_EPS = 1e-9
 
+# Ranking builds its tables at most this many magnitude cells at a time, and
+# the two pair loops, the naive scan and ranking, take blocks of four times
+# as many.  Past its outputs, only the per-row tables grow with the dataset:
+# the avatar ranks, and the identity ranks per observed-window mask, which
+# are built only when they have fewer rows than the pairs have cells.
+_BLOCK_CELLS = 16384
+
 
 @dataclass(frozen=True)
 class FilterConfig:
@@ -58,6 +65,12 @@ class FilterConfig:
             if not restricted:
                 raise ConfigError("restricted label set must be non-empty")
             object.__setattr__(self, "restricted", restricted)
+
+
+def _pair_step(cells: int) -> int:
+    """Items per block of a pair loop whose items span `cells` cells each:
+    blocks of up to 4 * _BLOCK_CELLS cells, and of at least one item."""
+    return max(1, 4 * _BLOCK_CELLS // max(1, cells))
 
 
 def _restricted_lut(restricted: frozenset[ActivityLabel]) -> np.ndarray:
@@ -137,30 +150,34 @@ class CandidatePairSet:
 
 def filter_pairs_naive(v_mat: np.ndarray, m_mat: np.ndarray, t_norm: float,
                        restricted: frozenset[ActivityLabel] | None = None):
-    """(rows, ids, distances) of all pairs within the mismatch budget,
-    sorted by (row, id): the quadratic-scan reference, every pair compared.
+    """(rows, ids, distances) of all pairs within the mismatch budget, int64
+    and sorted by (row, id): the quadratic-scan reference, every pair compared.
 
     A pair is kept within floor(t_norm * n_effective) mismatches, where
     n_effective is the window count, or with a restricted label set the
-    count of windows whose labels both lie in it (only those count).
+    count of windows whose labels both lie in it (only those count).  Avatar
+    rows are compared with every identity a block of rows at a time, each
+    block at most 4 * _BLOCK_CELLS (row, identity, window) cells, or one row
+    where one row holds more.
     """
     budget = mismatch_budget(t_norm, m_mat.shape[1])
     lut = None if restricted is None else _restricted_lut(restricted)
     m_in = None if lut is None else lut[m_mat]
-    ids, dists = [], []
-    for row in v_mat:
+    step, q = _pair_step(m_mat.size), len(m_mat)
+    empty = np.zeros(0, dtype=np.int64)
+    kept, dists = [empty], [empty]
+    for s in range(0, len(v_mat), step):
+        block = v_mat[s:s + step, None, :]
         if lut is None:
-            d, _ = mismatch_counts(row, m_mat)
+            d, _ = mismatch_counts(block, m_mat)
         else:
-            d, n_eff = mismatch_counts(row, m_mat, lut[row] & m_in)
+            d, n_eff = mismatch_counts(block, m_mat, lut[block] & m_in)
             budget = mismatch_budget(t_norm, n_eff)
-        keep = np.flatnonzero(d <= budget)
-        ids.append(keep)
-        dists.append(d[keep])
-    rows = np.repeat(np.arange(len(ids)), [keep.size for keep in ids])
-    if not ids:
-        return rows, rows.copy(), rows.copy()
-    return rows, np.concatenate(ids), np.concatenate(dists)
+        keep = np.flatnonzero(d <= budget)  # flat indices: np.nonzero on 2-D is far slower
+        kept.append(keep + s * q)
+        dists.append(d.take(keep))
+    rows, ids = np.divmod(np.concatenate(kept), q)
+    return rows, ids, np.concatenate(dists)
 
 
 def _common_grid(visual: VisualDataset, motion: MotionDataset) -> int:
@@ -180,8 +197,9 @@ def activity_filter(visual: VisualDataset, motion: MotionDataset,
     """Keep (avatar, identity) pairs within the normalized mismatch budget.
 
     All series must share one window grid and one length n.  Cost is
-    O(p * q * n): every pair is scanned.  The wildcard index offers the
-    same answer in near-linear time for the unrestricted case.
+    O(p * q * n): every pair is scanned, by `filter_pairs_naive` in blocks
+    of avatar rows.  The wildcard index offers the same answer in
+    near-linear time for the unrestricted case.
     """
     _common_grid(visual, motion)
     rows, ids, dists = filter_pairs_naive(visual.codes, motion.codes, config.t_norm,
@@ -256,11 +274,6 @@ class RankedIdentityList:
         return tuple(e.identity_id for e in self.entries)
 
 
-# Ranking builds its tables, and ranks pairs, at most this many magnitude cells
-# at a time.  Past its outputs, only the per-row tables grow with the dataset:
-# the avatar ranks, and the identity ranks per observed-window mask, which are
-# built only when they have fewer rows than the pairs have cells.
-_BLOCK_CELLS = 16384
 _POSITIONS = tuple(SensorPosition)
 
 
@@ -304,19 +317,23 @@ def _rank_candidates(vis: np.ndarray, mot: np.ndarray, rows: np.ndarray, ids: np
     window mask, so with M distinct masks among the R x 6 positions, when
     Q * M < pairs * 6 they are ranked once per (identity, mask) into a table
     that the pairs gather from; otherwise each pair ranks its identity under
-    each of its positions' masks.  Doubled ranks are integers, so the int64
-    sums of their products are exact, and a quarter of each is exactly the
-    float sum `spearman_rho` forms from half-integer deviations: rho is
-    bit-identical to it on either path.
+    each of its positions' masks.  Pairs go in blocks of up to
+    4 * _BLOCK_CELLS magnitude cells: a block gathers its (pair, position,
+    window) ranks with `take`, and its sums, correlations and skip rules are
+    (position, pair) arrays, so each pair's best position comes from one
+    max and one argmax over the position axis of the whole block.  Doubled
+    ranks are integers, so the int64 sums of their products are exact, and
+    a quarter of each is exactly the float sum `spearman_rho` forms from
+    half-integer deviations: rho is bit-identical to it on either path.
     """
     k, n = vis.shape[1:]
     observed = ~np.isnan(vis)
-    n_obs = observed.sum(axis=-1)
+    n_obs = observed.sum(axis=-1).T
     dx = _tie_starts(vis.reshape(len(vis) * k, n)).reshape(vis.shape)
     step = max(1, _BLOCK_CELLS // max(1, k * n))
     for s in range(0, len(vis), step):
         dx[s:s + step] = _centred_ranks(dx[s:s + step], observed[s:s + step])
-    sxx = np.einsum("rkn,rkn->rk", dx, dx, dtype=np.int64) / 4
+    sxx = np.einsum("rkn,rkn->kr", dx, dx, dtype=np.int64) / 4
     starts = _tie_starts(mot)
     # key each position's mask as packed bytes (np.unique(axis=0) on the
     # booleans is far slower), a byte wider than needed so that n = 0 keys too
@@ -325,7 +342,7 @@ def _rank_candidates(vis: np.ndarray, mot: np.ndarray, rows: np.ndarray, ids: np
     keys[:, :(n + 7) // 8] = np.packbits(seen, axis=-1)
     _, first, mask_of = np.unique(keys.view(f"V{keys.shape[1]}")[:, 0],
                                   return_index=True, return_inverse=True)
-    masks, mask_of = seen[first], mask_of.reshape(len(vis), k)
+    masks, mask_of = seen[first], mask_of.reshape(len(vis), k).T
     n_masks, table = len(masks), None
     if len(mot) * n_masks < rows.size * k:
         table = np.empty((len(mot) * n_masks, n), dtype=np.int32)
@@ -334,24 +351,27 @@ def _rank_candidates(vis: np.ndarray, mot: np.ndarray, rows: np.ndarray, ids: np
             identity, mask = np.divmod(np.arange(s, min(s + row_step, len(table))), n_masks)
             table[s:s + row_step] = _centred_ranks(starts[identity], masks[mask])
         table_syy = np.einsum("tn,tn->t", table, table, dtype=np.int64) / 4
+    windows = np.broadcast_to(n_windows, rows.shape)
     rho, pos = np.empty(rows.size), np.empty(rows.size, dtype=np.intp)
+    step = _pair_step(k * n)
     for s in range(0, rows.size, step):
         r, e = rows[s:s + step], s + step
         if table is None:
-            dy = _centred_ranks(starts[ids[s:e], None, :], observed[r])
-            syy = np.einsum("pkn,pkn->pk", dy, dy, dtype=np.int64) / 4
+            dy = _centred_ranks(starts.take(ids[s:e], axis=0)[:, None], observed.take(r, axis=0))
+            syy = np.einsum("pkn,pkn->kp", dy, dy, dtype=np.int64) / 4
         else:
-            cell = ids[s:e, None] * n_masks + mask_of[r]
-            dy, syy = table[cell], table_syy[cell]
-        sxy = np.einsum("pkn,pkn->pk", dx[r], dy, dtype=np.int64) / 4
+            cell = ids[s:e] * n_masks + mask_of.take(r, axis=1)
+            dy, syy = table.take(cell.T, axis=0), table_syy.take(cell)
+        sxy = np.einsum("pkn,pkn->kp", dx.take(r, axis=0), dy, dtype=np.int64) / 4
+        sxx_p = sxx.take(r, axis=1)
         corr = np.full(sxy.shape, -np.inf)
-        np.divide(sxy, np.sqrt(sxx[r] * syy), out=corr, where=(sxx[r] > 0) & (syy > 0))
-        count, windows = n_obs[r], np.broadcast_to(n_windows, rows.shape)[s:e, None]
+        np.divide(sxy, np.sqrt(sxx_p * syy), out=corr, where=(sxx_p > 0) & (syy > 0))
+        count, w = n_obs.take(r, axis=1), windows[s:e]
         with np.errstate(divide="ignore", invalid="ignore"):
-            usable = (windows > 0) & (count >= 2) & ~(count / windows < min_observed_fraction)
-        rho[s:e] = best = np.where(usable, corr, -np.inf).max(axis=1)
-        pos[s:e] = np.where(usable.any(axis=1),
-                            np.argmax(usable & (corr == best[:, None]), axis=1), -1)
+            usable = (w > 0) & (count >= 2) & ~(count / w < min_observed_fraction)
+        np.copyto(corr, -np.inf, where=~usable)
+        rho[s:e] = best = corr.max(axis=0)
+        pos[s:e] = np.where(usable.any(axis=0), np.argmax(usable & (corr == best), axis=0), -1)
     return rho, pos
 
 

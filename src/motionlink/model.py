@@ -92,10 +92,13 @@ class MagnitudeSeq:
 
     def __init__(self, entries: Iterable[float | None]):
         raw = np.array(list(entries), dtype=object)
-        # only None marks an unobservable entry: a NaN entry reads as inf,
-        # which validation rejects as not finite
-        values = np.where(np.equal(raw, None), np.nan,
-                          np.where(np.not_equal(raw, raw), np.inf, raw)).astype(np.float64)
+        missing = np.equal(raw, None)
+        values = np.where(missing, np.nan, raw).astype(np.float64)
+        # only None marks an unobservable entry: a NaN entry is not finite
+        at = _first(~(missing | np.isfinite(values)))
+        if at is not None:
+            raise DataError(f"magnitudes: magnitude entry {at[0]} is not finite: "
+                            f"{float(values[at])!r}")
         _check_magnitudes(values[None, None], ("",), lambda i: "magnitudes")
         values.setflags(write=False)
         self._values = values
@@ -162,29 +165,48 @@ class _SeriesDataset:
 
     @classmethod
     def from_arrays(cls, ids: Iterable[str], codes, mags, window_seconds: float):
-        """A dataset over copies of the given columns, validated like any other."""
+        """A dataset over copies of the given columns, validated like any other:
+        `codes` (N, n) integers and `mags` shaped as the channel stores them."""
         ids = tuple(ids)
         if not len(ids) == len(codes) == len(mags):
             raise LengthMismatch(
                 f"{len(ids)} ids, {len(codes)} code rows, {len(mags)} magnitude rows"
             )
-        rows = [(i, cls.channel, window_seconds, np.asarray(c), np.asarray(m, dtype=np.float64))
-                for i, c, m in zip(ids, codes, mags)]
-        dataset = cls.__new__(cls)
-        dataset._stack(rows, lambda i: f"series {rows[i][0]!r}")
+        where, dataset = (lambda i: f"series {ids[i]!r}"), cls.__new__(cls)
+        try:
+            columns = np.array(codes), np.array(mags, dtype=np.float64)
+        except ValueError:  # ragged rows
+            columns = None
+        if columns is None or columns[0].dtype.kind not in "iu":
+            # rows that do not stack, or not as integers: name the first bad one
+            dataset._check_rows([(i, cls.channel, window_seconds, np.asarray(c),
+                                  np.asarray(m, dtype=np.float64))
+                                 for i, c, m in zip(ids, codes, mags)], where)
+        codes, mags = columns
+        # every row of a column has the shape and dtype of its first
+        dataset._check_rows([(ids[0], cls.channel, window_seconds, codes[0], mags[0])]
+                            if ids else [], where)
+        dataset._set_columns(ids, window_seconds, codes, mags, where)
         return dataset
 
     def _stack(self, rows, where) -> None:
         """Fill the columns from (source_id, channel, w, codes, mags) rows,
         checking every dataset, and so every series, once.  `where(i)` names
         row i in error messages."""
+        self._check_rows(rows, where)
+        ids, _, _, codes, mags = zip(*rows)
+        self._set_columns(ids, rows[0][2], np.array(codes), np.array(mags, dtype=np.float64),
+                          where)
+
+    def _check_rows(self, rows, where) -> None:
+        """Refuse an empty dataset and rows that differ from the first, or from
+        this channel, in channel, width, shape or code dtype."""
         if not rows:
             raise DataError("dataset must contain at least one series")
         w, n = rows[0][2], rows[0][3].size
         if not 0 < w < math.inf:
             raise DataError(f"{where(0)}: window width must be positive and finite, got {w!r}")
-        names = _sequence_names(self.channel)
-        lead = () if self.channel is Channel.MOTION else (len(names),)
+        lead = () if self.channel is Channel.MOTION else (len(_POSITION_NAMES),)
         for i, (_, channel, w_i, codes, mags) in enumerate(rows):
             if channel is not self.channel:
                 raise DataError(
@@ -200,12 +222,15 @@ class _SeriesDataset:
                 raise LengthMismatch(f"{where(i)}: {codes.size} windows, {where(0)} has {n}")
             if n and codes.dtype.kind not in "iu":
                 raise DataError(f"{where(i)}: activity codes must be integers, got {codes.dtype}")
-        ids, _, _, codes, mags = zip(*rows)
-        codes, mags = np.array(codes), np.array(mags, dtype=np.float64)
+
+    def _set_columns(self, ids, w, codes, mags, where) -> None:
+        """Check the values of stacked (N, n) codes and mags, whose rows
+        passed `_check_rows`, and keep them read-only."""
+        names = _sequence_names(self.channel)
         at = _first((codes < 0) | (codes >= len(_LABELS)))
         if at is not None:
             raise InvalidLabelCode(f"{where(at[0])}: no activity label with code {int(codes[at])}")
-        _check_magnitudes(mags.reshape(len(ids), len(names), n), names, where)
+        _check_magnitudes(mags.reshape(len(ids), len(names), codes.shape[1]), names, where)
         at = _first(np.isnan(mags)) if self.channel is Channel.MOTION else None
         if at is not None:
             raise DataError(f"{where(at[0])}: motion magnitudes cannot be unobservable")

@@ -229,15 +229,24 @@ def write_keypoint_jsonl(trace: KeypointTrace, path) -> None:
     } for i in range(len(trace))))
 
 
+def _finite(value, name: str) -> float:
+    """`value`, the field `name` of a frame, if it is a finite JSON number;
+    a non-finite one is named as the file writes it."""
+    value = json_value(value, float, name)
+    if not math.isfinite(value):
+        raise DataError(f"{name} must be finite, got {value!r}")
+    return value
+
+
 def _keypoint_frame(obj) -> tuple[float, dict]:
     """The timestamp and {keypoint: [x, y] or None} of one frame object."""
     kp = {}
     for name, xy in obj["kp"].items():
         if xy is not None:
             x, y = xy
-            xy = [json_value(x, float, f"{name} x"), json_value(y, float, f"{name} y")]
+            xy = [_finite(x, f"{name} x"), _finite(y, f"{name} y")]
         kp[name] = xy
-    return json_value(obj["ts"], float, "ts"), kp
+    return _finite(obj["ts"], "ts"), kp
 
 
 def read_keypoint_jsonl(path) -> KeypointTrace:

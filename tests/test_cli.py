@@ -712,19 +712,23 @@ class TestTraceCommands:
         assert not (tmp_path / "x.json").exists()
 
     @pytest.mark.parametrize("frame, message", [
-        ('{"ts": NaN, "kp": {}}', "timestamps must be finite"),
-        ('{"ts": 0.0, "kp": {"nose": [Infinity, 1.0]}}',
-         "keypoint 'nose' has infinite coordinates"),
-    ], ids=["nan-stamp", "infinite-point"])
+        ('{"ts": NaN, "kp": {}}', "ts must be finite, got NaN"),
+        ('{"ts": -Infinity, "kp": {}}', "ts must be finite, got -Infinity"),
+        ('{"ts": 1e999, "kp": {}}', "ts must be finite, got inf"),
+        ('{"ts": 0.5, "kp": {"nose": [Infinity, 1.0]}}', "nose x must be finite, got Infinity"),
+        ('{"ts": 0.5, "kp": {"nose": [1.0, NaN]}}', "nose y must be finite, got NaN"),
+    ], ids=["nan-stamp", "minus-infinity-stamp", "overflowing-stamp", "infinite-point",
+            "nan-point"])
     def test_non_finite_keypoint_frame_is_data_error(self, tmp_path, capsys, frame, message):
+        # the bad frame follows a good one: the error names its line and literal
         trace = tmp_path / "kp.jsonl"
-        trace.write_text(frame + "\n")
+        trace.write_text('{"ts": 0.0, "kp": {"nose": [1.0, 2.0]}}\n' + frame + "\n")
         out = tmp_path / "v.jsonl"
         rc = main(["build-series", "--trace", str(trace), "--channel", "visual",
                    "--out", str(out)])
         assert rc == EXIT_DATA
         err = capsys.readouterr().err
-        assert err == f"error: {trace}: {message}\n"
+        assert err == f"error: {trace}:2: {message}\n"
         assert not out.exists()
 
     def test_model_channel_mismatch_is_config_error(self, trace_dir, tmp_path, capsys):

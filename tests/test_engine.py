@@ -20,6 +20,7 @@ from motionlink.engine import (
     activity_filter,
     correlate,
     _restricted_lut,
+    filter_pairs_naive,
     fractional_ranks,
     mismatch_budget,
     mismatch_counts,
@@ -47,6 +48,7 @@ from motionlink.model import (
     SensorPosition,
     VisualDataset,
 )
+from motionlink.evalbench import bench_matrices
 from motionlink.pipeline import ConfusionMatrix
 from motionlink.synth import CohortSpec, generate_cohort
 
@@ -306,6 +308,83 @@ def test_activity_filter_rejects_mismatched_grids():
     m2 = MotionDataset([motion_series("m0", [0, 1], w=1.0)])
     with pytest.raises(Exception):
         activity_filter(v2, m2, FilterConfig())
+
+
+def scalar_filter(v_mat, m_mat, t_norm, restricted):
+    """(rows, ids, dists) lists of the pairs within budget, one pair and one
+    window at a time: the naive scan's contract."""
+    out = [], [], []
+    for r, a in enumerate(v_mat.tolist()):
+        for i, b in enumerate(m_mat.tolist()):
+            counted = [restricted is None or (L(x) in restricted and L(y) in restricted)
+                       for x, y in zip(a, b)]
+            d = sum(x != y for x, y, c in zip(a, b, counted) if c)
+            if d <= mismatch_budget(t_norm, sum(counted)):
+                for col, value in zip(out, (r, i, d)):
+                    col.append(value)
+    return out
+
+
+@st.composite
+def scan_inputs(draw):
+    """(v_mat, m_mat) label codes, p and q in 0..9 and k in 0..70, over an
+    alphabet of one to eight labels; some identity rows copy an avatar's
+    with a few windows changed, so pairs sit on both sides of the budget."""
+    p, q, k = draw(st.integers(0, 9)), draw(st.integers(0, 9)), draw(st.integers(0, 70))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = draw(st.integers(1, len(L)))
+    v_mat = rng.integers(0, labels, (p, k), dtype=np.uint8)
+    m_mat = rng.integers(0, labels, (q, k), dtype=np.uint8)
+    for j in range(min(p, q) if k else 0):
+        if rng.random() < 0.5:
+            m_mat[j] = v_mat[rng.integers(p)]
+            m_mat[j, rng.integers(0, k, rng.integers(0, 4))] = rng.integers(0, len(L))
+    return v_mat, m_mat
+
+
+@settings(max_examples=300, deadline=None)
+@given(scan_inputs(), st.sampled_from([0.0, 0.1, 0.3, 0.5, 1.0]),
+       st.none() | st.frozensets(st.sampled_from(list(L)), min_size=1),
+       st.sampled_from([1, 7, 4096]))
+def test_blocked_scan_equals_scalar_oracle(inputs, t_norm, restricted, block_cells):
+    v_mat, m_mat = inputs
+    # small blocks put one row per block; 4096 puts many rows, or all, in one
+    with mock.patch.object(engine, "_BLOCK_CELLS", block_cells):
+        got = filter_pairs_naive(v_mat, m_mat, t_norm, restricted)
+        event("several rows per block" if 4 * block_cells >= 2 * m_mat.size
+              else "one row per block")
+    event("pairs kept and dropped" if 0 < got[0].size < v_mat.shape[0] * m_mat.shape[0]
+          else "all or none kept")
+    for col, expected in zip(got, scalar_filter(v_mat, m_mat, t_norm, restricted)):
+        assert col.dtype == np.int64
+        assert col.tolist() == expected
+
+
+def mismatch_calls(v_mat, m_mat, t_norm):
+    """How many `mismatch_counts` calls the naive scan of v_mat x m_mat makes."""
+    calls = []
+
+    def counted(a, b, counted=None):
+        calls.append(a.shape)
+        return mismatch_counts(a, b, counted)
+
+    with mock.patch.object(engine, "mismatch_counts", counted):
+        filter_pairs_naive(v_mat, m_mat, t_norm)
+    return len(calls)
+
+
+def test_naive_scan_compares_blocks_of_rows():
+    """On the `rank_heavy` cohort (120 x 120, 30 windows) a block holds as
+    many avatar rows as fit in 4 * _BLOCK_CELLS cells; where one row's
+    cells already fill a block, as at c02's 10^4 identities of 10 windows,
+    each row is its own block."""
+    visual, motion, _ = rank_heavy_cohort()
+    step = 4 * engine._BLOCK_CELLS // motion.codes.size
+    assert step > 1
+    assert mismatch_calls(visual.codes, motion.codes, 0.8) == math.ceil(120 / step)
+    v_mat, m_mat = bench_matrices(5, 10_000, 10)
+    assert m_mat.size >= 4 * engine._BLOCK_CELLS
+    assert mismatch_calls(v_mat, m_mat, 0.3) == 5
 
 
 @pytest.mark.parametrize("use_index", [False, True])

@@ -105,6 +105,20 @@ def test_magnitude_seq_rejects_bad_entries():
         MagnitudeSeq([float("nan")])
 
 
+@pytest.mark.parametrize("entries, message", [
+    ([1.0, float("nan")], "magnitude entry 1 is not finite: nan"),
+    ([None, float("-inf"), float("nan")], "magnitude entry 1 is not finite: -inf"),
+    ([None, 2.0, float("inf")], "magnitude entry 2 is not finite: inf"),
+    ([float("nan"), -1.0], "magnitude entry 0 is not finite: nan"),
+    ([None, -1.0], "magnitude entry 1 is negative: -1.0"),
+], ids=["nan", "minus-infinity-before-nan", "infinity", "nan-before-negative", "negative"])
+def test_magnitude_seq_names_the_entry_passed(entries, message):
+    # None marks an unobservable entry; a NaN entry is refused as itself
+    with pytest.raises(DataError) as err:
+        MagnitudeSeq(entries)
+    assert str(err.value) == f"magnitudes: {message}"
+
+
 def test_series_length():
     assert len(make_motion_series(codes=(0,) * 10, mags=[1.0] * 10)) == 10
     empty = make_motion_series(codes=(), mags=[])
@@ -320,6 +334,60 @@ def test_dataset_uniform_length_and_matrix():
             make_motion_series(source_id="m0", codes=(0,), mags=[1]),
             make_motion_series(source_id="m1", codes=(0, 1), mags=[1, 2]),
         ])
+
+
+U8 = np.uint8
+FROM_ARRAYS_ERRORS = [
+    pytest.param(MotionDataset, [], np.zeros((0, 3), U8), np.zeros((0, 3)), 1.0, DataError,
+                 "dataset must contain at least one series", id="empty"),
+    pytest.param(MotionDataset, ["m0"], np.zeros((1, 2), U8), np.ones((1, 2)), 0.0, DataError,
+                 "series 'm0': window width must be positive and finite, got 0.0",
+                 id="zero-width"),
+    pytest.param(MotionDataset, ["m0"], np.zeros((1, 2), U8), np.ones((1, 2)), float("nan"),
+                 DataError, "series 'm0': window width must be positive and finite, got nan",
+                 id="nan-width"),
+    pytest.param(MotionDataset, ["m0"], np.zeros((1, 3), U8), np.ones((1, 4)), 1.0,
+                 LengthMismatch, "series 'm0': 3 activities vs magnitudes of shape (4,)",
+                 id="motion-shape"),
+    pytest.param(VisualDataset, ["a0"], np.zeros((1, 3), U8), np.ones((1, 3)), 1.0,
+                 LengthMismatch, "series 'a0': 3 activities vs magnitudes of shape (3,)",
+                 id="visual-shape"),
+    pytest.param(MotionDataset, ["m0", "m1"], np.zeros(2, U8), np.ones((2, 2)), 1.0,
+                 LengthMismatch, "series 'm0': 1 activities vs magnitudes of shape (2,)",
+                 id="codes-one-dimensional"),
+    pytest.param(MotionDataset, ["m0", "m1"], [[0, 1], [0]], [[1.0, 1.0], [1.0]], 1.0,
+                 LengthMismatch, "series 'm1': 1 windows, series 'm0' has 2", id="ragged"),
+    pytest.param(MotionDataset, ["m0"], np.zeros((1, 2)), np.ones((1, 2)), 1.0, DataError,
+                 "series 'm0': activity codes must be integers, got float64",
+                 id="float-codes"),
+    pytest.param(MotionDataset, ["m0", "m1"], [[0, 1], [0.5, 1]], [[1.0, 1.0], [1.0, 1.0]],
+                 1.0, DataError, "series 'm1': activity codes must be integers, got float64",
+                 id="float-codes-in-second-row"),
+    pytest.param(MotionDataset, ["m0", "m1"], np.array([[0, 7], [8, 0]]), np.ones((2, 2)),
+                 1.0, InvalidLabelCode, "series 'm1': no activity label with code 8",
+                 id="label-code"),
+    pytest.param(MotionDataset, ["m0", "m1"], np.zeros((2, 2), U8),
+                 np.array([[1.0, 1.0], [1.0, np.inf]]), 1.0, DataError,
+                 "series 'm1': magnitude entry 1 is not finite: inf", id="infinite-magnitude"),
+    pytest.param(VisualDataset, ["a0"], np.zeros((1, 3), U8),
+                 np.where(np.arange(6)[:, None] == 4, [0.0, 1.0, -1.0], 1.0)[None], 1.0,
+                 DataError, "series 'a0': left_wrist magnitude entry 2 is negative: -1.0",
+                 id="negative-magnitude"),
+    pytest.param(MotionDataset, ["m0"], np.zeros((1, 2), U8), np.array([[1.0, np.nan]]), 1.0,
+                 DataError, "series 'm0': motion magnitudes cannot be unobservable",
+                 id="unobservable-motion"),
+    pytest.param(MotionDataset, ["m0", "m0"], np.zeros((2, 2), U8), np.ones((2, 2)), 1.0,
+                 DataError, "series 'm0': duplicate source_id 'm0'", id="duplicate-id"),
+    pytest.param(MotionDataset, ["m0", ""], np.zeros((2, 2), U8), np.ones((2, 2)), 1.0,
+                 DataError, "series '': source_id must be non-empty", id="empty-id"),
+]
+
+
+@pytest.mark.parametrize("cls, ids, codes, mags, w, error, message", FROM_ARRAYS_ERRORS)
+def test_from_arrays_names_the_first_bad_series(cls, ids, codes, mags, w, error, message):
+    with pytest.raises(error) as err:
+        cls.from_arrays(ids, codes, mags, w)
+    assert type(err.value) is error and str(err.value) == message
 
 
 def test_dataset_jsonl_roundtrip_byte_identical(tmp_path):
