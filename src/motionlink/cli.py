@@ -32,6 +32,7 @@ from .evalbench import (
     DEFAULT_RESTRICTED_SET,
     SCALING_FIELDS,
     SWEEP_FIELDS,
+    _check_grid,
     bench_scaling,
     evaluate,
     sweep_parameters,
@@ -162,28 +163,27 @@ def _parse_floats(text: str, what: str) -> list[float]:
         vals = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"--{what}: {exc}") from exc
-    if not vals:
-        raise ConfigError(f"--{what} must list at least one value")
     return vals
 
 
 def _parse_sizes(text: str) -> list[tuple[int, int]]:
     sizes = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        parts = tok.lower().split("x")
-        if len(parts) != 2:
-            raise ConfigError(f"--sizes entries must look like PxQ, got {tok!r}")
+    for tok in filter(None, map(str.strip, text.split(","))):
         try:
-            p, q = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise ConfigError(f"--sizes entry {tok!r}: {exc}") from exc
+            p, q = map(int, tok.lower().split("x"))
+        except ValueError:
+            raise ConfigError(f"--sizes entries must look like PxQ, got {tok!r}") from None
         sizes.append((p, q))
     if not sizes:
         raise ConfigError("--sizes must list at least one PxQ entry")
     return sizes
+
+
+def _seed(text: str) -> int:
+    """argparse type of a seed or session number: an integer >= 0."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text}")
+    return int(text)
 
 
 def _classifier_for(channel: Channel, args):
@@ -350,6 +350,7 @@ def cmd_sweep(args) -> int:
     spec = load_cohort_spec(args.spec)
     w_values = _parse_floats(args.w_values, "w-values")
     t_values = _parse_floats(args.t_values, "t-values")
+    _check_grid(w_values, t_values)  # before traces are synthesized
     restricted = DEFAULT_RESTRICTED_SET if args.restricted else None
     cohort = synthesize_trace_cohort(spec) if args.trace_mode else spec
     grid = sweep_parameters(
@@ -387,7 +388,7 @@ def _add_run_flags(sub) -> None:
 def _add_model_flags(sub) -> None:
     group = sub.add_mutually_exclusive_group()
     group.add_argument("--model", help="saved classifier JSON")
-    group.add_argument("--train-seed", dest="train_seed", type=int, default=0,
+    group.add_argument("--train-seed", dest="train_seed", type=_seed, default=0,
                        help="train a fresh classifier with this seed")
 
 
@@ -415,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("generate", help="synthesize a cohort to files")
     p.add_argument("--spec", required=True, help="cohort spec JSON")
     p.add_argument("--out-dir", dest="out_dir", required=True)
-    p.add_argument("--session", type=int, default=0)
+    p.add_argument("--session", type=_seed, default=0)
     p.add_argument("--traces", action="store_true",
                    help="emit raw traces instead of finished series")
     p.set_defaults(func=cmd_generate)
@@ -458,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--t-abs", dest="t_abs", type=int, default=3)
     p.add_argument("--methods", default="naive,indexed")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--naive-cutoff", dest="naive_cutoff", type=int,
                    default=DEFAULT_NAIVE_CUTOFF,
                    help="skip naive rows with p*q at or above this")
@@ -480,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="synthesize raw traces and rebuild series per width")
     p.add_argument("--restricted", action="store_true")
     p.add_argument("--top-k", dest="top_k", type=int, default=3)
-    p.add_argument("--train-seed", dest="train_seed", type=int, default=0)
+    p.add_argument("--train-seed", dest="train_seed", type=_seed, default=0)
     p.set_defaults(func=cmd_sweep)
 
     return parser

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .model import (
     SensorPosition,
     VisualDataset,
     json_value,
+    label_codes,
     read_json_lines,
     write_json_lines,
 )
@@ -61,7 +62,8 @@ class FilterConfig:
         if not 0.0 <= self.t_norm <= 1.0:
             raise ConfigError(f"t_norm must lie in [0, 1], got {self.t_norm}")
         if self.restricted is not None:
-            restricted = frozenset(ActivityLabel(l) for l in self.restricted)
+            codes = label_codes(list(self.restricted), "restricted label set")
+            restricted = frozenset(map(ActivityLabel, codes.tolist()))
             if not restricted:
                 raise ConfigError("restricted label set must be non-empty")
             object.__setattr__(self, "restricted", restricted)
@@ -75,8 +77,7 @@ def _pair_step(cells: int) -> int:
 
 def _restricted_lut(restricted: frozenset[ActivityLabel]) -> np.ndarray:
     lut = np.zeros(len(ActivityLabel), dtype=bool)
-    for l in restricted:
-        lut[int(l)] = True
+    lut[label_codes(list(restricted), "restricted label set")] = True
     return lut
 
 
@@ -249,15 +250,10 @@ def spearman_rho(x, y) -> float:
 # ---------------------------------------------------------------------------
 # ranking
 
-@dataclass(frozen=True, init=False)
-class RankEntry:
+class RankEntry(NamedTuple):
     identity_id: str
     rho: float  # -inf marks a candidate whose correlation was undefined everywhere
     position: SensorPosition
-
-    def __init__(self, identity_id: str, rho: float, position: SensorPosition):
-        # one dict update, not the frozen __init__'s object.__setattr__ per field
-        self.__dict__.update(identity_id=identity_id, rho=rho, position=position)
 
 
 @dataclass(frozen=True)

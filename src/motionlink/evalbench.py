@@ -117,12 +117,6 @@ class EvalReport:
         }
 
 
-def _truth_mapping(truth) -> Mapping[str, str]:
-    if isinstance(truth, GroundTruth):
-        return truth.mapping
-    return truth
-
-
 def evaluate(rankings: Sequence[RankedIdentityList], truth, top_k: int = 3,
              *, config: Mapping[str, object] | None = None) -> EvalReport:
     """Score rankings against the avatar-to-identity ground truth.
@@ -135,7 +129,7 @@ def evaluate(rankings: Sequence[RankedIdentityList], truth, top_k: int = 3,
         raise ConfigError(f"top_k must be >= 1, got {top_k}")
     if not rankings:
         raise DataError("no rankings to evaluate")
-    mapping = _truth_mapping(truth)
+    mapping = truth.mapping if isinstance(truth, GroundTruth) else truth
     outcomes: dict[str, Outcome] = {}
     hits_1 = hits_3 = hits_k = 0
     for ranking in rankings:
@@ -179,6 +173,16 @@ def _dataset_for_width(cohort: TraceCohort, w: float, motion_model, visual_model
     return visual, motion
 
 
+def _check_grid(w_values: Sequence[float], t_values: Sequence[float]) -> None:
+    """Refuse a sweep grid that is empty or holds an invalid w or t."""
+    if not w_values or not t_values:
+        raise ConfigError("w_values and t_values must be non-empty")
+    if any(not 0 < w < np.inf for w in w_values):
+        raise ConfigError("window widths must be positive and finite")
+    if any(not 0.0 <= t <= 1.0 for t in t_values):
+        raise ConfigError("normalized thresholds must lie in [0, 1]")
+
+
 def sweep_parameters(cohort: TraceCohort | CohortSpec, w_values: Sequence[float],
                      t_values: Sequence[float], *,
                      models: Mapping[float, tuple] | None = None,
@@ -195,12 +199,7 @@ def sweep_parameters(cohort: TraceCohort | CohortSpec, w_values: Sequence[float]
     wider windows mean shorter sequences just as re-windowing would.
     Returns {(w, t): EvalReport}.
     """
-    if not w_values or not t_values:
-        raise ConfigError("w_values and t_values must be non-empty")
-    if any(w <= 0 for w in w_values):
-        raise ConfigError("window widths must be positive")
-    if any(not 0.0 <= t <= 1.0 for t in t_values):
-        raise ConfigError("normalized thresholds must lie in [0, 1]")
+    _check_grid(w_values, t_values)
     datasets: dict[float, tuple[VisualDataset, MotionDataset]] = {}
     truths: dict[float, GroundTruth] = {}
     if isinstance(cohort, CohortSpec):

@@ -48,6 +48,21 @@ class ActivityLabel(IntEnum):
 _LABELS = tuple(ActivityLabel)
 
 
+def label_codes(values, where) -> np.ndarray:
+    """`values` as uint8 activity codes of the same shape, the one check of
+    what a code is: a non-integer array, unless empty, raises DataError, and
+    an entry outside 0..7 InvalidLabelCode naming the first in C order.
+    `where` names the input: a string, or a function of the bad entry's row."""
+    values = np.asarray(values)
+    name = where if callable(where) else lambda *row: where
+    if values.size and values.dtype.kind not in "iu":
+        raise DataError(f"{name(0)}: activity codes must be integers, got {values.dtype}")
+    at = _first((values < 0) | (values >= len(_LABELS))) if values.size else None
+    if at is not None:
+        raise InvalidLabelCode(f"{name(*at[:1])}: no activity label with code {int(values[at])}")
+    return values.astype(np.uint8, copy=False)
+
+
 def label_from_token(token: str) -> ActivityLabel:
     try:
         return ActivityLabel[token.strip().upper()]
@@ -227,9 +242,7 @@ class _SeriesDataset:
         """Check the values of stacked (N, n) codes and mags, whose rows
         passed `_check_rows`, and keep them read-only."""
         names = _sequence_names(self.channel)
-        at = _first((codes < 0) | (codes >= len(_LABELS)))
-        if at is not None:
-            raise InvalidLabelCode(f"{where(at[0])}: no activity label with code {int(codes[at])}")
+        codes = label_codes(codes, where)
         _check_magnitudes(mags.reshape(len(ids), len(names), codes.shape[1]), names, where)
         at = _first(np.isnan(mags)) if self.channel is Channel.MOTION else None
         if at is not None:
@@ -240,7 +253,6 @@ class _SeriesDataset:
             raise DataError(f"{where(i)}: duplicate source_id {ids[i]!r}")
         if "" in by_id:
             raise DataError(f"{where(by_id[''])}: source_id must be non-empty")
-        codes = codes.astype(np.uint8)
         codes.setflags(write=False)
         mags.setflags(write=False)
         self.ids, self.codes, self.mags, self.window_seconds = ids, codes, mags, float(w)

@@ -23,7 +23,6 @@ from .errors import (
     DataError,
     EmptyWindow,
     InvalidConfusionMatrix,
-    InvalidLabelCode,
     ModelMismatch,
     TraceTooShort,
 )
@@ -37,6 +36,7 @@ from .model import (
     in_file,
     json_numbers,
     json_value,
+    label_codes,
     not_utf8,
     read_json,
     read_json_lines,
@@ -548,13 +548,11 @@ def classify_windows(model: ClassifierModel, features: np.ndarray) -> np.ndarray
 
 def fit_classifier(features: np.ndarray, labels: Sequence[ActivityLabel] | np.ndarray,
                    channel: Channel) -> ClassifierModel:
-    """Fit z-scoring stats and per-label centroids from labeled windows."""
+    """Fit z-scoring stats and per-label centroids; labels must pass `label_codes`."""
     features = np.asarray(features, dtype=np.float64)
-    codes = np.asarray(labels, dtype=np.int64)
+    codes = label_codes(labels, "labels")
     if features.ndim != 2 or codes.shape != (features.shape[0],):
         raise ModelMismatch("features must be (n_windows, dim) matching labels")
-    if codes.size and not (codes.min() >= 0 and codes.max() < len(ActivityLabel)):
-        raise InvalidLabelCode(f"label codes must lie in 0..{len(ActivityLabel) - 1}")
     counts = np.bincount(codes, minlength=len(ActivityLabel))
     missing = [l.name for l in ActivityLabel if not counts[int(l)]]
     if missing:

@@ -33,14 +33,17 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, InvalidLabelCode
+from .errors import ConfigError, DataError
 from .model import (
     ActivityLabel,
     Channel,
     MotionDataset,
     SensorPosition,
     VisualDataset,
+    _INTEGERS,
+    _json_entries,
     json_value,
+    label_codes,
     label_from_token,
     read_json,
     write_json,
@@ -316,7 +319,11 @@ class GroundTruth:
         try:
             mapping = {k: json_value(v, str, f"identity of {k}")
                        for k, v in payload["avatars"].items()}
-            scripts = {k: tuple(map(_label, v)) for k, v in payload["scripts"].items()}
+            # a boolean among integers would stack as a code
+            _json_entries(payload["scripts"].values(), _INTEGERS, "no activity label with code")
+            scripts = {k: tuple(map(_LABELS.__getitem__,
+                                    label_codes(np.array(v), f"script of {k}").tolist()))
+                       for k, v in payload["scripts"].items()}
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise DataError(f"malformed ground truth payload: {exc}") from exc
         return cls(mapping=mapping, scripts=scripts)
@@ -327,14 +334,6 @@ class GroundTruth:
     @classmethod
     def load(cls, path) -> "GroundTruth":
         return read_json(path, cls.from_dict, "ground truth")
-
-
-def _label(code) -> ActivityLabel:
-    """The label of an integer code read from a file; a float or a
-    boolean is refused rather than truncated."""
-    if type(code) is not int or not 0 <= code < len(_LABELS):
-        raise ValueError(f"no activity label with code {code!r}")
-    return _LABELS[code]
 
 
 def identity_id(index: int) -> str:
@@ -479,7 +478,7 @@ def permute_expand(
     Used to mass-produce distinct sequences with a realistic label mix for
     scaling runs.
     """
-    base = np.ascontiguousarray(np.asarray(base_rows, dtype=np.uint8))
+    base = label_codes(base_rows, "base rows")
     if base.ndim != 2 or base.shape[0] == 0:
         raise ConfigError("base_rows must be a non-empty 2-D array")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 97)))
@@ -589,12 +588,10 @@ _REST_POSE: dict[str, tuple[float, float]] = {
 
 
 def _checked_script(script: Sequence[int], amplitudes: Sequence[float]):
-    script = np.asarray(script, dtype=np.int64)
+    script = label_codes(script, "script")
     amps = np.asarray(amplitudes, dtype=np.float64)
     if script.shape != amps.shape:
         raise DataError("script and amplitudes must have the same length")
-    if ((script < 0) | (script >= len(_LABELS))).any():
-        raise InvalidLabelCode(f"activity codes must lie in 0..{len(_LABELS) - 1}")
     return script, amps
 
 
@@ -607,7 +604,8 @@ def synthesize_motion_trace(
     sample_rate: float = 50.0,
     start_time: float = 0.0,
 ) -> MotionTrace:
-    """Inertial trace acting out `script`, one entry per window.
+    """Inertial trace acting out `script`, one code per window, checked by
+    `label_codes` (a float code is refused, not truncated).
 
     Within window t the vertical acceleration oscillates around gravity with
     mean absolute deviation equal to amplitudes[t]; the per-activity
@@ -653,7 +651,7 @@ def synthesize_keypoint_trace(
     start_time: float = 0.0,
     keypoint_observability: Mapping[str, float] | None = None,
 ) -> KeypointTrace:
-    """2-D keypoint trace acting out `script`.
+    """2-D keypoint trace acting out `script`, its codes checked by `label_codes`.
 
     Each keypoint oscillates around its rest position; excursion scales with
     the realized amplitude and the activity's per-group weight, divided by

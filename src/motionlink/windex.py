@@ -41,7 +41,7 @@ from .errors import (
     DataError,
     MemoryCapExceeded,
 )
-from .model import ActivityLabel, MotionDataset, VisualDataset
+from .model import MotionDataset, VisualDataset, label_codes
 
 logger = logging.getLogger(__name__)
 
@@ -71,9 +71,7 @@ def _check_budget(k: int, t_abs: int) -> None:
 def wildcard_expansions(seq: Sequence, t_abs: int) -> frozenset[bytes]:
     """All masked variants of one sequence, one byte per position and 0xFF
     for the wildcard: the paper's key set, of size expansion_count(k, t_abs)."""
-    codes = np.asarray([int(ActivityLabel(l)) for l in seq], dtype=np.uint8)
-    if codes.size == 0:
-        raise ConfigError("cannot expand an empty sequence")
+    codes = label_codes(list(seq), "sequence")
     k = codes.size
     _check_budget(k, t_abs)
     out = set()
@@ -186,17 +184,15 @@ class WildcardIndex:
 
 def build_index(source, t_abs: int) -> WildcardIndex:
     """Expand and sort the keys lookups run against, over a MotionDataset
-    or a (q, k) code matrix.
+    or a (q, k) matrix of codes, checked by `label_codes` (never cast).
 
     Refuses with MemoryCapExceeded when the documented estimate blows
     the cap (MOTIONLINK_MEMORY_CAP or 8 GiB by default).
     """
-    codes = np.asarray(source.codes if isinstance(source, MotionDataset) else source,
-                       dtype=np.uint8)
+    codes = np.ascontiguousarray(
+        source.codes if isinstance(source, MotionDataset) else label_codes(source, "code matrix"))
     if codes.ndim != 2:
         raise DataError(f"expected a (q, k) code matrix, got shape {codes.shape}")
-    if (codes >= len(ActivityLabel)).any():
-        raise DataError("code matrix contains values outside the label range")
     q, k = codes.shape
     _check_budget(k, t_abs)
     estimate = estimate_index_memory(q, k, t_abs)
@@ -212,13 +208,13 @@ def build_index(source, t_abs: int) -> WildcardIndex:
 
 def filter_pairs_indexed(v_mat: np.ndarray, index: WildcardIndex):
     """(rows, ids, distances) of all pairs within the index budget, sorted
-    by (row, id).
+    by (row, id), for a (p, k) query matrix of codes checked by `label_codes`.
 
     Refuses with MemoryCapExceeded when the index plus the query's
     estimated peak would blow the cap: once before the query keys are
     expanded, and again, with the raw hits counted, before those are.
     """
-    v_mat = np.ascontiguousarray(v_mat, dtype=np.uint8)
+    v_mat = np.ascontiguousarray(label_codes(v_mat, "query matrix"))
     if v_mat.ndim != 2 or v_mat.shape[1] != index.k:
         raise DataError(f"query matrix must be (p, {index.k}), got {v_mat.shape}")
     p, k = v_mat.shape

@@ -478,6 +478,23 @@ class TestSweep:
                    "--out", str(tmp_path / "s.csv")])
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize("grid", [["--w-values", "-1", "--t-values", "0.3"],
+                                      ["--w-values", "nan", "--t-values", "0.3"],
+                                      ["--w-values", "inf", "--t-values", "0.3"],
+                                      ["--w-values", "1.0", "--t-values", "1.5"]],
+                             ids=["negative-w", "nan-w", "infinite-w", "t-over-one"])
+    def test_trace_mode_checks_the_grid_before_synthesizing(self, tmp_path, capsys,
+                                                            monkeypatch, grid):
+        def synthesize(*args, **kwargs):
+            raise AssertionError("traces synthesized for a grid that is refused")
+
+        monkeypatch.setattr("motionlink.cli.synthesize_trace_cohort", synthesize)
+        spec = write_spec(tmp_path / "spec.json")
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--spec", spec, "--trace-mode", *grid,
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def trace_dir(tmp_path_factory):
@@ -740,3 +757,28 @@ class TestTraceCommands:
                    "--channel", "visual", "--out", str(tmp_path / "v.jsonl"),
                    "--model", str(model)])
         assert rc == EXIT_CONFIG
+
+
+# every seed and session flag, set to -1; {out} is what the command writes
+NEGATIVE_SEEDS = {
+    "generate-session": ["generate", "--spec", "{spec}", "--out-dir", "{out}", "--session", "-1"],
+    "generate-traces-session": ["generate", "--spec", "{spec}", "--out-dir", "{out}",
+                                "--traces", "--session", "-1"],
+    "build-series-train-seed": ["build-series", "--trace", "{trace}", "--channel", "motion",
+                                "--out", "{out}", "--train-seed", "-1"],
+    "align-train-seed": ["align", "--motion-csv", "{trace}", "--visual", "{visual}",
+                         "--avatar", "a0000", "--out", "{out}", "--train-seed", "-1"],
+    "sweep-train-seed": ["sweep", "--spec", "{spec}", "--w-values", "1.0", "--t-values", "0.3",
+                         "--out", "{out}", "--trace-mode", "--train-seed", "-1"],
+    "bench-seed": ["bench", "--sizes", "10x10", "--out", "{out}", "--seed", "-1"],
+}
+
+
+@pytest.mark.parametrize("command", NEGATIVE_SEEDS)
+def test_negative_seed_is_refused_before_any_output(dataset, trace_dir, tmp_path, capsys,
+                                                    command):
+    out = tmp_path / "out"
+    names = dict(dataset, out=str(out), trace=str(trace_dir / "motion" / "u0000.csv"))
+    assert main([arg.format(**names) for arg in NEGATIVE_SEEDS[command]]) == EXIT_CONFIG
+    assert "must be an integer >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()

@@ -4,8 +4,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import motionlink
+from motionlink.engine import FilterConfig, filter_pairs_naive
 from motionlink.errors import DataError, InvalidLabelCode, LengthMismatch
 from motionlink.model import (
     ActivityLabel,
@@ -15,10 +18,19 @@ from motionlink.model import (
     MotionDataset,
     SensorPosition,
     VisualDataset,
+    label_codes,
     label_from_token,
     read_dataset_jsonl,
     write_dataset_jsonl,
 )
+from motionlink.pipeline import fit_classifier
+from motionlink.synth import (
+    GroundTruth,
+    permute_expand,
+    synthesize_keypoint_trace,
+    synthesize_motion_trace,
+)
+from motionlink.windex import build_index, filter_pairs_indexed, wildcard_expansions
 
 # Wire-format goldens.  These orderings are load-bearing: codes appear in
 # serialized files and break ties, so they must never drift.
@@ -426,3 +438,103 @@ def test_json_floats_are_plain_numbers(tmp_path):
     obj = json.loads(series_file(tmp_path, s).read_text())
     assert obj["w"] == 0.5
     assert isinstance(obj["w"], float)
+
+
+# ---------------------------------------------------------------------------
+# the one activity-code check
+
+LABEL_DTYPES = ["int8", "int64", "uint8", "uint16", "float64", "bool", "object"]
+
+
+@st.composite
+def code_arrays(draw):
+    """An array of 0 to 3 dimensions, empty ones included, of one of
+    LABEL_DTYPES, holding values in -2..300 that the dtype can represent."""
+    dtype = np.dtype(draw(st.sampled_from(LABEL_DTYPES)))
+    shape = tuple(draw(st.lists(st.integers(0, 3), max_size=3)))
+    lo, hi = (-2, 300) if dtype.kind not in "iu" else (
+        max(-2, np.iinfo(dtype).min), min(300, np.iinfo(dtype).max))
+    values = {"b": st.booleans(), "f": st.floats(-2, 300)}.get(dtype.kind, st.integers(lo, hi))
+    flat = draw(st.lists(values, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+    return np.array(flat, dtype=dtype).reshape(shape)
+
+
+def label_codes_oracle(values: np.ndarray, where):
+    """(error type, message) of label_codes on `values`, entry by entry in
+    C order, or None if they are codes."""
+    if not values.size:
+        return None
+    if values.dtype.kind not in "iu":
+        return DataError, f"{where(0)}: activity codes must be integers, got {values.dtype}"
+    row_size = values.size // len(values) if values.ndim else 1
+    for i, value in enumerate(values.reshape(-1).tolist()):
+        if not 0 <= value <= 7:
+            return InvalidLabelCode, f"{where(i // row_size)}: no activity label with code {value}"
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(values=code_arrays(), by_row=st.booleans())
+def test_label_codes_matches_scalar_oracle(values, by_row):
+    # `where` as a name, or (with a first axis) as a function of the bad row
+    where = (lambda row: f"row {row}") if by_row and values.ndim else "codes"
+    expected = label_codes_oracle(values, where if callable(where) else lambda row: where)
+    if expected is None:
+        out = label_codes(values, where)
+        assert out.dtype == np.uint8 and out.shape == values.shape
+        assert np.array_equal(out, values.astype(np.uint8))
+    else:
+        error, message = expected
+        with pytest.raises(DataError) as err:
+            label_codes(values, where)
+        assert type(err.value) is error and str(err.value) == message
+
+
+def _index_query(codes):
+    index = build_index(np.arange(8, dtype=np.uint8)[None], 1)
+    return filter_pairs_indexed(codes[None], index)
+
+
+# every entry point that takes activity codes, on one length-8 sequence
+CODE_ENTRY_POINTS = {
+    "dataset": lambda c: MotionDataset.from_arrays(["m0"], c[None], np.ones((1, c.size)), 1.0),
+    "series": lambda c: ActivityVectorSeries("m0", Channel.MOTION, 1.0, c,
+                                             {"motion": MagnitudeSeq(np.ones(c.size))}),
+    "truth": lambda c: GroundTruth.from_dict({"avatars": {"a0": "u0"},
+                                              "scripts": {"u0": c.tolist()}}),
+    "motion-trace": lambda c: synthesize_motion_trace(c, np.ones(c.size), 1.0,
+                                                      np.random.default_rng(0)),
+    "keypoint-trace": lambda c: synthesize_keypoint_trace(c, np.ones(c.size), 1.0,
+                                                          np.random.default_rng(0)),
+    "fit-classifier": lambda c: fit_classifier(np.random.default_rng(0).random((c.size, 3)), c,
+                                               Channel.MOTION),
+    "build-index": lambda c: build_index(c[None], 1),
+    "index-query": _index_query,
+    "filter-config": lambda c: FilterConfig(restricted=frozenset(c.tolist())),
+    "naive-restricted": lambda c: filter_pairs_naive(np.zeros((1, 8), np.uint8),
+                                                     np.zeros((1, 8), np.uint8), 0.3,
+                                                     frozenset(c.tolist())),
+    "wildcard-expansions": lambda c: wildcard_expansions(c, 1),
+    "permute-expand": lambda c: permute_expand(c[None], 2),
+}
+
+BAD_CODES = [
+    pytest.param(np.r_[np.arange(7), 8], id="8"),
+    pytest.param(np.r_[np.arange(7), -1], id="minus-1"),
+    pytest.param(np.r_[np.arange(7), 256], id="256"),  # wraps to 0 as uint8
+    pytest.param(np.arange(8) + 0.5, id="float"),  # truncates to every code
+    pytest.param(np.arange(8) % 2 == 1, id="bool"),
+]
+
+
+@pytest.mark.parametrize("entry", CODE_ENTRY_POINTS)
+def test_every_code_input_takes_valid_codes(entry):
+    CODE_ENTRY_POINTS[entry](np.arange(8))
+
+
+@pytest.mark.parametrize("codes", BAD_CODES)
+@pytest.mark.parametrize("entry", CODE_ENTRY_POINTS)
+def test_every_code_input_refuses_a_bad_code(entry, codes):
+    with pytest.raises(DataError) as err:
+        CODE_ENTRY_POINTS[entry](codes)
+    assert type(err.value) in (DataError, InvalidLabelCode)
