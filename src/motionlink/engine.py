@@ -392,15 +392,12 @@ def _check_fraction(min_observed_fraction: float) -> None:
 
 
 def rank_identities(visual_series: ActivityVectorSeries,
-                    candidates: Mapping[str, ActivityVectorSeries] | Iterable[ActivityVectorSeries],
+                    candidates: Iterable[ActivityVectorSeries],
                     min_observed_fraction: float = DEFAULT_MIN_OBSERVED_FRACTION,
                     ) -> RankedIdentityList:
     """Rank candidate identities for one avatar by best per-position rho."""
     _check_fraction(min_observed_fraction)
-    if isinstance(candidates, Mapping):
-        items = list(candidates.values())
-    else:
-        items = list(candidates)
+    items = list(candidates)
     if visual_series.channel is not Channel.VISUAL:
         raise DataError(f"{visual_series.source_id}: ranking needs a visual series")
     if not items:

@@ -50,11 +50,15 @@ _LABELS = tuple(ActivityLabel)
 
 def label_codes(values, where) -> np.ndarray:
     """`values` as uint8 activity codes of the same shape, the one check of
-    what a code is: a non-integer array, unless empty, raises DataError, and
-    an entry outside 0..7 InvalidLabelCode naming the first in C order.
-    `where` names the input: a string, or a function of the bad entry's row."""
-    values = np.asarray(values)
+    what a code is: ragged nested lists or a non-integer array, unless empty,
+    raise DataError, and an entry outside 0..7 InvalidLabelCode naming the
+    first in C order.  `where` names the input: a string, or a function of
+    the bad entry's row."""
     name = where if callable(where) else lambda *row: where
+    try:
+        values = np.asarray(values)
+    except ValueError:  # rows of different lengths
+        raise DataError(f"{name(0)}: activity codes must form a rectangular array") from None
     if values.size and values.dtype.kind not in "iu":
         raise DataError(f"{name(0)}: activity codes must be integers, got {values.dtype}")
     at = _first((values < 0) | (values >= len(_LABELS))) if values.size else None
@@ -95,28 +99,15 @@ def _sequence_names(channel: Channel) -> tuple[str, ...]:
 
 
 class MagnitudeSeq:
-    """Per-window movement magnitudes; entries are floats or None (unobservable).
+    """Per-window movement magnitudes of one sequence of a dataset series: a
+    view of the dataset's `mags`.
 
-    The values live in a read-only float array with NaN holes, so vector
-    math has to go through `values`/`observed_mask` explicitly and can never
-    fold a missing entry into a mean by accident.  The sequences of a
-    dataset series are views of the dataset's `mags`.
+    The values are a read-only float array with NaN holes, so vector math
+    has to go through `values`/`observed_mask` explicitly and can never
+    fold a missing entry into a mean by accident.
     """
 
     __slots__ = ("_values",)
-
-    def __init__(self, entries: Iterable[float | None]):
-        raw = np.array(list(entries), dtype=object)
-        missing = np.equal(raw, None)
-        values = np.where(missing, np.nan, raw).astype(np.float64)
-        # only None marks an unobservable entry: a NaN entry is not finite
-        at = _first(~(missing | np.isfinite(values)))
-        if at is not None:
-            raise DataError(f"magnitudes: magnitude entry {at[0]} is not finite: "
-                            f"{float(values[at])!r}")
-        _check_magnitudes(values[None, None], ("",), lambda i: "magnitudes")
-        values.setflags(write=False)
-        self._values = values
 
     @classmethod
     def _view(cls, values: np.ndarray) -> "MagnitudeSeq":
@@ -127,9 +118,6 @@ class MagnitudeSeq:
     def __len__(self) -> int:
         return len(self._values)
 
-    def __repr__(self) -> str:
-        return f"MagnitudeSeq({self.entries()!r})"
-
     @property
     def values(self) -> np.ndarray:
         """Float array with NaN at unobservable entries."""
@@ -138,9 +126,6 @@ class MagnitudeSeq:
     @property
     def observed_mask(self) -> np.ndarray:
         return ~np.isnan(self._values)
-
-    def entries(self) -> list[float | None]:
-        return np.where(np.isnan(self._values), None, self._values).tolist()
 
 
 def _first(bad: np.ndarray) -> tuple[int, ...] | None:
@@ -301,28 +286,11 @@ def _series_row(source_id: str, channel: Channel, w: float, activities,
             np.array(seqs if len(names) > 1 else seqs[0], dtype=np.float64))
 
 
-def _from_rows(rows: list[tuple], where) -> MotionDataset | VisualDataset:
-    cls = MotionDataset if rows[0][1] is Channel.MOTION else VisualDataset
-    dataset = cls.__new__(cls)
-    dataset._stack(rows, where)
-    return dataset
-
-
 class ActivityVectorSeries:
     """One source's activity labels plus magnitudes on a fixed window grid:
-    a row view of a dataset.  Constructed directly from its `source_id`,
-    `channel`, `window_seconds`, `activities` (labels or codes) and
-    `magnitudes` (name -> MagnitudeSeq: "motion" alone for a MOTION series,
-    one per SensorPosition for a VISUAL one), it is the only row of a
-    one-series dataset, validated like any other."""
+    a row view of a dataset."""
 
     __slots__ = ("_data", "_row")
-
-    def __init__(self, source_id: str, channel: Channel, window_seconds: float,
-                 activities, magnitudes: Mapping[str, MagnitudeSeq]):
-        sequences = {name: seq.values for name, seq in magnitudes.items()}
-        row = _series_row(source_id, channel, window_seconds, activities, sequences)
-        self._data, self._row = _from_rows([row], lambda i: f"series {source_id!r}"), 0
 
     @classmethod
     def _view(cls, data: _SeriesDataset, row: int) -> "ActivityVectorSeries":
@@ -351,10 +319,6 @@ class ActivityVectorSeries:
     def mags(self) -> np.ndarray:
         """(n,) motion or (6, n) visual magnitudes, NaN where unobservable."""
         return self._data.mags[self._row]
-
-    @property
-    def activities(self) -> tuple[ActivityLabel, ...]:
-        return tuple(map(_LABELS.__getitem__, self.codes.tolist()))
 
     def __len__(self) -> int:
         return self._data.codes.shape[1]
@@ -575,5 +539,8 @@ def read_dataset_jsonl(path) -> MotionDataset | VisualDataset:
     rows = read_json_lines(path, _parse_series, "series")
     if not rows:
         raise DataError(f"{path}: no series found")
-    lines = list(rows)
-    return _from_rows(list(rows.values()), lambda i: f"{path}:{lines[i]}")
+    lines, rows = list(rows), list(rows.values())
+    cls = MotionDataset if rows[0][1] is Channel.MOTION else VisualDataset
+    dataset = cls.__new__(cls)
+    dataset._stack(rows, lambda i: f"{path}:{lines[i]}")
+    return dataset

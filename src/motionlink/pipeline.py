@@ -374,7 +374,8 @@ def motion_features(trace: MotionTrace, lo: np.ndarray,
     lengths = np.asarray(hi, dtype=np.intp) - lo
     if (lengths <= 0).any():
         raise EmptyWindow("motion window has no samples")
-    sensors = _smooth_columns(trace.accel).T, _smooth_columns(trace.gyro).T
+    # C-contiguous (3, N) rows, so a window's gather reads only its own samples
+    sensors = [np.asfortranarray(_smooth_columns(a)).T for a in (trace.accel, trace.gyro)]
     deviation = np.abs(np.linalg.norm(trace.accel, axis=1) - GRAVITY)
     feats = np.empty((lo.size, 3, 2, 4))
     mags = np.empty(lo.size)

@@ -33,7 +33,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, InvalidLabelCode
 from .model import (
     ActivityLabel,
     Channel,
@@ -321,9 +321,14 @@ class GroundTruth:
                        for k, v in payload["avatars"].items()}
             # a boolean among integers would stack as a code
             _json_entries(payload["scripts"].values(), _INTEGERS, "no activity label with code")
-            scripts = {k: tuple(map(_LABELS.__getitem__,
-                                    label_codes(np.array(v), f"script of {k}").tolist()))
-                       for k, v in payload["scripts"].items()}
+            scripts = {}
+            for k, v in payload["scripts"].items():
+                where, codes = f"script of {k}", np.array(v)
+                if codes.size and codes.dtype.kind not in "iu":
+                    # an integer beyond int64 stacks as an object or float array
+                    bad = next(c for c in v if not 0 <= c < len(_LABELS))
+                    raise InvalidLabelCode(f"{where}: no activity label with code {bad}")
+                scripts[k] = tuple(map(_LABELS.__getitem__, label_codes(codes, where).tolist()))
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise DataError(f"malformed ground truth payload: {exc}") from exc
         return cls(mapping=mapping, scripts=scripts)

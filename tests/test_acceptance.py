@@ -32,9 +32,7 @@ from motionlink.evalbench import (
 )
 from motionlink.model import (
     ActivityLabel,
-    ActivityVectorSeries,
     Channel,
-    MagnitudeSeq,
     MotionDataset,
     SensorPosition,
     VisualDataset,
@@ -55,6 +53,7 @@ from motionlink.windex import (
     filter_with_index,
     wildcard_expansions,
 )
+from series_rows import visual_series
 
 # set to "1" to include the naive scan at p=q=10^5 in the scaling check;
 # that single row takes hours, so it stays out of the default run
@@ -66,26 +65,21 @@ def check(ok: bool, line: str) -> None:
     assert ok, line
 
 
+def window_mags(mat, *lead) -> np.ndarray:
+    """Magnitudes j % 7 + 0.5 of window j in every row of `mat`, shaped
+    (rows, *lead, windows)."""
+    mags = np.arange(mat.shape[1]) % 7 + 0.5
+    return np.broadcast_to(mags, (len(mat), *lead, mat.shape[1]))
+
+
 def motion_dataset(mat) -> MotionDataset:
-    mags = MagnitudeSeq([float(j % 7) + 0.5 for j in range(mat.shape[1])])
-    return MotionDataset([
-        ActivityVectorSeries(
-            source_id=f"u{i}", channel=Channel.MOTION, window_seconds=1.0,
-            activities=tuple(ActivityLabel(int(c)) for c in row),
-            magnitudes={"motion": mags})
-        for i, row in enumerate(mat)
-    ])
+    return MotionDataset.from_arrays([f"u{i}" for i in range(len(mat))], mat,
+                                     window_mags(mat), 1.0)
 
 
 def visual_dataset(mat) -> VisualDataset:
-    mags = MagnitudeSeq([float(j % 7) + 0.5 for j in range(mat.shape[1])])
-    return VisualDataset([
-        ActivityVectorSeries(
-            source_id=f"a{i}", channel=Channel.VISUAL, window_seconds=1.0,
-            activities=tuple(ActivityLabel(int(c)) for c in row),
-            magnitudes={p.value: mags for p in SensorPosition})
-        for i, row in enumerate(mat)
-    ])
+    return VisualDataset.from_arrays([f"a{i}" for i in range(len(mat))], mat,
+                                     window_mags(mat, len(SensorPosition)), 1.0)
 
 
 def diag_confusion(diagonal) -> ConfusionMatrix:
@@ -258,11 +252,8 @@ def test_c06_alignment_recovers_a_2p4s_offset():
         i0 = int(np.searchsorted(full.timestamps, lag - 1e-9))
         traces[f"u{i:02d}"] = MotionTrace(full.timestamps[i0:], full.accel[i0:],
                                           full.gyro[i0:], full.nominal_interval)
-        entries = [float(v) for v in amps[:n]]
-        vis.append(ActivityVectorSeries(
-            source_id=f"a{i:02d}", channel=Channel.VISUAL, window_seconds=1.0,
-            activities=tuple(ActivityLabel(int(c)) for c in script[:n]),
-            magnitudes={p.value: MagnitudeSeq(entries) for p in SensorPosition}))
+        vis.append(visual_series(f"a{i:02d}", script[:n],
+                                 {p.value: amps[:n].tolist() for p in SensorPosition}))
         mapping[f"a{i:02d}"] = f"u{i:02d}"
     visual = VisualDataset(vis)
     truth = GroundTruth(mapping=mapping, scripts={})

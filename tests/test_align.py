@@ -19,20 +19,14 @@ from motionlink.align import (
 )
 from motionlink.engine import FilterConfig, mismatch_counts
 from motionlink.errors import ConfigError, MemoryCapExceeded, ModelMismatch, NoOverlap
-from motionlink.model import (
-    ActivityLabel,
-    ActivityVectorSeries,
-    Channel,
-    MagnitudeSeq,
-    SensorPosition,
-    VisualDataset,
-)
+from motionlink.model import ActivityLabel, Channel, SensorPosition, VisualDataset
 from motionlink.pipeline import MotionTrace, build_series
 from motionlink.synth import (
     DEFAULT_MAGNITUDE_BASE,
     train_classifier,
     synthesize_motion_trace,
 )
+from series_rows import visual_series
 
 @pytest.fixture(scope="module")
 def motion_model():
@@ -53,14 +47,7 @@ def script_amps(script, mult=1.2):
 def visual_from_script(codes, mags, source_id="a0"):
     """Channel-exact observed series: true labels, identical magnitudes at
     every sensor position."""
-    entries = [float(v) for v in mags]
-    return ActivityVectorSeries(
-        source_id=source_id,
-        channel=Channel.VISUAL,
-        window_seconds=1.0,
-        activities=tuple(ActivityLabel(int(c)) for c in codes),
-        magnitudes={p.value: MagnitudeSeq(entries) for p in SensorPosition},
-    )
+    return visual_series(source_id, codes, {p.value: list(mags) for p in SensorPosition})
 
 
 def late_start(trace: MotionTrace, lag: float) -> MotionTrace:
@@ -140,7 +127,7 @@ class TestShiftAndRebuild:
         origin = float(trace.timestamps[0])
         codes, mags, first = _rebuild(trace, (0.0,), 1.0, motion_model, origin)[0.0]
         assert first == 0
-        assert codes.tolist() == [int(a) for a in plain.activities]
+        assert codes.tolist() == plain.codes.tolist()
         np.testing.assert_allclose(mags, plain.motion_magnitudes.values)
 
     def test_whole_window_offsets_shift_indices_only(self, motion_model):
@@ -148,7 +135,7 @@ class TestShiftAndRebuild:
         trace = synthesize_motion_trace(
             script, script_amps(script), 1.0, np.random.default_rng(2)
         )
-        plain = [int(a) for a in build_series(trace, 1.0, motion_model, "m").activities]
+        plain = build_series(trace, 1.0, motion_model, "m").codes.tolist()
         rebuilt = _rebuild(trace, (2.0, -3.0), 1.0, motion_model, float(trace.timestamps[0]))
         for offset, first_expected in ((2.0, 2), (-3.0, -3)):
             codes, _, first = rebuilt[offset]
@@ -164,7 +151,7 @@ class TestShiftAndRebuild:
         codes, _, first = _rebuild(trace, (0.0,), 1.0, motion_model, 0.0)[0.0]
         assert first == 3
         plain = build_series(trace, 1.0, motion_model, "m")
-        assert codes.tolist() == [int(a) for a in plain.activities]
+        assert codes.tolist() == plain.codes.tolist()
 
     def test_too_short_trace_raises(self, motion_model):
         trace = synthesize_motion_trace([0], [0.1], 0.5, np.random.default_rng(4))

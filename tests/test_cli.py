@@ -283,10 +283,15 @@ class TestCorrelate:
          "activity codes must be integers, got True"),
         ("visual", 3, lambda obj, first: obj["activities"].__setitem__(0, False),
          "activity codes must be integers, got False"),
+        # every position, each with one entry per window
+        ("visual", 2, lambda obj, first: obj["magnitudes"].pop("left_wrist"),
+         "visual series needs magnitude sequences"),
+        ("visual", 3, lambda obj, first: obj["magnitudes"]["right_wrist"].pop(),
+         "magnitude sequences of different lengths"),
     ], ids=["duplicate-id", "second-channel", "second-width", "other-length",
             "visual-nan", "motion-nan", "infinity", "minus-infinity-width", "negative",
             "code-8", "float-codes", "bool-codes", "motion-bool-among-codes",
-            "visual-bool-among-codes"])
+            "visual-bool-among-codes", "missing-position", "ragged-sequences"])
     def test_bad_series_line_is_named(self, dataset, tmp_path, capsys, which, lineno,
                                       mutate, message):
         objs = [json.loads(line) for line in Path(dataset[which]).read_text().splitlines()]

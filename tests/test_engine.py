@@ -40,9 +40,6 @@ from motionlink.errors import (
 )
 from motionlink.model import (
     ActivityLabel,
-    ActivityVectorSeries,
-    Channel,
-    MagnitudeSeq,
     MotionDataset,
     SensorPosition,
     VisualDataset,
@@ -50,41 +47,15 @@ from motionlink.model import (
 from motionlink.evalbench import bench_matrices
 from motionlink.pipeline import ConfusionMatrix
 from motionlink.synth import CohortSpec, generate_cohort
+from series_rows import motion_series, visual_series
 
 L = ActivityLabel
 
 
-def motion_series(source_id, codes, mags=None, w=1.0):
-    if mags is None:
-        mags = [1.0 + 0.1 * i for i in range(len(codes))]
-    return ActivityVectorSeries(
-        source_id=source_id, channel=Channel.MOTION, window_seconds=w,
-        activities=tuple(L(c) for c in codes),
-        magnitudes={"motion": MagnitudeSeq(mags)},
-    )
-
-
-def visual_series(source_id, codes, mags=None, w=1.0):
-    n = len(codes)
-    if mags is None:
-        mags = {p.value: MagnitudeSeq([1.0 + 0.1 * i for i in range(n)])
-                for p in SensorPosition}
-    return ActivityVectorSeries(
-        source_id=source_id, channel=Channel.VISUAL, window_seconds=w,
-        activities=tuple(L(c) for c in codes), magnitudes=mags,
-    )
-
-
 def visual_mags(n, base=None, **overrides):
-    out = {}
-    for p in SensorPosition:
-        if p.value in overrides:
-            out[p.value] = MagnitudeSeq(overrides[p.value])
-        elif base is not None:
-            out[p.value] = MagnitudeSeq(base)
-        else:
-            out[p.value] = MagnitudeSeq([1.0] * n)
-    return out
+    """Magnitudes of every position: `overrides` by name, else `base`, else 1.0."""
+    return {p.value: overrides.get(p.value, base if base is not None else [1.0] * n)
+            for p in SensorPosition}
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +204,7 @@ def brute_force_filter(visual, motion, config):
         for m in motion:
             d = 0
             n_eff = 0
-            for la, lb in zip(v.activities, m.activities):
+            for la, lb in zip(v.codes.tolist(), m.codes.tolist()):
                 if config.restricted is not None and (
                         la not in config.restricted or lb not in config.restricted):
                     continue
@@ -515,9 +486,7 @@ def test_rank_identities_skips_sparse_positions():
 def test_rank_identities_all_skipped_raises():
     n = 4
     m = motion_series("m0", [4] * n, [1.0, 2.0, 3.0, 4.0])
-    unobserved = [None] * n
-    mags = {p.value: MagnitudeSeq(unobserved) for p in SensorPosition}
-    v = visual_series("a0", [4] * n, mags)
+    v = visual_series("a0", [4] * n, visual_mags(n, base=[None] * n))
     with pytest.raises(EmptyRanking):
         rank_identities(v, [m])
 
@@ -588,8 +557,7 @@ def cohorts(draw):
             n_obs = draw(st.integers(0, n))
             holes = draw(st.permutations(range(n)))[: n - n_obs]
             vals = draw(st.lists(grid_values, min_size=n, max_size=n))
-            mags[p.value] = MagnitudeSeq(
-                [None if i in holes else v for i, v in enumerate(vals)])
+            mags[p.value] = [None if i in holes else v for i, v in enumerate(vals)]
         avatars.append(visual_series(f"a{a}", [4] * n, mags))
     identities = [
         motion_series(f"m{j}", [4] * n, draw(st.lists(grid_values, min_size=n, max_size=n)))

@@ -1,5 +1,6 @@
 import ast
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +13,7 @@ from motionlink.engine import FilterConfig, filter_pairs_naive
 from motionlink.errors import DataError, InvalidLabelCode, LengthMismatch
 from motionlink.model import (
     ActivityLabel,
-    ActivityVectorSeries,
     Channel,
-    MagnitudeSeq,
     MotionDataset,
     SensorPosition,
     VisualDataset,
@@ -31,6 +30,7 @@ from motionlink.synth import (
     synthesize_motion_trace,
 )
 from motionlink.windex import build_index, filter_pairs_indexed, wildcard_expansions
+from series_rows import motion_series, visual_series
 
 # Wire-format goldens.  These orderings are load-bearing: codes appear in
 # serialized files and break ties, so they must never drift.
@@ -55,34 +55,6 @@ EXPECTED_POSITIONS = [
 ]
 
 
-def make_visual_mags(n, fill=1.0):
-    return {p.value: MagnitudeSeq([fill] * n) for p in SensorPosition}
-
-
-def make_motion_series(source_id="m0", codes=(0, 4, 4), mags=None, w=1.0):
-    codes = tuple(codes)
-    if mags is None:
-        mags = [1.0 + i for i in range(len(codes))]
-    return ActivityVectorSeries(
-        source_id=source_id,
-        channel=Channel.MOTION,
-        window_seconds=w,
-        activities=tuple(ActivityLabel(c) for c in codes),
-        magnitudes={"motion": MagnitudeSeq(mags)},
-    )
-
-
-def make_visual_series(source_id="a0", codes=(0, 4, 4), w=1.0, mags=None):
-    codes = tuple(codes)
-    return ActivityVectorSeries(
-        source_id=source_id,
-        channel=Channel.VISUAL,
-        window_seconds=w,
-        activities=tuple(ActivityLabel(c) for c in codes),
-        magnitudes=mags if mags is not None else make_visual_mags(len(codes)),
-    )
-
-
 def test_label_codes_are_frozen():
     assert [(l.name, int(l)) for l in ActivityLabel] == EXPECTED_LABEL_CODES
 
@@ -100,94 +72,63 @@ def test_sensor_positions_are_frozen():
 
 
 def test_magnitude_seq_basics():
-    seq = MagnitudeSeq([1.0, None, 0.0, 2.5])
+    seq = visual_series("a0", [0] * 4, {"left_wrist": [1.0, None, 0.0, 2.5]}).magnitude_for(
+        SensorPosition.LEFT_WRIST)
     assert len(seq) == 4
     assert seq.observed_mask.sum() == 3
-    assert seq.entries() == [1.0, None, 0.0, 2.5]
+    assert seq.values[seq.observed_mask].tolist() == [1.0, 0.0, 2.5]
     assert list(seq.observed_mask) == [True, False, True, True]
     assert np.isnan(seq.values[1])
 
 
-def test_magnitude_seq_rejects_bad_entries():
-    with pytest.raises(DataError):
-        MagnitudeSeq([1.0, -0.5])
-    with pytest.raises(DataError):
-        MagnitudeSeq([float("inf")])
-    with pytest.raises(DataError):
-        MagnitudeSeq([float("nan")])
-
-
-@pytest.mark.parametrize("entries, message", [
-    ([1.0, float("nan")], "magnitude entry 1 is not finite: nan"),
-    ([None, float("-inf"), float("nan")], "magnitude entry 1 is not finite: -inf"),
-    ([None, 2.0, float("inf")], "magnitude entry 2 is not finite: inf"),
-    ([float("nan"), -1.0], "magnitude entry 0 is not finite: nan"),
-    ([None, -1.0], "magnitude entry 1 is negative: -1.0"),
-], ids=["nan", "minus-infinity-before-nan", "infinity", "nan-before-negative", "negative"])
-def test_magnitude_seq_names_the_entry_passed(entries, message):
-    # None marks an unobservable entry; a NaN entry is refused as itself
-    with pytest.raises(DataError) as err:
-        MagnitudeSeq(entries)
-    assert str(err.value) == f"magnitudes: {message}"
-
-
 def test_series_length():
-    assert len(make_motion_series(codes=(0,) * 10, mags=[1.0] * 10)) == 10
-    empty = make_motion_series(codes=(), mags=[])
+    assert len(motion_series("m0", (0,) * 10, [1.0] * 10)) == 10
+    empty = motion_series("m0", (), [])
     assert len(empty) == 0
 
 
-def test_motion_series_validation():
+def series_line(tmp_path, channel, magnitudes):
+    """A series file holding one line of `channel` with two windows."""
+    path = tmp_path / "line.jsonl"
+    path.write_text(json.dumps({"source_id": "s0", "channel": channel, "w": 1.0,
+                                "activities": [0, 0], "magnitudes": magnitudes}) + "\n")
+    return path
+
+
+def test_motion_series_validation(tmp_path):
     with pytest.raises(LengthMismatch):
-        make_motion_series(codes=(0, 1), mags=[1.0])
+        motion_series("m0", (0, 1), [1.0])
     with pytest.raises(DataError):
         # unobservable entries are a visual-channel concept
-        make_motion_series(codes=(0, 1), mags=[1.0, None])
-    with pytest.raises(DataError):
-        ActivityVectorSeries(
-            source_id="m0",
-            channel=Channel.MOTION,
-            window_seconds=1.0,
-            activities=(ActivityLabel.IDLE,),
-            magnitudes={"left_wrist": MagnitudeSeq([1.0])},
-        )
+        motion_series("m0", (0, 1), [1.0, None])
+    path = series_line(tmp_path, "motion", {"left_wrist": [1.0, 1.0]})
+    with pytest.raises(DataError, match="motion series needs magnitude sequences"):
+        read_dataset_jsonl(path)
 
 
-def test_visual_series_validation():
-    with pytest.raises(DataError):
-        mags = make_visual_mags(2)
-        del mags["left_wrist"]
-        ActivityVectorSeries(
-            source_id="a0",
-            channel=Channel.VISUAL,
-            window_seconds=1.0,
-            activities=(ActivityLabel.IDLE, ActivityLabel.IDLE),
-            magnitudes=mags,
-        )
-    with pytest.raises(LengthMismatch):
-        mags = make_visual_mags(2)
-        mags["left_wrist"] = MagnitudeSeq([1.0])
-        ActivityVectorSeries(
-            source_id="a0",
-            channel=Channel.VISUAL,
-            window_seconds=1.0,
-            activities=(ActivityLabel.IDLE, ActivityLabel.IDLE),
-            magnitudes=mags,
-        )
+def test_visual_series_validation(tmp_path):
+    # a visual line names every position, each with one entry per window
+    mags = {p.value: [1.0, 1.0] for p in SensorPosition}
+    del mags["left_wrist"]
+    with pytest.raises(DataError, match="visual series needs magnitude sequences"):
+        read_dataset_jsonl(series_line(tmp_path, "visual", mags))
+    mags["left_wrist"] = [1.0]
+    with pytest.raises(LengthMismatch, match="magnitude sequences of different lengths"):
+        read_dataset_jsonl(series_line(tmp_path, "visual", mags))
 
 
 def test_series_rejects_bad_window():
     with pytest.raises(DataError):
-        make_motion_series(w=0.0)
+        motion_series("m0", (0, 4, 4), w=0.0)
     with pytest.raises(DataError):
-        make_motion_series(w=-1.0)
+        motion_series("m0", (0, 4, 4), w=-1.0)
 
 
 def test_activity_codes_array():
-    s = make_motion_series(codes=(0, 4, 6), mags=[1, 2, 3])
+    s = motion_series("m0", (ActivityLabel.IDLE, ActivityLabel.WALKING, ActivityLabel.JUMPING),
+                      [1, 2, 3])
     assert s.codes.dtype == np.uint8
     assert s.codes.tolist() == [0, 4, 6]
-    assert s.activities == (ActivityLabel.IDLE, ActivityLabel.WALKING, ActivityLabel.JUMPING)
     with pytest.raises(ValueError):
         s.codes[0] = 1  # a row view of read-only dataset columns
 
@@ -201,7 +142,7 @@ def series_file(tmp_path, series, name="s.jsonl"):
 
 
 def test_motion_series_json_golden(tmp_path):
-    s = make_motion_series(source_id="m1", codes=(0, 4), mags=[0.5, 2.0], w=1.0)
+    s = motion_series("m1", (0, 4), [0.5, 2.0])
     assert series_file(tmp_path, s).read_text() == (
         '{"activities":[0,4],"channel":"motion","magnitudes":{"motion":[0.5,2.0]},'
         '"source_id":"m1","w":1.0}\n'
@@ -209,8 +150,7 @@ def test_motion_series_json_golden(tmp_path):
 
 
 def test_series_json_roundtrip_motion(tmp_path):
-    s = make_motion_series(source_id="m2", codes=(0, 1, 2, 3, 4, 5, 6, 7),
-                           mags=[0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7])
+    s = motion_series("m2", (0, 1, 2, 3, 4, 5, 6, 7), [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7])
     path = series_file(tmp_path, s)
     back = read_dataset_jsonl(path)[0]
     assert back == s
@@ -218,14 +158,14 @@ def test_series_json_roundtrip_motion(tmp_path):
 
 
 def test_series_json_roundtrip_visual_with_unobservable(tmp_path):
-    mags = make_visual_mags(3)
-    mags["left_wrist"] = MagnitudeSeq([None, 1.25, None])
-    s = make_visual_series(source_id="a7", codes=(4, 4, 6), mags=mags)
+    s = visual_series("a7", (4, 4, 6), {"left_wrist": [None, 1.25, None]})
     path = series_file(tmp_path, s)
     assert '"left_wrist":[null,1.25,null]' in path.read_text()
     back = read_dataset_jsonl(path)[0]
     assert back == s
-    assert back.magnitude_for(SensorPosition.LEFT_WRIST).entries() == [None, 1.25, None]
+    left_wrist = back.magnitude_for(SensorPosition.LEFT_WRIST)
+    assert left_wrist.observed_mask.tolist() == [False, True, False]
+    assert left_wrist.values[1] == 1.25
 
 
 def test_series_from_json_rejects_garbage(tmp_path):
@@ -270,8 +210,7 @@ def test_series_codes_must_be_integers(tmp_path, codes):
     with pytest.raises(DataError, match=f"{path}:1: activity codes must be integers"):
         read_dataset_jsonl(path)
     with pytest.raises(DataError, match="activity codes must be integers"):
-        ActivityVectorSeries("x", Channel.MOTION, 1.0, json.loads(codes),
-                             {"motion": MagnitudeSeq([1.0])})
+        motion_series("x", json.loads(codes), [1.0])
 
 
 def _imports_json(path: Path) -> bool:
@@ -310,8 +249,8 @@ def test_only_windex_reads_os_environ():
 
 
 def test_dataset_invariants():
-    a = make_motion_series(source_id="m0")
-    b = make_motion_series(source_id="m1")
+    a = motion_series("m0", (0, 4, 4))
+    b = motion_series("m1", (0, 4, 4))
     ds = MotionDataset([a, b])
     assert len(ds) == 2
     assert ds.ids == ("m0", "m1")
@@ -319,19 +258,19 @@ def test_dataset_invariants():
     assert "m0" in ds
 
     with pytest.raises(DataError):
-        MotionDataset([a, make_motion_series(source_id="m0")])
+        MotionDataset([a, motion_series("m0", (0, 4, 4))])
     with pytest.raises(DataError):
-        MotionDataset([a, make_motion_series(source_id="m2", w=2.0)])
+        MotionDataset([a, motion_series("m2", (0, 4, 4), w=2.0)])
     with pytest.raises(DataError):
-        MotionDataset([make_visual_series()])
+        MotionDataset([visual_series("a0", (0, 4, 4))])
     with pytest.raises(DataError):
         MotionDataset([])
 
 
 def test_dataset_uniform_length_and_matrix():
     ds = MotionDataset([
-        make_motion_series(source_id="m0", codes=(0, 4, 6), mags=[1, 2, 3]),
-        make_motion_series(source_id="m1", codes=(7, 7, 7), mags=[1, 2, 3]),
+        motion_series("m0", (0, 4, 6), [1, 2, 3]),
+        motion_series("m1", (7, 7, 7), [1, 2, 3]),
     ])
     assert ds.codes.dtype == np.uint8
     assert ds.codes.tolist() == [[0, 4, 6], [7, 7, 7]]
@@ -343,8 +282,8 @@ def test_dataset_uniform_length_and_matrix():
     # a dataset cannot be ragged
     with pytest.raises(LengthMismatch):
         MotionDataset([
-            make_motion_series(source_id="m0", codes=(0,), mags=[1]),
-            make_motion_series(source_id="m1", codes=(0, 1), mags=[1, 2]),
+            motion_series("m0", (0,), [1]),
+            motion_series("m1", (0, 1), [1, 2]),
         ])
 
 
@@ -403,11 +342,9 @@ def test_from_arrays_names_the_first_bad_series(cls, ids, codes, mags, w, error,
 
 
 def test_dataset_jsonl_roundtrip_byte_identical(tmp_path):
-    mags = make_visual_mags(4)
-    mags["right_wrist"] = MagnitudeSeq([None, None, 3.5, 0.0])
     ds = VisualDataset([
-        make_visual_series(source_id="a0", codes=(0, 1, 2, 3), mags=mags),
-        make_visual_series(source_id="a1", codes=(4, 5, 6, 7)),
+        visual_series("a0", (0, 1, 2, 3), {"right_wrist": [None, None, 3.5, 0.0]}),
+        visual_series("a1", (4, 5, 6, 7)),
     ])
     p1 = tmp_path / "v1.jsonl"
     p2 = tmp_path / "v2.jsonl"
@@ -422,7 +359,7 @@ def test_dataset_jsonl_roundtrip_byte_identical(tmp_path):
 
 def test_read_dataset_reports_line(tmp_path):
     p = tmp_path / "bad.jsonl"
-    good = series_file(tmp_path, make_motion_series()).read_text()
+    good = series_file(tmp_path, motion_series("m0", (0, 4, 4))).read_text()
     p.write_text(good + "{broken\n")
     with pytest.raises(DataError, match="2"):
         read_dataset_jsonl(p)
@@ -434,7 +371,7 @@ def test_read_dataset_reports_line(tmp_path):
 
 def test_json_floats_are_plain_numbers(tmp_path):
     # w serializes as a JSON number so readers in any language can parse it
-    s = make_motion_series(w=0.5)
+    s = motion_series("m0", (0, 4, 4), w=0.5)
     obj = json.loads(series_file(tmp_path, s).read_text())
     assert obj["w"] == 0.5
     assert isinstance(obj["w"], float)
@@ -490,6 +427,16 @@ def test_label_codes_matches_scalar_oracle(values, by_row):
         assert type(err.value) is error and str(err.value) == message
 
 
+def _read_series(codes):
+    """The dataset of a series file whose one line holds `codes`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.jsonl"
+        path.write_text(json.dumps({"source_id": "m0", "channel": "motion", "w": 1.0,
+                                    "activities": codes.tolist(),
+                                    "magnitudes": {"motion": [1.0] * codes.size}}) + "\n")
+        return read_dataset_jsonl(path)
+
+
 def _index_query(codes):
     index = build_index(np.arange(8, dtype=np.uint8)[None], 1)
     return filter_pairs_indexed(codes[None], index)
@@ -498,8 +445,7 @@ def _index_query(codes):
 # every entry point that takes activity codes, on one length-8 sequence
 CODE_ENTRY_POINTS = {
     "dataset": lambda c: MotionDataset.from_arrays(["m0"], c[None], np.ones((1, c.size)), 1.0),
-    "series": lambda c: ActivityVectorSeries("m0", Channel.MOTION, 1.0, c,
-                                             {"motion": MagnitudeSeq(np.ones(c.size))}),
+    "series": _read_series,
     "truth": lambda c: GroundTruth.from_dict({"avatars": {"a0": "u0"},
                                               "scripts": {"u0": c.tolist()}}),
     "motion-trace": lambda c: synthesize_motion_trace(c, np.ones(c.size), 1.0,
@@ -525,6 +471,29 @@ BAD_CODES = [
     pytest.param(np.arange(8) + 0.5, id="float"),  # truncates to every code
     pytest.param(np.arange(8) % 2 == 1, id="bool"),
 ]
+
+
+# entry points that take nested lists of codes, each with the name it gives them
+RAGGED = [[0, 1], [2]]
+RAGGED_ENTRY_POINTS = {
+    "build-index": ("code matrix", lambda: build_index(RAGGED, 1)),
+    "index-query": ("query matrix", lambda: filter_pairs_indexed(
+        RAGGED, build_index(np.zeros((1, 2), np.uint8), 1))),
+    "permute-expand": ("base rows", lambda: permute_expand(RAGGED, 2)),
+    "motion-trace": ("script", lambda: synthesize_motion_trace(
+        RAGGED, np.ones(2), 1.0, np.random.default_rng(0))),
+    "keypoint-trace": ("script", lambda: synthesize_keypoint_trace(
+        RAGGED, np.ones(2), 1.0, np.random.default_rng(0))),
+}
+
+
+@pytest.mark.parametrize("entry", RAGGED_ENTRY_POINTS)
+def test_ragged_codes_are_refused_by_name(entry):
+    where, call = RAGGED_ENTRY_POINTS[entry]
+    with pytest.raises(DataError) as err:
+        call()
+    assert type(err.value) is DataError
+    assert str(err.value) == f"{where}: activity codes must form a rectangular array"
 
 
 @pytest.mark.parametrize("entry", CODE_ENTRY_POINTS)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from unittest import mock
 
 import numpy as np
@@ -21,7 +22,6 @@ from motionlink.errors import (
 )
 from motionlink.model import (
     ActivityLabel,
-    ActivityVectorSeries,
     Channel,
     SensorPosition,
 )
@@ -56,6 +56,7 @@ from window_oracle import (
     visual_magnitude,
     visual_window_features,
 )
+from series_rows import visual_series
 
 
 def flat_trace(seconds, rate=50.0, start=0.0):
@@ -380,6 +381,24 @@ def test_motion_features_pick_up_oscillation():
     assert f[17] > 1.0  # z std
 
 
+def test_motion_features_cost_is_linear_in_trace_length():
+    # a window block gathers only its own samples, so ten times the windows
+    # cost about ten times the time; gathering from strided rows of the
+    # whole trace made it about 38 times
+    def best_of_3(n):
+        trace = flat_trace(float(n))
+        lo = np.arange(n) * 50
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            motion_features(trace, lo, lo + 50)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    short, long = best_of_3(600), best_of_3(6000)
+    assert long / short < 20, f"600 windows {short:.4f} s, 6000 windows {long:.4f} s"
+
+
 def test_visual_features_shape_and_determinism():
     tr = keypoint_trace(1.0, jitter=3.0, seed=5)
     span = segment_windows(tr, 1.0)[0]
@@ -577,7 +596,7 @@ def test_build_series_visual_unobservable_positions():
     series = build_series(tr, 1.0, model, "a0")
     assert len(series) == 5
     lw = series.magnitude_for(SensorPosition.LEFT_WRIST)
-    assert lw.entries() == [None] * 5
+    assert not lw.observed_mask.any()
     hips = series.magnitude_for(SensorPosition.LEFT_FRONT_POCKET)
     assert hips.observed_mask.sum() == 5
 
@@ -803,11 +822,8 @@ def test_gap_that_empties_a_window_raises_empty_window():
     with pytest.raises(EmptyWindow):
         build_series(gapped, 1.0, model, "m0")
     series = build_series(motion, 1.0, model, "a0")
-    visual = ActivityVectorSeries(
-        source_id="a0", channel=Channel.VISUAL, window_seconds=1.0,
-        activities=series.activities,
-        magnitudes={p.value: series.motion_magnitudes for p in SensorPosition},
-    )
+    visual = visual_series("a0", series.codes,
+                           {p.value: series.mags.tolist() for p in SensorPosition})
     with pytest.raises(EmptyWindow):
         align_offset_search(gapped, visual, model, AlignConfig(delta_max=0.0))
 

@@ -111,8 +111,8 @@ class TestChannelMode:
         spec = CohortSpec(num_identities=4, n_windows=30, seed=11)
         visual, motion, truth = generate_cohort(spec)
         for aid, ident in truth.mapping.items():
-            assert visual[aid].activities == truth.scripts[ident]
-            assert motion[ident].activities == truth.scripts[ident]
+            assert visual[aid].codes.tolist() == list(truth.scripts[ident])
+            assert motion[ident].codes.tolist() == list(truth.scripts[ident])
 
     def test_magnitude_ratios_match_base_ratios(self):
         spec = CohortSpec(num_identities=3, n_windows=200, seed=7)
@@ -170,7 +170,7 @@ class TestChannelMode:
         visual, _, truth = generate_cohort(spec)
         aid = next(iter(truth.mapping))
         script = truth.scripts[truth.mapping[aid]]
-        observed = visual[aid].activities
+        observed = visual[aid].codes.tolist()
         err = np.mean([o != s for o, s in zip(observed, script)])
         assert err == pytest.approx(0.3, abs=0.03)
 
@@ -246,10 +246,17 @@ class TestGroundTruth:
         assert dict(loaded.mapping) == dict(truth.mapping)
         assert dict(loaded.scripts) == dict(truth.scripts)
 
-    @pytest.mark.parametrize("code", [1.5, 2.0, True, -1, 8, "1"])
+    # 2**70 is beyond int64, so numpy cannot stack it as an integer
+    @pytest.mark.parametrize("code", [1.5, 2.0, True, -1, 8, "1", 2**70])
     def test_label_codes_must_be_integers_in_range(self, code):
         with pytest.raises(DataError, match="no activity label with code"):
             GroundTruth.from_dict({"avatars": {"a0": "u0"}, "scripts": {"u0": [0, code]}})
+
+    def test_scripts_may_differ_in_length(self):
+        truth = GroundTruth.from_dict({"avatars": {"a0": "u0"},
+                                       "scripts": {"u0": [0, 7], "u1": [4]}})
+        assert truth.scripts == {"u0": (ActivityLabel.IDLE, ActivityLabel.OTHER),
+                                 "u1": (ActivityLabel.WALKING,)}
 
 
 class TestSessions:
@@ -392,7 +399,7 @@ class TestClassifiers:
         ) * 1.2
         trace = synthesize_motion_trace(script, amps, 1.0, rng)
         series = build_series(trace, 1.0, model, "m")
-        got = np.array([int(c) for c in series.activities])
+        got = series.codes
         assert (got == script).mean() >= 0.9
 
     def test_visual_classifier_recovers_script(self):
@@ -404,7 +411,7 @@ class TestClassifiers:
         ) * 1.2
         trace = synthesize_keypoint_trace(script, amps, 1.0, rng)
         series = build_series(trace, 1.0, model, "v")
-        got = np.array([int(c) for c in series.activities])
+        got = series.codes
         assert (got == script).mean() >= 0.8
 
 
@@ -417,7 +424,7 @@ class TestTraceCohort:
         for ident, trace in cohort.motion_traces.items():
             series = build_series(trace, 1.0, m_model, ident)
             script = np.array([int(c) for c in cohort.truth.scripts[ident]])
-            got = np.array([int(c) for c in series.activities])
+            got = series.codes
             assert (got == script).mean() >= 0.8
             np.testing.assert_allclose(
                 series.motion_magnitudes.values,
@@ -428,7 +435,7 @@ class TestTraceCohort:
             series = build_series(trace, 1.0, v_model, aid)
             ident = cohort.truth.mapping[aid]
             script = np.array([int(c) for c in cohort.truth.scripts[ident]])
-            got = np.array([int(c) for c in series.activities])
+            got = series.codes
             assert (got == script).mean() >= 0.7
             # visual magnitudes track the shared amplitudes up to one
             # constant, so rank correlation against the motion side is clean

@@ -15,15 +15,7 @@ from motionlink.errors import (
     DataError,
     MemoryCapExceeded,
 )
-from motionlink.model import (
-    ActivityLabel,
-    ActivityVectorSeries,
-    Channel,
-    MagnitudeSeq,
-    MotionDataset,
-    SensorPosition,
-    VisualDataset,
-)
+from motionlink.model import ActivityLabel, MotionDataset, VisualDataset
 from motionlink.windex import (
     build_index,
     estimate_index_memory,
@@ -33,25 +25,9 @@ from motionlink.windex import (
     filter_with_index,
     wildcard_expansions,
 )
+from series_rows import motion_series, visual_series
 
 L = ActivityLabel
-
-
-def motion_series(source_id, codes, w=1.0):
-    return ActivityVectorSeries(
-        source_id=source_id, channel=Channel.MOTION, window_seconds=w,
-        activities=tuple(L(int(c)) for c in codes),
-        magnitudes={"motion": MagnitudeSeq([1.0 + 0.1 * i for i in range(len(codes))])},
-    )
-
-
-def visual_series(source_id, codes, w=1.0):
-    n = len(codes)
-    mags = {p.value: MagnitudeSeq([1.0 + 0.1 * i for i in range(n)]) for p in SensorPosition}
-    return ActivityVectorSeries(
-        source_id=source_id, channel=Channel.VISUAL, window_seconds=w,
-        activities=tuple(L(int(c)) for c in codes), magnitudes=mags,
-    )
 
 
 def brute_arrays(v_mat, m_mat, t_abs):
