@@ -12,6 +12,7 @@ cap hit, 5 file-system trouble.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import asdict, dataclass, fields
 from importlib import metadata
@@ -56,6 +57,7 @@ from .pipeline import (
     read_keypoint_jsonl,
     read_motion_csv,
     save_classifier,
+    window_edges,
     write_keypoint_jsonl,
     write_motion_csv,
 )
@@ -186,7 +188,14 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def _classifier_for(channel: Channel, args):
+def _width(text: str) -> float:
+    """argparse type of a window width in seconds: positive and finite."""
+    if not 0 < float(text) < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return float(text)
+
+
+def _classifier_for(channel: Channel, w: float, args):
     if getattr(args, "model", None):
         model = load_classifier(args.model)
         if model.channel is not channel:
@@ -195,7 +204,7 @@ def _classifier_for(channel: Channel, args):
                 f"channel, not {channel.value}"
             )
         return model
-    return train_classifier(channel, args.w, seed=args.train_seed)
+    return train_classifier(channel, w, seed=args.train_seed)
 
 
 # --- subcommands ----------------------------------------------------------
@@ -231,13 +240,14 @@ def cmd_generate(args) -> int:
 
 def cmd_build_series(args) -> int:
     channel = Channel.MOTION if args.channel == "motion" else Channel.VISUAL
-    model = _classifier_for(channel, args)
     if channel is Channel.MOTION:
         trace = read_motion_csv(args.trace)
         dataset_cls = MotionDataset
     else:
         trace = read_keypoint_jsonl(args.trace)
         dataset_cls = VisualDataset
+    window_edges(trace, args.w)  # a trace shorter than one window fails before training
+    model = _classifier_for(channel, args.w, args)
     source_id = args.source_id or Path(args.trace).stem
     series = build_series(trace, args.w, model, source_id)
     write_dataset_jsonl(dataset_cls([series]), args.out)
@@ -256,7 +266,7 @@ def cmd_align(args) -> int:
         raise DataError(f"{args.visual} holds motion series, expected visual")
     if args.avatar not in visual:
         raise DataError(f"avatar {args.avatar!r} not present in {args.visual}")
-    model = _classifier_for(Channel.MOTION, args)
+    model = _classifier_for(Channel.MOTION, visual.window_seconds, args)
     result = align_offset_search(trace, visual[args.avatar], model, align)
     write_json(args.out, asdict(result))
     print(f"best offset {result.offset:+.3f}s (distance {result.distance})")
@@ -350,7 +360,7 @@ def cmd_sweep(args) -> int:
     spec = load_cohort_spec(args.spec)
     w_values = _parse_floats(args.w_values, "w-values")
     t_values = _parse_floats(args.t_values, "t-values")
-    _check_grid(w_values, t_values)  # before traces are synthesized
+    _check_grid(w_values, t_values, args.top_k)  # before traces are synthesized
     restricted = DEFAULT_RESTRICTED_SET if args.restricted else None
     cohort = synthesize_trace_cohort(spec) if args.trace_mode else spec
     grid = sweep_parameters(
@@ -392,24 +402,14 @@ def _add_model_flags(sub) -> None:
                        help="train a fresh classifier with this seed")
 
 
-class _Version(argparse.Action):
-    """Like action="version" but without help-style line rewrapping, so
-    each schema identifier stays on its own line."""
-
-    def __init__(self, option_strings, dest, **kwargs):
-        super().__init__(option_strings, dest, nargs=0, **kwargs)
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        print(version_text())
-        parser.exit(0)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="motionlink",
         description="Cross-channel motion correlation toolkit",
+        # raw text keeps each --version schema identifier on its own line
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument("--version", action=_Version,
+    parser.add_argument("--version", action="version", version=version_text(),
                         help="print tool and file-format versions")
     subs = parser.add_subparsers(dest="command", required=True)
 
@@ -425,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", required=True, help="motion CSV or keypoint JSONL")
     p.add_argument("--channel", choices=["motion", "visual"], required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("-w", type=float, default=1.0)
+    p.add_argument("-w", type=_width, default=1.0, help="window width in seconds")
     p.add_argument("--source-id", dest="source_id", default=None,
                    help="series id (default: trace file stem)")
     p.add_argument("--save-model", dest="save_model", default=None,
@@ -438,7 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--visual", required=True, help="visual series JSONL")
     p.add_argument("--avatar", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("-w", type=float, default=1.0)
     p.add_argument("--delta-max", dest="delta_max", type=float, default=4.0)
     p.add_argument("--step", type=float, default=0.5)
     _add_model_flags(p)

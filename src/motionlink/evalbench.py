@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
 from typing import Mapping, Sequence
 
@@ -160,8 +160,14 @@ def evaluate(rankings: Sequence[RankedIdentityList], truth, top_k: int = 3,
 # ---------------------------------------------------------------------------
 # (w, t) parameter sweep
 
-def _dataset_for_width(cohort: TraceCohort, w: float, motion_model, visual_model,
-                       ) -> tuple[VisualDataset, MotionDataset]:
+def _cohort_at(cohort: TraceCohort | CohortSpec, w: float, train_seed: int,
+               ) -> tuple[VisualDataset, MotionDataset, GroundTruth]:
+    """The cohort's (visual, motion, truth) at window width `w`."""
+    if isinstance(cohort, CohortSpec):
+        n_w = max(1, int(round(cohort.n_windows * cohort.window_seconds / w)))
+        return generate_cohort(replace(cohort, window_seconds=w, n_windows=n_w))
+    motion_model = train_classifier(Channel.MOTION, w, seed=train_seed)
+    visual_model = train_classifier(Channel.VISUAL, w, seed=train_seed)
     motion = MotionDataset(
         build_series(trace, w, motion_model, ident)
         for ident, trace in cohort.motion_traces.items()
@@ -170,92 +176,63 @@ def _dataset_for_width(cohort: TraceCohort, w: float, motion_model, visual_model
         build_series(trace, w, visual_model, avatar)
         for avatar, trace in cohort.keypoint_traces.items()
     )
-    return visual, motion
+    return visual, motion, cohort.truth
 
 
-def _check_grid(w_values: Sequence[float], t_values: Sequence[float]) -> None:
-    """Refuse a sweep grid that is empty or holds an invalid w or t."""
+def _check_grid(w_values: Sequence[float], t_values: Sequence[float], top_k: int) -> None:
+    """Refuse an empty sweep grid, an invalid w or t, and a top_k below 1."""
     if not w_values or not t_values:
         raise ConfigError("w_values and t_values must be non-empty")
     if any(not 0 < w < np.inf for w in w_values):
         raise ConfigError("window widths must be positive and finite")
     if any(not 0.0 <= t <= 1.0 for t in t_values):
         raise ConfigError("normalized thresholds must lie in [0, 1]")
+    if top_k < 1:
+        raise ConfigError(f"top_k must be >= 1, got {top_k}")
 
 
 def sweep_parameters(cohort: TraceCohort | CohortSpec, w_values: Sequence[float],
                      t_values: Sequence[float], *,
-                     models: Mapping[float, tuple] | None = None,
                      restricted: frozenset[ActivityLabel] | None = None,
-                     min_observed_fraction: float = DEFAULT_MIN_OBSERVED_FRACTION,
                      top_k: int = 3,
                      train_seed: int = 0) -> dict[tuple[float, float], EvalReport]:
     """Full factorial grid over window width and normalized threshold.
 
     Given a TraceCohort, series are rebuilt from the raw traces for every
-    w, with classifiers trained per width unless `models` supplies a
-    (motion, visual) pair for it.  Given a CohortSpec, the cohort is
+    w, with classifiers trained per width.  Given a CohortSpec, the cohort is
     regenerated per width with the total recording time held fixed, so
-    wider windows mean shorter sequences just as re-windowing would.
+    wider windows mean shorter sequences just as re-windowing would.  Each
+    width is scored at every threshold before the next is built.
     Returns {(w, t): EvalReport}.
     """
-    _check_grid(w_values, t_values)
-    datasets: dict[float, tuple[VisualDataset, MotionDataset]] = {}
-    truths: dict[float, GroundTruth] = {}
-    if isinstance(cohort, CohortSpec):
-        total_seconds = cohort.n_windows * cohort.window_seconds
-        for w in w_values:
-            n_w = max(1, int(round(total_seconds / w)))
-            spec_w = replace(cohort, window_seconds=w, n_windows=n_w)
-            visual, motion, truth = generate_cohort(spec_w)
-            datasets[w] = (visual, motion)
-            truths[w] = truth
-    else:
-        for w in w_values:
-            if models is not None and w in models:
-                motion_model, visual_model = models[w]
-            else:
-                motion_model = train_classifier(Channel.MOTION, w, seed=train_seed)
-                visual_model = train_classifier(Channel.VISUAL, w, seed=train_seed)
-            datasets[w] = _dataset_for_width(cohort, w, motion_model, visual_model)
-            truths[w] = cohort.truth
-
+    _check_grid(w_values, t_values, top_k)
     positions = [p.value for p in SensorPosition]
+    grid: dict[tuple[float, float], EvalReport] = {}
+    for w in dict.fromkeys(w_values):  # a repeated width is built once
+        visual, motion, truth = _cohort_at(cohort, w, train_seed)
+        for t in t_values:
+            rankings = correlate(visual, motion, FilterConfig(t_norm=t, restricted=restricted))
+            echo = {
+                "w": w,
+                "t_norm": t,
+                "restricted": sorted(l.name for l in restricted) if restricted else None,
+                "positions": positions,
+                "min_observed_fraction": DEFAULT_MIN_OBSERVED_FRACTION,
+            }
+            grid[(w, t)] = evaluate(rankings, truth, top_k, config=echo)
+    return grid
 
-    def cell(w: float, t: float) -> EvalReport:
-        visual, motion = datasets[w]
-        config = FilterConfig(t_norm=t, restricted=restricted)
-        rankings = correlate(visual, motion, config, min_observed_fraction)
-        echo = {
-            "w": w,
-            "t_norm": t,
-            "restricted": sorted(l.name for l in restricted) if restricted else None,
-            "positions": positions,
-            "min_observed_fraction": min_observed_fraction,
-        }
-        return evaluate(rankings, truths[w], top_k, config=echo)
 
-    return {(w, t): cell(w, t) for w in w_values for t in t_values}
+SWEEP_FIELDS = ["w", "t_norm", "top_1_rate", "top_3_rate",
+                 "fraction_correct", "fraction_incorrect", "fraction_none"]
 
 
 def sweep_to_rows(grid: Mapping[tuple[float, float], EvalReport]) -> list[dict]:
     """Long-format rows (one per grid cell) for plotting or CSV export."""
     rows = []
     for (w, t), report in sorted(grid.items()):
-        rows.append({
-            "w": w,
-            "t_norm": t,
-            "top_1_rate": report.top_1_rate,
-            "top_3_rate": report.top_3_rate,
-            "fraction_correct": report.fraction_correct,
-            "fraction_incorrect": report.fraction_incorrect,
-            "fraction_none": report.fraction_none,
-        })
+        rows.append({"w": w, "t_norm": t, **{f: getattr(report, f) for f in SWEEP_FIELDS[2:]}})
     return rows
-
-
-SWEEP_FIELDS = ["w", "t_norm", "top_1_rate", "top_3_rate",
-                 "fraction_correct", "fraction_incorrect", "fraction_none"]
 
 
 def write_sweep_csv(grid: Mapping[tuple[float, float], EvalReport], path) -> None:
@@ -380,20 +357,14 @@ class ScalingRow:
             if self.pairs_retained is None or not 0 <= self.pairs_retained <= self.p * self.q:
                 raise DataError("pairs_retained must lie in [0, p*q]")
 
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p, "q": self.q, "k": self.k, "t_abs": self.t_abs,
-            "method": self.method, "status": self.status,
-            "wall_time_ms": self.wall_time_ms,
-            "pairs_retained": self.pairs_retained,
-        }
+
+SCALING_FIELDS = [f.name for f in fields(ScalingRow)]
 
 
-def bench_matrices(p: int, q: int, k: int, *, seed: int = 0, n_base: int = 32,
-                   ) -> tuple[np.ndarray, np.ndarray]:
+def bench_matrices(p: int, q: int, k: int, *, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Label-code matrices for one benchmark size.
 
-    A small pool of random rows is expanded to p visual and q motion rows
+    A pool of at most 32 random rows is expanded to p visual and q motion rows
     by row sampling plus per-row permutation, which keeps a realistic label
     mix while making sequences distinct.  The pool rows themselves lead
     both matrices verbatim so the filter always has exact matches to find;
@@ -403,7 +374,7 @@ def bench_matrices(p: int, q: int, k: int, *, seed: int = 0, n_base: int = 32,
     if p < 1 or q < 1 or k < 1:
         raise ConfigError(f"need positive p, q, k; got {p}, {q}, {k}")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 97)))
-    base = rng.integers(0, len(ActivityLabel), size=(min(n_base, q), k), dtype=np.uint8)
+    base = rng.integers(0, len(ActivityLabel), size=(min(32, q), k), dtype=np.uint8)
     v_mat = permute_expand(base, p, seed=seed + 1)
     m_mat = permute_expand(base, q, seed=seed + 2)
     v_mat[: min(len(base), p)] = base[: min(len(base), p)]
@@ -411,18 +382,10 @@ def bench_matrices(p: int, q: int, k: int, *, seed: int = 0, n_base: int = 32,
     return v_mat, m_mat
 
 
-def _time_naive(v_mat, m_mat, t_abs: int) -> tuple[float, int]:
+def _timed(call) -> tuple[float, int]:
+    """Wall milliseconds of a filter `call()` and the pairs it retained."""
     start = time.perf_counter()
-    # mismatch_budget(t_abs / k, k) is t_abs exactly: the budget is floored
-    # after a nudge far above the quotient's rounding error
-    rows, _, _ = filter_pairs_naive(v_mat, m_mat, t_abs / v_mat.shape[1])
-    elapsed = time.perf_counter() - start
-    return elapsed * 1e3, int(rows.size)
-
-
-def _time_indexed(v_mat, m_mat, t_abs: int) -> tuple[float, int]:
-    start = time.perf_counter()
-    rows, _, _ = filter_pairs_indexed(v_mat, build_index(m_mat, t_abs))
+    rows, _, _ = call()
     elapsed = time.perf_counter() - start
     return elapsed * 1e3, int(rows.size)
 
@@ -437,7 +400,8 @@ def bench_scaling(sizes: Sequence[tuple[int, int]], k: int = 10, t_abs: int = 3,
     reaches `naive_cutoff` are emitted with status "skipped"; an index
     build or query refused by the memory cap becomes status "refused".
     The retained-pair count is deterministic given the seed; wall times
-    are not.
+    are not.  Raises DataError when both methods measure a size and retain
+    different pair counts.
     """
     if not 0 <= t_abs <= k:
         raise ConfigError(f"t_abs must lie in [0, k={k}], got {t_abs}")
@@ -452,28 +416,29 @@ def bench_scaling(sizes: Sequence[tuple[int, int]], k: int = 10, t_abs: int = 3,
                 if p * q >= naive_cutoff:
                     rows.append(ScalingRow(p, q, k, t_abs, method, "skipped", None, None))
                     continue
-                wall_ms, retained = _time_naive(v_mat, m_mat, t_abs)
+                # mismatch_budget(t_abs / k, k) is t_abs exactly: the budget is
+                # floored after a nudge far above the quotient's rounding error
+                wall_ms, retained = _timed(lambda: filter_pairs_naive(v_mat, m_mat, t_abs / k))
             else:
                 try:
-                    wall_ms, retained = _time_indexed(v_mat, m_mat, t_abs)
+                    wall_ms, retained = _timed(
+                        lambda: filter_pairs_indexed(v_mat, build_index(m_mat, t_abs)))
                 except MemoryCapExceeded:
                     rows.append(ScalingRow(p, q, k, t_abs, method, "refused", None, None))
                     continue
             rows.append(ScalingRow(p, q, k, t_abs, method, "ok",
                                    max(wall_ms, 1e-6), retained))
+        kept = {r.method: r.pairs_retained for r in rows[-len(methods):] if r.status == "ok"}
+        if len(set(kept.values())) > 1:
+            raise DataError(f"naive and indexed filters disagree at {p}x{q}: {kept}")
     return rows
-
-
-SCALING_FIELDS = ["p", "q", "k", "t_abs", "method", "status",
-                   "wall_time_ms", "pairs_retained"]
 
 
 def write_scaling_csv(rows: Sequence[ScalingRow], path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=SCALING_FIELDS)
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row.to_dict())
+        writer.writerows(asdict(row) for row in rows)
 
 
 def fit_r2(x: Sequence[float], y: Sequence[float]) -> float:

@@ -179,9 +179,15 @@ class _SeriesDataset:
             columns = None
         if columns is None or columns[0].dtype.kind not in "iu":
             # rows that do not stack, or not as integers: name the first bad one
-            dataset._check_rows([(i, cls.channel, window_seconds, np.asarray(c),
-                                  np.asarray(m, dtype=np.float64))
-                                 for i, c, m in zip(ids, codes, mags)], where)
+            rows = []
+            for i, c, m in zip(ids, codes, mags):
+                try:
+                    rows.append((i, cls.channel, window_seconds, np.asarray(c),
+                                 np.asarray(m, dtype=np.float64)))
+                except ValueError:  # ragged inside the row
+                    raise DataError(f"series {i!r}: activities and magnitudes must be "
+                                    "rectangular numeric arrays") from None
+            dataset._check_rows(rows, where)
         codes, mags = columns
         # every row of a column has the shape and dtype of its first
         dataset._check_rows([(ids[0], cls.channel, window_seconds, codes[0], mags[0])]

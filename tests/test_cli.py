@@ -486,8 +486,11 @@ class TestSweep:
     @pytest.mark.parametrize("grid", [["--w-values", "-1", "--t-values", "0.3"],
                                       ["--w-values", "nan", "--t-values", "0.3"],
                                       ["--w-values", "inf", "--t-values", "0.3"],
-                                      ["--w-values", "1.0", "--t-values", "1.5"]],
-                             ids=["negative-w", "nan-w", "infinite-w", "t-over-one"])
+                                      ["--w-values", "1.0", "--t-values", "1.5"],
+                                      ["--w-values", "1.0", "--t-values", "0.3",
+                                       "--top-k", "0"]],
+                             ids=["negative-w", "nan-w", "infinite-w", "t-over-one",
+                                  "top-k-zero"])
     def test_trace_mode_checks_the_grid_before_synthesizing(self, tmp_path, capsys,
                                                             monkeypatch, grid):
         def synthesize(*args, **kwargs):
@@ -762,6 +765,45 @@ class TestTraceCommands:
                    "--channel", "visual", "--out", str(tmp_path / "v.jsonl"),
                    "--model", str(model)])
         assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize("with_model", [False, True], ids=["trained", "saved-model"])
+    @pytest.mark.parametrize("w, code", [
+        ("nan", EXIT_CONFIG), ("inf", EXIT_CONFIG), ("0", EXIT_CONFIG), ("-1", EXIT_CONFIG),
+        ("1e300", EXIT_DATA), ("100", EXIT_DATA),
+    ])
+    def test_bad_width_exits_before_training(self, trace_dir, tmp_path, capsys, monkeypatch,
+                                             w, code, with_model):
+        model = tmp_path / "model.json"
+        flags = ["--model", str(model)] if with_model else []
+        if with_model:
+            assert main(["build-series", "--trace", str(trace_dir / "motion" / "u0000.csv"),
+                         "--channel", "motion", "--out", str(tmp_path / "m.jsonl"),
+                         "--save-model", str(model)]) == EXIT_OK
+
+        def train(*args, **kwargs):
+            raise AssertionError("classifier trained for a width that is refused")
+
+        # a width longer than the 16 s trace is refused before any training
+        monkeypatch.setattr("motionlink.cli.train_classifier", train)
+        out = tmp_path / "bad.jsonl"
+        rc = main(["build-series", "--trace", str(trace_dir / "motion" / "u0000.csv"),
+                   "--channel", "motion", "--out", str(out), f"-w={w}", *flags])
+        assert rc == code
+        assert not out.exists()
+
+    def test_align_classifies_at_the_series_width(self, tmp_path, capsys):
+        spec = write_spec(tmp_path / "spec.json", num_identities=3, n_windows=24, seed=5)
+        data = tmp_path / "d"
+        assert main(["generate", "--spec", spec, "--out-dir", str(data), "--traces"]) == EXIT_OK
+        ident = json.loads((data / "truth.json").read_text())["avatars"]["a0000"]
+        visual = tmp_path / "v.jsonl"
+        assert main(["build-series", "--trace", str(data / "keypoints" / "a0000.jsonl"),
+                     "--channel", "visual", "--out", str(visual), "-w", "0.5"]) == EXIT_OK
+        out = tmp_path / "align.json"
+        assert main(["align", "--motion-csv", str(data / "motion" / f"{ident}.csv"),
+                     "--visual", str(visual), "--avatar", "a0000",
+                     "--out", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["distance"] == 0
 
 
 # every seed and session flag, set to -1; {out} is what the command writes

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from motionlink import evalbench
 from motionlink.engine import RankEntry, RankedIdentityList
 from motionlink.errors import ConfigError, DataError, MissingGroundTruth
 from motionlink.evalbench import (
@@ -22,13 +23,12 @@ from motionlink.evalbench import (
     write_scaling_csv,
     write_sweep_csv,
 )
-from motionlink.model import ActivityLabel, Channel, SensorPosition
+from motionlink.model import ActivityLabel, SensorPosition
 from motionlink.pipeline import ConfusionMatrix
 from motionlink.synth import (
     CohortSpec,
     GroundTruth,
     synthesize_trace_cohort,
-    train_classifier,
 )
 from motionlink.windex import estimate_index_memory
 
@@ -238,66 +238,55 @@ class TestIntersectSessions:
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def models_1s():
-    return (train_classifier(Channel.MOTION, 1.0, seed=0),
-            train_classifier(Channel.VISUAL, 1.0, seed=0))
-
-
-@pytest.fixture(scope="module")
 def small_cohort():
     spec = CohortSpec(num_identities=4, n_windows=12, seed=11)
     return synthesize_trace_cohort(spec)
 
 
 class TestSweep:
-    def test_noiseless_grid(self, small_cohort, models_1s):
-        grid = sweep_parameters(small_cohort, [1.0], [0.3, 1.0],
-                                models={1.0: models_1s})
+    def test_noiseless_grid(self, small_cohort):
+        grid = sweep_parameters(small_cohort, [1.0], [0.3, 1.0])
         assert set(grid) == {(1.0, 0.3), (1.0, 1.0)}
         for report in grid.values():
             assert report.top_1_rate == 1.0
             assert report.fraction_none == 0.0
 
-    def test_full_threshold_never_filters(self, small_cohort, models_1s):
+    def test_full_threshold_never_filters(self, small_cohort):
         # t=1 admits every candidate pair, so no avatar can end up empty
-        grid = sweep_parameters(small_cohort, [1.0], [1.0], models={1.0: models_1s})
+        grid = sweep_parameters(small_cohort, [1.0], [1.0])
         assert grid[(1.0, 1.0)].fraction_none == 0.0
 
-    def test_config_echo(self, small_cohort, models_1s):
-        grid = sweep_parameters(small_cohort, [1.0], [0.3], models={1.0: models_1s})
+    def test_config_echo(self, small_cohort):
+        grid = sweep_parameters(small_cohort, [1.0], [0.3])
         echo = grid[(1.0, 0.3)].config
         assert echo["w"] == 1.0
         assert echo["t_norm"] == 0.3
         assert echo["restricted"] is None
         assert len(echo["positions"]) == 6
 
-    def test_restricted_sweep(self, small_cohort, models_1s):
+    def test_restricted_sweep(self, small_cohort):
         grid = sweep_parameters(small_cohort, [1.0], [0.3],
-                                models={1.0: models_1s},
                                 restricted=DEFAULT_RESTRICTED_SET)
         report = grid[(1.0, 0.3)]
         assert report.top_1_rate == 1.0
         assert sorted(report.config["restricted"]) == sorted(
             l.name for l in DEFAULT_RESTRICTED_SET)
 
-    def test_two_runs_give_equal_grids(self, small_cohort, models_1s):
-        kwargs = dict(models={1.0: models_1s})
-        g1 = sweep_parameters(small_cohort, [1.0], [0.3, 1.0], **kwargs)
-        g2 = sweep_parameters(small_cohort, [1.0], [0.3, 1.0], **kwargs)
+    def test_two_runs_give_equal_grids(self, small_cohort):
+        g1 = sweep_parameters(small_cohort, [1.0], [0.3, 1.0])
+        g2 = sweep_parameters(small_cohort, [1.0], [0.3, 1.0])
         assert {k: v.to_dict() for k, v in g1.items()} == \
                {k: v.to_dict() for k, v in g2.items()}
 
-    def test_second_width_trains_its_own_models(self, small_cohort, models_1s):
-        grid = sweep_parameters(small_cohort, [0.5, 1.0], [1.0],
-                                models={1.0: models_1s})
+    def test_second_width_trains_its_own_models(self, small_cohort):
+        grid = sweep_parameters(small_cohort, [0.5, 1.0], [1.0])
         assert set(grid) == {(0.5, 1.0), (1.0, 1.0)}
         # no filtering at t=1, and magnitudes still line up at any width
         assert grid[(0.5, 1.0)].fraction_none == 0.0
         assert grid[(0.5, 1.0)].top_1_rate == 1.0
 
-    def test_rows_and_csv(self, small_cohort, models_1s, tmp_path):
-        grid = sweep_parameters(small_cohort, [1.0], [0.3, 1.0],
-                                models={1.0: models_1s})
+    def test_rows_and_csv(self, small_cohort, tmp_path):
+        grid = sweep_parameters(small_cohort, [1.0], [0.3, 1.0])
         rows = sweep_to_rows(grid)
         assert [r["t_norm"] for r in rows] == [0.3, 1.0]
         for row in rows:
@@ -311,7 +300,7 @@ class TestSweep:
         assert len(read) == 2
         assert read[0]["w"] == "1.0"
 
-    def test_validation(self, small_cohort, models_1s):
+    def test_validation(self, small_cohort):
         with pytest.raises(ConfigError):
             sweep_parameters(small_cohort, [], [0.3])
         with pytest.raises(ConfigError):
@@ -376,6 +365,16 @@ class TestBench:
             assert counts["naive"] == counts["indexed"]
             # planted pool rows guarantee hits, so agreement is not 0 == 0
             assert counts["naive"] > 0
+
+    def test_methods_that_disagree_are_refused(self, monkeypatch):
+        real = evalbench.filter_pairs_indexed
+
+        def drop_one_pair(v_mat, index):
+            return tuple(column[1:] for column in real(v_mat, index))
+
+        monkeypatch.setattr(evalbench, "filter_pairs_indexed", drop_one_pair)
+        with pytest.raises(DataError, match="disagree at 60x60"):
+            bench_scaling([(60, 60)], k=10, t_abs=3)
 
     def test_naive_cutoff_skips(self):
         rows = bench_scaling([(200, 200)], k=5, t_abs=1, naive_cutoff=10_000)

@@ -331,6 +331,12 @@ FROM_ARRAYS_ERRORS = [
                  DataError, "series 'm0': duplicate source_id 'm0'", id="duplicate-id"),
     pytest.param(MotionDataset, ["m0", ""], np.zeros((2, 2), U8), np.ones((2, 2)), 1.0,
                  DataError, "series '': source_id must be non-empty", id="empty-id"),
+    pytest.param(VisualDataset, ["a0"], [[0, 1]], [[[1.0, 1.0]] * 5 + [[1.0]]], 1.0,
+                 DataError, "series 'a0': activities and magnitudes must be rectangular "
+                 "numeric arrays", id="ragged-inside-magnitudes"),
+    pytest.param(MotionDataset, ["m0"], [[0, [1]]], [[1.0, 1.0]], 1.0,
+                 DataError, "series 'm0': activities and magnitudes must be rectangular "
+                 "numeric arrays", id="ragged-inside-codes"),
 ]
 
 
