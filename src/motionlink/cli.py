@@ -104,10 +104,10 @@ class RunConfig:
     """Correlation-run settings shared between the config file and flags.
 
     Flags override file values field by field; unknown file keys are an
-    error rather than a silent ignore.
+    error rather than a silent ignore.  The window width is not a setting:
+    the series files carry it.
     """
 
-    w: float = 1.0
     t_norm: float = DEFAULT_T_NORM
     restricted: bool = False
     index_mode: str = "naive"
@@ -115,11 +115,9 @@ class RunConfig:
     top_k: int = 3
 
     def __post_init__(self):
-        for name, kind in (("w", float), ("t_norm", float), ("min_observed_fraction", float),
+        for name, kind in (("t_norm", float), ("min_observed_fraction", float),
                            ("restricted", bool), ("top_k", int)):
             json_value(getattr(self, name), kind, name, ConfigError)
-        if not self.w > 0:
-            raise ConfigError(f"w must be positive, got {self.w}")
         if not 0.0 <= self.t_norm <= 1.0:
             raise ConfigError(f"t_norm must lie in [0, 1], got {self.t_norm}")
         if self.index_mode not in ("naive", "indexed"):
@@ -147,17 +145,15 @@ def _config_from_dict(payload) -> dict:
     return payload
 
 
-def resolve_run_config(args) -> tuple[RunConfig, set]:
-    """Merge config file and explicit flags; returns the config and the
-    set of field names that were given explicitly (either way)."""
+def resolve_run_config(args) -> RunConfig:
+    """The config file's values, overridden by the flags given explicitly."""
     values = {}
-    if getattr(args, "config", None):
-        values.update(read_json(args.config, _config_from_dict, "config", ConfigError))
+    if args.config:
+        values = read_json(args.config, _config_from_dict, "config", ConfigError)
     for name in _RUN_FIELDS:
-        flag = getattr(args, name, None)
-        if flag is not None:
-            values[name] = flag
-    return RunConfig(**values), set(values)
+        if getattr(args, name) is not None:
+            values[name] = getattr(args, name)
+    return RunConfig(**values)
 
 
 def _parse_floats(text: str, what: str) -> list[float]:
@@ -274,7 +270,7 @@ def cmd_align(args) -> int:
 
 
 def cmd_correlate(args) -> int:
-    cfg, given = resolve_run_config(args)
+    cfg = resolve_run_config(args)
     if args.report and not args.truth:
         raise ConfigError("--report requires --truth")
     truth = GroundTruth.load(args.truth) if args.truth else None
@@ -284,12 +280,6 @@ def cmd_correlate(args) -> int:
         raise DataError(f"{args.visual} holds motion series, expected visual")
     if not isinstance(motion, MotionDataset):
         raise DataError(f"{args.motion} holds visual series, expected motion")
-    # w in the config describes the series on disk; when given it must
-    # agree with them, otherwise the threshold arithmetic silently shifts
-    if "w" in given and abs(visual.window_seconds - cfg.w) > 1e-9:
-        raise ConfigError(
-            f"configured w={cfg.w} but dataset windows are {visual.window_seconds}s"
-        )
     restricted = DEFAULT_RESTRICTED_SET if cfg.restricted else None
     fconf = FilterConfig(t_norm=cfg.t_norm, restricted=restricted)
     rankings = correlate(
@@ -360,7 +350,7 @@ def cmd_sweep(args) -> int:
     spec = load_cohort_spec(args.spec)
     w_values = _parse_floats(args.w_values, "w-values")
     t_values = _parse_floats(args.t_values, "t-values")
-    _check_grid(w_values, t_values, args.top_k)  # before traces are synthesized
+    _check_grid(w_values, t_values)  # before traces are synthesized
     restricted = DEFAULT_RESTRICTED_SET if args.restricted else None
     cohort = synthesize_trace_cohort(spec) if args.trace_mode else spec
     grid = sweep_parameters(
@@ -368,7 +358,6 @@ def cmd_sweep(args) -> int:
         w_values,
         t_values,
         restricted=restricted,
-        top_k=args.top_k,
         train_seed=args.train_seed,
     )
     write_sweep_csv(grid, args.out)
@@ -382,7 +371,6 @@ def cmd_sweep(args) -> int:
 def _add_run_flags(sub) -> None:
     # defaults stay None so only explicit flags override the config file
     sub.add_argument("--config", help="JSON file with run settings")
-    sub.add_argument("-w", type=float, default=None, help="window width in seconds")
     sub.add_argument("--t-norm", dest="t_norm", type=float, default=None,
                      help="normalized mismatch threshold in [0, 1]")
     sub.add_argument("--restricted", dest="restricted",
@@ -479,7 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace-mode", dest="trace_mode", action="store_true",
                    help="synthesize raw traces and rebuild series per width")
     p.add_argument("--restricted", action="store_true")
-    p.add_argument("--top-k", dest="top_k", type=int, default=3)
     p.add_argument("--train-seed", dest="train_seed", type=_seed, default=0)
     p.set_defaults(func=cmd_sweep)
 

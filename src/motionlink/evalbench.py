@@ -32,7 +32,7 @@ from .model import (
     SensorPosition,
     VisualDataset,
 )
-from .pipeline import build_series
+from .pipeline import build_series, window_edges
 from .synth import (
     CohortSpec,
     GroundTruth,
@@ -179,22 +179,19 @@ def _cohort_at(cohort: TraceCohort | CohortSpec, w: float, train_seed: int,
     return visual, motion, cohort.truth
 
 
-def _check_grid(w_values: Sequence[float], t_values: Sequence[float], top_k: int) -> None:
-    """Refuse an empty sweep grid, an invalid w or t, and a top_k below 1."""
+def _check_grid(w_values: Sequence[float], t_values: Sequence[float]) -> None:
+    """Refuse an empty sweep grid and an invalid w or t."""
     if not w_values or not t_values:
         raise ConfigError("w_values and t_values must be non-empty")
     if any(not 0 < w < np.inf for w in w_values):
         raise ConfigError("window widths must be positive and finite")
     if any(not 0.0 <= t <= 1.0 for t in t_values):
         raise ConfigError("normalized thresholds must lie in [0, 1]")
-    if top_k < 1:
-        raise ConfigError(f"top_k must be >= 1, got {top_k}")
 
 
 def sweep_parameters(cohort: TraceCohort | CohortSpec, w_values: Sequence[float],
                      t_values: Sequence[float], *,
                      restricted: frozenset[ActivityLabel] | None = None,
-                     top_k: int = 3,
                      train_seed: int = 0) -> dict[tuple[float, float], EvalReport]:
     """Full factorial grid over window width and normalized threshold.
 
@@ -202,10 +199,14 @@ def sweep_parameters(cohort: TraceCohort | CohortSpec, w_values: Sequence[float]
     w, with classifiers trained per width.  Given a CohortSpec, the cohort is
     regenerated per width with the total recording time held fixed, so
     wider windows mean shorter sequences just as re-windowing would.  Each
-    width is scored at every threshold before the next is built.
+    width is scored at every threshold before the next is built, and a width
+    longer than the shortest trace raises TraceTooShort before any is built.
     Returns {(w, t): EvalReport}.
     """
-    _check_grid(w_values, t_values, top_k)
+    _check_grid(w_values, t_values)
+    if isinstance(cohort, TraceCohort):
+        traces = [*cohort.motion_traces.values(), *cohort.keypoint_traces.values()]
+        window_edges(min(traces, key=lambda trace: trace.duration), max(w_values))
     positions = [p.value for p in SensorPosition]
     grid: dict[tuple[float, float], EvalReport] = {}
     for w in dict.fromkeys(w_values):  # a repeated width is built once
@@ -219,7 +220,7 @@ def sweep_parameters(cohort: TraceCohort | CohortSpec, w_values: Sequence[float]
                 "positions": positions,
                 "min_observed_fraction": DEFAULT_MIN_OBSERVED_FRACTION,
             }
-            grid[(w, t)] = evaluate(rankings, truth, top_k, config=echo)
+            grid[(w, t)] = evaluate(rankings, truth, config=echo)
     return grid
 
 

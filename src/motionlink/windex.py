@@ -182,15 +182,14 @@ class WildcardIndex:
         self._words = words  # sorted, one per (sequence, size-t_abs mask)
 
 
-def build_index(source, t_abs: int) -> WildcardIndex:
-    """Expand and sort the keys lookups run against, over a MotionDataset
-    or a (q, k) matrix of codes, checked by `label_codes` (never cast).
+def build_index(codes, t_abs: int) -> WildcardIndex:
+    """Expand and sort the keys lookups run against, over a (q, k) matrix
+    of codes, checked by `label_codes` (never cast).
 
     Refuses with MemoryCapExceeded when the documented estimate blows
     the cap (MOTIONLINK_MEMORY_CAP or 8 GiB by default).
     """
-    codes = np.ascontiguousarray(
-        source.codes if isinstance(source, MotionDataset) else label_codes(source, "code matrix"))
+    codes = np.ascontiguousarray(label_codes(codes, "code matrix"))
     if codes.ndim != 2:
         raise DataError(f"expected a (q, k) code matrix, got shape {codes.shape}")
     q, k = codes.shape
@@ -278,5 +277,5 @@ def filter_with_index(visual: VisualDataset, motion: MotionDataset, t_abs: int):
     need = estimate_index_memory(q, k, t_abs) + estimate_query_memory(p, k, t_abs)
     _refuse_over(_resolve_cap(), need,
                  f"index over q={q} k={k} t_abs={t_abs} and its query of p={p}")
-    index = build_index(motion, t_abs)
+    index = build_index(motion.codes, t_abs)
     return CandidatePairSet(visual.ids, motion.ids, *filter_pairs_indexed(visual.codes, index))

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -63,14 +64,11 @@ class TestVersionAndParsing:
 class TestRunConfig:
     def test_defaults(self):
         cfg = RunConfig()
-        assert cfg.w == 1.0
         assert cfg.t_norm == 0.30
         assert cfg.index_mode == "naive"
         assert cfg.restricted is False
 
     def test_validation(self):
-        with pytest.raises(ConfigError):
-            RunConfig(w=0.0)
         with pytest.raises(ConfigError):
             RunConfig(t_norm=1.5)
         with pytest.raises(ConfigError):
@@ -326,11 +324,41 @@ class TestCorrelate:
                    "--out", str(tmp_path / "r.jsonl")])
         assert rc == EXIT_DATA
 
-    def test_w_must_match_dataset(self, dataset, tmp_path, capsys):
+    def test_w_flag_is_refused(self, dataset, tmp_path, capsys):
+        # the series files carry the width, so even their own width is refused
+        out = tmp_path / "r.jsonl"
         rc = main(["correlate", "--visual", dataset["visual"], "--motion", dataset["motion"],
-                   "--out", str(tmp_path / "r.jsonl"), "-w", "2.0"])
+                   "--out", str(out), "-w", "1.0"])
         assert rc == EXIT_CONFIG
-        assert "window" in capsys.readouterr().err
+        assert "-w" in capsys.readouterr().err
+        assert not out.exists()
+
+    # a valid value other than the default for every RunConfig field
+    NON_DEFAULT = {"t_norm": 0.1, "restricted": True, "index_mode": "indexed",
+                   "min_observed_fraction": 0.9, "top_k": 1}
+
+    def test_every_run_setting_changes_the_output(self, tmp_path):
+        # a setting that changes neither file is inert; a new field with no
+        # entry in NON_DEFAULT fails with KeyError
+        spec = write_spec(tmp_path / "spec.json", n_windows=12, magnitude_noise_sd=0.5)
+        data = tmp_path / "data"
+        assert main(["generate", "--spec", spec, "--out-dir", str(data)]) == EXIT_OK
+
+        def run(name, settings):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps(settings))
+            out, report = tmp_path / f"{name}.jsonl", tmp_path / f"{name}-report.json"
+            assert main(["correlate", "--visual", str(data / "visual.jsonl"),
+                         "--motion", str(data / "motion.jsonl"), "--truth",
+                         str(data / "truth.json"), "--config", str(cfg), "--out", str(out),
+                         "--report", str(report)]) == EXIT_OK
+            return out.read_bytes(), report.read_bytes()
+
+        default = run("default", {})
+        for f in fields(RunConfig):
+            assert f.default != self.NON_DEFAULT[f.name]
+            changed = run(f.name, {f.name: self.NON_DEFAULT[f.name]})
+            assert changed[0] != default[0] or changed[1] != default[1], f.name
 
     def test_restricted_with_index_is_config_error(self, dataset, tmp_path):
         rc = main(["correlate", "--visual", dataset["visual"], "--motion", dataset["motion"],
@@ -486,11 +514,8 @@ class TestSweep:
     @pytest.mark.parametrize("grid", [["--w-values", "-1", "--t-values", "0.3"],
                                       ["--w-values", "nan", "--t-values", "0.3"],
                                       ["--w-values", "inf", "--t-values", "0.3"],
-                                      ["--w-values", "1.0", "--t-values", "1.5"],
-                                      ["--w-values", "1.0", "--t-values", "0.3",
-                                       "--top-k", "0"]],
-                             ids=["negative-w", "nan-w", "infinite-w", "t-over-one",
-                                  "top-k-zero"])
+                                      ["--w-values", "1.0", "--t-values", "1.5"]],
+                             ids=["negative-w", "nan-w", "infinite-w", "t-over-one"])
     def test_trace_mode_checks_the_grid_before_synthesizing(self, tmp_path, capsys,
                                                             monkeypatch, grid):
         def synthesize(*args, **kwargs):
@@ -501,6 +526,28 @@ class TestSweep:
         out = tmp_path / "s.csv"
         assert main(["sweep", "--spec", spec, "--trace-mode", *grid,
                      "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_top_k_flag_is_refused(self, tmp_path, capsys):
+        # the CSV has no top-k column for the flag to set
+        spec = write_spec(tmp_path / "spec.json", num_identities=4, n_windows=16)
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--spec", spec, "--w-values", "1.0", "--t-values", "0.3",
+                     "--out", str(out), "--top-k", "3"]) == EXIT_CONFIG
+        assert "--top-k" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_trace_mode_width_longer_than_the_traces_exits_before_training(
+            self, tmp_path, capsys, monkeypatch):
+        def train(*args, **kwargs):
+            raise AssertionError("classifier trained for a grid with a width that cannot fit")
+
+        monkeypatch.setattr("motionlink.evalbench.train_classifier", train)
+        spec = write_spec(tmp_path / "spec.json", num_identities=3, n_windows=12)
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--spec", spec, "--trace-mode", "--w-values", "0.5,100",
+                     "--t-values", "0.3", "--out", str(out)]) == EXIT_DATA
+        assert "shorter than one 100.0s window" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -618,6 +665,7 @@ def model_line(**lead) -> str:
     pytest.param("config", '{"restricted": "no"}', id="config-string-flag"),
     pytest.param("config", '{"min_observed_fraction": true}', id="config-bool-fraction"),
     pytest.param("config", '{"w": true}', id="config-bool-w"),
+    pytest.param("config", '{"w": 1.0}', id="config-w"),
     pytest.param("config", '{"t_norm": false}', id="config-bool-t-norm"),
     pytest.param("model", '"x"', id="model-string"),
     pytest.param("keypoints", '{"ts": 0.0, "kp": [1]}', id="keypoints-kp-list"),
@@ -645,7 +693,10 @@ def model_line(**lead) -> str:
 ])
 def test_malformed_content_is_one_line_error(dataset, trace_dir, tmp_path, capsys,
                                              reader, content):
-    run_on_bad_file(reader, f"{content}\n".encode(), dataset, trace_dir, tmp_path, capsys)
+    err = run_on_bad_file(reader, f"{content}\n".encode(), dataset, trace_dir, tmp_path,
+                          capsys)
+    if content == '{"w": 1.0}':  # the series files carry the width
+        assert err.endswith(":1: unknown config keys: w\n")
 
 
 def ranking_line(rho: str) -> str:
