@@ -66,7 +66,6 @@ class AlignConfig:
 
     delta_max: float = 4.0
     step: float = 0.5
-    share_offset: bool = False
 
     def __post_init__(self):
         if not 0 < self.step < math.inf:
@@ -235,9 +234,7 @@ def correlate_with_alignment(
     For each (avatar, identity) pair the offset grid is searched first; the
     pair survives filtering if its best-offset distance fits the mismatch
     budget of the compared span, and ranking then correlates magnitudes
-    over that same span.  With `align.share_offset` each identity commits
-    to one offset (its best across all avatars) instead of choosing per
-    pair, which suits clocks that are wrong by one constant per device.
+    over that same span.
 
     Returns the rankings plus {avatar_id: {identity_id: chosen offset}} for
     every evaluated pair.
@@ -255,17 +252,11 @@ def correlate_with_alignment(
         if scores is None:
             raise NoOverlap(f"trace {ident!r}: no offset produces a full window")
         if not scores:
-            if align.share_offset:
-                raise NoOverlap(f"identity {ident!r} overlaps no avatar")
             continue
         offsets, mags, first, lo, hi, dist, n_eff = zip(*scores)
         dist, n_eff = np.stack(dist), np.stack(n_eff)
         # each avatar's best offset: the first minimum in preference order
         best = np.argmin(dist, axis=0)
-        if align.share_offset:
-            # an identity's clock error is one constant: commit to the offset
-            # that best explains its closest avatar
-            best[:] = np.argmin(dist) // len(visual)
         kept = np.flatnonzero(dist[best, avatars]
                               <= mismatch_budget(config.t_norm, n_eff[best, avatars]))
         kept_best = best[kept]

@@ -23,6 +23,7 @@ from .engine import (
     DEFAULT_MIN_OBSERVED_FRACTION,
     DEFAULT_T_NORM,
     FilterConfig,
+    _check_fraction,
     correlate,
     read_rankings_jsonl,
     write_rankings_jsonl,
@@ -110,7 +111,6 @@ class RunConfig:
 
     t_norm: float = DEFAULT_T_NORM
     restricted: bool = False
-    index_mode: str = "naive"
     min_observed_fraction: float = DEFAULT_MIN_OBSERVED_FRACTION
     top_k: int = 3
 
@@ -118,16 +118,8 @@ class RunConfig:
         for name, kind in (("t_norm", float), ("min_observed_fraction", float),
                            ("restricted", bool), ("top_k", int)):
             json_value(getattr(self, name), kind, name, ConfigError)
-        if not 0.0 <= self.t_norm <= 1.0:
-            raise ConfigError(f"t_norm must lie in [0, 1], got {self.t_norm}")
-        if self.index_mode not in ("naive", "indexed"):
-            raise ConfigError(
-                f"index_mode must be 'naive' or 'indexed', got {self.index_mode!r}"
-            )
-        if not 0.0 <= self.min_observed_fraction <= 1.0:
-            raise ConfigError(
-                f"min_observed_fraction must lie in [0, 1], got {self.min_observed_fraction}"
-            )
+        FilterConfig(self.t_norm)  # the engine's own range checks
+        _check_fraction(self.min_observed_fraction)
         if self.top_k < 1:
             raise ConfigError(f"top_k must be an integer >= 1, got {self.top_k!r}")
 
@@ -281,14 +273,8 @@ def cmd_correlate(args) -> int:
     if not isinstance(motion, MotionDataset):
         raise DataError(f"{args.motion} holds visual series, expected motion")
     restricted = DEFAULT_RESTRICTED_SET if cfg.restricted else None
-    fconf = FilterConfig(t_norm=cfg.t_norm, restricted=restricted)
-    rankings = correlate(
-        visual,
-        motion,
-        fconf,
-        cfg.min_observed_fraction,
-        use_index=cfg.index_mode == "indexed",
-    )
+    rankings = correlate(visual, motion, FilterConfig(cfg.t_norm, restricted),
+                         cfg.min_observed_fraction)
     write_rankings_jsonl(rankings, args.out, truth=truth.mapping if truth else None)
     matched = sum(1 for r in rankings if len(r.entries) > 0)
     print(f"ranked {len(rankings)} avatars ({matched} with candidates) -> {args.out}")
@@ -301,7 +287,6 @@ def cmd_correlate(args) -> int:
                 "w": visual.window_seconds,
                 "t_norm": cfg.t_norm,
                 "restricted": sorted(l.token for l in restricted) if restricted else None,
-                "index_mode": cfg.index_mode,
                 "min_observed_fraction": cfg.min_observed_fraction,
             },
         )
@@ -376,8 +361,6 @@ def _add_run_flags(sub) -> None:
     sub.add_argument("--restricted", dest="restricted",
                      action=argparse.BooleanOptionalAction, default=None,
                      help="filter on the reliable label subset only")
-    sub.add_argument("--index-mode", dest="index_mode",
-                     choices=["naive", "indexed"], default=None)
     sub.add_argument("--min-observed-fraction", dest="min_observed_fraction",
                      type=float, default=None)
     sub.add_argument("--top-k", dest="top_k", type=int, default=None)

@@ -10,6 +10,7 @@ magnitudes.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -23,6 +24,7 @@ from .errors import (
     EmptyRanking,
     InsufficientData,
     LengthMismatch,
+    MemoryCapExceeded,
     UndefinedCorrelation,
 )
 from .model import (
@@ -38,6 +40,8 @@ from .model import (
     write_json_lines,
 )
 
+logger = logging.getLogger(__name__)
+
 DEFAULT_T_NORM = 0.30
 DEFAULT_MIN_OBSERVED_FRACTION = 0.5
 _BUDGET_EPS = 1e-9
@@ -48,6 +52,12 @@ _BUDGET_EPS = 1e-9
 # the avatar ranks, and the identity ranks per observed-window mask, which
 # are built only when they have fewer rows than the pairs have cells.
 _BLOCK_CELLS = 16384
+
+# Index costs in naive (pair, window) cells: per window of an entry and of a raw hit, per call.
+# Fitted on a 2-core host over `bench_matrices` shapes; fit again when either path's cost changes.
+_INDEX_CELLS = 0.7
+_INDEX_HIT_CELLS = 2
+_INDEX_CALL_CELLS = 10 ** 5
 
 
 @dataclass(frozen=True)
@@ -193,19 +203,42 @@ def _common_grid(visual: VisualDataset, motion: MotionDataset) -> int:
     return n_v
 
 
+def _index_cost(p: int, q: int, n: int, t_abs: int) -> float:
+    """Estimated cells of the wildcard index filter: C(n, t_abs) entries per
+    row, and the raw hits of keys that fix n - t_abs positions, under uniform
+    labels p * q * C(n, t_abs) * 8^-(n - t_abs), the binomial from logs."""
+    log_masks = math.lgamma(n + 1) - math.lgamma(t_abs + 1) - math.lgamma(n - t_abs + 1)
+    masks = math.exp(min(log_masks, 700.0))  # e^700 cells outcost any scan
+    hits = p * q * (masks * len(ActivityLabel) ** -float(n - t_abs))
+    return n * (_INDEX_CELLS * (p + q) * masks + _INDEX_HIT_CELLS * hits) + _INDEX_CALL_CELLS
+
+
 def activity_filter(visual: VisualDataset, motion: MotionDataset,
                     config: FilterConfig) -> CandidatePairSet:
     """Keep (avatar, identity) pairs within the normalized mismatch budget.
 
-    All series must share one window grid and one length n.  Cost is
-    O(p * q * n): every pair is scanned, by `filter_pairs_naive` in blocks
-    of avatar rows.  The wildcard index offers the same answer in
-    near-linear time for the unrestricted case.
+    All series must share one window grid and one length n.  The naive scan
+    (`filter_pairs_naive`) compares all p * q * n (pair, window) cells; the
+    wildcard index (`windex.filter_with_index`) finds the same pairs instead
+    when no label set is restricted, `_index_cost` is lower and the memory cap
+    admits it.  The plan, both costs and any refusal are logged at INFO.
     """
-    _common_grid(visual, motion)
-    rows, ids, dists = filter_pairs_naive(visual.codes, motion.codes, config.t_norm,
-                                          config.restricted)
-    return CandidatePairSet(visual.ids, motion.ids, rows, ids, dists)
+    n = _common_grid(visual, motion)
+    p, q, t_abs = len(visual), len(motion), mismatch_budget(config.t_norm, n)
+    cost = math.inf if config.restricted is not None else _index_cost(p, q, n, t_abs)
+    plan = f"for p={p} q={q} n={n}, cost in cells: naive {p * q * n}, index {cost:.3g}"
+    if cost < p * q * n:
+        from .windex import filter_with_index  # windex imports this module
+        try:
+            pairs = filter_with_index(visual, motion, t_abs)
+        except MemoryCapExceeded as exc:
+            plan += f"; index refused: {exc}"
+        else:
+            logger.info("filter plan: indexed %s", plan)
+            return pairs
+    logger.info("filter plan: naive %s", plan)
+    return CandidatePairSet(visual.ids, motion.ids, *filter_pairs_naive(
+        visual.codes, motion.codes, config.t_norm, config.restricted))
 
 
 # ---------------------------------------------------------------------------
@@ -419,29 +452,19 @@ def rank_identities(visual_series: ActivityVectorSeries,
 
 def correlate(visual: VisualDataset, motion: MotionDataset, config: FilterConfig,
               min_observed_fraction: float = DEFAULT_MIN_OBSERVED_FRACTION,
-              use_index: bool = False) -> list[RankedIdentityList]:
+              ) -> list[RankedIdentityList]:
     """Full two-stage pipeline: filter candidates, then rank them.
 
     Returns one RankedIdentityList per avatar, in dataset order; an avatar
     whose candidate set ends up empty (or all-skipped) gets an empty list,
-    the "none correlated" outcome.  With use_index=True the filtering stage
-    runs on the wildcard index; results are identical to the naive scan.
-    Entries equal what `rank_identities` gives each avatar's candidates.
+    the "none correlated" outcome.  Entries equal what `rank_identities`
+    gives each avatar's `activity_filter` candidates.
     """
     _check_fraction(min_observed_fraction)
-    if use_index:
-        if config.restricted is not None:
-            raise ConfigError("indexed filtering does not support restricted label sets")
-        from .windex import filter_with_index
-
-        n = _common_grid(visual, motion)
-        pairs = filter_with_index(visual, motion, mismatch_budget(config.t_norm, n))
-    else:
-        pairs = activity_filter(visual, motion, config)
-        n = visual.codes.shape[1]
-
+    pairs = activity_filter(visual, motion, config)
     return _ranked(visual.ids, motion.ids, pairs.rows, pairs.ids, *_rank_candidates(
-        visual.mags, motion.mags, pairs.rows, pairs.ids, n, min_observed_fraction))
+        visual.mags, motion.mags, pairs.rows, pairs.ids, visual.codes.shape[1],
+        min_observed_fraction))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from .engine import (
     correlate,
     filter_pairs_naive,
 )
-from .errors import ConfigError, DataError, MemoryCapExceeded, MissingGroundTruth
+from .errors import ConfigError, DataError, MemoryCapExceeded, MissingGroundTruth, TraceTooShort
 from .model import (
     ActivityLabel,
     Channel,
@@ -32,7 +32,7 @@ from .model import (
     SensorPosition,
     VisualDataset,
 )
-from .pipeline import build_series, window_edges
+from .pipeline import _EPS, build_series, window_edges
 from .synth import (
     CohortSpec,
     GroundTruth,
@@ -164,7 +164,7 @@ def _cohort_at(cohort: TraceCohort | CohortSpec, w: float, train_seed: int,
                ) -> tuple[VisualDataset, MotionDataset, GroundTruth]:
     """The cohort's (visual, motion, truth) at window width `w`."""
     if isinstance(cohort, CohortSpec):
-        n_w = max(1, int(round(cohort.n_windows * cohort.window_seconds / w)))
+        n_w = int(round(cohort.n_windows * cohort.window_seconds / w))
         return generate_cohort(replace(cohort, window_seconds=w, n_windows=n_w))
     motion_model = train_classifier(Channel.MOTION, w, seed=train_seed)
     visual_model = train_classifier(Channel.VISUAL, w, seed=train_seed)
@@ -200,13 +200,15 @@ def sweep_parameters(cohort: TraceCohort | CohortSpec, w_values: Sequence[float]
     regenerated per width with the total recording time held fixed, so
     wider windows mean shorter sequences just as re-windowing would.  Each
     width is scored at every threshold before the next is built, and a width
-    longer than the shortest trace raises TraceTooShort before any is built.
-    Returns {(w, t): EvalReport}.
+    longer than the shortest trace, or than the spec's recording, raises
+    TraceTooShort before any is built.  Returns {(w, t): EvalReport}.
     """
     _check_grid(w_values, t_values)
     if isinstance(cohort, TraceCohort):
         traces = [*cohort.motion_traces.values(), *cohort.keypoint_traces.values()]
         window_edges(min(traces, key=lambda trace: trace.duration), max(w_values))
+    elif cohort.n_windows * cohort.window_seconds / max(w_values) + _EPS < 1:
+        raise TraceTooShort(f"the spec records less than one {max(w_values)}s window")
     positions = [p.value for p in SensorPosition]
     grid: dict[tuple[float, float], EvalReport] = {}
     for w in dict.fromkeys(w_values):  # a repeated width is built once

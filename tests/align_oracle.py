@@ -153,9 +153,7 @@ def correlate_with_alignment(
     For each (avatar, identity) pair the offset grid is searched first; the
     pair survives filtering if its best-offset distance fits the mismatch
     budget of the compared span, and ranking then correlates magnitudes
-    over that same span.  With `align.share_offset` each identity commits
-    to one offset (its best across all avatars) instead of choosing per
-    pair, which suits clocks that are wrong by one constant per device.
+    over that same span.
 
     Returns the rankings plus {avatar_id: {identity_id: chosen offset}} for
     every evaluated pair.
@@ -182,13 +180,6 @@ def correlate_with_alignment(
             dist, n_eff = mismatch_counts(v, m, None if lut is None else lut[v] & lut[m])
             rows.append(_Scored(offset, mags, first, lo, hi, dist,
                                 np.broadcast_to(n_eff, dist.shape)))
-        if align.share_offset:
-            if not rows:
-                raise NoOverlap(f"identity {ident!r} overlaps no avatar")
-            # an identity's clock error is one constant: commit to the offset
-            # that best explains its closest avatar
-            best = int(np.argmin(np.stack([row.distance for row in rows]))) // len(visual)
-            rows = [rows[best]]
         scored[ident] = rows
     # per identity, each avatar's best offset: the first minimum in preference order
     best_row = {

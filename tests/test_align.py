@@ -279,22 +279,6 @@ class TestCorrelateWithAlignment:
         for r in rankings:
             assert r.top().rho > 0.9
 
-    def test_share_offset_uses_one_offset_per_identity(self, cohort, motion_model):
-        traces, visual, lags = cohort
-        rankings, offsets = correlate_with_alignment(
-            traces, visual, motion_model,
-            FilterConfig(t_norm=0.3),
-            AlignConfig(delta_max=3.0, step=0.5, share_offset=True),
-        )
-        per_identity = {}
-        for avatar_id, chosen in offsets.items():
-            for ident, off in chosen.items():
-                per_identity.setdefault(ident, set()).add(off)
-        assert all(len(v) == 1 for v in per_identity.values())
-        by_avatar = {r.avatar_id: r for r in rankings}
-        for i, lag in lags.items():
-            assert by_avatar[f"a{i}"].top().identity_id == f"u{i}"
-
     def test_uncorrected_comparison_fails_where_search_succeeds(self, motion_model):
         # the headline effect: without the search, a 2.4s lag destroys the
         # match; with it, the true identity comes back

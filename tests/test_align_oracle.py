@@ -127,13 +127,12 @@ def outcome(fn, *args, **kwargs):
 
 @settings(max_examples=120, deadline=None)
 @given(cohort=cohorts(), t_norm=st.sampled_from([0.0, 0.4, 1.0]), restricted=st.booleans(),
-       share=st.booleans(), grid=st.sampled_from(GRIDS + ODD_GRIDS),
+       grid=st.sampled_from(GRIDS + ODD_GRIDS),
        fraction=st.sampled_from([0.0, 0.5, 0.9]))
-def test_offset_search_equals_per_pair_loop(model, cohort, t_norm, restricted, share, grid,
-                                            fraction):
+def test_offset_search_equals_per_pair_loop(model, cohort, t_norm, restricted, grid, fraction):
     traces, visual = cohort
     labels = DEFAULT_RESTRICTED_SET if restricted else None
-    align = AlignConfig(grid.delta_max, grid.step, share_offset=share)
+    align = AlignConfig(grid.delta_max, grid.step)
     args = traces, visual, model, FilterConfig(t_norm, labels), align
     got = outcome(correlate_with_alignment, *args, min_observed_fraction=fraction)
     want = outcome(align_oracle.correlate_with_alignment, *args, min_observed_fraction=fraction)

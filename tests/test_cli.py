@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import logging
 import math
 from dataclasses import fields
 from pathlib import Path
@@ -28,6 +29,22 @@ def write_spec(path, **overrides):
     payload.update(overrides)
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def generate(directory, **spec):
+    """Paths of a cohort generated in `directory` from `write_spec(**spec)`."""
+    directory.mkdir(exist_ok=True)
+    out = directory / "data"
+    assert main(["generate", "--spec", write_spec(directory / "spec.json", **spec),
+                 "--out-dir", str(out)]) == EXIT_OK
+    return {"visual": str(out / "visual.jsonl"), "motion": str(out / "motion.jsonl"),
+            "truth": str(out / "truth.json")}
+
+
+@pytest.fixture
+def wide_dataset(tmp_path):
+    """150 x 12 windows: at --t-norm 0.1 (t_abs 1) the filter plans the index."""
+    return generate(tmp_path / "wide", num_identities=150, n_windows=12)
 
 
 @pytest.fixture
@@ -65,14 +82,11 @@ class TestRunConfig:
     def test_defaults(self):
         cfg = RunConfig()
         assert cfg.t_norm == 0.30
-        assert cfg.index_mode == "naive"
         assert cfg.restricted is False
 
     def test_validation(self):
         with pytest.raises(ConfigError):
             RunConfig(t_norm=1.5)
-        with pytest.raises(ConfigError):
-            RunConfig(index_mode="fast")
         with pytest.raises(ConfigError):
             RunConfig(top_k=0)
 
@@ -183,14 +197,21 @@ class TestCorrelate:
         assert len(lines) == 6
         assert all(json.loads(l)["ranking"] for l in lines)
 
-    def test_naive_and_indexed_write_identical_files(self, dataset, tmp_path):
+    def test_naive_and_indexed_write_identical_files(self, wide_dataset, tmp_path,
+                                                     monkeypatch, caplog):
+        # the filter plans the index; a cap below its estimate forces the naive scan
+        caplog.set_level(logging.INFO, logger="motionlink.engine")
         outs = {}
-        for mode in ("naive", "indexed"):
-            out = tmp_path / f"{mode}.jsonl"
-            rc = main(["correlate", "--visual", dataset["visual"], "--motion", dataset["motion"],
-                       "--out", str(out), "--t-norm", "0.1", "--index-mode", mode])
+        for plan, cap in (("indexed", None), ("naive", "1024")):
+            if cap:
+                monkeypatch.setenv("MOTIONLINK_MEMORY_CAP", cap)
+            caplog.clear()
+            out = tmp_path / f"{plan}.jsonl"
+            rc = main(["correlate", "--visual", wide_dataset["visual"], "--motion",
+                       wide_dataset["motion"], "--out", str(out), "--t-norm", "0.1"])
             assert rc == EXIT_OK
-            outs[mode] = out.read_bytes()
+            assert f"filter plan: {plan} " in caplog.text
+            outs[plan] = out.read_bytes()
         assert outs["naive"] == outs["indexed"]
 
     def test_repeated_runs_write_identical_files(self, dataset, tmp_path):
@@ -334,25 +355,29 @@ class TestCorrelate:
         assert not out.exists()
 
     # a valid value other than the default for every RunConfig field
-    NON_DEFAULT = {"t_norm": 0.1, "restricted": True, "index_mode": "indexed",
-                   "min_observed_fraction": 0.9, "top_k": 1}
+    NON_DEFAULT = {"t_norm": 0.1, "restricted": True, "min_observed_fraction": 0.9,
+                   "top_k": 1}
 
     def test_every_run_setting_changes_the_output(self, tmp_path):
-        # a setting that changes neither file is inert; a new field with no
-        # entry in NON_DEFAULT fails with KeyError
-        spec = write_spec(tmp_path / "spec.json", n_windows=12, magnitude_noise_sd=0.5)
-        data = tmp_path / "data"
-        assert main(["generate", "--spec", spec, "--out-dir", str(data)]) == EXIT_OK
+        # a setting that changes neither the rankings nor the report, its
+        # echo of the settings aside, is inert; a new field with no entry in
+        # NON_DEFAULT fails with KeyError.  Noisy labels and magnitudes and
+        # partly observed positions give every setting something to change
+        confusion = [[0.8 if i == j else 0.2 / 7 for j in range(8)] for i in range(8)]
+        data = generate(tmp_path, num_identities=12, n_windows=12, magnitude_noise_sd=0.5,
+                        motion_confusion=confusion, visual_confusion=confusion,
+                        position_observability={p.value: 0.8 for p in SensorPosition})
 
         def run(name, settings):
             cfg = tmp_path / f"{name}.json"
             cfg.write_text(json.dumps(settings))
             out, report = tmp_path / f"{name}.jsonl", tmp_path / f"{name}-report.json"
-            assert main(["correlate", "--visual", str(data / "visual.jsonl"),
-                         "--motion", str(data / "motion.jsonl"), "--truth",
-                         str(data / "truth.json"), "--config", str(cfg), "--out", str(out),
+            assert main(["correlate", "--visual", data["visual"], "--motion", data["motion"],
+                         "--truth", data["truth"], "--config", str(cfg), "--out", str(out),
                          "--report", str(report)]) == EXIT_OK
-            return out.read_bytes(), report.read_bytes()
+            scores = json.loads(report.read_text())
+            scores.pop("config")
+            return out.read_bytes(), scores
 
         default = run("default", {})
         for f in fields(RunConfig):
@@ -360,28 +385,54 @@ class TestCorrelate:
             changed = run(f.name, {f.name: self.NON_DEFAULT[f.name]})
             assert changed[0] != default[0] or changed[1] != default[1], f.name
 
-    def test_restricted_with_index_is_config_error(self, dataset, tmp_path):
-        rc = main(["correlate", "--visual", dataset["visual"], "--motion", dataset["motion"],
-                   "--out", str(tmp_path / "r.jsonl"), "--t-norm", "0.1",
-                   "--index-mode", "indexed", "--restricted"])
-        assert rc == EXIT_CONFIG
-
-    def test_memory_cap_env_is_resource_error(self, dataset, tmp_path, monkeypatch):
-        monkeypatch.setenv("MOTIONLINK_MEMORY_CAP", "1024")
-        rc = main(["correlate", "--visual", dataset["visual"], "--motion", dataset["motion"],
-                   "--out", str(tmp_path / "r.jsonl"), "--t-norm", "0.1",
-                   "--index-mode", "indexed"])
-        assert rc == EXIT_RESOURCE
-
-    def test_memory_cap_covers_the_index_query(self, dataset, tmp_path, monkeypatch):
-        # 6 x 24 windows at t_norm 0.1: t_abs 2.  The cap clears the build
-        # estimate but not the build plus the query
-        monkeypatch.setenv("MOTIONLINK_MEMORY_CAP", str(estimate_index_memory(6, 24, 2) + 1))
+    def test_index_mode_flag_and_key_are_refused(self, dataset, tmp_path, capsys):
+        # the filter plans its own path
         out = tmp_path / "r.jsonl"
-        rc = main(["correlate", "--visual", dataset["visual"], "--motion", dataset["motion"],
-                   "--out", str(out), "--t-norm", "0.1", "--index-mode", "indexed"])
-        assert rc == EXIT_RESOURCE
+        base = ["correlate", "--visual", dataset["visual"], "--motion", dataset["motion"],
+                "--out", str(out)]
+        assert main(base + ["--index-mode", "indexed"]) == EXIT_CONFIG
+        assert "--index-mode" in capsys.readouterr().err
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"index_mode": "naive"}))
+        assert main(base + ["--config", str(cfg)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.endswith(":1: unknown config keys: index_mode\n")
         assert not out.exists()
+
+    def test_memory_cap_env_is_resource_error(self, wide_dataset, tmp_path, monkeypatch):
+        # an offset grid over the cap exits 4; the filter plans around it
+        monkeypatch.setenv("MOTIONLINK_MEMORY_CAP", "1024")
+        rc = main(["align", "--motion-csv", str(tmp_path / "none.csv"), "--visual",
+                   wide_dataset["visual"], "--avatar", "a0000", "--out",
+                   str(tmp_path / "x.json")])
+        assert rc == EXIT_RESOURCE
+        rc = main(["correlate", "--visual", wide_dataset["visual"], "--motion",
+                   wide_dataset["motion"], "--out", str(tmp_path / "r.jsonl"), "--t-norm", "0.1"])
+        assert rc == EXIT_OK
+
+    def test_malformed_memory_cap_exits_2_where_the_index_is_planned(
+            self, wide_dataset, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("MOTIONLINK_MEMORY_CAP", "8GiB")
+        out = tmp_path / "r.jsonl"
+        assert main(["correlate", "--visual", wide_dataset["visual"], "--motion",
+                     wide_dataset["motion"], "--t-norm", "0.1", "--out", str(out)]) == EXIT_CONFIG
+        assert "MOTIONLINK_MEMORY_CAP must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_memory_cap_covers_the_index_query(self, wide_dataset, tmp_path, monkeypatch,
+                                               caplog):
+        # 150 x 12 windows at t_norm 0.1: t_abs 1.  The cap clears the build
+        # estimate but not the build plus the query, so the naive scan runs
+        caplog.set_level(logging.INFO, logger="motionlink.engine")
+        argv = ["correlate", "--visual", wide_dataset["visual"], "--motion",
+                wide_dataset["motion"], "--t-norm", "0.1", "--out"]
+        assert main(argv + [str(tmp_path / "indexed.jsonl")]) == EXIT_OK
+        monkeypatch.setenv("MOTIONLINK_MEMORY_CAP", str(estimate_index_memory(150, 12, 1) + 1))
+        caplog.clear()
+        assert main(argv + [str(tmp_path / "naive.jsonl")]) == EXIT_OK
+        assert "filter plan: naive " in caplog.text
+        assert "index refused: index over q=150 k=12 t_abs=1 and its query" in caplog.text
+        assert ((tmp_path / "naive.jsonl").read_bytes()
+                == (tmp_path / "indexed.jsonl").read_bytes())
 
     def test_config_file_with_flag_override(self, dataset, tmp_path):
         cfg = tmp_path / "run.json"
@@ -535,6 +586,21 @@ class TestSweep:
         assert main(["sweep", "--spec", spec, "--w-values", "1.0", "--t-values", "0.3",
                      "--out", str(out), "--top-k", "3"]) == EXIT_CONFIG
         assert "--top-k" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("widths, widest", [("100,1", "100.0"), ("20", "20.0")])
+    def test_width_longer_than_the_spec_exits_before_generating(self, tmp_path, capsys,
+                                                                monkeypatch, widths, widest):
+        # 12 windows of 1 s: a 20 s or 100 s window does not fit even once
+        def generate_cohort(*args, **kwargs):
+            raise AssertionError("cohort generated for a grid with a width that cannot fit")
+
+        monkeypatch.setattr("motionlink.evalbench.generate_cohort", generate_cohort)
+        spec = write_spec(tmp_path / "spec.json", num_identities=3, n_windows=12)
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--spec", spec, "--w-values", widths, "--t-values", "0.3",
+                     "--out", str(out)]) == EXIT_DATA
+        assert f"records less than one {widest}s window" in capsys.readouterr().err
         assert not out.exists()
 
     def test_trace_mode_width_longer_than_the_traces_exits_before_training(

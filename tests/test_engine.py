@@ -1,4 +1,5 @@
 import ast
+import logging
 import math
 import tracemalloc
 from pathlib import Path
@@ -10,7 +11,7 @@ import scipy.stats
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from motionlink import engine
+from motionlink import engine, windex
 from motionlink.engine import (
     CandidatePairSet,
     FilterConfig,
@@ -357,12 +358,135 @@ def test_naive_scan_compares_blocks_of_rows():
     assert mismatch_calls(v_mat, m_mat, 0.3) == 5
 
 
-@pytest.mark.parametrize("use_index", [False, True])
-def test_correlate_rejects_mixed_window_widths(use_index):
+@pytest.mark.parametrize("restricted", [False, True])
+def test_correlate_rejects_mixed_window_widths(restricted):
     v = VisualDataset([visual_series("a0", [0, 1], w=2.0)])
     m = MotionDataset([motion_series("m0", [0, 1], w=1.0)])
+    labels = frozenset({L.IDLE, L.WALKING}) if restricted else None
     with pytest.raises(DataError, match="window width"):
-        correlate(v, m, FilterConfig(t_norm=0.5), use_index=use_index)
+        correlate(v, m, FilterConfig(t_norm=0.5, restricted=labels))
+
+
+# ---------------------------------------------------------------------------
+# the filter's plan
+
+def datasets(v_mat, m_mat):
+    """Visual and motion datasets over the code rows, every magnitude 1."""
+    p, n = v_mat.shape
+    visual = VisualDataset.from_arrays([f"a{i}" for i in range(p)], v_mat,
+                                       np.ones((p, len(SensorPosition), n)), 1.0)
+    motion = MotionDataset.from_arrays([f"m{j}" for j in range(len(m_mat))], m_mat,
+                                       np.ones(m_mat.shape), 1.0)
+    return visual, motion
+
+
+def planned(monkeypatch, p, q, n, t_abs, restricted=None):
+    """The path `activity_filter` takes on p x q rows of n windows at budget
+    t_abs, both paths stubbed out."""
+    ran, empty = [], np.zeros(0, dtype=np.int64)
+
+    def naive(v_mat, m_mat, t_norm, labels=None):
+        ran.append("naive")
+        return empty, empty, empty
+
+    def indexed(visual, motion, budget):
+        assert budget == t_abs
+        ran.append("indexed")
+        return CandidatePairSet(visual.ids, motion.ids, empty, empty, empty)
+
+    monkeypatch.setattr(engine, "filter_pairs_naive", naive)
+    monkeypatch.setattr(windex, "filter_with_index", indexed)
+    visual, motion = datasets(np.zeros((p, n), dtype=np.uint8), np.zeros((q, n), dtype=np.uint8))
+    # mismatch_budget(t_abs / n, n) is t_abs exactly
+    activity_filter(visual, motion, FilterConfig(t_abs / max(n, 1), restricted))
+    return ran
+
+
+@pytest.mark.parametrize("p, q, n, t_abs, restricted, plan", [
+    (200, 200, 60, 18, None, "naive"),       # cohort_e2e
+    (120, 120, 30, 24, None, "naive"),       # rank_heavy
+    (10, 10, 40, 16, None, "naive"),         # trace_align
+    (2000, 2000, 60, 18, None, "naive"),     # the README's 2000 x 60 cohort at t_norm 0.3
+    (2000, 2000, 60, 3, None, "naive"),      # the index takes seconds, the scan 0.3 s
+    (2000, 2000, 60, 2, None, "naive"),
+    (1000, 1000, 60, 59, None, "naive"),     # few keys, but each matches most rows
+    (300, 300, 16, 16, None, "naive"),       # t_norm 1: every pair is kept
+    (271, 271, 60, 0, frozenset({L.WALKING}), "naive"),
+    (10_000, 10_000, 10, 3, frozenset(L), "naive"),
+    (10_000, 10_000, 10, 3, None, "indexed"),  # c02's 10^4 row
+    (271, 271, 60, 0, None, "indexed"),      # c07 at t_norm 0
+    (2000, 2000, 60, 1, None, "indexed"),
+], ids=["cohort_e2e", "rank_heavy", "trace_align", "readme-cohort", "k60-t3", "k60-t2",
+        "k60-t59", "t-norm-one", "restricted-c07", "restricted-c02", "c02", "c07-exact",
+        "k60-t1"])
+def test_filter_plans_by_cost(monkeypatch, p, q, n, t_abs, restricted, plan):
+    assert planned(monkeypatch, p, q, n, t_abs, restricted) == [plan]
+
+
+def test_filter_plans_the_naive_scan_over_zero_windows(monkeypatch):
+    assert planned(monkeypatch, 500, 500, 0, 0) == ["naive"]
+
+
+def test_index_over_the_cap_falls_back_to_the_naive_scan(monkeypatch, caplog):
+    # 300 x 300 x 10 at t_abs 1 plans the index; a 1 KiB cap refuses it
+    # before it builds anything
+    caplog.set_level(logging.INFO, logger="motionlink.engine")
+    v_mat, m_mat = bench_matrices(300, 300, 10)
+    visual, motion = datasets(v_mat, m_mat)
+    monkeypatch.setenv("MOTIONLINK_MEMORY_CAP", "1024")
+    got = activity_filter(visual, motion, FilterConfig(t_norm=0.1))
+    want = filter_pairs_naive(v_mat, m_mat, 0.1)
+    assert got.rows.size > 0
+    for col, expected in zip((got.rows, got.ids, got.dists), want):
+        np.testing.assert_array_equal(col, expected)
+    assert "filter plan: naive " in caplog.text
+    assert "index refused: index over q=300 k=10 t_abs=1 and its query" in caplog.text
+
+
+def test_query_over_the_cap_falls_back_to_the_naive_scan(monkeypatch, caplog):
+    # every row is the same, so each of the 200 x 120 query keys hits all
+    # 1000 rows: the cap admits the index and the query keys, not the hits
+    caplog.set_level(logging.INFO, logger="motionlink.engine")
+    visual, motion = datasets(np.zeros((200, 10), dtype=np.uint8),
+                              np.zeros((1000, 10), dtype=np.uint8))
+    cap = windex.estimate_index_memory(1000, 10, 3) + windex.estimate_query_memory(200, 10, 3)
+    monkeypatch.setenv("MOTIONLINK_MEMORY_CAP", str(cap))
+    got = activity_filter(visual, motion, FilterConfig(t_norm=0.3))
+    assert got.total_pairs() == 200 * 1000 and not got.dists.any()
+    assert "filter plan: naive " in caplog.text
+    assert "raw hits" in caplog.text
+
+
+@st.composite
+def filter_inputs(draw):
+    """(v_mat, m_mat) label codes, p and q in 1..300, often large enough for
+    the index to pay, and k in 1..16; some identity rows copy an avatar's
+    with a few windows changed."""
+    sizes = st.integers(1, 300) | st.integers(150, 300)
+    p, q, k = draw(sizes), draw(sizes), draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v_mat = rng.integers(0, len(L), (p, k), dtype=np.uint8)
+    m_mat = rng.integers(0, len(L), (q, k), dtype=np.uint8)
+    copies = rng.random(q) < 0.5
+    m_mat[copies] = v_mat[rng.integers(0, p, copies.sum())]
+    changed = rng.random((q, k)) < 0.1
+    m_mat[changed] = rng.integers(0, len(L), changed.sum())
+    return v_mat, m_mat
+
+
+@settings(max_examples=300, deadline=None)
+@given(filter_inputs(), st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.5, 1.0]),
+       st.none() | st.just(frozenset({L.IDLE, L.WALKING, L.BENDING})))
+def test_activity_filter_equals_the_naive_scan(inputs, t_norm, restricted):
+    v_mat, m_mat = inputs
+    visual, motion = datasets(v_mat, m_mat)
+    with mock.patch.object(windex, "filter_with_index", wraps=windex.filter_with_index) as spy:
+        got = activity_filter(visual, motion, FilterConfig(t_norm, restricted))
+    event("indexed" if spy.called else "naive")
+    for col, expected in zip((got.rows, got.ids, got.dists),
+                             filter_pairs_naive(v_mat, m_mat, t_norm, restricted)):
+        assert col.dtype == np.int64
+        np.testing.assert_array_equal(col, expected)
 
 
 # ---------------------------------------------------------------------------
