@@ -7,11 +7,14 @@ benchmark the filter, evaluate rankings, sweep the parameter grid.
 
 Exit codes separate the failure classes a caller might branch on:
 0 success, 2 bad configuration, 3 bad or inconsistent data, 4 resource
-cap hit, 5 file-system trouble.
+cap hit, 5 file-system trouble.  The library's INFO log, such as the filter
+plan of `correlate` and `bench`, goes to stderr; stdout and the files
+written do not change with it.
 """
 from __future__ import annotations
 
 import argparse
+import logging
 import math
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -464,6 +467,11 @@ def main(argv=None) -> int:
         if exc.code in (0, None):
             return EXIT_OK
         return EXIT_CONFIG
+    log = logging.getLogger("motionlink")
+    handler, level = logging.StreamHandler(sys.stderr), log.level
+    handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
+    log.addHandler(handler)
+    log.setLevel(logging.INFO)
     try:
         return args.func(args)
     except MemoryCapExceeded as exc:
@@ -478,6 +486,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 def entrypoint() -> None:

@@ -53,12 +53,6 @@ _BUDGET_EPS = 1e-9
 # are built only when they have fewer rows than the pairs have cells.
 _BLOCK_CELLS = 16384
 
-# Index costs in naive (pair, window) cells: per window of an entry and of a raw hit, per call.
-# Fitted on a 2-core host over `bench_matrices` shapes; fit again when either path's cost changes.
-_INDEX_CELLS = 0.7
-_INDEX_HIT_CELLS = 2
-_INDEX_CALL_CELLS = 10 ** 5
-
 
 @dataclass(frozen=True)
 class FilterConfig:
@@ -203,16 +197,6 @@ def _common_grid(visual: VisualDataset, motion: MotionDataset) -> int:
     return n_v
 
 
-def _index_cost(p: int, q: int, n: int, t_abs: int) -> float:
-    """Estimated cells of the wildcard index filter: C(n, t_abs) entries per
-    row, and the raw hits of keys that fix n - t_abs positions, under uniform
-    labels p * q * C(n, t_abs) * 8^-(n - t_abs), the binomial from logs."""
-    log_masks = math.lgamma(n + 1) - math.lgamma(t_abs + 1) - math.lgamma(n - t_abs + 1)
-    masks = math.exp(min(log_masks, 700.0))  # e^700 cells outcost any scan
-    hits = p * q * (masks * len(ActivityLabel) ** -float(n - t_abs))
-    return n * (_INDEX_CELLS * (p + q) * masks + _INDEX_HIT_CELLS * hits) + _INDEX_CALL_CELLS
-
-
 def activity_filter(visual: VisualDataset, motion: MotionDataset,
                     config: FilterConfig) -> CandidatePairSet:
     """Keep (avatar, identity) pairs within the normalized mismatch budget.
@@ -220,15 +204,20 @@ def activity_filter(visual: VisualDataset, motion: MotionDataset,
     All series must share one window grid and one length n.  The naive scan
     (`filter_pairs_naive`) compares all p * q * n (pair, window) cells; the
     wildcard index (`windex.filter_with_index`) finds the same pairs instead
-    when no label set is restricted, `_index_cost` is lower and the memory cap
-    admits it.  The plan, both costs and any refusal are logged at INFO.
+    when no label set is restricted and the m-block index `windex.plan_index`
+    picks within the memory cap costs less.  The plan, both costs, m and any
+    refusal are logged at INFO.  The cap is read first, so a malformed one
+    raises ConfigError whichever path runs.
     """
+    from .windex import filter_with_index, plan_index  # windex imports this module
+
     n = _common_grid(visual, motion)
     p, q, t_abs = len(visual), len(motion), mismatch_budget(config.t_norm, n)
-    cost = math.inf if config.restricted is not None else _index_cost(p, q, n, t_abs)
-    plan = f"for p={p} q={q} n={n}, cost in cells: naive {p * q * n}, index {cost:.3g}"
+    m, cost = plan_index(p, q, n, t_abs)
+    if config.restricted is not None:
+        cost = math.inf
+    plan = _plan_text(p, q, n, m, cost)
     if cost < p * q * n:
-        from .windex import filter_with_index  # windex imports this module
         try:
             pairs = filter_with_index(visual, motion, t_abs)
         except MemoryCapExceeded as exc:
@@ -239,6 +228,11 @@ def activity_filter(visual: VisualDataset, motion: MotionDataset,
     logger.info("filter plan: naive %s", plan)
     return CandidatePairSet(visual.ids, motion.ids, *filter_pairs_naive(
         visual.codes, motion.codes, config.t_norm, config.restricted))
+
+
+def _plan_text(p: int, q: int, n: int, m: int, cost: float) -> str:
+    """The logged details of a filter plan over p x q rows of n windows."""
+    return f"for p={p} q={q} n={n}, cost in cells: naive {p * q * n}, index {cost:.3g} at m={m}"
 
 
 # ---------------------------------------------------------------------------

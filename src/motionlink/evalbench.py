@@ -9,6 +9,7 @@ filtering benchmark.
 from __future__ import annotations
 
 import csv
+import logging
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
@@ -21,6 +22,7 @@ from .engine import (
     FilterConfig,
     RankEntry,
     RankedIdentityList,
+    _plan_text,
     correlate,
     filter_pairs_naive,
 )
@@ -41,7 +43,9 @@ from .synth import (
     permute_expand,
     train_classifier,
 )
-from .windex import build_index, filter_pairs_indexed
+from .windex import build_index, filter_pairs_indexed, plan_index
+
+logger = logging.getLogger(__name__)
 
 __all__ = [
     "Outcome",
@@ -400,8 +404,10 @@ def bench_scaling(sizes: Sequence[tuple[int, int]], k: int = 10, t_abs: int = 3,
     """Time the filtering stage per size and method.
 
     Dataset generation is excluded from the clock.  Naive rows whose p*q
-    reaches `naive_cutoff` are emitted with status "skipped"; an index
-    build or query refused by the memory cap becomes status "refused".
+    reaches `naive_cutoff` are emitted with status "skipped".  An indexed
+    row times the m-block index `windex.plan_index` picks, and logs that
+    plan at INFO; an index build or query refused by the memory cap becomes
+    status "refused".
     The retained-pair count is deterministic given the seed; wall times
     are not.  Raises DataError when both methods measure a size and retain
     different pair counts.
@@ -423,9 +429,11 @@ def bench_scaling(sizes: Sequence[tuple[int, int]], k: int = 10, t_abs: int = 3,
                 # floored after a nudge far above the quotient's rounding error
                 wall_ms, retained = _timed(lambda: filter_pairs_naive(v_mat, m_mat, t_abs / k))
             else:
+                m, cost = plan_index(p, q, k, t_abs)
+                logger.info("filter plan: indexed %s", _plan_text(p, q, k, m, cost))
                 try:
                     wall_ms, retained = _timed(
-                        lambda: filter_pairs_indexed(v_mat, build_index(m_mat, t_abs)))
+                        lambda: filter_pairs_indexed(v_mat, build_index(m_mat, t_abs, m)))
                 except MemoryCapExceeded:
                     rows.append(ScalingRow(p, q, k, t_abs, method, "refused", None, None))
                     continue

@@ -15,6 +15,17 @@ mismatch positions, and variants with fewer wildcards can only repeat pairs
 the maximal ones already find.  An index over q sequences therefore holds
 q * C(k, t_abs) entries.
 
+That count explodes with k (C(60, 18) is about 9e14), so the filter splits
+the k positions into m contiguous blocks whose lengths differ by at most
+one, and indexes each block on its own with budget floor(t_abs / m)
+(multi-index hashing: Norouzi, Punjani & Fleet, CVPR 2012; Manku, Jain &
+Das Sarma, WWW 2007).  A pair within t_abs mismatches has at most that many
+in some block, since m blocks each over it would hold more than t_abs, so
+the union of the blocks' pairs holds every true pair.  Per block the index
+holds q * C(length, floor(t_abs / m)) entries, and the q * C(k, t_abs) above
+is the one block of m = 1, the paper's index, which `build_index` builds by
+default.  `plan_index` picks m for the filter by cost within the memory cap.
+
 A key is one sum for every k: over the unmasked positions p of a variant,
 (code_p + 1) * MIX^(p+1) mod 2^64.  A wildcard adds nothing and every code
 a nonzero term, so a mask's key is the sequence's full sum less the terms at
@@ -41,7 +52,7 @@ from .errors import (
     DataError,
     MemoryCapExceeded,
 )
-from .model import MotionDataset, VisualDataset, label_codes
+from .model import ActivityLabel, MotionDataset, VisualDataset, label_codes
 
 logger = logging.getLogger(__name__)
 
@@ -84,37 +95,57 @@ def wildcard_expansions(seq: Sequence, t_abs: int) -> frozenset[bytes]:
     return frozenset(out)
 
 
-def estimate_index_memory(q: int, k: int, t_abs: int) -> int:
-    """Upper bound on the peak bytes of building an index over q length-k
-    sequences, checked against the tracemalloc peak in the tests."""
-    masks = math.comb(k, t_abs)
-    entries = q * masks
-    # an entry is one 8-byte word, packed and sorted in place; per sequence
-    # come its k position terms and their sum (8k + 8), its row number and
-    # its codes; per mask, its tuple.  A sixteenth on top covers allocator
-    # and sort-kernel differences between numpy builds.
-    base = entries * 8 + q * (9 * k + 16) + masks * (150 + 8 * t_abs)
-    return base + base // 16 + 64 * 1024
+def _blocks(k: int, m: int) -> list[tuple[int, int]]:
+    """(start, stop) of m contiguous blocks over k positions whose lengths
+    differ by at most one."""
+    edges = [i * k // m for i in range(m + 1)]
+    return list(zip(edges, edges[1:]))
 
 
-def estimate_query_memory(p: int, k: int, t_abs: int, raw_hits: int = 0) -> int:
+def _block_lengths(k: int, m: int) -> list[tuple[int, int]]:
+    """(length, count) of the `_blocks(k, m)`: k % m of them are one longer."""
+    short, extra = divmod(k, m)
+    return [(length, count) for length, count in ((short + 1, extra), (short, m - extra))
+            if count]
+
+
+def estimate_index_memory(q: int, k: int, t_abs: int, m: int = 1) -> int:
+    """Upper bound on the peak bytes of building an m-block index over q
+    length-k sequences, checked against the tracemalloc peak in the tests."""
+    budget, total = t_abs // m, 0
+    for length, count in _block_lengths(k, m):
+        masks = math.comb(length, budget)
+        # an entry is one 8-byte word, packed and sorted in place; per
+        # sequence come the block's position terms and their sum (8 * length
+        # + 8), its row number and its codes; per mask, its tuple.  A
+        # sixteenth on top covers allocator and sort-kernel differences
+        # between numpy builds.
+        base = q * masks * 8 + q * (9 * length + 16) + masks * (150 + 8 * budget)
+        total += count * (base + base // 16 + 64 * 1024)
+    return total
+
+
+def estimate_query_memory(p: int, k: int, t_abs: int, raw_hits: int = 0, m: int = 1) -> int:
     """Upper bound on the peak bytes a query of p length-k sequences
-    allocates against a built index, checked against the tracemalloc peak
-    in the tests.  `raw_hits`, the (query key, index entry) matches to
-    expand, is known only once the keys have been looked up."""
-    keys = p * math.comb(k, t_abs)
+    allocates against a built m-block index, checked against the
+    tracemalloc peak in the tests.  `raw_hits`, the (query key, index
+    entry) matches to expand over all blocks, is known only once the keys
+    have been looked up."""
+    keys = p * sum(count * math.comb(length, t_abs // m) for length, count in _block_lengths(k, m))
     # Per query sequence, its k position terms and their sum, its row number
-    # and its codes, as in the build.  Per query key, the lookup keeps its
-    # packed word, lower bound and hit mask (17 bytes) and briefly holds the
-    # clamped bound, the gathered index word and their xor: 33.  Per raw hit,
-    # since a hit key has at least one hit and no more pairs come out than
-    # hits go in: 24 toward the hit keys' bounds, words, counts and start
-    # offsets (40 bytes each, 16 of them in the freed lookup temporaries);
-    # 41 for the hit's index position and the count added to it, the
-    # first-occurrence mask and a pair code, row and id; and the most any
-    # one later stage adds: the replaced rows and ids (16), the distance
-    # check's gathered sequences, mismatch mask and count (3k + 8), or the
-    # distances, their mask and the kept rows, ids and distances (33).
+    # and its codes, as in the build.  Per query key of any block, the lookup
+    # keeps its packed word, lower bound and hit mask (17 bytes) and briefly
+    # holds the clamped bound, the gathered index word and their xor: 33.
+    # Per raw hit of all blocks, since a hit key has at least one hit and no
+    # more pairs come out than hits go in: 24 toward the hit keys' bounds,
+    # words, counts and start offsets (40 bytes each, 16 of them in the freed
+    # lookup temporaries); 41 for the hit's index position and the count
+    # added to it, or its id and pair code beside the earlier blocks' codes
+    # and their concatenation, then the first-occurrence mask and a pair
+    # code, row and id; and the most any one later stage adds: the replaced
+    # rows and ids (16), the distance check's gathered sequences, mismatch
+    # mask and count (3k + 8), or the distances, their mask and the kept
+    # rows, ids and distances (33).
     per_hit = 24 + 41 + max(16, 3 * k + 8, 33)
     base = keys * 33 + raw_hits * per_hit + p * (9 * k + 16)
     return base + base // 16 + 64 * 1024
@@ -144,25 +175,25 @@ def _id_bits(m: int) -> int:
     return max((m - 1).bit_length(), 1)
 
 
-def _pack(mat: np.ndarray, t_abs: int, row_bits: int) -> np.ndarray:
+def _pack(mat: np.ndarray, t_abs: int, row_bits: int, out: np.ndarray | None = None) -> np.ndarray:
     """Sorted words of every row of `mat` under every size-t_abs mask: the top
     bits of the key, the row's sum of position terms less the mask's, above the
-    row in the low `row_bits`."""
-    m, k = mat.shape
+    row in the low `row_bits`.  They are written into `out` when given."""
+    n, k = mat.shape
     masks = list(itertools.combinations(range(k), t_abs))
     powers = np.array([pow(MIX, p + 1, 1 << 64) for p in range(k)], dtype=np.uint64)
-    terms = mat.T.astype(np.uint64, order="C")  # (k, m): a position's terms contiguous
+    terms = mat.T.astype(np.uint64, order="C")  # (k, n): a position's terms contiguous
     terms += 1
     terms *= powers[:, None]
     full = terms.sum(axis=0, dtype=np.uint64)
-    words = np.empty((len(masks), m), dtype=np.uint64)
+    words = np.empty((len(masks), n), dtype=np.uint64) if out is None else out.reshape(len(masks), n)
     for block, mask in zip(words, masks):
         block[...] = full
         for pos in mask:
             block -= terms[pos]
     del terms, full
     words &= _FULL ^ ((1 << row_bits) - 1)
-    words |= np.arange(m, dtype=np.uint64)
+    words |= np.arange(n, dtype=np.uint64)
     words = words.reshape(-1)
     words.sort()
     return words
@@ -171,20 +202,24 @@ def _pack(mat: np.ndarray, t_abs: int, row_bits: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class WildcardIndex:
-    """Sorted maximal-mask entries: each word holds a key and the row that produced it."""
+    """Sorted maximal-mask entries of each of m position blocks: each word
+    holds a key of its block and the row that produced it."""
 
-    def __init__(self, codes: np.ndarray, t_abs: int, words: np.ndarray):
+    def __init__(self, codes: np.ndarray, t_abs: int, words: np.ndarray, blocks: list):
         self.codes = codes
         self.t_abs = t_abs
         self.k = codes.shape[1]
         self.size = codes.shape[0]
         self.entry_count = int(words.size)
-        self._words = words  # sorted, one per (sequence, size-t_abs mask)
+        self._words = words  # every block's sorted words in turn, one per (sequence, block mask)
+        self.blocks = blocks  # (start, stop, its slice of _words) per position block
 
 
-def build_index(codes, t_abs: int) -> WildcardIndex:
+def build_index(codes, t_abs: int, m: int = 1) -> WildcardIndex:
     """Expand and sort the keys lookups run against, over a (q, k) matrix
-    of codes, checked by `label_codes` (never cast).
+    of codes, checked by `label_codes` (never cast): with m = 1, the
+    paper's index; with m blocks, one sub-index per block at budget
+    floor(t_abs / m), for `plan_index` to choose.
 
     Refuses with MemoryCapExceeded when the documented estimate blows
     the cap (MOTIONLINK_MEMORY_CAP or 8 GiB by default).
@@ -194,15 +229,25 @@ def build_index(codes, t_abs: int) -> WildcardIndex:
         raise DataError(f"expected a (q, k) code matrix, got shape {codes.shape}")
     q, k = codes.shape
     _check_budget(k, t_abs)
-    estimate = estimate_index_memory(q, k, t_abs)
+    if not 1 <= m <= k:
+        raise ConfigError(f"block count must lie in [1, k={k}], got {m}")
+    estimate = estimate_index_memory(q, k, t_abs, m)
     cap = _resolve_cap()
+    budget = t_abs // m
+    entries = q * sum(count * math.comb(length, budget) for length, count in _block_lengths(k, m))
     logger.info(
-        "index build: q=%d k=%d t_abs=%d entries=%d estimated %.1f MiB (cap %.1f MiB)",
-        q, k, t_abs, q * math.comb(k, t_abs),
-        estimate / 1024 ** 2, cap / 1024 ** 2,
+        "index build: q=%d k=%d t_abs=%d m=%d entries=%d estimated %.1f MiB (cap %.1f MiB)",
+        q, k, t_abs, m, entries, estimate / 1024 ** 2, cap / 1024 ** 2,
     )
-    _refuse_over(cap, estimate, f"index over q={q} k={k} t_abs={t_abs}")
-    return WildcardIndex(codes, t_abs, _pack(codes, t_abs, _id_bits(q)))
+    _refuse_over(cap, estimate, f"index over q={q} k={k} t_abs={t_abs} m={m}")
+    words, at, blocks = np.empty(entries, dtype=np.uint64), 0, []
+    for start, stop in _blocks(k, m):
+        size = q * math.comb(stop - start, budget)
+        out = words[at:at + size]
+        _pack(codes[:, start:stop], budget, _id_bits(q), out=out)
+        blocks.append((start, stop, out))
+        at += size
+    return WildcardIndex(codes, t_abs, words, blocks)
 
 
 def filter_pairs_indexed(v_mat: np.ndarray, index: WildcardIndex):
@@ -211,46 +256,52 @@ def filter_pairs_indexed(v_mat: np.ndarray, index: WildcardIndex):
 
     Refuses with MemoryCapExceeded when the index plus the query's
     estimated peak would blow the cap: once before the query keys are
-    expanded, and again, with the raw hits counted, before those are.
+    expanded, and again after each block, with the raw hits so far counted,
+    before that block's are.
     """
     v_mat = np.ascontiguousarray(label_codes(v_mat, "query matrix"))
     if v_mat.ndim != 2 or v_mat.shape[1] != index.k:
         raise DataError(f"query matrix must be (p, {index.k}), got {v_mat.shape}")
     p, k = v_mat.shape
+    m, t_abs = len(index.blocks), index.t_abs
     cap = _resolve_cap()
     resident = index._words.nbytes + index.codes.nbytes
-    what = f"query of p={p} k={k} t_abs={index.t_abs}"
-    _refuse_over(cap, resident + estimate_query_memory(p, k, index.t_abs), what)
+    what = f"query of p={p} k={k} t_abs={t_abs} m={m}"
+    _refuse_over(cap, resident + estimate_query_memory(p, k, t_abs, 0, m), what)
     # with p > q the row field widens, so fewer key bits are compared
     b = _id_bits(index.size)
     row_bits = max(b, _id_bits(p))
     low = (1 << row_bits) - 1
-    words = _pack(v_mat, index.t_abs, row_bits)
-    ix = index._words
-    n = ix.size
-    lo = np.searchsorted(ix, words & (_FULL ^ low), side="left")
-    hit = lo < n
-    if n:
-        hit &= (ix[np.minimum(lo, n - 1)] ^ words) <= low
-    if not hit.any():
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, empty.copy()
-    h_lo, h_words = lo[hit], words[hit]
-    h_hi = np.searchsorted(ix, h_words | low, side="right")
-    counts = h_hi - h_lo
-    total = int(counts.sum())
-    _refuse_over(cap, resident + estimate_query_memory(p, k, index.t_abs, total),
-                 f"{what} with {total} raw hits")
-    # hit j of a key sits at its lower bound plus j: the bound less the hits
-    # before the key, repeated per hit, plus the hit's overall number
-    at = np.repeat(h_lo - (np.cumsum(counts) - counts), counts)
-    at += np.arange(total)
-    ids = (ix[at] & ((1 << b) - 1)).view(np.int64)
-    del at  # per raw hit; free it before the sort and distance check
-    rows = np.repeat((h_words & low).view(np.int64), counts)
+    found, total = [], 0
+    for start, stop, ix in index.blocks:
+        words = _pack(v_mat[:, start:stop], t_abs // m, row_bits)
+        n = ix.size
+        lo = np.searchsorted(ix, words & (_FULL ^ low), side="left")
+        hit = lo < n
+        if n:
+            hit &= (ix[np.minimum(lo, n - 1)] ^ words) <= low
+        h_lo, h_words = lo[hit], words[hit]
+        del words, lo, hit  # per query key; free them before the hits expand
+        counts = np.searchsorted(ix, h_words | low, side="right") - h_lo
+        hits = int(counts.sum())
+        total += hits
+        _refuse_over(cap, resident + estimate_query_memory(p, k, t_abs, total, m),
+                     f"{what} with {total} raw hits")
+        # hit j of a key sits at its lower bound plus j: the bound less the
+        # hits before the key, repeated per hit, plus the hit's block-wide number
+        at = np.repeat(h_lo - (np.cumsum(counts) - counts), counts)
+        at += np.arange(hits)
+        ids = (ix[at] & ((1 << b) - 1)).view(np.int64)
+        del at
+        codes = np.repeat((h_words & low).view(np.int64), counts)
+        codes *= index.size
+        codes += ids
+        found.append(codes)
+        del ids, codes, h_lo, h_words, counts  # before the next block packs its keys
     # a pair at distance d < t_abs is found once per mask covering its
-    # mismatches: sort in place and keep each code's first occurrence
-    pair_codes = rows * index.size + ids
+    # mismatches in each block: sort in place, keep each code's first occurrence
+    pair_codes = np.concatenate(found)
+    del found
     pair_codes.sort()
     first = np.ones(total, dtype=bool)
     np.not_equal(pair_codes[1:], pair_codes[:-1], out=first[1:])
@@ -258,24 +309,76 @@ def filter_pairs_indexed(v_mat: np.ndarray, index: WildcardIndex):
     del first
     rows, ids = pair_codes // index.size, pair_codes % index.size
     dists = mismatch_counts(v_mat[rows], index.codes[ids])[0]
-    # equal truncated keys do not prove a match; the count does
-    within = dists <= index.t_abs
+    # equal truncated keys do not prove a match, nor does one block's; the count does
+    within = dists <= t_abs
     if not within.all():
         rows, ids, dists = rows[within], ids[within], dists[within]
     return rows, ids, dists
 
 
+# ---------------------------------------------------------------------------
+# the plan
+
+# Index costs in naive (pair, window) cells: per window of a block entry, per
+# window of a whole row per raw hit (the count that confirms it), and per
+# block.  On a 2-core host, over 18 `bench_matrices` and cohort shapes at k 10
+# to 60, the cheapest estimate picked the fastest m on 16 and an m within
+# 1.7x of it on the other two; fit again when either path's cost changes.
+_INDEX_CELLS = 0.7
+_INDEX_HIT_CELLS = 2
+_INDEX_CALL_CELLS = 10 ** 5
+
+
+def _index_cost(p: int, q: int, k: int, t_abs: int, m: int) -> float:
+    """Estimated cells of the m-block index filter: per block of length L at
+    budget b, C(L, b) entries per row, and the raw hits of keys that fix
+    L - b positions, under uniform labels p * q * C(L, b) * 8^-(L - b), the
+    binomial from logs."""
+    budget, cost = t_abs // m, 0.0
+    for length, count in _block_lengths(k, m):
+        log_masks = (math.lgamma(length + 1) - math.lgamma(budget + 1)
+                     - math.lgamma(length - budget + 1))
+        masks = math.exp(min(log_masks, 700.0))  # e^700 cells outcost any scan
+        hits = p * q * (masks * len(ActivityLabel) ** -float(length - budget))
+        cost += count * (_INDEX_CELLS * length * (p + q) * masks
+                         + _INDEX_HIT_CELLS * k * hits + _INDEX_CALL_CELLS)
+    return cost
+
+
+def plan_index(p: int, q: int, k: int, t_abs: int) -> tuple[int, float]:
+    """(m, cost): the block count of the cheapest index filter of p query
+    rows against q indexed rows of k positions at budget t_abs, among those
+    whose estimated build and query memory fits the cap, and its estimated
+    cost in naive (pair, window) cells.
+
+    Blocks past t_abs + 1 only shorten the blocks at budget 0, so m runs
+    over 1..min(k, t_abs + 1).  When no m fits, the one with the smallest
+    estimate is returned, for the build or the query to refuse.  Reads the
+    cap, so a malformed MOTIONLINK_MEMORY_CAP raises ConfigError here.
+    """
+    cap = _resolve_cap()
+    plans = []
+    for m in range(1, max(1, min(k, t_abs + 1)) + 1):
+        need = estimate_index_memory(q, k, t_abs, m) + estimate_query_memory(p, k, t_abs, 0, m)
+        cost = _index_cost(p, q, k, t_abs, m)
+        plans.append(((need > cap, cost if need <= cap else need), m, cost))
+    _, m, cost = min(plans)
+    return m, cost
+
+
 def filter_with_index(visual: VisualDataset, motion: MotionDataset, t_abs: int):
     """Index-backed equivalent of the naive absolute-budget activity filter:
     the same CandidatePairSet, distances included, that the naive scan
-    produces.  The grids, the budget and the cap on the index and its
-    query are checked before anything is built.
+    produces, from the index `plan_index` chooses.  The grids, the budget
+    and the cap on the index and its query are checked before anything is
+    built.
     """
     k = _common_grid(visual, motion)
     _check_budget(k, t_abs)
     p, q = len(visual), len(motion)
-    need = estimate_index_memory(q, k, t_abs) + estimate_query_memory(p, k, t_abs)
+    m, _ = plan_index(p, q, k, t_abs)
+    need = estimate_index_memory(q, k, t_abs, m) + estimate_query_memory(p, k, t_abs, 0, m)
     _refuse_over(_resolve_cap(), need,
-                 f"index over q={q} k={k} t_abs={t_abs} and its query of p={p}")
-    index = build_index(motion.codes, t_abs)
+                 f"index over q={q} k={k} t_abs={t_abs} and its query of p={p} at m={m}")
+    index = build_index(motion.codes, t_abs, m)
     return CandidatePairSet(visual.ids, motion.ids, *filter_pairs_indexed(visual.codes, index))

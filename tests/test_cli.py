@@ -21,7 +21,7 @@ from motionlink.engine import read_rankings_jsonl
 from motionlink.errors import ConfigError
 from motionlink.model import SensorPosition
 from motionlink.pipeline import MOTION_FEATURE_DIM
-from motionlink.windex import estimate_index_memory
+from motionlink.windex import estimate_index_memory, plan_index
 
 
 def write_spec(path, **overrides):
@@ -418,6 +418,18 @@ class TestCorrelate:
         assert "MOTIONLINK_MEMORY_CAP must be an integer" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [[], ["--restricted"]])
+    def test_malformed_memory_cap_exits_2_where_the_scan_is_planned(
+            self, dataset, tmp_path, monkeypatch, capsys, flags):
+        # 6 x 24 windows plan the naive scan, and a restricted set rules the
+        # index out; the cap is read before the plan all the same
+        monkeypatch.setenv("MOTIONLINK_MEMORY_CAP", "8GiB")
+        out = tmp_path / "r.jsonl"
+        assert main(["correlate", "--visual", dataset["visual"], "--motion", dataset["motion"],
+                     "--out", str(out)] + flags) == EXIT_CONFIG
+        assert "MOTIONLINK_MEMORY_CAP must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_memory_cap_covers_the_index_query(self, wide_dataset, tmp_path, monkeypatch,
                                                caplog):
         # 150 x 12 windows at t_norm 0.1: t_abs 1.  The cap clears the build
@@ -433,6 +445,21 @@ class TestCorrelate:
         assert "index refused: index over q=150 k=12 t_abs=1 and its query" in caplog.text
         assert ((tmp_path / "naive.jsonl").read_bytes()
                 == (tmp_path / "indexed.jsonl").read_bytes())
+
+    def test_filter_plan_goes_to_stderr_only(self, dataset, tmp_path, capsys):
+        # one plan line per run on stderr, naming m; stdout is the summary alone
+        out = tmp_path / "r.jsonl"
+        argv = ["correlate", "--visual", dataset["visual"], "--motion", dataset["motion"],
+                "--out", str(out)]
+        for _ in range(2):
+            assert main(argv) == EXIT_OK
+            captured = capsys.readouterr()
+            assert captured.out == f"ranked 6 avatars (6 with candidates) -> {out}\n"
+            plans = [l for l in captured.err.splitlines() if "filter plan:" in l]
+            assert len(plans) == 1
+            assert plans[0].startswith("motionlink.engine: filter plan: naive for p=6 q=6 n=24, ")
+            assert " at m=" in plans[0]
+        assert not logging.getLogger("motionlink").handlers
 
     def test_config_file_with_flag_override(self, dataset, tmp_path):
         cfg = tmp_path / "run.json"
@@ -484,6 +511,19 @@ class TestBench:
         assert [r["method"] for r in rows] == ["naive", "indexed"]
         assert all(r["status"] == "ok" for r in rows)
         assert rows[0]["pairs_retained"] == rows[1]["pairs_retained"]
+
+    def test_indexed_rows_log_their_plan_to_stderr(self, tmp_path, capsys):
+        out = tmp_path / "scaling.csv"
+        assert main(["bench", "--sizes", "100x100", "--k", "60", "--t-abs", "18",
+                     "--out", str(out)]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert [l.split(":")[0] for l in captured.out.splitlines()] == [
+            "naive 100x100", "indexed 100x100"]
+        plans = [l for l in captured.err.splitlines() if "filter plan:" in l]
+        m, _ = plan_index(100, 100, 60, 18)
+        assert len(plans) == 1 and plans[0].endswith(f" at m={m}")
+        assert plans[0].startswith(
+            "motionlink.evalbench: filter plan: indexed for p=100 q=100 n=60, ")
 
     def test_naive_cutoff_marks_row_skipped(self, tmp_path):
         out = tmp_path / "scaling.csv"

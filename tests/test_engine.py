@@ -402,25 +402,32 @@ def planned(monkeypatch, p, q, n, t_abs, restricted=None):
     return ran
 
 
-@pytest.mark.parametrize("p, q, n, t_abs, restricted, plan", [
-    (200, 200, 60, 18, None, "naive"),       # cohort_e2e
-    (120, 120, 30, 24, None, "naive"),       # rank_heavy
-    (10, 10, 40, 16, None, "naive"),         # trace_align
-    (2000, 2000, 60, 18, None, "naive"),     # the README's 2000 x 60 cohort at t_norm 0.3
-    (2000, 2000, 60, 3, None, "naive"),      # the index takes seconds, the scan 0.3 s
-    (2000, 2000, 60, 2, None, "naive"),
-    (1000, 1000, 60, 59, None, "naive"),     # few keys, but each matches most rows
-    (300, 300, 16, 16, None, "naive"),       # t_norm 1: every pair is kept
-    (271, 271, 60, 0, frozenset({L.WALKING}), "naive"),
-    (10_000, 10_000, 10, 3, frozenset(L), "naive"),
-    (10_000, 10_000, 10, 3, None, "indexed"),  # c02's 10^4 row
-    (271, 271, 60, 0, None, "indexed"),      # c07 at t_norm 0
-    (2000, 2000, 60, 1, None, "indexed"),
+@pytest.mark.parametrize("p, q, n, t_abs, restricted, plan, m", [
+    (200, 200, 60, 18, None, "indexed", 10),  # cohort_e2e: 2.9 ms against the scan's 3.4 ms
+    (120, 120, 30, 24, None, "naive", None),   # rank_heavy
+    (10, 10, 40, 16, None, "naive", None),     # trace_align
+    (2000, 2000, 60, 18, None, "indexed", 10),  # the README's 2000 x 60 cohort at t_norm 0.3
+    (2000, 2000, 60, 3, None, "indexed", 4),   # 1.3 ms against the scan's 0.23 s
+    (2000, 2000, 60, 2, None, "indexed", 3),
+    (1000, 1000, 60, 59, None, "naive", None),  # short blocks match most rows
+    (300, 300, 16, 16, None, "naive", None),   # t_norm 1: every pair is kept
+    (271, 271, 60, 0, frozenset({L.WALKING}), "naive", None),
+    (10_000, 10_000, 10, 3, frozenset(L), "naive", None),
+    (10_000, 10_000, 10, 3, None, "indexed", 2),  # c02's 10^4 row and filter_scale's k10 call
+    (2000, 2000, 20, 2, None, "indexed", 3),   # filter_scale's k20 call
+    (1000, 10_000, 10, 3, None, "indexed", 2),  # filter_scale's naive-against-indexed call
+    (271, 271, 60, 0, None, "indexed", 1),     # c07 at t_norm 0
+    (2000, 2000, 60, 1, None, "indexed", 2),
 ], ids=["cohort_e2e", "rank_heavy", "trace_align", "readme-cohort", "k60-t3", "k60-t2",
-        "k60-t59", "t-norm-one", "restricted-c07", "restricted-c02", "c02", "c07-exact",
-        "k60-t1"])
-def test_filter_plans_by_cost(monkeypatch, p, q, n, t_abs, restricted, plan):
+        "k60-t59", "t-norm-one", "restricted-c07", "restricted-c02", "c02", "filter_scale-k20",
+        "filter_scale-naive", "c07-exact", "k60-t1"])
+def test_filter_plans_by_cost(monkeypatch, caplog, p, q, n, t_abs, restricted, plan, m):
+    caplog.set_level(logging.INFO, logger="motionlink.engine")
     assert planned(monkeypatch, p, q, n, t_abs, restricted) == [plan]
+    assert f"filter plan: {plan} " in caplog.text
+    if m is not None:
+        assert windex.plan_index(p, q, n, t_abs)[0] == m
+        assert caplog.text.rstrip().endswith(f"at m={m}")
 
 
 def test_filter_plans_the_naive_scan_over_zero_windows(monkeypatch):

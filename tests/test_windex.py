@@ -220,6 +220,62 @@ def test_index_equals_brute_force_property(case):
     assert [a.tolist() for a in naive] == [e_rows.tolist(), e_ids.tolist(), e_dists.tolist()]
 
 
+@st.composite
+def block_cases(draw):
+    """`index_cases` for k up to 64 with a block count: every m from 1 to
+    min(k, t_abs + 2), so t_abs < m too, or None for the planned one."""
+    k = draw(st.one_of(st.integers(1, 64), st.sampled_from([15, 16])), label="k")
+    t_abs = draw(st.sampled_from(sorted({0, 1, 2, k - 1, k} & set(range(k + 1)))),
+                 label="t_abs")
+    m = draw(st.none() | st.integers(1, min(k, t_abs + 2)), label="m")
+    q = draw(st.integers(1, 12), label="q")
+    p = draw(st.integers(1, 12), label="p")
+    alphabet = draw(st.sampled_from([2, 8]), label="alphabet")
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    m_mat = rng.integers(0, alphabet, (q, k)).astype(np.uint8)
+    m_mat[rng.random(q) < 0.3] = m_mat[0]
+    v_mat = m_mat[rng.integers(0, q, p)]
+    for row in v_mat:
+        flips = rng.choice(k, size=int(rng.integers(0, min(t_abs + 2, k) + 1)), replace=False)
+        row[flips] = (row[flips] + rng.integers(1, alphabet, flips.size)) % alphabet
+    v_mat[rng.random(p) < 0.2] = m_mat[-1]
+    return v_mat, m_mat, t_abs, m
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_cases())
+def test_block_index_equals_brute_force_property(case):
+    v_mat, m_mat, t_abs, m = case
+    if m is None:
+        m, _ = windex.plan_index(len(v_mat), len(m_mat), v_mat.shape[1], t_abs)
+    index = build_index(m_mat, t_abs, m)
+    budget = t_abs // m
+    assert index.entry_count == len(m_mat) * sum(
+        math.comb(stop - start, budget) for start, stop, _ in index.blocks)
+    rows, ids, dists = filter_pairs_indexed(v_mat, index)
+    e_rows, e_ids, e_dists = brute_arrays(v_mat, m_mat, t_abs)
+    assert rows.tolist() == e_rows.tolist()
+    assert ids.tolist() == e_ids.tolist()
+    assert dists.tolist() == e_dists.tolist()
+
+
+def test_blocks_tile_the_positions_evenly():
+    for k in range(1, 70):
+        for m in range(1, k + 1):
+            blocks = windex._blocks(k, m)
+            assert len(blocks) == m and blocks[0][0] == 0 and blocks[-1][1] == k
+            assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+            lengths = {stop - start for start, stop in blocks}
+            assert max(lengths) - min(lengths) <= 1
+
+
+def test_block_count_is_checked():
+    mat = np.zeros((3, 5), dtype=np.uint8)
+    for m in (0, 6):
+        with pytest.raises(ConfigError, match="block count"):
+            build_index(mat, 2, m)
+
+
 @pytest.mark.parametrize("k", [16, 15])
 def test_hash_collisions_are_dropped_by_the_distance_check(monkeypatch, k):
     # MIX = 0 makes every position term, and so every key, 0: every variant
@@ -372,6 +428,53 @@ def test_query_estimate_bounds_measured_query_peak(monkeypatch):
                     tracemalloc.stop()
                 assert len(estimates) == 2 and max(estimates) >= peak, \
                     (q, k, t_abs, estimates, peak)
+
+
+def block_memory_cases():
+    """(q, k, t_abs, m) with m > 1 for q in {10^3, 10^4} and k in {10, 20,
+    60}, where the m-block build stays under 64 MiB."""
+    for q in (1_000, 10_000):
+        for k, budgets in ((10, (1, 3)), (20, (2, 5)), (60, (3, 18))):
+            for t_abs in budgets:
+                for m in range(2, t_abs + 3):
+                    if estimate_index_memory(q, k, t_abs, m) <= 64 * 1024 ** 2:
+                        yield q, k, t_abs, m
+
+
+def test_block_memory_estimates_bound_measured_peaks(monkeypatch):
+    # the build's peak, and the query's against a built index, under the
+    # estimates summed over the blocks; the query is checked once before
+    # its keys and once per block, with the raw hits so far
+    estimates = []
+    monkeypatch.setattr(windex, "estimate_query_memory",
+                        lambda *args: estimates.append(estimate_query_memory(*args))
+                        or estimates[-1])
+    rng = np.random.default_rng(41)
+    cases = list(block_memory_cases())
+    assert {(q, k) for q, k, _, _ in cases} == {(q, k) for q in (1_000, 10_000)
+                                                 for k in (10, 20, 60)}
+    for q, k, t_abs, m in cases:
+        mat = rng.integers(0, 8, (q, k)).astype(np.uint8)
+        queries = mat[rng.integers(0, q, 500)]
+        flip = rng.random(queries.shape) < 0.15
+        queries[flip] = rng.integers(0, 8, flip.sum())
+        tracemalloc.start()
+        try:
+            index = build_index(mat, t_abs, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        estimate = estimate_index_memory(q, k, t_abs, m)
+        assert estimate >= peak, (q, k, t_abs, m, estimate, peak)
+        estimates.clear()
+        tracemalloc.start()
+        try:
+            filter_pairs_indexed(queries, index)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(estimates) == m + 1 and max(estimates) >= peak, \
+            (q, k, t_abs, m, estimates, peak)
 
 
 def test_query_cap_refusal(monkeypatch):
