@@ -61,7 +61,6 @@ from .synth import (
 from .windex import (
     WildcardIndex,
     build_index,
-    expansion_count,
     filter_with_index,
 )
 
@@ -99,7 +98,6 @@ __all__ = [
     "correlate",
     "correlate_with_alignment",
     "evaluate",
-    "expansion_count",
     "filter_with_index",
     "generate_cohort",
     "generate_sessions",

@@ -205,34 +205,35 @@ def activity_filter(visual: VisualDataset, motion: MotionDataset,
     (`filter_pairs_naive`) compares all p * q * n (pair, window) cells; the
     wildcard index (`windex.filter_with_index`) finds the same pairs instead
     when no label set is restricted and the m-block index `windex.plan_index`
-    picks within the memory cap costs less.  The plan, both costs, m and any
-    refusal are logged at INFO.  The cap is read first, so a malformed one
-    raises ConfigError whichever path runs.
+    picks within the memory cap costs less.  An index the plan or its query
+    refuses over the cap falls back to the scan.  The plan, both costs, m
+    and any refusal are logged at INFO.  The cap is read first, so a
+    malformed one raises ConfigError whichever path runs.
     """
     from .windex import filter_with_index, plan_index  # windex imports this module
 
     n = _common_grid(visual, motion)
     p, q, t_abs = len(visual), len(motion), mismatch_budget(config.t_norm, n)
-    m, cost = plan_index(p, q, n, t_abs)
-    if config.restricted is not None:
-        cost = math.inf
-    plan = _plan_text(p, q, n, m, cost)
-    if cost < p * q * n:
-        try:
+    plan = _plan_text(p, q, n)
+    try:
+        m, cost = plan_index(p, q, n, t_abs)
+        if config.restricted is not None:
+            cost = math.inf
+        plan += f", index {cost:.3g} at m={m}"
+        if cost < p * q * n:
             pairs = filter_with_index(visual, motion, t_abs)
-        except MemoryCapExceeded as exc:
-            plan += f"; index refused: {exc}"
-        else:
             logger.info("filter plan: indexed %s", plan)
             return pairs
+    except MemoryCapExceeded as exc:
+        plan += f"; index refused: {exc}"
     logger.info("filter plan: naive %s", plan)
     return CandidatePairSet(visual.ids, motion.ids, *filter_pairs_naive(
         visual.codes, motion.codes, config.t_norm, config.restricted))
 
 
-def _plan_text(p: int, q: int, n: int, m: int, cost: float) -> str:
-    """The logged details of a filter plan over p x q rows of n windows."""
-    return f"for p={p} q={q} n={n}, cost in cells: naive {p * q * n}, index {cost:.3g} at m={m}"
+def _plan_text(p: int, q: int, n: int) -> str:
+    """The logged scan side of a filter plan over p x q rows of n windows."""
+    return f"for p={p} q={q} n={n}, cost in cells: naive {p * q * n}"
 
 
 # ---------------------------------------------------------------------------

@@ -406,8 +406,8 @@ def bench_scaling(sizes: Sequence[tuple[int, int]], k: int = 10, t_abs: int = 3,
     Dataset generation is excluded from the clock.  Naive rows whose p*q
     reaches `naive_cutoff` are emitted with status "skipped".  An indexed
     row times the m-block index `windex.plan_index` picks, and logs that
-    plan at INFO; an index build or query refused by the memory cap becomes
-    status "refused".
+    plan at INFO; an index the plan refuses over the memory cap, before it
+    builds, or the query refuses on its raw hits becomes status "refused".
     The retained-pair count is deterministic given the seed; wall times
     are not.  Raises DataError when both methods measure a size and retain
     different pair counts.
@@ -429,9 +429,10 @@ def bench_scaling(sizes: Sequence[tuple[int, int]], k: int = 10, t_abs: int = 3,
                 # floored after a nudge far above the quotient's rounding error
                 wall_ms, retained = _timed(lambda: filter_pairs_naive(v_mat, m_mat, t_abs / k))
             else:
-                m, cost = plan_index(p, q, k, t_abs)
-                logger.info("filter plan: indexed %s", _plan_text(p, q, k, m, cost))
                 try:
+                    m, cost = plan_index(p, q, k, t_abs)
+                    logger.info("filter plan: indexed %s, index %.3g at m=%d",
+                                _plan_text(p, q, k), cost, m)
                     wall_ms, retained = _timed(
                         lambda: filter_pairs_indexed(v_mat, build_index(m_mat, t_abs, m)))
                 except MemoryCapExceeded:

@@ -3,11 +3,11 @@
 The naive filter compares every visual sequence against every motion
 sequence, O(p*q*k).  The paper's index instead expands each length-k
 sequence into every variant with up to t_abs positions replaced by a
-wildcard, sum_{i=0..t_abs} C(k, i) keys per sequence (`wildcard_expansions`
-enumerates them).  Two sequences lie within Hamming distance t_abs exactly
-when they share a variant whose wildcard positions cover all their
-mismatches, so a lookup replaces the quadratic scan: build O(q), query O(p),
-each scaled by the per-sequence key count.
+wildcard, sum_{i=0..t_abs} C(k, i) keys per sequence.  Two sequences lie
+within Hamming distance t_abs exactly when they share a variant whose
+wildcard positions cover all their mismatches, so a lookup replaces the
+quadratic scan: build O(q), query O(p), each scaled by the per-sequence key
+count.
 
 Only maximal-mask variants are stored: any pair at distance d <= t_abs
 shares a variant whose wildcard set is some size-t_abs superset of its
@@ -24,7 +24,10 @@ in some block, since m blocks each over it would hold more than t_abs, so
 the union of the blocks' pairs holds every true pair.  Per block the index
 holds q * C(length, floor(t_abs / m)) entries, and the q * C(k, t_abs) above
 is the one block of m = 1, the paper's index, which `build_index` builds by
-default.  `plan_index` picks m for the filter by cost within the memory cap.
+default.  `plan_index` picks m for the filter by cost within the memory cap,
+and is the filter's one up-front memory decision: when no m fits, it
+refuses, and nothing is built.  The query then checks only what it cannot
+know in advance, its raw hits, as it counts them.
 
 A key is one sum for every k: over the unmasked positions p of a variant,
 (code_p + 1) * MIX^(p+1) mod 2^64.  A wildcard adds nothing and every code
@@ -41,11 +44,10 @@ import itertools
 import logging
 import math
 import os
-from typing import Sequence
 
 import numpy as np
 
-from .engine import CandidatePairSet, _common_grid, mismatch_counts
+from .engine import CandidatePairSet, _common_grid, _pair_step, mismatch_counts
 from .errors import (
     BudgetExceedsLength,
     ConfigError,
@@ -56,18 +58,11 @@ from .model import ActivityLabel, MotionDataset, VisualDataset, label_codes
 
 logger = logging.getLogger(__name__)
 
-WILDCARD_BYTE = 0xFF
 _FULL = (1 << 64) - 1
 MIX = 0x9E3779B97F4A7C15  # odd, so every power of it is too: the key's per-position base
 
 MEMORY_CAP_ENV = "MOTIONLINK_MEMORY_CAP"
 DEFAULT_MEMORY_CAP = 8 * 1024 ** 3
-
-
-def expansion_count(k: int, t_abs: int) -> int:
-    """Variants per sequence: sum over i of C(k, i) for i = 0..t_abs."""
-    _check_budget(k, t_abs)
-    return sum(math.comb(k, i) for i in range(t_abs + 1))
 
 
 def _check_budget(k: int, t_abs: int) -> None:
@@ -77,22 +72,6 @@ def _check_budget(k: int, t_abs: int) -> None:
         raise ConfigError(f"t_abs must be >= 0, got {t_abs}")
     if t_abs > k:
         raise BudgetExceedsLength(f"budget {t_abs} exceeds sequence length {k}")
-
-
-def wildcard_expansions(seq: Sequence, t_abs: int) -> frozenset[bytes]:
-    """All masked variants of one sequence, one byte per position and 0xFF
-    for the wildcard: the paper's key set, of size expansion_count(k, t_abs)."""
-    codes = label_codes(list(seq), "sequence")
-    k = codes.size
-    _check_budget(k, t_abs)
-    out = set()
-    for i in range(t_abs + 1):
-        for mask in itertools.combinations(range(k), i):
-            key = bytearray(codes.tobytes())
-            for pos in mask:
-                key[pos] = WILDCARD_BYTE
-            out.add(bytes(key))
-    return frozenset(out)
 
 
 def _blocks(k: int, m: int) -> list[tuple[int, int]]:
@@ -143,11 +122,12 @@ def estimate_query_memory(p: int, k: int, t_abs: int, raw_hits: int = 0, m: int 
     # added to it, or its id and pair code beside the earlier blocks' codes
     # and their concatenation, then the first-occurrence mask and a pair
     # code, row and id; and the most any one later stage adds: the replaced
-    # rows and ids (16), the distance check's gathered sequences, mismatch
-    # mask and count (3k + 8), or the distances, their mask and the kept
-    # rows, ids and distances (33).
-    per_hit = 24 + 41 + max(16, 3 * k + 8, 33)
-    base = keys * 33 + raw_hits * per_hit + p * (9 * k + 16)
+    # rows and ids (16), or the distances, their mask and the kept rows, ids
+    # and distances (33).  The distance check confirms the distinct pairs
+    # `_pair_step(k)` at a time, so its gathered sequences, mismatch mask and
+    # counts (3k + 8 per pair) are charged for one block, not per raw hit.
+    base = (keys * 33 + raw_hits * (24 + 41 + 33) + p * (9 * k + 16)
+            + _pair_step(k) * (3 * k + 8))
     return base + base // 16 + 64 * 1024
 
 
@@ -307,8 +287,13 @@ def filter_pairs_indexed(v_mat: np.ndarray, index: WildcardIndex):
     np.not_equal(pair_codes[1:], pair_codes[:-1], out=first[1:])
     pair_codes = pair_codes[first]
     del first
-    rows, ids = pair_codes // index.size, pair_codes % index.size
-    dists = mismatch_counts(v_mat[rows], index.codes[ids])[0]
+    rows, ids = np.divmod(pair_codes, index.size)
+    del pair_codes
+    # confirm the pairs a block at a time, as the naive scan compares rows
+    step, dists = _pair_step(k), np.empty(rows.size, dtype=np.int64)
+    for s in range(0, rows.size, step):
+        dists[s:s + step] = mismatch_counts(v_mat[rows[s:s + step]],
+                                            index.codes[ids[s:s + step]])[0]
     # equal truncated keys do not prove a match, nor does one block's; the count does
     within = dists <= t_abs
     if not within.all():
@@ -352,33 +337,35 @@ def plan_index(p: int, q: int, k: int, t_abs: int) -> tuple[int, float]:
     cost in naive (pair, window) cells.
 
     Blocks past t_abs + 1 only shorten the blocks at budget 0, so m runs
-    over 1..min(k, t_abs + 1).  When no m fits, the one with the smallest
-    estimate is returned, for the build or the query to refuse.  Reads the
-    cap, so a malformed MOTIONLINK_MEMORY_CAP raises ConfigError here.
+    over 1..min(k, t_abs + 1).  When no m fits, raises MemoryCapExceeded
+    naming the smallest estimate, before anything is built.  Reads the cap,
+    so a malformed MOTIONLINK_MEMORY_CAP raises ConfigError here.
     """
     cap = _resolve_cap()
-    plans = []
+    fits, over = [], []
     for m in range(1, max(1, min(k, t_abs + 1)) + 1):
         need = estimate_index_memory(q, k, t_abs, m) + estimate_query_memory(p, k, t_abs, 0, m)
-        cost = _index_cost(p, q, k, t_abs, m)
-        plans.append(((need > cap, cost if need <= cap else need), m, cost))
-    _, m, cost = min(plans)
+        if need <= cap:
+            fits.append((_index_cost(p, q, k, t_abs, m), m))
+        else:
+            over.append((need, m))
+    if not fits:
+        need, m = min(over)
+        raise MemoryCapExceeded(f"index over q={q} k={k} t_abs={t_abs} and its query of p={p} "
+                                f"at m={m} needs about {need} bytes, cap is {cap}")
+    cost, m = min(fits)
     return m, cost
 
 
 def filter_with_index(visual: VisualDataset, motion: MotionDataset, t_abs: int):
     """Index-backed equivalent of the naive absolute-budget activity filter:
     the same CandidatePairSet, distances included, that the naive scan
-    produces, from the index `plan_index` chooses.  The grids, the budget
-    and the cap on the index and its query are checked before anything is
-    built.
+    produces, from the index `plan_index` chooses.  The grids and the
+    budget are checked, and the plan refuses an index over the cap, before
+    anything is built.
     """
     k = _common_grid(visual, motion)
     _check_budget(k, t_abs)
-    p, q = len(visual), len(motion)
-    m, _ = plan_index(p, q, k, t_abs)
-    need = estimate_index_memory(q, k, t_abs, m) + estimate_query_memory(p, k, t_abs, 0, m)
-    _refuse_over(_resolve_cap(), need,
-                 f"index over q={q} k={k} t_abs={t_abs} and its query of p={p} at m={m}")
+    m, _ = plan_index(len(visual), len(motion), k, t_abs)
     index = build_index(motion.codes, t_abs, m)
     return CandidatePairSet(visual.ids, motion.ids, *filter_pairs_indexed(visual.codes, index))

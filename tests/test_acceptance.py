@@ -49,11 +49,10 @@ from motionlink.synth import (
 )
 from motionlink.windex import (
     build_index,
-    expansion_count,
     filter_with_index,
-    wildcard_expansions,
 )
 from series_rows import visual_series
+from windex_oracle import expansion_count, wildcard_expansions
 
 # set to "1" to include the naive scan at p=q=10^5 in the scaling check;
 # that single row takes hours, so it stays out of the default run

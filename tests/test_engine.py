@@ -464,6 +464,36 @@ def test_query_over_the_cap_falls_back_to_the_naive_scan(monkeypatch, caplog):
     assert "raw hits" in caplog.text
 
 
+def test_paper_length_series_run_the_planned_index(monkeypatch, caplog):
+    # 600 windows at t_norm 0.3 plan m=91 within a 64 MiB cap.  A charge of
+    # 3k + 8 bytes per raw hit, for rows the confirmation gathered all at
+    # once, refused this query after the index was built
+    caplog.set_level(logging.INFO, logger="motionlink.engine")
+    visual, motion, _ = generate_cohort(CohortSpec(200, 600, seed=5))
+    monkeypatch.setenv("MOTIONLINK_MEMORY_CAP", str(64 * 1024 ** 2))
+    estimates, peaks = [], []
+    estimate = windex.estimate_query_memory
+    monkeypatch.setattr(windex, "estimate_query_memory",
+                        lambda *args: estimates.append(estimate(*args)) or estimates[-1])
+    query = windex.filter_pairs_indexed
+
+    def traced(v_mat, index):
+        tracemalloc.start()
+        try:
+            return query(v_mat, index)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(windex, "filter_pairs_indexed", traced)
+    got = activity_filter(visual, motion, FilterConfig(t_norm=0.3))
+    assert "filter plan: indexed " in caplog.text and "at m=91" in caplog.text
+    for col, expected in zip((got.rows, got.ids, got.dists),
+                             filter_pairs_naive(visual.codes, motion.codes, 0.3)):
+        np.testing.assert_array_equal(col, expected)
+    assert len(peaks) == 1 and peaks[0] <= estimates[-1]
+
+
 @st.composite
 def filter_inputs(draw):
     """(v_mat, m_mat) label codes, p and q in 1..300, often large enough for

@@ -390,6 +390,20 @@ class TestBench:
         assert rows[0].status == "refused"
         assert rows[0].wall_time_ms is None
 
+    def test_an_index_over_the_cap_is_refused_before_it_builds(self, monkeypatch):
+        # the cap admits the smallest build but no build with its query, so
+        # the plan refuses and the index is never built
+        q, k, t_abs = 100, 10, 3
+        builds = [estimate_index_memory(q, k, t_abs, m) for m in range(1, t_abs + 2)]
+        monkeypatch.setenv("MOTIONLINK_MEMORY_CAP", str(min(builds) + 1))
+
+        def build(*args):
+            raise AssertionError("an index was built over the cap")
+
+        monkeypatch.setattr(evalbench, "build_index", build)
+        rows = bench_scaling([(100, q)], k=k, t_abs=t_abs, methods=("indexed",))
+        assert rows[0].status == "refused"
+
     def test_memory_cap_covers_the_query(self, monkeypatch):
         # the cap admits the build by one byte; the query must be refused
         monkeypatch.setenv("MOTIONLINK_MEMORY_CAP", str(estimate_index_memory(2000, 10, 3) + 1))

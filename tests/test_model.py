@@ -1,4 +1,5 @@
 import ast
+import importlib
 import json
 import tempfile
 from pathlib import Path
@@ -29,7 +30,7 @@ from motionlink.synth import (
     synthesize_keypoint_trace,
     synthesize_motion_trace,
 )
-from motionlink.windex import build_index, filter_pairs_indexed, wildcard_expansions
+from motionlink.windex import build_index, filter_pairs_indexed
 from series_rows import motion_series, visual_series
 
 # Wire-format goldens.  These orderings are load-bearing: codes appear in
@@ -246,6 +247,36 @@ def test_only_windex_reads_os_environ():
     # the memory cap has one source: MOTIONLINK_MEMORY_CAP, read in windex
     package = Path(motionlink.__file__).parent
     assert [p.name for p in sorted(package.rglob("*.py")) if _reads_environ(p)] == ["windex.py"]
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _motionlink_names(path: Path) -> list[tuple[str, str]]:
+    """(module, name) of every name `path` takes from motionlink: by
+    `from motionlink... import X`, or as `alias.X` after `import motionlink`."""
+    tree = ast.parse(path.read_text())
+    aliases, names = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases |= {alias.asname or alias.name for alias in node.names
+                        if alias.name == "motionlink"}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "motionlink":
+            names += [(node.module, alias.name) for alias in node.names]
+    names += [("motionlink", node.attr) for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in aliases]
+    return names
+
+
+def test_every_name_perfbench_uses_still_resolves():
+    # the benchmark is frozen between benchmark changes, so the library
+    # keeps every name it takes
+    names = [name for path in sorted(PERFBENCH.glob("*.py")) for name in _motionlink_names(path)]
+    assert ("motionlink", "bench_scaling") in names
+    assert ("motionlink.windex", "estimate_index_memory") in names
+    assert [(module, name) for module, name in names
+            if not hasattr(importlib.import_module(module), name)] == []
 
 
 def test_dataset_invariants():
@@ -466,7 +497,6 @@ CODE_ENTRY_POINTS = {
     "naive-restricted": lambda c: filter_pairs_naive(np.zeros((1, 8), np.uint8),
                                                      np.zeros((1, 8), np.uint8), 0.3,
                                                      frozenset(c.tolist())),
-    "wildcard-expansions": lambda c: wildcard_expansions(c, 1),
     "permute-expand": lambda c: permute_expand(c[None], 2),
 }
 

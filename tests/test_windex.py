@@ -20,12 +20,11 @@ from motionlink.windex import (
     build_index,
     estimate_index_memory,
     estimate_query_memory,
-    expansion_count,
     filter_pairs_indexed,
     filter_with_index,
-    wildcard_expansions,
 )
 from series_rows import motion_series, visual_series
+from windex_oracle import expansion_count, wildcard_expansions
 
 L = ActivityLabel
 
@@ -491,6 +490,25 @@ def test_query_cap_refusal(monkeypatch):
     monkeypatch.setenv("MOTIONLINK_MEMORY_CAP", str(estimate_index_memory(20, 10, 3) + 1))
     with pytest.raises(MemoryCapExceeded, match="its query"):
         filter_with_index(v, m, 3)
+
+
+def test_plan_refuses_when_no_block_count_fits(monkeypatch):
+    # the plan is the one up-front decision: over the cap at every m, it
+    # raises, naming the smallest estimate, where it used to return that m
+    p, q, k, t_abs = 200, 300, 12, 3
+    needs = {m: estimate_index_memory(q, k, t_abs, m) + estimate_query_memory(p, k, t_abs, 0, m)
+             for m in range(1, t_abs + 2)}
+    m = min(needs, key=needs.get)
+    monkeypatch.setenv("MOTIONLINK_MEMORY_CAP", "1024")
+    with pytest.raises(MemoryCapExceeded) as err:
+        windex.plan_index(p, q, k, t_abs)
+    assert str(err.value) == (f"index over q={q} k={k} t_abs={t_abs} and its query of p={p} "
+                              f"at m={m} needs about {needs[m]} bytes, cap is 1024")
+    monkeypatch.setenv("MOTIONLINK_MEMORY_CAP", str(needs[m]))
+    assert windex.plan_index(p, q, k, t_abs)[0] == m
+    monkeypatch.setenv("MOTIONLINK_MEMORY_CAP", "64MiB")
+    with pytest.raises(ConfigError):
+        windex.plan_index(p, q, k, t_abs)
 
 
 def test_memory_cap_refusal(monkeypatch):
