@@ -27,11 +27,13 @@ from .engine import (
     DEFAULT_MIN_OBSERVED_FRACTION,
     FilterConfig,
     RankedIdentityList,
+    _pair_step,
     _rank_candidates,
     _ranked,
     _restricted_lut,
     mismatch_budget,
     mismatch_counts,
+    pack_codes,
 )
 from .model import ActivityLabel, ActivityVectorSeries, Channel, VisualDataset
 from .pipeline import (
@@ -171,23 +173,38 @@ def _scores(trace: MotionTrace, v_codes: np.ndarray, w: float, model: Classifier
     preference order, one (offset, mags, first, lo, hi, distance,
     n_effective): the sequence's magnitudes and the grid index `first` of
     their start, the compared span [lo, hi), and one distance and one
-    effective window count per visual row over that span.  A model of the
-    wrong channel raises ModelMismatch, and a grid the memory cap cannot
-    hold for this trace MemoryCapExceeded, before anything is featurized.
+    effective window count per visual row over that span.  The visual rows
+    are packed once, and each offset's codes once, placed on the grid with
+    their span's windows (in the restricted set) as the counted ones.  A
+    model of the wrong channel raises ModelMismatch, and a grid the memory
+    cap cannot hold for this trace MemoryCapExceeded, before anything is
+    featurized.
     """
     _check_channel(model, "motion", Channel.MOTION)
     align.check_memory(trace.duration / w)
     rebuilt = _rebuild(trace, align.offsets(), w, model, float(trace.timestamps[0]))
     if not rebuilt:
         return None
-    scores = []
-    for offset, (codes, mags, first) in rebuilt.items():
-        lo, hi = max(0, first), min(v_codes.shape[1], first + codes.size)
-        if hi <= lo:
-            continue
-        v, m = v_codes[:, lo:hi], codes[lo - first:hi - first]
-        dist, n_eff = mismatch_counts(v, m, None if lut is None else lut[v] & lut[m])
-        scores.append((offset, mags, first, lo, hi, dist, np.broadcast_to(n_eff, dist.shape)))
+    n = v_codes.shape[1]
+    spans = [(offset, mags, first, max(0, first), min(n, first + codes.size), codes)
+             for offset, (codes, mags, first) in rebuilt.items()]
+    spans = [span for span in spans if span[4] > span[3]]
+    grid = np.zeros((len(spans), n), dtype=np.uint8)
+    counted = np.zeros(grid.shape, dtype=bool)
+    for row, seen, (_, _, first, lo, hi, codes) in zip(grid, counted, spans):
+        row[lo:hi] = codes[lo - first:hi - first]
+        seen[lo:hi] = True
+    v_words, g_words = pack_codes(v_codes), pack_codes(grid)[:, None]
+    if lut is not None:
+        counted &= lut[grid]
+        v_in = pack_codes(lut[v_codes])
+    g_in = pack_codes(counted)[:, None]
+    scores, step = [], _pair_step(v_words.size)
+    for s in range(0, len(spans), step):
+        in_set = g_in[s:s + step] if lut is None else g_in[s:s + step] & v_in
+        dist, n_eff = mismatch_counts(g_words[s:s + step], v_words, in_set)
+        scores += [(*span[:5], d, e) for span, d, e
+                   in zip(spans[s:s + step], dist, np.broadcast_to(n_eff, dist.shape))]
     return scores
 
 

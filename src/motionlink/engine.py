@@ -85,21 +85,75 @@ def _restricted_lut(restricted: frozenset[ActivityLabel]) -> np.ndarray:
     return lut
 
 
-def mismatch_counts(a: np.ndarray, b: np.ndarray, counted: np.ndarray | None = None):
-    """Mismatches between label codes `a` and `b` along the last axis,
-    broadcast over the leading ones: (distance, n_effective).
+# Packed rows: window j of a row of label codes sits in the 3-bit slot j % 21
+# of word j // 21, so a row of k windows is one uint64 word per 21 of them.
+_SLOTS = 21
+_SLOT_BASE = np.uint64(8) ** np.arange(_SLOTS, dtype=np.uint64)
+_LOW = np.uint64(sum(1 << 3 * j for j in range(_SLOTS)))  # the low bit of every slot
+# Bytes per word of a row that `pack_codes` holds at its peak: the row's
+# slots as bytes and as uint64 for the product, and the words.
+_PACK_BYTES = 200
 
-    Without a mask every window counts and n_effective is the window count.
-    With a restricted label set, `counted` marks the windows whose labels
-    both lie in the set (`lut[a] & lut[b]`); only those count toward either
-    number.
+
+def _word_count(k: int) -> int:
+    """uint64 words in a packed row of k windows."""
+    return max(1, -(-k // _SLOTS))
+
+
+def pack_codes(codes) -> np.ndarray:
+    """The uint64 words of label codes 0..7 along the last axis, at least
+    one per row: window j in the 3-bit slot j % 21 of word j // 21, unused
+    slots 0.  Booleans pack to 0 or 1 per slot, the low bit that
+    `mismatch_counts` keeps, so in-set flags pack the same way."""
+    codes = np.asarray(codes, dtype=np.uint8)
+    *lead, k = codes.shape
+    if k <= _SLOTS:
+        return (codes @ _SLOT_BASE[:k])[..., None]
+    n_words = _word_count(k)
+    slots = np.zeros((*lead, n_words * _SLOTS), dtype=np.uint8)
+    slots[..., :k] = codes
+    return slots.reshape(*lead, n_words, _SLOTS) @ _SLOT_BASE
+
+
+def _popcount(words: np.ndarray) -> np.ndarray:
+    """Set bits along the last axis: uint8 for one word, else int64 sums (a
+    product with ones, which numpy runs faster than a sum over a short axis)."""
+    bits = np.bitwise_count(words)
+    if bits.shape[-1] == 1:
+        return bits[..., 0]
+    return bits @ np.ones(bits.shape[-1], dtype=np.int64)
+
+
+def mismatch_counts(a: np.ndarray, b: np.ndarray, counted: np.ndarray | None = None):
+    """Mismatches between rows `a` and `b` along the last axis, broadcast
+    over the leading ones: (distance, n_effective), integer counts.
+
+    Rows are the uint64 words of `pack_codes`, as the library passes them,
+    each matrix packed once, or label codes, which are packed here.  A
+    pair's distance sums popcount((x | x >> 1 | x >> 2) & LOW) over its
+    words, x = a ^ b: a slot holds a mismatch when any of its three bits
+    differs, and LOW keeps one bit per slot.
+
+    Without a mask every window counts, and n_effective is the window count
+    of code rows (None for words, which do not record it).  With a
+    restricted label set, `counted` marks the windows whose labels both lie
+    in it: `lut[a] & lut[b]` for codes, and for words the AND of the rows'
+    packed in-set flags; only those count toward either number.
     """
     if a.shape[-1] != b.shape[-1]:
         raise LengthMismatch(f"sequences of length {a.shape[-1]} and {b.shape[-1]}")
-    differ = a != b
-    if counted is None:
-        return differ.sum(axis=-1), differ.shape[-1]
-    return (differ & counted).sum(axis=-1), counted.sum(axis=-1)
+    if a.dtype != np.uint64:
+        k, a, b = a.shape[-1], pack_codes(a), pack_codes(b)
+        if counted is None:
+            return mismatch_counts(a, b)[0], k
+        counted = pack_codes(counted)
+    x = a ^ b
+    slot = x >> np.uint64(1)
+    slot |= x
+    x >>= np.uint64(2)
+    slot |= x
+    slot &= _LOW if counted is None else counted
+    return _popcount(slot), None if counted is None else _popcount(counted)
 
 
 def mismatch_budget(t_norm: float, n_effective: int | np.ndarray) -> int | np.ndarray:
@@ -160,23 +214,25 @@ def filter_pairs_naive(v_mat: np.ndarray, m_mat: np.ndarray, t_norm: float,
 
     A pair is kept within floor(t_norm * n_effective) mismatches, where
     n_effective is the window count, or with a restricted label set the
-    count of windows whose labels both lie in it (only those count).  Avatar
-    rows are compared with every identity a block of rows at a time, each
-    block at most 4 * _BLOCK_CELLS (row, identity, window) cells, or one row
-    where one row holds more.
+    count of windows whose labels both lie in it (only those count).  Both
+    matrices are packed once, and avatar rows are compared with every
+    identity a block of rows at a time, each block at most 4 * _BLOCK_CELLS
+    (row, identity, window) cells, or one row where one row holds more.
     """
     budget = mismatch_budget(t_norm, m_mat.shape[1])
-    lut = None if restricted is None else _restricted_lut(restricted)
-    m_in = None if lut is None else lut[m_mat]
+    v_words, m_words = pack_codes(v_mat), pack_codes(m_mat)
+    if restricted is not None:
+        lut = _restricted_lut(restricted)
+        v_in, m_in = pack_codes(lut[v_mat]), pack_codes(lut[m_mat])
     step, q = _pair_step(m_mat.size), len(m_mat)
     empty = np.zeros(0, dtype=np.int64)
     kept, dists = [empty], [empty]
     for s in range(0, len(v_mat), step):
-        block = v_mat[s:s + step, None, :]
-        if lut is None:
-            d, _ = mismatch_counts(block, m_mat)
+        block = v_words[s:s + step, None]
+        if restricted is None:
+            d, _ = mismatch_counts(block, m_words)
         else:
-            d, n_eff = mismatch_counts(block, m_mat, lut[block] & m_in)
+            d, n_eff = mismatch_counts(block, m_words, v_in[s:s + step, None] & m_in)
             budget = mismatch_budget(t_norm, n_eff)
         keep = np.flatnonzero(d <= budget)  # flat indices: np.nonzero on 2-D is far slower
         kept.append(keep + s * q)
@@ -206,26 +262,29 @@ def activity_filter(visual: VisualDataset, motion: MotionDataset,
     wildcard index (`windex.filter_with_index`) finds the same pairs instead
     when no label set is restricted and the m-block index `windex.plan_index`
     picks within the memory cap costs less.  An index the plan or its query
-    refuses over the cap falls back to the scan.  The plan, both costs, m
-    and any refusal are logged at INFO.  The cap is read first, so a
-    malformed one raises ConfigError whichever path runs.
+    refuses over the cap falls back to the scan.  A restricted set is never
+    planned for the index.  The plan, both costs, m and any refusal are
+    logged at INFO.  The cap is read first, so a malformed one raises
+    ConfigError whichever path runs.
     """
-    from .windex import filter_with_index, plan_index  # windex imports this module
+    from .windex import _resolve_cap, filter_with_index, plan_index  # windex imports this module
 
     n = _common_grid(visual, motion)
     p, q, t_abs = len(visual), len(motion), mismatch_budget(config.t_norm, n)
     plan = _plan_text(p, q, n)
-    try:
-        m, cost = plan_index(p, q, n, t_abs)
-        if config.restricted is not None:
-            cost = math.inf
-        plan += f", index {cost:.3g} at m={m}"
-        if cost < p * q * n:
-            pairs = filter_with_index(visual, motion, t_abs)
-            logger.info("filter plan: indexed %s", plan)
-            return pairs
-    except MemoryCapExceeded as exc:
-        plan += f"; index refused: {exc}"
+    if config.restricted is not None:
+        _resolve_cap()
+        plan += ", no index for a restricted label set"
+    else:
+        try:
+            m, cost = plan_index(p, q, n, t_abs)
+            plan += f", index {cost:.3g} at m={m}"
+            if cost < p * q * n:
+                pairs = filter_with_index(visual, motion, t_abs)
+                logger.info("filter plan: indexed %s", plan)
+                return pairs
+        except MemoryCapExceeded as exc:
+            plan += f"; index refused: {exc}"
     logger.info("filter plan: naive %s", plan)
     return CandidatePairSet(visual.ids, motion.ids, *filter_pairs_naive(
         visual.codes, motion.codes, config.t_norm, config.restricted))

@@ -47,7 +47,15 @@ import os
 
 import numpy as np
 
-from .engine import CandidatePairSet, _common_grid, _pair_step, mismatch_counts
+from .engine import (
+    CandidatePairSet,
+    _PACK_BYTES,
+    _common_grid,
+    _pair_step,
+    _word_count,
+    mismatch_counts,
+    pack_codes,
+)
 from .errors import (
     BudgetExceedsLength,
     ConfigError,
@@ -101,33 +109,39 @@ def estimate_index_memory(q: int, k: int, t_abs: int, m: int = 1) -> int:
         # between numpy builds.
         base = q * masks * 8 + q * (9 * length + 16) + masks * (150 + 8 * budget)
         total += count * (base + base // 16 + 64 * 1024)
-    return total
+    return total + q * _PACK_BYTES * _word_count(k)
 
 
-def estimate_query_memory(p: int, k: int, t_abs: int, raw_hits: int = 0, m: int = 1) -> int:
+def estimate_query_memory(p: int, k: int, t_abs: int, raw_hits: int = 0, m: int = 1,
+                          confirmed: int = 0) -> int:
     """Upper bound on the peak bytes a query of p length-k sequences
     allocates against a built m-block index, checked against the
     tracemalloc peak in the tests.  `raw_hits`, the (query key, index
-    entry) matches to expand over all blocks, is known only once the keys
-    have been looked up."""
+    entry) matches the block about to expand holds, is known only once its
+    keys have been looked up, and `confirmed`, the distinct pairs the
+    earlier blocks kept, only once they have run."""
     keys = p * sum(count * math.comb(length, t_abs // m) for length, count in _block_lengths(k, m))
+    words = _word_count(k)
     # Per query sequence, its k position terms and their sum, its row number
-    # and its codes, as in the build.  Per query key of any block, the lookup
-    # keeps its packed word, lower bound and hit mask (17 bytes) and briefly
-    # holds the clamped bound, the gathered index word and their xor: 33.
-    # Per raw hit of all blocks, since a hit key has at least one hit and no
-    # more pairs come out than hits go in: 24 toward the hit keys' bounds,
-    # words, counts and start offsets (40 bytes each, 16 of them in the freed
-    # lookup temporaries); 41 for the hit's index position and the count
-    # added to it, or its id and pair code beside the earlier blocks' codes
-    # and their concatenation, then the first-occurrence mask and a pair
-    # code, row and id; and the most any one later stage adds: the replaced
-    # rows and ids (16), or the distances, their mask and the kept rows, ids
-    # and distances (33).  The distance check confirms the distinct pairs
-    # `_pair_step(k)` at a time, so its gathered sequences, mismatch mask and
-    # counts (3k + 8 per pair) are charged for one block, not per raw hit.
-    base = (keys * 33 + raw_hits * (24 + 41 + 33) + p * (9 * k + 16)
-            + _pair_step(k) * (3 * k + 8))
+    # and its codes, as in the build, and its packed row.  Per query key of
+    # any block, the lookup keeps its packed word, lower bound and hit mask
+    # (17 bytes) and briefly holds the clamped bound, the gathered index
+    # word and their xor: 33.  Per raw hit of the block, since a hit key has
+    # at least one hit: 48 for the hit keys' bounds, words, counts, ends,
+    # first hits and rows, which also covers the 8-byte pair code of each
+    # hit kept and the 17 bytes of the block's dedupe.  Per hit of a chunk,
+    # and of the one before it: its index position, id and row, and, where
+    # the chunk is confirmed, its gathered rows, their xor and fold, and its
+    # distance and code (80 + 40 per word).  Per pair code kept by an
+    # earlier block, 8 bytes while the blocks run, and at the end 24: the
+    # codes' concatenation, sort mask and distinct copy, then the confirmed
+    # codes, or the returned rows, ids and distances.
+    if words == 1:  # hits confirmed as they expand
+        chunks = min(raw_hits, _pair_step(k)) * 120
+    else:  # hits expanded, then the distinct pairs confirmed
+        chunks = min(raw_hits, _pair_step(1)) * 48 + _pair_step(k) * (80 + 40 * words)
+    base = (keys * 33 + p * (9 * k + 16 + _PACK_BYTES * words) + raw_hits * 48 + chunks
+            + confirmed * 24)
     return base + base // 16 + 64 * 1024
 
 
@@ -187,6 +201,7 @@ class WildcardIndex:
 
     def __init__(self, codes: np.ndarray, t_abs: int, words: np.ndarray, blocks: list):
         self.codes = codes
+        self.packed = pack_codes(codes)  # the rows the query's distance check gathers
         self.t_abs = t_abs
         self.k = codes.shape[1]
         self.size = codes.shape[0]
@@ -236,23 +251,31 @@ def filter_pairs_indexed(v_mat: np.ndarray, index: WildcardIndex):
 
     Refuses with MemoryCapExceeded when the index plus the query's
     estimated peak would blow the cap: once before the query keys are
-    expanded, and again after each block, with the raw hits so far counted,
-    before that block's are.
+    expanded, and again per block, with its raw hits counted and the pairs
+    the earlier blocks kept, before its hits expand.
     """
     v_mat = np.ascontiguousarray(label_codes(v_mat, "query matrix"))
     if v_mat.ndim != 2 or v_mat.shape[1] != index.k:
         raise DataError(f"query matrix must be (p, {index.k}), got {v_mat.shape}")
     p, k = v_mat.shape
-    m, t_abs = len(index.blocks), index.t_abs
+    q, m, t_abs = index.size, len(index.blocks), index.t_abs
     cap = _resolve_cap()
-    resident = index._words.nbytes + index.codes.nbytes
+    resident = index._words.nbytes + index.codes.nbytes + index.packed.nbytes
     what = f"query of p={p} k={k} t_abs={t_abs} m={m}"
     _refuse_over(cap, resident + estimate_query_memory(p, k, t_abs, 0, m), what)
+    packed = pack_codes(v_mat)
     # with p > q the row field widens, so fewer key bits are compared
-    b = _id_bits(index.size)
+    b = _id_bits(q)
     row_bits = max(b, _id_bits(p))
     low = (1 << row_bits) - 1
-    found, total = [], 0
+    # one-word rows confirm about as fast as their pair codes sort, so each
+    # chunk of hits is confirmed as it expands and the dedupe sees only
+    # confirmed pairs; longer rows cost more to confirm than to sort, so
+    # their pairs are deduped first and confirmed once, at the end.  A chunk
+    # of hits to confirm spans k windows a hit, as the scan's blocks count
+    # cells; one only coded spans a word
+    one_word, empty = packed.shape[1] == 1, np.zeros(0, dtype=np.int64)
+    step, found, confirmed = _pair_step(k if one_word else 1), [], 0
     for start, stop, ix in index.blocks:
         words = _pack(v_mat[:, start:stop], t_abs // m, row_bits)
         n = ix.size
@@ -263,42 +286,73 @@ def filter_pairs_indexed(v_mat: np.ndarray, index: WildcardIndex):
         h_lo, h_words = lo[hit], words[hit]
         del words, lo, hit  # per query key; free them before the hits expand
         counts = np.searchsorted(ix, h_words | low, side="right") - h_lo
-        hits = int(counts.sum())
-        total += hits
-        _refuse_over(cap, resident + estimate_query_memory(p, k, t_abs, total, m),
-                     f"{what} with {total} raw hits")
-        # hit j of a key sits at its lower bound plus j: the bound less the
-        # hits before the key, repeated per hit, plus the hit's block-wide number
-        at = np.repeat(h_lo - (np.cumsum(counts) - counts), counts)
-        at += np.arange(hits)
-        ids = (ix[at] & ((1 << b) - 1)).view(np.int64)
-        del at
-        codes = np.repeat((h_words & low).view(np.int64), counts)
-        codes *= index.size
-        codes += ids
-        found.append(codes)
-        del ids, codes, h_lo, h_words, counts  # before the next block packs its keys
-    # a pair at distance d < t_abs is found once per mask covering its
-    # mismatches in each block: sort in place, keep each code's first occurrence
-    pair_codes = np.concatenate(found)
-    del found
-    pair_codes.sort()
-    first = np.ones(total, dtype=bool)
-    np.not_equal(pair_codes[1:], pair_codes[:-1], out=first[1:])
-    pair_codes = pair_codes[first]
-    del first
-    rows, ids = np.divmod(pair_codes, index.size)
-    del pair_codes
-    # confirm the pairs a block at a time, as the naive scan compares rows
-    step, dists = _pair_step(k), np.empty(rows.size, dtype=np.int64)
-    for s in range(0, rows.size, step):
-        dists[s:s + step] = mismatch_counts(v_mat[rows[s:s + step]],
-                                            index.codes[ids[s:s + step]])[0]
-    # equal truncated keys do not prove a match, nor does one block's; the count does
-    within = dists <= t_abs
-    if not within.all():
-        rows, ids, dists = rows[within], ids[within], dists[within]
-    return rows, ids, dists
+        ends = np.cumsum(counts)
+        hits = int(ends[-1]) if ends.size else 0
+        _refuse_over(cap, resident + estimate_query_memory(p, k, t_abs, hits, m, confirmed),
+                     f"{what} with {hits} raw hits in a block")
+        # number the block's hits in key order: hit j of a key sits at its
+        # lower bound plus j, so hit h at the key's bound less its first hit, plus h
+        first_at = h_lo - ends
+        first_at += counts
+        h_rows = (h_words & low).view(np.int64)
+        del h_lo, h_words
+        block = [empty]
+        for s in range(0, hits, step):
+            e = min(s + step, hits)
+            a, z = np.searchsorted(ends, (s, e - 1), side="right")  # keys of hits s, e - 1
+            per_key = counts[a:z + 1].copy()
+            per_key[0] = ends[a] - s
+            per_key[-1] -= ends[z] - e
+            at = np.repeat(first_at[a:z + 1], per_key)
+            at += np.arange(s, e)
+            ids = (ix[at] & ((1 << b) - 1)).view(np.int64)
+            rows = np.repeat(h_rows[a:z + 1], per_key)
+            if one_word:
+                block.append(_confirmed(packed, index, rows, ids))
+            else:  # the pair code row * q + id
+                rows *= q
+                rows += ids
+                block.append(rows)
+        del first_at, h_rows, counts, ends
+        # a pair at distance d < t_abs is found once per mask covering its mismatches
+        found.append(_distinct(block))
+        confirmed += found[-1].size
+    # and once per block holding at most t_abs // m of them
+    pairs = _distinct(found)
+    if not one_word:
+        step = _pair_step(k)
+        pairs = np.concatenate([empty] + [
+            _confirmed(packed, index, *np.divmod(pairs[s:s + step], q))
+            for s in range(0, pairs.size, step)])
+    dists = pairs % (t_abs + 1)
+    pairs //= t_abs + 1
+    ids = pairs % q
+    pairs //= q
+    return pairs, ids, dists
+
+
+def _confirmed(packed: np.ndarray, index: WildcardIndex, rows: np.ndarray,
+               ids: np.ndarray) -> np.ndarray:
+    """The pairs (packed[rows], index rows `ids`) within the index budget,
+    each coded (row * q + id) * (t_abs + 1) + distance.  Equal truncated
+    keys do not prove a match, nor does one block's; the count does."""
+    d, _ = mismatch_counts(packed.take(rows, axis=0), index.packed.take(ids, axis=0))
+    keep = np.flatnonzero(d <= index.t_abs)
+    code = rows.take(keep) * index.size
+    code += ids.take(keep)
+    code *= index.t_abs + 1
+    code += d.take(keep)
+    return code
+
+
+def _distinct(parts: list) -> np.ndarray:
+    """The sorted distinct values of a list of int64 arrays, which it empties."""
+    values = np.concatenate(parts)
+    parts.clear()
+    values.sort()
+    first = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return values[first]
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +362,9 @@ def filter_pairs_indexed(v_mat: np.ndarray, index: WildcardIndex):
 # window of a whole row per raw hit (the count that confirms it), and per
 # block.  On a 2-core host, over 18 `bench_matrices` and cohort shapes at k 10
 # to 60, the cheapest estimate picked the fastest m on 16 and an m within
-# 1.7x of it on the other two; fit again when either path's cost changes.
+# 1.7x of it on the other two.  Re-timed on the packed mismatch kernel, no
+# planned path of the planner's test shapes ran more than 1.3x slower than
+# the other; fit again when either path's cost changes.
 _INDEX_CELLS = 0.7
 _INDEX_HIT_CELLS = 2
 _INDEX_CALL_CELLS = 10 ** 5

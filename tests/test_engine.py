@@ -24,6 +24,7 @@ from motionlink.engine import (
     fractional_ranks,
     mismatch_budget,
     mismatch_counts,
+    pack_codes,
     rank_identities,
     ranking_from_dict,
     ranking_to_dict,
@@ -132,6 +133,44 @@ def test_mismatch_counts_broadcast_rows():
     for i in range(6):
         assert (dist[i], n_eff[i]) == hamming(row, mat[i], {L.IDLE, L.WALKING, L.OTHER})
     assert mismatch_counts(mat, row)[0].tolist() == [hamming(r, row)[0] for r in mat]
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(0, 130) | st.sampled_from([20, 21, 22, 42, 43, 63, 64]),
+       p=st.integers(1, 5), q=st.integers(1, 7), seed=st.integers(0, 2**32 - 1),
+       labels=st.none() | st.sets(st.sampled_from(list(L)), min_size=1))
+def test_packed_kernel_equals_the_code_compare(k, p, q, seed, labels):
+    # uint8 `!=` counts are the oracle for both forms the library calls:
+    # rows against a matrix (the scan, the offset search) and gathered pairs
+    # (the index's confirmation); rows of 21, 42 and 63 windows fill their
+    # last word, and 22, 43 and 64 start a new one
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, len(L), (p, k), dtype=np.uint8)
+    b = rng.integers(0, len(L), (q, k), dtype=np.uint8)
+    b[::2] = a[rng.integers(0, p, len(b[::2]))]
+    b[rng.random(b.shape) < 0.1] = 7
+    rows, ids = rng.integers(0, p, 20), rng.integers(0, q, 20)
+    in_a, in_b = np.ones(a.shape, dtype=bool), np.ones(b.shape, dtype=bool)
+    if labels is not None:
+        lut = _restricted_lut(frozenset(labels))
+        in_a, in_b = lut[a], lut[b]
+    counted = in_a[:, None] & in_b
+    want = (((a[:, None] != b) & counted).sum(axis=-1), counted.sum(axis=-1))
+    words_a, words_b = pack_codes(a), pack_codes(b)
+    assert words_a.shape == (p, max(1, -(-k // 21))) and words_a.dtype == np.uint64
+    if labels is None:
+        got = mismatch_counts(words_a[:, None], words_b)
+        assert got[1] is None
+        gathered = mismatch_counts(words_a[rows], words_b[ids])[0]
+        assert mismatch_counts(a[:, None], b)[1] == k
+    else:
+        packed_in = pack_codes(in_a)[:, None] & pack_codes(in_b)
+        got = mismatch_counts(words_a[:, None], words_b, packed_in)
+        np.testing.assert_array_equal(got[1], want[1])
+        gathered = mismatch_counts(words_a[rows], words_b[ids], packed_in[rows, ids])[0]
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(gathered, want[0][rows, ids])
+    event("restricted" if labels is not None else "every window counts")
 
 
 def test_mismatch_budget_floor_semantics():
@@ -448,6 +487,26 @@ def test_index_over_the_cap_falls_back_to_the_naive_scan(monkeypatch, caplog):
         np.testing.assert_array_equal(col, expected)
     assert "filter plan: naive " in caplog.text
     assert "index refused: index over q=300 k=10 t_abs=1 and its query" in caplog.text
+
+
+def test_restricted_sets_do_not_plan_the_index(monkeypatch, caplog):
+    # a restricted set rules the index out, so a cap no index fits refuses
+    # nothing; a malformed cap still raises on this path
+    caplog.set_level(logging.INFO, logger="motionlink.engine")
+    v_mat, m_mat = bench_matrices(300, 300, 10)
+    visual, motion = datasets(v_mat, m_mat)
+    config = FilterConfig(t_norm=0.1, restricted=frozenset({L.IDLE, L.WALKING}))
+    monkeypatch.setenv("MOTIONLINK_MEMORY_CAP", "1024")
+    with mock.patch.object(windex, "plan_index", side_effect=AssertionError("planned")):
+        got = activity_filter(visual, motion, config)
+    for col, expected in zip((got.rows, got.ids, got.dists),
+                             filter_pairs_naive(v_mat, m_mat, 0.1, config.restricted)):
+        np.testing.assert_array_equal(col, expected)
+    assert got.rows.size > 0
+    assert "filter plan: naive " in caplog.text and "refused" not in caplog.text
+    monkeypatch.setenv("MOTIONLINK_MEMORY_CAP", "64MiB")
+    with pytest.raises(ConfigError):
+        activity_filter(visual, motion, config)
 
 
 def test_query_over_the_cap_falls_back_to_the_naive_scan(monkeypatch, caplog):

@@ -316,6 +316,34 @@ def test_index_equals_brute_force_at_the_exact_key_boundary(q, p):
     assert dists.tolist() == e_dists.tolist()
 
 
+@pytest.mark.parametrize("chunk", [1, 3, 50])
+@pytest.mark.parametrize("k", [12, 30])
+def test_confirmation_chunks_split_a_blocks_raw_hits(monkeypatch, k, chunk):
+    # half the index rows are one row, so a key of it hits 30 entries: its
+    # hits straddle chunk edges, and every block's hits span several chunks.
+    # One-word rows (k=12) are confirmed as their hits expand, two-word rows
+    # (k=30) once their pairs are deduped
+    rng = np.random.default_rng(53)
+    t_abs = 2
+    m_mat = rng.integers(0, 3, (60, k)).astype(np.uint8)
+    m_mat[30:] = m_mat[0]
+    v_mat = m_mat[rng.integers(0, 60, 40)]
+    flip = rng.random(v_mat.shape) < 0.1
+    v_mat[flip] = rng.integers(0, 8, flip.sum())
+    confirmed = []
+    count = windex.mismatch_counts
+    monkeypatch.setattr(windex, "_pair_step", lambda cells: chunk)
+    monkeypatch.setattr(windex, "mismatch_counts",
+                        lambda a, b, counted=None: confirmed.append(len(a)) or count(a, b, counted))
+    want = brute_arrays(v_mat, m_mat, t_abs)
+    for m in (1, 2, 3):
+        confirmed.clear()
+        got = filter_pairs_indexed(v_mat, build_index(m_mat, t_abs, m))
+        assert max(confirmed) <= chunk and len(confirmed) >= 3 * m
+        for col, expected in zip(got, want):
+            assert col.dtype == np.int64 and col.tolist() == expected.tolist()
+
+
 def test_empty_index_and_empty_query_find_no_pairs():
     codes = np.random.default_rng(3).integers(0, 8, (4, 5)).astype(np.uint8)
     empty = np.zeros((0, 5), dtype=np.uint8)
