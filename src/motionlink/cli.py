@@ -268,6 +268,8 @@ def cmd_correlate(args) -> int:
     cfg = resolve_run_config(args)
     if args.report and not args.truth:
         raise ConfigError("--report requires --truth")
+    if args.top_k is not None and not args.report:
+        raise ConfigError("--top-k applies only with --report")
     truth = GroundTruth.load(args.truth) if args.truth else None
     visual = read_dataset_jsonl(args.visual)
     motion = read_dataset_jsonl(args.motion)

@@ -125,28 +125,20 @@ def _popcount(words: np.ndarray) -> np.ndarray:
 
 
 def mismatch_counts(a: np.ndarray, b: np.ndarray, counted: np.ndarray | None = None):
-    """Mismatches between rows `a` and `b` along the last axis, broadcast
-    over the leading ones: (distance, n_effective), integer counts.
+    """Mismatches between rows `a` and `b` of uint64 words packed by
+    `pack_codes`, broadcast over the leading axes: (distance, n_effective),
+    integer counts.
 
-    Rows are the uint64 words of `pack_codes`, as the library passes them,
-    each matrix packed once, or label codes, which are packed here.  A
-    pair's distance sums popcount((x | x >> 1 | x >> 2) & LOW) over its
+    A pair's distance sums popcount((x | x >> 1 | x >> 2) & LOW) over its
     words, x = a ^ b: a slot holds a mismatch when any of its three bits
-    differs, and LOW keeps one bit per slot.
-
-    Without a mask every window counts, and n_effective is the window count
-    of code rows (None for words, which do not record it).  With a
-    restricted label set, `counted` marks the windows whose labels both lie
-    in it: `lut[a] & lut[b]` for codes, and for words the AND of the rows'
-    packed in-set flags; only those count toward either number.
+    differs, and LOW keeps one bit per slot.  Without a mask every window
+    counts, and n_effective is None, as words do not record their window
+    count.  With a restricted label set, `counted` is the AND of the rows'
+    packed in-set flags, marking the windows whose labels both lie in it;
+    only those count toward either number.
     """
     if a.shape[-1] != b.shape[-1]:
-        raise LengthMismatch(f"sequences of length {a.shape[-1]} and {b.shape[-1]}")
-    if a.dtype != np.uint64:
-        k, a, b = a.shape[-1], pack_codes(a), pack_codes(b)
-        if counted is None:
-            return mismatch_counts(a, b)[0], k
-        counted = pack_codes(counted)
+        raise LengthMismatch(f"rows of {a.shape[-1]} and {b.shape[-1]} words")
     x = a ^ b
     slot = x >> np.uint64(1)
     slot |= x
@@ -349,9 +341,6 @@ class RankedIdentityList:
 
     avatar_id: str
     entries: tuple[RankEntry, ...]
-
-    def top(self) -> RankEntry | None:
-        return self.entries[0] if self.entries else None
 
     def identity_ids(self) -> tuple[str, ...]:
         return tuple(e.identity_id for e in self.entries)

@@ -120,11 +120,12 @@ def estimate_query_memory(p: int, k: int, t_abs: int, raw_hits: int = 0, m: int 
     entry) matches the block about to expand holds, is known only once its
     keys have been looked up, and `confirmed`, the distinct pairs the
     earlier blocks kept, only once they have run."""
-    keys = p * sum(count * math.comb(length, t_abs // m) for length, count in _block_lengths(k, m))
+    keys = p * max(math.comb(length, t_abs // m) for length, _ in _block_lengths(k, m))
     words = _word_count(k)
     # Per query sequence, its k position terms and their sum, its row number
     # and its codes, as in the build, and its packed row.  Per query key of
-    # any block, the lookup keeps its packed word, lower bound and hit mask
+    # the largest block, as each block frees its keys before the next packs
+    # its own, the lookup keeps its packed word, lower bound and hit mask
     # (17 bytes) and briefly holds the clamped bound, the gathered index
     # word and their xor: 33.  Per raw hit of the block, since a hit key has
     # at least one hit: 48 for the hit keys' bounds, words, counts, ends,
@@ -200,11 +201,9 @@ class WildcardIndex:
     holds a key of its block and the row that produced it."""
 
     def __init__(self, codes: np.ndarray, t_abs: int, words: np.ndarray, blocks: list):
-        self.codes = codes
         self.packed = pack_codes(codes)  # the rows the query's distance check gathers
         self.t_abs = t_abs
-        self.k = codes.shape[1]
-        self.size = codes.shape[0]
+        self.size, self.k = codes.shape
         self.entry_count = int(words.size)
         self._words = words  # every block's sorted words in turn, one per (sequence, block mask)
         self.blocks = blocks  # (start, stop, its slice of _words) per position block
@@ -260,7 +259,7 @@ def filter_pairs_indexed(v_mat: np.ndarray, index: WildcardIndex):
     p, k = v_mat.shape
     q, m, t_abs = index.size, len(index.blocks), index.t_abs
     cap = _resolve_cap()
-    resident = index._words.nbytes + index.codes.nbytes + index.packed.nbytes
+    resident = index._words.nbytes + index.packed.nbytes
     what = f"query of p={p} k={k} t_abs={t_abs} m={m}"
     _refuse_over(cap, resident + estimate_query_memory(p, k, t_abs, 0, m), what)
     packed = pack_codes(v_mat)

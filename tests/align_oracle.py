@@ -5,10 +5,11 @@ the rebuild featurized each distinct sample window once.
 included.  `correlate_with_alignment` scores every (avatar, identity) pair
 in a Python loop, with a scalar `mismatch_budget` call per pair and one
 `_rank_candidates` call per avatar, and `align_offset_search` scores its
-offsets one at a time.  Tests compare the `motionlink.align` functions
-against them for equal rebuilds (arrays bit for bit), equal rankings (rho
-bit for bit), equal chosen offsets, equal alignment results and the same
-exceptions.
+offsets one at a time.  Distances come from an elementwise compare of the
+label codes, not from the library's packed kernel.  Tests compare the
+`motionlink.align` functions against them for equal rebuilds (arrays bit
+for bit), equal rankings (rho bit for bit), equal chosen offsets, equal
+alignment results and the same exceptions.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from motionlink.engine import (
     _ranked,
     _restricted_lut,
     mismatch_budget,
-    mismatch_counts,
 )
 from motionlink.errors import NoOverlap
 from motionlink.model import ActivityLabel, ActivityVectorSeries, VisualDataset
@@ -38,6 +38,16 @@ from motionlink.pipeline import (
     classify_windows,
     motion_features,
 )
+
+
+def _mismatches(v: np.ndarray, m: np.ndarray, lut: np.ndarray | None):
+    """(distance, n_effective) of code rows `v` against `m` along the last
+    axis by elementwise compare: with a restricted set's `lut`, only windows
+    whose labels both lie in it count."""
+    counted = np.ones(np.broadcast_shapes(v.shape, m.shape), dtype=bool)
+    if lut is not None:
+        counted = lut[v] & lut[m]
+    return (counted & (v != m)).sum(axis=-1), counted.sum(axis=-1)
 
 
 def _rebuild(
@@ -124,7 +134,7 @@ def align_offset_search(
         if hi <= lo:
             continue
         v, m = v_codes[lo:hi], codes[lo - first:hi - first]
-        dist, n_eff = mismatch_counts(v, m, None if lut is None else lut[v] & lut[m])
+        dist, n_eff = _mismatches(v, m, lut)
         score = OffsetScore(offset, int(dist), hi - lo, int(n_eff))
         curve.append(score)
         if best is None or score.distance < best.distance:
@@ -177,7 +187,7 @@ def correlate_with_alignment(
             if hi <= lo:
                 continue
             v, m = v_codes[:, lo:hi], codes[lo - first:hi - first]
-            dist, n_eff = mismatch_counts(v, m, None if lut is None else lut[v] & lut[m])
+            dist, n_eff = _mismatches(v, m, lut)
             rows.append(_Scored(offset, mags, first, lo, hi, dist,
                                 np.broadcast_to(n_eff, dist.shape)))
         scored[ident] = rows

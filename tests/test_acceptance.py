@@ -26,7 +26,6 @@ from motionlink.evalbench import (
     DEFAULT_RESTRICTED_SET,
     bench_scaling,
     evaluate,
-    fit_r2,
     intersect_sessions,
     sweep_parameters,
 )
@@ -51,6 +50,7 @@ from motionlink.windex import (
     build_index,
     filter_with_index,
 )
+from scaling_fit import fit_r2
 from series_rows import visual_series
 from windex_oracle import expansion_count, wildcard_expansions
 

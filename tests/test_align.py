@@ -17,7 +17,7 @@ from motionlink.align import (
     align_offset_search,
     correlate_with_alignment,
 )
-from motionlink.engine import FilterConfig, mismatch_counts
+from motionlink.engine import FilterConfig
 from motionlink.errors import ConfigError, MemoryCapExceeded, ModelMismatch, NoOverlap
 from motionlink.model import ActivityLabel, Channel, SensorPosition, VisualDataset
 from motionlink.pipeline import MotionTrace, build_series
@@ -266,8 +266,8 @@ class TestCorrelateWithAlignment:
         by_avatar = {r.avatar_id: r for r in rankings}
         for i, lag in lags.items():
             ranking = by_avatar[f"a{i}"]
-            assert ranking.top() is not None
-            assert ranking.top().identity_id == f"u{i}"
+            assert ranking.entries
+            assert ranking.entries[0].identity_id == f"u{i}"
             assert offsets[f"a{i}"][f"u{i}"] == pytest.approx(lag)
 
     def test_true_pair_rho_is_high(self, cohort, motion_model):
@@ -277,7 +277,7 @@ class TestCorrelateWithAlignment:
             FilterConfig(t_norm=0.3), AlignConfig(delta_max=3.0, step=0.5),
         )
         for r in rankings:
-            assert r.top().rho > 0.9
+            assert r.entries[0].rho > 0.9
 
     def test_uncorrected_comparison_fails_where_search_succeeds(self, motion_model):
         # the headline effect: without the search, a 2.4s lag destroys the
@@ -289,16 +289,13 @@ class TestCorrelateWithAlignment:
         trace = late_start(full, lag)
         visual = visual_from_script(script[:60], amps[:60], "a0")
         uncorrected = build_series(trace, 1.0, motion_model, "u0")
-        raw, _ = mismatch_counts(
-            visual.codes[:len(uncorrected)],
-            uncorrected.codes[:60],
-        )
+        raw = (visual.codes[:len(uncorrected)] != uncorrected.codes[:60]).sum()
         assert raw > 20  # hopeless without alignment
         rankings, offsets = correlate_with_alignment(
             {"u0": trace}, VisualDataset([visual]), motion_model,
             FilterConfig(t_norm=0.3), AlignConfig(delta_max=4.0, step=0.5),
         )
-        assert rankings[0].top().identity_id == "u0"
+        assert rankings[0].entries[0].identity_id == "u0"
         assert abs(offsets["a0"]["u0"] - lag) <= 0.5
 
 

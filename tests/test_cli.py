@@ -232,6 +232,15 @@ class TestCorrelate:
         assert "--truth" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_top_k_without_report_fails_before_writing(self, dataset, tmp_path, capsys):
+        # only the report reads top_k, so without one the flag would set nothing
+        out = tmp_path / "r.jsonl"
+        rc = main(["correlate", "--visual", dataset["visual"], "--motion", dataset["motion"],
+                   "--out", str(out), "--top-k", "1"])
+        assert rc == EXIT_CONFIG
+        assert "--top-k" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", ["not json\n", '{"avatars": [], "scripts": {}}\n'])
     def test_bad_truth_is_data_error_before_writing(self, dataset, tmp_path, capsys, text):
         truth = tmp_path / "truth.json"

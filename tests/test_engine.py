@@ -64,12 +64,28 @@ def visual_mags(n, base=None, **overrides):
 # hamming distance and budget
 
 def hamming(a, b, restricted=None):
-    """`mismatch_counts` on two label lists, masked as the filter masks them."""
+    """(distance, n_effective) of two label lists by elementwise compare:
+    with a restricted set, only windows whose labels both lie in it count."""
+    a, b = np.asarray(a, dtype=np.uint8), np.asarray(b, dtype=np.uint8)
+    if a.shape != b.shape:
+        raise LengthMismatch(f"sequences of length {a.size} and {b.size}")
+    counted = np.ones(a.shape, dtype=bool)
+    if restricted is not None:
+        codes = [int(label) for label in restricted]
+        counted = np.isin(a, codes) & np.isin(b, codes)
+    return int((counted & (a != b)).sum()), int(counted.sum())
+
+
+def packed_hamming(a, b, restricted=None):
+    """`mismatch_counts` on two label lists packed as the scan packs them;
+    unrestricted, n_effective is None."""
     a, b = np.asarray(a, dtype=np.uint8), np.asarray(b, dtype=np.uint8)
     if restricted is None:
-        return mismatch_counts(a, b)
-    lut = _restricted_lut(restricted)
-    return mismatch_counts(a, b, lut[a] & lut[b])
+        return int(mismatch_counts(pack_codes(a), pack_codes(b))[0]), None
+    lut = _restricted_lut(frozenset(restricted))
+    dist, n_eff = mismatch_counts(pack_codes(a), pack_codes(b),
+                                  pack_codes(lut[a]) & pack_codes(lut[b]))
+    return int(dist), int(n_eff)
 
 
 def test_hamming_single_mismatch_is_ten_percent():
@@ -79,25 +95,29 @@ def test_hamming_single_mismatch_is_ten_percent():
     assert distance == 1
     assert n_eff == 10
     assert distance / n_eff == pytest.approx(0.10)
+    assert packed_hamming(a, b) == (1, None)
 
 
 def test_hamming_identical_and_disjoint():
     a = [L.IDLE, L.WALKING, L.JUMPING]
-    assert hamming(a, a)[0] == 0
+    assert hamming(a, a)[0] == packed_hamming(a, a)[0] == 0
     b = [L.OTHER, L.BENDING, L.IDLE]
-    assert hamming(a, b)[0] == 3
+    assert hamming(a, b)[0] == packed_hamming(a, b)[0] == 3
 
 
 def test_hamming_length_mismatch():
     with pytest.raises(LengthMismatch):
         hamming([L.IDLE], [L.IDLE, L.IDLE])
+    # the kernel sees words: rows of 21 and 22 windows differ by one
+    with pytest.raises(LengthMismatch):
+        packed_hamming([L.IDLE] * 21, [L.IDLE] * 22)
 
 
 def test_hamming_restricted_skips_out_of_set_windows():
     a = [L.IDLE, L.HEAD_ROTATION, L.WALKING]
     b = [L.IDLE, L.OTHER, L.WALKING]
     restricted = frozenset(l for l in L if l is not L.HEAD_ROTATION)
-    assert hamming(a, b, restricted) == (0, 2)
+    assert hamming(a, b, restricted) == packed_hamming(a, b, restricted) == (0, 2)
 
 
 def test_hamming_restricted_requires_both_sides_in_set():
@@ -105,7 +125,7 @@ def test_hamming_restricted_requires_both_sides_in_set():
     b = [L.HEAD_ROTATION, L.WALKING]
     restricted = frozenset({L.WALKING})
     # every window has one side outside the set
-    assert hamming(a, b, restricted) == (0, 0)
+    assert hamming(a, b, restricted) == packed_hamming(a, b, restricted) == (0, 0)
 
 
 def test_restricted_distance_never_exceeds_unrestricted():
@@ -120,6 +140,8 @@ def test_restricted_distance_never_exceeds_unrestricted():
         part = hamming(a, b, restricted)
         assert part[0] <= full[0]
         assert part[1] <= full[1]
+        assert packed_hamming(a, b)[0] == full[0]
+        assert packed_hamming(a, b, restricted) == part
 
 
 def test_mismatch_counts_broadcast_rows():
@@ -128,11 +150,14 @@ def test_mismatch_counts_broadcast_rows():
     rng = np.random.default_rng(4)
     mat = rng.integers(0, 8, (6, 9)).astype(np.uint8)
     row = rng.integers(0, 8, 9).astype(np.uint8)
-    lut = _restricted_lut(frozenset({L.IDLE, L.WALKING, L.OTHER}))
-    dist, n_eff = mismatch_counts(row, mat, lut[row] & lut[mat])
+    restricted = frozenset({L.IDLE, L.WALKING, L.OTHER})
+    lut = _restricted_lut(restricted)
+    dist, n_eff = mismatch_counts(pack_codes(row), pack_codes(mat),
+                                  pack_codes(lut[row]) & pack_codes(lut[mat]))
     for i in range(6):
-        assert (dist[i], n_eff[i]) == hamming(row, mat[i], {L.IDLE, L.WALKING, L.OTHER})
-    assert mismatch_counts(mat, row)[0].tolist() == [hamming(r, row)[0] for r in mat]
+        assert (dist[i], n_eff[i]) == hamming(row, mat[i], restricted)
+    got = mismatch_counts(pack_codes(mat), pack_codes(row))[0]
+    assert got.tolist() == [hamming(r, row)[0] for r in mat]
 
 
 @settings(max_examples=300, deadline=None)
@@ -162,7 +187,6 @@ def test_packed_kernel_equals_the_code_compare(k, p, q, seed, labels):
         got = mismatch_counts(words_a[:, None], words_b)
         assert got[1] is None
         gathered = mismatch_counts(words_a[rows], words_b[ids])[0]
-        assert mismatch_counts(a[:, None], b)[1] == k
     else:
         packed_in = pack_codes(in_a)[:, None] & pack_codes(in_b)
         got = mismatch_counts(words_a[:, None], words_b, packed_in)
@@ -671,9 +695,9 @@ def test_rank_identities_prefers_matching_magnitudes():
     v = visual_series("a0", codes, visual_mags(
         n, base=[0.5] * n, left_front_pocket=[v * 10 for v in motion_vals]))
     ranking = rank_identities(v, [target, decoy])
-    assert ranking.top().identity_id == "m_true"
-    assert ranking.top().rho == pytest.approx(1.0)
-    assert ranking.top().position is SensorPosition.LEFT_FRONT_POCKET
+    assert ranking.entries[0].identity_id == "m_true"
+    assert ranking.entries[0].rho == pytest.approx(1.0)
+    assert ranking.entries[0].position is SensorPosition.LEFT_FRONT_POCKET
 
 
 def test_rank_identities_pairwise_deletion():
@@ -684,8 +708,8 @@ def test_rank_identities_pairwise_deletion():
     lw = [None, 1.0, None, 2.0, 3.0, 4.0]
     v = visual_series("a0", [4] * n, visual_mags(n, base=[2.0] * n, left_wrist=lw))
     ranking = rank_identities(v, [m])
-    assert ranking.top().rho == pytest.approx(1.0)
-    assert ranking.top().position is SensorPosition.LEFT_WRIST
+    assert ranking.entries[0].rho == pytest.approx(1.0)
+    assert ranking.entries[0].position is SensorPosition.LEFT_WRIST
 
 
 def test_rank_identities_skips_sparse_positions():
@@ -695,12 +719,12 @@ def test_rank_identities_skips_sparse_positions():
     v = visual_series("a0", [4] * n, visual_mags(n, base=None, left_wrist=sparse))
     # all other positions are constant -> undefined, kept at -inf
     ranking = rank_identities(v, [m])
-    assert ranking.top().rho == float("-inf")
+    assert ranking.entries[0].rho == float("-inf")
 
     # drop the coverage floor and the sparse position becomes usable
     ranking = rank_identities(v, [m], min_observed_fraction=0.2)
-    assert ranking.top().rho == pytest.approx(1.0)
-    assert ranking.top().position is SensorPosition.LEFT_WRIST
+    assert ranking.entries[0].rho == pytest.approx(1.0)
+    assert ranking.entries[0].position is SensorPosition.LEFT_WRIST
 
 
 def test_rank_identities_all_skipped_raises():
@@ -1060,7 +1084,7 @@ def test_correlate_self_match():
     assert len(rankings) == 6
     for i, r in enumerate(rankings):
         assert r.avatar_id == f"a{i}"
-        assert r.top().identity_id == f"m{i}"
+        assert r.entries[0].identity_id == f"m{i}"
 
 
 def test_correlate_none_correlated():

@@ -14,7 +14,6 @@ from motionlink.evalbench import (
     bench_matrices,
     bench_scaling,
     evaluate,
-    fit_r2,
     intersect_sessions,
     label_agreement,
     restricted_set_from_confusion,
@@ -31,6 +30,7 @@ from motionlink.synth import (
     synthesize_trace_cohort,
 )
 from motionlink.windex import estimate_index_memory
+from scaling_fit import fit_r2
 
 LW = SensorPosition.LEFT_WRIST
 RW = SensorPosition.RIGHT_WRIST
@@ -405,9 +405,12 @@ class TestBench:
         assert rows[0].status == "refused"
 
     def test_memory_cap_covers_the_query(self, monkeypatch):
-        # the cap admits the build by one byte; the query must be refused
-        monkeypatch.setenv("MOTIONLINK_MEMORY_CAP", str(estimate_index_memory(2000, 10, 3) + 1))
-        rows = bench_scaling([(2000, 2000)], k=10, t_abs=3, methods=("indexed",))
+        # the cap admits every block count's build by a byte, but none with
+        # its query of 2000 rows: the query must be refused
+        q, k, t_abs = 100, 10, 3
+        builds = [estimate_index_memory(q, k, t_abs, m) for m in range(1, t_abs + 2)]
+        monkeypatch.setenv("MOTIONLINK_MEMORY_CAP", str(max(builds) + 1))
+        rows = bench_scaling([(2000, q)], k=k, t_abs=t_abs, methods=("indexed",))
         assert rows[0].status == "refused"
 
     def test_budget_outside_sequence_is_config_error(self):

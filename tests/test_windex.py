@@ -504,6 +504,38 @@ def test_block_memory_estimates_bound_measured_peaks(monkeypatch):
             (q, k, t_abs, m, estimates, peak)
 
 
+def test_query_charges_one_block_of_lookup_keys(monkeypatch):
+    # each block frees its lookup keys before the next packs its own, so a
+    # cap that holds every block's keys at their 33 bytes each, and no more
+    # of the query, admits the 6-block query: no refusal, the scan's pairs,
+    # and a peak under the last estimate
+    p = q = 1000
+    k, t_abs, m = 60, 18, 6
+    rng = np.random.default_rng(43)
+    mat = rng.integers(0, 8, (q, k)).astype(np.uint8)
+    queries = mat[rng.integers(0, q, p)]
+    flip = rng.random(queries.shape) < 0.15
+    queries[flip] = rng.integers(0, 8, flip.sum())
+    index = build_index(mat, t_abs, m)
+    every_block_keys = p * m * math.comb(k // m, t_abs // m) * 33
+    monkeypatch.setenv("MOTIONLINK_MEMORY_CAP",
+                       str(index._words.nbytes + index.packed.nbytes + every_block_keys))
+    estimates = []
+    monkeypatch.setattr(windex, "estimate_query_memory",
+                        lambda *args: estimates.append(estimate_query_memory(*args))
+                        or estimates[-1])
+    tracemalloc.start()
+    try:
+        got = filter_pairs_indexed(queries, index)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for col, expected in zip(got, filter_pairs_naive(queries, mat, 0.3)):
+        np.testing.assert_array_equal(col, expected)
+    assert got[0].size >= p // 2
+    assert len(estimates) == m + 1 and peak <= estimates[-1]
+
+
 def test_query_cap_refusal(monkeypatch):
     mat = np.zeros((1000, 10), dtype=np.uint8)
     index = build_index(mat, 3)
