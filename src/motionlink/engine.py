@@ -210,7 +210,10 @@ def filter_pairs_naive(v_mat: np.ndarray, m_mat: np.ndarray, t_norm: float,
     matrices are packed once, and avatar rows are compared with every
     identity a block of rows at a time, each block at most 4 * _BLOCK_CELLS
     (row, identity, window) cells, or one row where one row holds more.
+    Raises LengthMismatch when the two matrices' window counts differ.
     """
+    if v_mat.shape[1] != m_mat.shape[1]:
+        raise LengthMismatch(f"rows of {v_mat.shape[1]} and {m_mat.shape[1]} windows")
     budget = mismatch_budget(t_norm, m_mat.shape[1])
     v_words, m_words = pack_codes(v_mat), pack_codes(m_mat)
     if restricted is not None:

@@ -106,8 +106,10 @@ def test_hamming_identical_and_disjoint():
 
 
 def test_hamming_length_mismatch():
+    # rows of 5 and 7 windows pack into one word each; the scan compares
+    # window counts, not words
     with pytest.raises(LengthMismatch):
-        hamming([L.IDLE], [L.IDLE, L.IDLE])
+        filter_pairs_naive(np.zeros((1, 5), np.uint8), np.zeros((1, 7), np.uint8), 0.3)
     # the kernel sees words: rows of 21 and 22 windows differ by one
     with pytest.raises(LengthMismatch):
         packed_hamming([L.IDLE] * 21, [L.IDLE] * 22)

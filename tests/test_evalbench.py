@@ -6,7 +6,7 @@ import pytest
 
 from motionlink import evalbench
 from motionlink.engine import RankEntry, RankedIdentityList
-from motionlink.errors import ConfigError, DataError, MissingGroundTruth
+from motionlink.errors import ConfigError, DataError, MemoryCapExceeded, MissingGroundTruth
 from motionlink.evalbench import (
     DEFAULT_RESTRICTED_SET,
     Outcome,
@@ -29,7 +29,7 @@ from motionlink.synth import (
     GroundTruth,
     synthesize_trace_cohort,
 )
-from motionlink.windex import estimate_index_memory
+from motionlink.windex import estimate_index_memory, estimate_query_memory
 from scaling_fit import fit_r2
 
 LW = SensorPosition.LEFT_WRIST
@@ -405,13 +405,36 @@ class TestBench:
         assert rows[0].status == "refused"
 
     def test_memory_cap_covers_the_query(self, monkeypatch):
-        # the cap admits every block count's build by a byte, but none with
-        # its query of 2000 rows: the query must be refused
-        q, k, t_abs = 100, 10, 3
-        builds = [estimate_index_memory(q, k, t_abs, m) for m in range(1, t_abs + 2)]
-        monkeypatch.setenv("MOTIONLINK_MEMORY_CAP", str(max(builds) + 1))
-        rows = bench_scaling([(2000, q)], k=k, t_abs=t_abs, methods=("indexed",))
+        # the cap admits every block count's build with its query before
+        # any key is looked up, so the plan succeeds and the index is built;
+        # on all-equal rows every query key hits every identity, and the
+        # query must be refused on its raw hits
+        p, q, k, t_abs = 200, 200, 10, 3
+        needs = [estimate_index_memory(q, k, t_abs, m) + estimate_query_memory(p, k, t_abs, 0, m)
+                 for m in range(1, t_abs + 2)]
+        monkeypatch.setenv("MOTIONLINK_MEMORY_CAP", str(max(needs)))
+        monkeypatch.setattr(evalbench, "bench_matrices", lambda p, q, k, seed: (
+            np.zeros((p, k), dtype=np.uint8), np.zeros((q, k), dtype=np.uint8)))
+        built, refusals = [], []
+        build_index, filter_pairs_indexed = evalbench.build_index, evalbench.filter_pairs_indexed
+
+        def build(*args):
+            built.append(build_index(*args))
+            return built[-1]
+
+        def query(*args):
+            try:
+                return filter_pairs_indexed(*args)
+            except MemoryCapExceeded as err:
+                refusals.append(str(err))
+                raise
+
+        monkeypatch.setattr(evalbench, "build_index", build)
+        monkeypatch.setattr(evalbench, "filter_pairs_indexed", query)
+        rows = bench_scaling([(p, q)], k=k, t_abs=t_abs, methods=("indexed",))
         assert rows[0].status == "refused"
+        assert len(built) == 1
+        assert len(refusals) == 1 and "raw hits" in refusals[0]
 
     def test_budget_outside_sequence_is_config_error(self):
         with pytest.raises(ConfigError):
