@@ -14,6 +14,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -345,11 +346,8 @@ class RankedIdentityList:
     avatar_id: str
     entries: tuple[RankEntry, ...]
 
-    def identity_ids(self) -> tuple[str, ...]:
-        return tuple(e.identity_id for e in self.entries)
 
-
-_POSITIONS = tuple(SensorPosition)
+_POSITIONS = np.array(tuple(SensorPosition), dtype=object)
 
 
 def _tie_starts(values: np.ndarray) -> np.ndarray:
@@ -397,18 +395,21 @@ def _rank_candidates(vis: np.ndarray, mot: np.ndarray, rows: np.ndarray, ids: np
     window) ranks with `take`, and its sums, correlations and skip rules are
     (position, pair) arrays, so each pair's best position comes from one
     max and one argmax over the position axis of the whole block.  Doubled
-    ranks are integers, so the int64 sums of their products are exact, and
+    ranks are integers, so the integer sums of their products are exact, and
     a quarter of each is exactly the float sum `spearman_rho` forms from
-    half-integer deviations: rho is bit-identical to it on either path.
+    half-integer deviations: rho is bit-identical to it on either path.  By
+    Cauchy-Schwarz no partial sum exceeds the untied n(n^2 - 1)/3, so the
+    sums run in int32 while that fits (n <= 1860 windows), else in int64.
     """
     k, n = vis.shape[1:]
+    acc = np.int32 if n * (n * n - 1) // 3 < 2 ** 31 else np.int64
     observed = ~np.isnan(vis)
     n_obs = observed.sum(axis=-1).T
     dx = _tie_starts(vis.reshape(len(vis) * k, n)).reshape(vis.shape)
     step = max(1, _BLOCK_CELLS // max(1, k * n))
     for s in range(0, len(vis), step):
         dx[s:s + step] = _centred_ranks(dx[s:s + step], observed[s:s + step])
-    sxx = np.einsum("rkn,rkn->kr", dx, dx, dtype=np.int64) / 4
+    sxx = np.einsum("rkn,rkn->kr", dx, dx, dtype=acc) / 4
     starts = _tie_starts(mot)
     # key each position's mask as packed bytes (np.unique(axis=0) on the
     # booleans is far slower), a byte wider than needed so that n = 0 keys too
@@ -425,7 +426,7 @@ def _rank_candidates(vis: np.ndarray, mot: np.ndarray, rows: np.ndarray, ids: np
         for s in range(0, len(table), row_step):
             identity, mask = np.divmod(np.arange(s, min(s + row_step, len(table))), n_masks)
             table[s:s + row_step] = _centred_ranks(starts[identity], masks[mask])
-        table_syy = np.einsum("tn,tn->t", table, table, dtype=np.int64) / 4
+        table_syy = np.einsum("tn,tn->t", table, table, dtype=acc) / 4
     windows = np.broadcast_to(n_windows, rows.shape)
     rho, pos = np.empty(rows.size), np.empty(rows.size, dtype=np.intp)
     step = _pair_step(k * n)
@@ -433,11 +434,11 @@ def _rank_candidates(vis: np.ndarray, mot: np.ndarray, rows: np.ndarray, ids: np
         r, e = rows[s:s + step], s + step
         if table is None:
             dy = _centred_ranks(starts.take(ids[s:e], axis=0)[:, None], observed.take(r, axis=0))
-            syy = np.einsum("pkn,pkn->kp", dy, dy, dtype=np.int64) / 4
+            syy = np.einsum("pkn,pkn->kp", dy, dy, dtype=acc) / 4
         else:
             cell = ids[s:e] * n_masks + mask_of.take(r, axis=1)
             dy, syy = table.take(cell.T, axis=0), table_syy.take(cell)
-        sxy = np.einsum("pkn,pkn->kp", dx.take(r, axis=0), dy, dtype=np.int64) / 4
+        sxy = np.einsum("pkn,pkn->kp", dx.take(r, axis=0), dy, dtype=acc) / 4
         sxx_p = sxx.take(r, axis=1)
         corr = np.full(sxy.shape, -np.inf)
         np.divide(sxy, np.sqrt(sxx_p * syy), out=corr, where=(sxx_p > 0) & (syy > 0))
@@ -452,12 +453,14 @@ def _rank_candidates(vis: np.ndarray, mot: np.ndarray, rows: np.ndarray, ids: np
 
 def _ranked(avatar_ids: Sequence[str], identity_ids: Sequence[str], rows: np.ndarray,
             ids: np.ndarray, rho: np.ndarray, pos: np.ndarray) -> list[RankedIdentityList]:
-    """Per avatar, its pairs not skipped: best rho first, ties on identity id."""
+    """Per avatar, its pairs not skipped: best rho first, ties on identity id.
+    `tuple.__new__` builds each entry in C, not RankEntry's Python `__new__`."""
     name_rank = np.argsort(sorted(range(len(identity_ids)), key=identity_ids.__getitem__))
     kept = np.flatnonzero(pos >= 0)
     kept = kept[np.lexsort((name_rank[ids[kept]], -rho[kept], rows[kept]))]
-    entries = list(map(RankEntry, [identity_ids[j] for j in ids[kept].tolist()],
-                       rho[kept].tolist(), [_POSITIONS[k] for k in pos[kept].tolist()]))
+    names = np.array(identity_ids, dtype=object)[ids[kept]].tolist()
+    entries = list(map(tuple.__new__, repeat(RankEntry), zip(
+        names, rho[kept].tolist(), _POSITIONS[pos[kept]].tolist())))
     bounds = np.searchsorted(rows[kept], np.arange(len(avatar_ids) + 1)).tolist()
     return [RankedIdentityList(a, tuple(entries[lo:hi]))
             for a, lo, hi in zip(avatar_ids, bounds, bounds[1:])]
@@ -571,4 +574,15 @@ def write_rankings_jsonl(rankings: Sequence[RankedIdentityList], path,
 
 
 def read_rankings_jsonl(path) -> list[RankedIdentityList]:
-    return list(read_json_lines(path, ranking_from_dict, "ranking").values())
+    """The rankings of a file, one line per avatar, in file order.  An empty
+    file, or an avatar on a second line, raises DataError naming the file or
+    that line."""
+    rankings = read_json_lines(path, ranking_from_dict, "ranking")
+    if not rankings:
+        raise DataError(f"{path}: no rankings found")
+    first: dict[str, int] = {}
+    for line, ranking in rankings.items():
+        at = first.setdefault(ranking.avatar_id, line)
+        if at != line:
+            raise DataError(f"{path}:{line}: avatar {ranking.avatar_id!r} repeats line {at}")
+    return list(rankings.values())

@@ -126,7 +126,8 @@ def evaluate(rankings: Sequence[RankedIdentityList], truth, top_k: int = 3,
 
     An empty ranking is the "none correlated" outcome; otherwise the top
     entry decides correct vs incorrect.  Top-k rates count avatars whose
-    true identity appears among the first k entries.
+    true identity appears among the first k entries.  Each avatar is scored
+    once: a list that repeats one raises DataError.
     """
     if top_k < 1:
         raise ConfigError(f"top_k must be >= 1, got {top_k}")
@@ -135,13 +136,16 @@ def evaluate(rankings: Sequence[RankedIdentityList], truth, top_k: int = 3,
     mapping = truth.mapping if isinstance(truth, GroundTruth) else truth
     outcomes: dict[str, Outcome] = {}
     hits_1 = hits_3 = hits_k = 0
+    head = max(3, top_k)  # the entries the rates read
     for ranking in rankings:
         avatar = ranking.avatar_id
+        if avatar in outcomes:
+            raise DataError(f"avatar {avatar!r} is ranked more than once")
         try:
             true_id = mapping[avatar]
         except KeyError:
             raise MissingGroundTruth(f"no ground truth for avatar {avatar!r}") from None
-        ids = ranking.identity_ids()
+        ids = [e.identity_id for e in ranking.entries[:head]]
         if not ids:
             outcomes[avatar] = Outcome.NONE
             continue

@@ -583,6 +583,33 @@ class TestEvaluate:
         rc = main(["evaluate", "--rankings", str(rank), "--truth", str(broken)])
         assert rc == EXIT_DATA
 
+    def test_repeated_avatar_is_data_error(self, tmp_path, capsys):
+        paths = generate(tmp_path / "five", num_identities=5)
+        rank, report = tmp_path / "rank.jsonl", tmp_path / "report.json"
+        assert main(["correlate", "--visual", paths["visual"], "--motion", paths["motion"],
+                     "--out", str(rank)]) == EXIT_OK
+        truth = json.loads(Path(paths["truth"]).read_text())["avatars"]
+        wrong = next(u for u in sorted(truth.values()) if u != truth["a0000"])
+        with rank.open("a") as fh:  # a sixth line, naming a0000 again with a wrong identity
+            fh.write(json.dumps({"avatar": "a0000", "ranking": [
+                {"identity": wrong, "rho": 0.5, "position": "left_wrist"}]}) + "\n")
+        capsys.readouterr()
+        rc = main(["evaluate", "--rankings", str(rank), "--truth", paths["truth"],
+                   "--out", str(report)])
+        assert rc == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {rank}:6: avatar 'a0000' repeats line 1\n"
+        assert not report.exists()
+
+    @pytest.mark.parametrize("content", ["", "\n \n"])
+    def test_empty_rankings_file_is_data_error(self, dataset, tmp_path, capsys, content):
+        rank, report = tmp_path / "rank.jsonl", tmp_path / "report.json"
+        rank.write_text(content)
+        rc = main(["evaluate", "--rankings", str(rank), "--truth", dataset["truth"],
+                   "--out", str(report)])
+        assert rc == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {rank}: no rankings found\n"
+        assert not report.exists()
+
 
 class TestSweep:
     def test_grid_csv(self, tmp_path):
@@ -706,7 +733,7 @@ def run_on_bad_file(reader, content: bytes, dataset, trace_dir, tmp_path, capsys
     bad = tmp_path / "bad"
     bad.write_bytes(content)
     rankings = tmp_path / "rankings.jsonl"
-    rankings.write_text("")
+    rankings.write_text(f"{ranking_line('0.5')}\n")
     out = tmp_path / "out"
     names = dict(dataset, bad=str(bad), out=str(out), rankings=str(rankings),
                  trace=str(trace_dir / "motion" / "u0000.csv"))
@@ -814,8 +841,8 @@ def test_malformed_content_is_one_line_error(dataset, trace_dir, tmp_path, capsy
         assert err.endswith(":1: unknown config keys: w\n")
 
 
-def ranking_line(rho: str) -> str:
-    return ('{"avatar": "a0000", "ranking": [{"identity": "u0000", '
+def ranking_line(rho: str, avatar: str = "a0000") -> str:
+    return (f'{{"avatar": "{avatar}", "ranking": [{{"identity": "u0000", '
             f'"rho": {rho}, "position": "left_wrist"}}]}}')
 
 
@@ -830,7 +857,7 @@ def test_rho_outside_its_range_is_refused(dataset, trace_dir, tmp_path, capsys, 
 
 def test_null_rho_reads_as_undefined(tmp_path):
     path = tmp_path / "rankings.jsonl"
-    path.write_text(f"{ranking_line('null')}\n{ranking_line('-1')}\n")
+    path.write_text(f"{ranking_line('null')}\n{ranking_line('-1', avatar='a0001')}\n")
     first, second = read_rankings_jsonl(path)
     assert first.entries[0].rho == float("-inf")
     assert second.entries[0].rho == -1.0

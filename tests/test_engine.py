@@ -1020,6 +1020,35 @@ def test_rank_candidates_without_pairs_or_windows(n_vis, n_mot, n_pairs, n):
     assert ranked == min(n_mot * (n_vis > 0), n_pairs * len(SensorPosition))
 
 
+@pytest.mark.parametrize("n", [1860, 1861])  # the last window count summed in int32, the first in int64
+@pytest.mark.parametrize("partial", [False, True], ids=["per-mask table", "per pair"])
+def test_rank_sums_are_exact_at_the_int32_edge(n, partial):
+    """Row 0 correlates perfectly with identity 0, so sxx = syy = sxy =
+    n(n^2 - 1)/3, the largest sum: it fits int32 at n = 1860, not at 1861.
+    Tied rows and identities sum less.  rho equals `spearman_rho` bit for
+    bit on either side of the edge, on the table path (one full mask) and
+    on the per-pair path (a distinct mask per position)."""
+    rng = np.random.default_rng(n)
+    at = np.arange(n, dtype=np.float64)
+    mot = np.stack([at, at // 3, rng.integers(0, 40, n)])
+    tested = np.stack([2 * at, -at, at // 7, rng.integers(0, 40, n)])
+    # constant positions score -inf, so each pair's best is its tested position 2;
+    # the last row is in no pair
+    vis = np.ones((len(tested) + 1, len(SensorPosition), n))
+    if partial:  # a one-window hole per position, but for row 0's tested one
+        cells = vis.reshape(-1, n)
+        cells[np.arange(len(cells)), np.arange(len(cells))] = np.nan
+    vis[:-1, 2] = np.where(np.isnan(vis[:-1, 2]), np.nan, tested)
+    vis[0, 2] = tested[0]
+    rows, ids = np.divmod(np.arange(len(tested) * len(mot)), len(mot))
+    rho, pos, ranked = identity_rows_ranked(vis, mot, rows, ids, n)
+    assert ranked == (rows.size * len(SensorPosition) if partial else len(mot))
+    expected = [scalar_best(vis[r], mot[i], n, 0.5) for r, i in zip(rows, ids)]
+    assert rho.tolist() == [r for r, _ in expected]
+    assert pos.tolist() == [k for _, k in expected] == [2] * rows.size
+    assert rho[0] == 1.0 and rho[len(mot)] == -1.0
+
+
 def rank_heavy_cohort(**spec):
     """perfbench's `rank_heavy` cohort at seed 3: 120 x 30, 0.5-diagonal
     label confusion on both channels."""
@@ -1061,6 +1090,16 @@ def test_rank_entry_equals_a_field_by_field_instance():
     for change in (lambda e: setattr(e, "rho", 1.0), lambda e: delattr(e, "rho")):
         with pytest.raises(AttributeError):
             change(entry)
+    # ranking builds its entries with tuple.__new__, not RankEntry(...)
+    made = correlate(*small_world(seed=3), FilterConfig(t_norm=0.0))[0].entries[0]
+    rebuilt = RankEntry(made.identity_id, made.rho, made.position)
+    assert type(made) is RankEntry and made == rebuilt and made.identity_id == "m0"
+    assert made._asdict() == rebuilt._asdict() == dict(zip(RankEntry._fields, rebuilt))
+    assert hash(made) == hash(rebuilt) == hash(tuple(rebuilt))
+    assert repr(made) == repr(rebuilt) == (
+        f"RankEntry(identity_id='m0', rho={made.rho!r}, position={made.position!r})")
+    with pytest.raises(AttributeError):
+        made.rho = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -1102,7 +1141,7 @@ def test_correlate_threshold_monotonicity():
     kept = []
     for t in (0.0, 0.2, 0.4, 0.8, 1.0):
         rankings = correlate(v, m, FilterConfig(t_norm=t))
-        kept.append({r.avatar_id: set(r.identity_ids()) for r in rankings})
+        kept.append({r.avatar_id: {e.identity_id for e in r.entries} for r in rankings})
     for lo, hi in zip(kept, kept[1:]):
         for avatar, ids in lo.items():
             assert ids <= hi[avatar]
@@ -1131,7 +1170,7 @@ def test_ranking_serialization_roundtrip(tmp_path):
     assert len(back) == len(rankings)
     for a, b in zip(rankings, back):
         assert a.avatar_id == b.avatar_id
-        assert a.identity_ids() == b.identity_ids()
+        assert tuple(e.identity_id for e in a.entries) == tuple(e.identity_id for e in b.entries)
         for ea, eb in zip(a.entries, b.entries):
             assert ea.rho == pytest.approx(eb.rho)
             assert ea.position is eb.position

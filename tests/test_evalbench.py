@@ -101,6 +101,18 @@ class TestEvaluate:
         r2 = evaluate([swapped], truth)
         assert r1.to_dict() == r2.to_dict()
 
+    def test_top_k_rate_reads_past_the_first_three(self):
+        misses = [(f"x{j}", 0.9 - j / 10) for j in range(4)]
+        report = evaluate([ranking("a0", *misses, ("u0", 0.1))], {"a0": "u0"}, top_k=5)
+        assert (report.top_3_rate, report.top_k_rate) == (0.0, 1.0)
+
+    def test_repeated_avatar_is_refused(self):
+        # scored twice, a0's rates were over 3 lines but its fractions over 2 avatars
+        rankings = [ranking("a0", ("u0", 0.9)), ranking("a1", ("u1", 0.9)),
+                    ranking("a0", ("x", 0.9))]
+        with pytest.raises(DataError, match="avatar 'a0' is ranked more than once"):
+            evaluate(rankings, {"a0": "u0", "a1": "u1"})
+
     def test_accepts_ground_truth_object(self):
         truth = GroundTruth({"a0": "u0"}, {})
         report = evaluate([ranking("a0", ("u0", 0.9))], truth)
@@ -186,7 +198,7 @@ class TestIntersectSessions:
         merged = intersect_sessions([s1, s2])
         assert len(merged) == 1
         assert merged[0].avatar_id == "a0"
-        assert merged[0].identity_ids() == ("u0",)
+        assert tuple(e.identity_id for e in merged[0].entries) == ("u0",)
         assert merged[0].entries[0].rho == pytest.approx(0.7)
 
     def test_disjoint_sets_empty(self):
@@ -200,7 +212,7 @@ class TestIntersectSessions:
         s1 = [ranking("a0", ("u1", 0.9), ("u0", 0.8))]
         s2 = [ranking("a0", ("u0", 0.9), ("u1", 0.1))]
         merged = intersect_sessions([s1, s2])
-        assert merged[0].identity_ids() == ("u0", "u1")
+        assert tuple(e.identity_id for e in merged[0].entries) == ("u0", "u1")
 
     def test_position_from_best_session(self):
         e1 = RankedIdentityList("a0", (RankEntry("u0", 0.5, LW),))
@@ -224,7 +236,7 @@ class TestIntersectSessions:
         s1 = [ranking("a0", ("u0", -math.inf), ("u1", 0.2))]
         s2 = [ranking("a0", ("u0", 0.9), ("u1", 0.1))]
         merged = intersect_sessions([s1, s2])
-        assert merged[0].identity_ids() == ("u1", "u0")
+        assert tuple(e.identity_id for e in merged[0].entries) == ("u1", "u0")
 
     def test_validation(self):
         s1 = [ranking("a0", ("u0", 0.8))]
