@@ -7,7 +7,7 @@ benchmark the filter, evaluate rankings, sweep the parameter grid.
 
 Exit codes separate the failure classes a caller might branch on:
 0 success, 2 bad configuration, 3 bad or inconsistent data, 4 resource
-cap hit, 5 file-system trouble.  The library's INFO log, such as the filter
+cap hit or memory exhausted, 5 file-system trouble.  The library's INFO log, such as the filter
 plan of `correlate` and `bench`, goes to stderr; stdout and the files
 written do not change with it.
 """
@@ -476,8 +476,8 @@ def main(argv=None) -> int:
     log.setLevel(logging.INFO)
     try:
         return args.func(args)
-    except MemoryCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (MemoryCapExceeded, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

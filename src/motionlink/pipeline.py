@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import zip_longest
 from typing import Mapping, Sequence
 
@@ -33,7 +33,6 @@ from .model import (
     MotionDataset,
     SensorPosition,
     VisualDataset,
-    in_file,
     json_numbers,
     json_value,
     label_codes,
@@ -44,8 +43,6 @@ from .model import (
 )
 
 GRAVITY = 9.81
-DEFAULT_SAMPLE_INTERVAL = 0.020  # 50 Hz IMU
-DEFAULT_FRAME_RATE = 30.0
 
 SAVGOL_WINDOW = 11
 SAVGOL_ORDER = 3
@@ -88,95 +85,83 @@ _EPS = 1e-9
 # ---------------------------------------------------------------------------
 # traces
 
+def _set_timestamps(trace) -> int:
+    """Check a trace's timestamps (non-empty, 1-D, finite, strictly
+    increasing), make them read-only and set the trace's duration from them:
+    N samples of the mean step each, so a lone sample covers none.  Returns N."""
+    ts = np.asarray(trace.timestamps, dtype=np.float64)
+    if ts.ndim != 1 or ts.size == 0:
+        raise DataError("timestamps must be a non-empty 1-D array")
+    if not np.isfinite(ts).all():
+        raise DataError("timestamps must be finite")
+    if ts.size > 1 and not (np.diff(ts) > 0).all():
+        raise DataError("timestamps must be strictly increasing")
+    ts.setflags(write=False)
+    n = ts.size
+    object.__setattr__(trace, "timestamps", ts)
+    object.__setattr__(trace, "duration", float((ts[-1] - ts[0]) * n / max(n - 1, 1)))
+    return n
+
+
 @dataclass(frozen=True)
 class MotionTrace:
     """Timestamped IMU samples.
 
-    timestamps : (N,) seconds, strictly increasing
+    timestamps : (N,) seconds, finite and strictly increasing
     accel      : (N, 3) m/s^2, gravity included
     gyro       : (N, 3) rad/s
+    duration   : seconds covered, set from the timestamps (`_set_timestamps`)
     """
 
     timestamps: np.ndarray
     accel: np.ndarray
     gyro: np.ndarray
-    nominal_interval: float = DEFAULT_SAMPLE_INTERVAL
+    duration: float = field(init=False)
 
     def __post_init__(self):
-        ts = np.asarray(self.timestamps, dtype=np.float64)
+        n = _set_timestamps(self)
         acc = np.asarray(self.accel, dtype=np.float64)
         gyr = np.asarray(self.gyro, dtype=np.float64)
-        if ts.ndim != 1 or ts.size == 0:
-            raise DataError("timestamps must be a non-empty 1-D array")
-        if acc.shape != (ts.size, 3) or gyr.shape != (ts.size, 3):
-            raise DataError(
-                f"accel/gyro must be ({ts.size}, 3), got {acc.shape} and {gyr.shape}"
-            )
-        if not (np.isfinite(ts).all() and np.isfinite(acc).all() and np.isfinite(gyr).all()):
+        if acc.shape != (n, 3) or gyr.shape != (n, 3):
+            raise DataError(f"accel/gyro must be ({n}, 3), got {acc.shape} and {gyr.shape}")
+        if not (np.isfinite(acc).all() and np.isfinite(gyr).all()):
             raise DataError("trace contains non-finite values")
-        if ts.size > 1 and not (np.diff(ts) > 0).all():
-            raise DataError("timestamps must be strictly increasing")
-        if not self.nominal_interval > 0:
-            raise DataError("nominal_interval must be positive")
-        for name, arr in (("timestamps", ts), ("accel", acc), ("gyro", gyr)):
+        for name, arr in (("accel", acc), ("gyro", gyr)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:
         return self.timestamps.size
 
-    @property
-    def duration(self) -> float:
-        """Covered time span; the last sample covers one nominal interval."""
-        return float(self.timestamps[-1] - self.timestamps[0] + self.nominal_interval)
-
 
 @dataclass(frozen=True)
 class KeypointTrace:
     """2-D keypoint tracks of one observed avatar.
 
-    timestamps are finite and strictly increasing; points maps keypoint
+    timestamps and duration are as for a MotionTrace; points maps keypoint
     name -> (N, 2) pixel coordinates, NaN where the keypoint was not
     detected in that frame and finite elsewhere.
     """
 
     timestamps: np.ndarray
     points: Mapping[str, np.ndarray]
-    frame_rate: float = DEFAULT_FRAME_RATE
+    duration: float = field(init=False)
 
     def __post_init__(self):
-        ts = np.asarray(self.timestamps, dtype=np.float64)
-        if ts.ndim != 1 or ts.size == 0:
-            raise DataError("timestamps must be a non-empty 1-D array")
-        if not np.isfinite(ts).all():
-            raise DataError("timestamps must be finite")
-        if ts.size > 1 and not (np.diff(ts) > 0).all():
-            raise DataError("timestamps must be strictly increasing")
-        if not self.frame_rate > 0:
-            raise DataError("frame_rate must be positive")
+        n = _set_timestamps(self)
         pts = {}
         for name, arr in self.points.items():
             arr = np.asarray(arr, dtype=np.float64)
-            if arr.shape != (ts.size, 2):
-                raise DataError(f"keypoint {name!r} must be ({ts.size}, 2), got {arr.shape}")
+            if arr.shape != (n, 2):
+                raise DataError(f"keypoint {name!r} must be ({n}, 2), got {arr.shape}")
             if np.isinf(arr).any():
                 raise DataError(f"keypoint {name!r} has infinite coordinates")
             arr.setflags(write=False)
             pts[str(name)] = arr
-        ts.setflags(write=False)
-        object.__setattr__(self, "timestamps", ts)
         object.__setattr__(self, "points", pts)
 
     def __len__(self) -> int:
         return self.timestamps.size
-
-    @property
-    def nominal_interval(self) -> float:
-        return 1.0 / self.frame_rate
-
-    @property
-    def duration(self) -> float:
-        return float(self.timestamps[-1] - self.timestamps[0] + self.nominal_interval)
 
 
 MOTION_CSV_FIELDS = ("ts", "ax", "ay", "az", "gx", "gy", "gz")
@@ -194,6 +179,10 @@ def write_motion_csv(trace: MotionTrace, path) -> None:
             )
 
 
+def _not_after(path, line: int, ts: float, before: float) -> DataError:
+    return DataError(f"{path}:{line}: ts {ts!r} is not after the one before it, {before!r}")
+
+
 def read_motion_csv(path) -> MotionTrace:
     with open(path, "r", newline="", encoding="utf-8") as fh:
         try:
@@ -208,16 +197,21 @@ def read_motion_csv(path) -> MotionTrace:
                 if len(row) != 7:
                     raise DataError(f"{path}:{lineno}: expected 7 columns, got {len(row)}")
                 try:
-                    rows.append([float(v) for v in row])
+                    values = [float(v) for v in row]
                 except ValueError as exc:
                     raise DataError(f"{path}:{lineno}: {exc}") from None
+                for name, value in zip(MOTION_CSV_FIELDS, values):
+                    if not math.isfinite(value):
+                        raise DataError(f"{path}:{lineno}: {name} must be finite, got {value!r}")
+                if rows and values[0] <= rows[-1][0]:
+                    raise _not_after(path, lineno, values[0], rows[-1][0])
+                rows.append(values)
         except UnicodeDecodeError:
             raise not_utf8(path) from None
     if not rows:
         raise DataError(f"{path}: no samples")
     arr = np.asarray(rows, dtype=np.float64)
-    with in_file(path):
-        return MotionTrace(arr[:, 0], arr[:, 1:4], arr[:, 4:7])
+    return MotionTrace(arr[:, 0], arr[:, 1:4], arr[:, 4:7])
 
 
 def write_keypoint_jsonl(trace: KeypointTrace, path) -> None:
@@ -250,14 +244,19 @@ def _keypoint_frame(obj) -> tuple[float, dict]:
 
 
 def read_keypoint_jsonl(path) -> KeypointTrace:
-    frames = list(read_json_lines(path, _keypoint_frame, "keypoint frame").values())
-    if not frames:
+    lines = read_json_lines(path, _keypoint_frame, "keypoint frame")
+    if not lines:
         raise DataError(f"{path}: no frames")
+    frames = list(lines.values())
+    ts = [t for t, _ in frames]
+    back = np.flatnonzero(np.diff(ts) <= 0)
+    if back.size:
+        i = int(back[0]) + 1
+        raise _not_after(path, list(lines)[i], ts[i], ts[i - 1])
     missing = [math.nan, math.nan]
     points = {name: np.array([kp.get(name) or missing for _, kp in frames])
               for name in sorted(set().union(*(kp for _, kp in frames)))}
-    with in_file(path):
-        return KeypointTrace(np.array([ts for ts, _ in frames]), points)
+    return KeypointTrace(ts, points)
 
 
 # ---------------------------------------------------------------------------

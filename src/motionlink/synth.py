@@ -49,7 +49,6 @@ from .model import (
     write_json,
 )
 from .pipeline import (
-    DEFAULT_FRAME_RATE,
     GRAVITY,
     KEYPOINT_NAMES,
     ClassifierModel,
@@ -592,6 +591,10 @@ _REST_POSE: dict[str, tuple[float, float]] = {
 }
 
 
+SAMPLE_RATE = 50.0  # synthesized IMU samples per second, and
+FRAME_RATE = 30.0  # keypoint frames, each rounded to whole samples per window
+
+
 def _checked_script(script: Sequence[int], amplitudes: Sequence[float]):
     script = label_codes(script, "script")
     amps = np.asarray(amplitudes, dtype=np.float64)
@@ -605,12 +608,9 @@ def synthesize_motion_trace(
     amplitudes: Sequence[float],
     window_seconds: float,
     rng: np.random.Generator,
-    *,
-    sample_rate: float = 50.0,
-    start_time: float = 0.0,
 ) -> MotionTrace:
     """Inertial trace acting out `script`, one code per window, checked by
-    `label_codes` (a float code is refused, not truncated).
+    `label_codes` (a float code is refused, not truncated), at SAMPLE_RATE.
 
     Within window t the vertical acceleration oscillates around gravity with
     mean absolute deviation equal to amplitudes[t]; the per-activity
@@ -618,12 +618,12 @@ def synthesize_motion_trace(
     mix.
     """
     script, amps = _checked_script(script, amplitudes)
-    per_win = int(round(window_seconds * sample_rate))
+    per_win = int(round(window_seconds * SAMPLE_RATE))
     if per_win < 2:
-        raise ConfigError("window too short for the requested sample rate")
+        raise ConfigError("window too short for the sample rate")
     n = len(script)
     dt = window_seconds / per_win
-    ts = start_time + np.arange(n * per_win, dtype=np.float64) * dt
+    ts = np.arange(n * per_win, dtype=np.float64) * dt
     tau = np.arange(per_win, dtype=np.float64) * dt
     sig = _MOTION_TABLE[script]
     # peak = (pi/2) * amplitude makes mean |sin| come out to `amplitude`
@@ -641,9 +641,7 @@ def synthesize_motion_trace(
         arg_g[:, :, None] + 0.7 * np.arange(3)
     )
     accel, gyro = accel.reshape(n * per_win, 3), gyro.reshape(n * per_win, 3)
-    return MotionTrace(
-        timestamps=ts, accel=accel, gyro=gyro, nominal_interval=dt
-    )
+    return MotionTrace(timestamps=ts, accel=accel, gyro=gyro)
 
 
 def synthesize_keypoint_trace(
@@ -652,11 +650,10 @@ def synthesize_keypoint_trace(
     window_seconds: float,
     rng: np.random.Generator,
     *,
-    frame_rate: float = DEFAULT_FRAME_RATE,
-    start_time: float = 0.0,
     keypoint_observability: Mapping[str, float] | None = None,
 ) -> KeypointTrace:
-    """2-D keypoint trace acting out `script`, its codes checked by `label_codes`.
+    """2-D keypoint trace at FRAME_RATE acting out `script`, its codes
+    checked by `label_codes`.
 
     Each keypoint oscillates around its rest position; excursion scales with
     the realized amplitude and the activity's per-group weight, divided by
@@ -667,12 +664,12 @@ def synthesize_keypoint_trace(
     matching how occlusion behaves).
     """
     script, amps = _checked_script(script, amplitudes)
-    per_win = int(round(window_seconds * frame_rate))
+    per_win = int(round(window_seconds * FRAME_RATE))
     if per_win < 4:
-        raise ConfigError("window too short for the requested frame rate")
+        raise ConfigError("window too short for the frame rate")
     n = len(script)
     dt = window_seconds / per_win
-    ts = start_time + np.arange(n * per_win, dtype=np.float64) * dt
+    ts = np.arange(n * per_win, dtype=np.float64) * dt
     tau = np.arange(per_win, dtype=np.float64) * dt
     obs = keypoint_observability or {}
     # second-central-difference gain of a unit sinusoid at each frequency
@@ -701,7 +698,7 @@ def synthesize_keypoint_trace(
         if dropped is not None:
             xy[dropped] = np.nan
         points[name] = xy.reshape(n * per_win, 2)
-    return KeypointTrace(timestamps=ts, points=points, frame_rate=frame_rate)
+    return KeypointTrace(timestamps=ts, points=points)
 
 
 @dataclass(frozen=True)

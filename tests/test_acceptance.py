@@ -250,7 +250,7 @@ def test_c06_alignment_recovers_a_2p4s_offset():
         full = synthesize_motion_trace(script, amps, 1.0, np.random.default_rng(700 + i))
         i0 = int(np.searchsorted(full.timestamps, lag - 1e-9))
         traces[f"u{i:02d}"] = MotionTrace(full.timestamps[i0:], full.accel[i0:],
-                                          full.gyro[i0:], full.nominal_interval)
+                                          full.gyro[i0:])
         vis.append(visual_series(f"a{i:02d}", script[:n],
                                  {p.value: amps[:n].tolist() for p in SensorPosition}))
         mapping[f"a{i:02d}"] = f"u{i:02d}"

@@ -7,6 +7,8 @@ must bring the distance back to near zero and sit within one grid step of
 the true lag.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -53,10 +55,7 @@ def visual_from_script(codes, mags, source_id="a0"):
 def late_start(trace: MotionTrace, lag: float) -> MotionTrace:
     """Drop the first `lag` seconds of samples: a recording that began late."""
     i0 = int(np.searchsorted(trace.timestamps, lag - 1e-9, side="left"))
-    return MotionTrace(
-        trace.timestamps[i0:], trace.accel[i0:], trace.gyro[i0:],
-        trace.nominal_interval,
-    )
+    return MotionTrace(trace.timestamps[i0:], trace.accel[i0:], trace.gyro[i0:])
 
 
 class TestAlignConfig:
@@ -146,8 +145,8 @@ class TestShiftAndRebuild:
         script = make_script(6, seed=3)
         trace = synthesize_motion_trace(
             script, script_amps(script), 1.0, np.random.default_rng(3),
-            start_time=3.0,
         )
+        trace = dataclasses.replace(trace, timestamps=trace.timestamps + 3.0)
         codes, _, first = _rebuild(trace, (0.0,), 1.0, motion_model, 0.0)[0.0]
         assert first == 3
         plain = build_series(trace, 1.0, motion_model, "m")

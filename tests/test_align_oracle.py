@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import align_oracle
+import window_oracle
 import motionlink.align
 from motionlink.align import AlignConfig, _rebuild, align_offset_search, correlate_with_alignment
 from motionlink.engine import FilterConfig
@@ -24,7 +25,6 @@ from motionlink.pipeline import GRAVITY, MotionTrace
 from motionlink.synth import (
     DEFAULT_MAGNITUDE_BASE,
     CohortSpec,
-    synthesize_motion_trace,
     synthesize_trace_cohort,
     train_classifier,
 )
@@ -35,8 +35,8 @@ BASE = np.array([DEFAULT_MAGNITUDE_BASE[label] for label in sorted(DEFAULT_MAGNI
 # window of it; the narrow grid's step sits 0.75e-9 s under one window, so
 # its negative offset rebuilds one window at grid index -1, left of every
 # avatar, and the other two offsets none.
-STUB = MotionTrace(np.arange(50) * 0.02, np.tile([0.0, 0.0, GRAVITY], (50, 1)),
-                   np.zeros((50, 3)), nominal_interval=0.02 - 1.5e-9)
+STUB = MotionTrace(np.arange(50) * ((1 - 1.5e-9) / 50), np.tile([0.0, 0.0, GRAVITY], (50, 1)),
+                   np.zeros((50, 3)))
 GRIDS = (AlignConfig(delta_max=2.0, step=0.5), AlignConfig(delta_max=1.0, step=1 - 0.75e-9))
 # steps that do not divide the window, and one below a sample interval
 ODD_GRIDS = (AlignConfig(delta_max=1.5, step=0.3), AlignConfig(delta_max=1.5, step=0.75),
@@ -79,7 +79,7 @@ def motion_traces(draw, rng: np.random.Generator, script, amps) -> MotionTrace:
     sample time is exact in binary, as are the grid edges of the dyadic
     steps and origins, so shifted samples fall exactly on grid edges."""
     rate = draw(st.sampled_from([50.0, 64.0]))
-    trace = synthesize_motion_trace(script, amps, 1.0, rng, sample_rate=rate)
+    trace = window_oracle.synthesize_motion_trace(script, amps, 1.0, rng, sample_rate=rate)
     drop = draw(st.sampled_from([None, 0.1, 0.4]))
     if drop is not None:
         trace = irregular(trace, rng, drop)

@@ -98,6 +98,19 @@ class TestGenerate:
         out = capsys.readouterr().out
         assert "p=6" in out and "q=6" in out and "k=24" in out
 
+    @pytest.mark.parametrize("reason", ["Unable to allocate 7.45 TiB for an array", ""])
+    def test_out_of_memory_is_resource_error(self, tmp_path, capsys, monkeypatch, reason):
+        # a cohort too large for numpy to allocate; the command is stubbed,
+        # so nothing large is allocated here
+        def generate(args):
+            raise MemoryError(reason)
+
+        monkeypatch.setattr("motionlink.cli.cmd_generate", generate)
+        spec = write_spec(tmp_path / "spec.json", num_identities=1_000_000, n_windows=100_000)
+        assert main(["generate", "--spec", spec, "--out-dir", str(tmp_path / "d")]) \
+            == EXIT_RESOURCE
+        assert capsys.readouterr().err == f"error: {reason or 'out of memory'}\n"
+
     def test_byte_identical_across_runs(self, tmp_path):
         spec = write_spec(tmp_path / "spec.json")
         for d in ("a", "b"):
@@ -679,6 +692,16 @@ class TestSweep:
         assert f"records less than one {widest}s window" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_trace_mode_sweeps_a_width_off_the_frame_grid(self, tmp_path, capsys):
+        # 0.75 s windows hold 22 frames of 0.0341 s; the visual classifier
+        # once lost its last window to a 1/30 s frame step and exited 3
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"num_identities": 4, "n_windows": 12, "seed": 1}')
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--spec", str(spec), "--trace-mode", "--w-values",
+                     "0.5,0.75,1", "--t-values", "0.3", "--out", str(out)]) == EXIT_OK
+        assert [row["w"] for row in csv.DictReader(out.open())] == ["0.5", "0.75", "1.0"]
+
     def test_trace_mode_width_longer_than_the_traces_exits_before_training(
             self, tmp_path, capsys, monkeypatch):
         def train(*args, **kwargs):
@@ -948,6 +971,51 @@ class TestTraceCommands:
         err = capsys.readouterr().err
         assert err == f"error: {trace}:2: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("channel, rows, message", [
+        ("motion", ["0,0,0,9.81,0,0,0", "", "0.02,nan,0,9.81,0,0,0"],
+         ":4: ax must be finite, got nan"),
+        ("motion", ["0,0,0,9.81,0,0,0", "0.02,0,0,9.81,0,0,-inf"],
+         ":3: gz must be finite, got -inf"),
+        ("motion", ["nan,0,0,9.81,0,0,0"], ":2: ts must be finite, got nan"),
+        ("motion", ["0.04,0,0,9.81,0,0,0", "", "", "0.02,0,0,9.81,0,0,0"],
+         ":5: ts 0.02 is not after the one before it, 0.04"),
+        ("motion", ["0,0,0,9.81,0,0,0", "0.02,0,0,9.81,0,0,0", "0.02,0,0,9.81,0,0,0"],
+         ":4: ts 0.02 is not after the one before it, 0.02"),
+        ("visual", ['{"ts": 0.0, "kp": {}}', "", '{"ts": 0.0, "kp": {}}'],
+         ":3: ts 0.0 is not after the one before it, 0.0"),
+        ("visual", ['{"ts": 0.0, "kp": {}}', '{"ts": 0.5, "kp": {}}', "",
+                    '{"ts": 0.25, "kp": {}}'], ":4: ts 0.25 is not after the one before it, 0.5"),
+    ], ids=["nan-value", "infinite-value", "nan-stamp", "stamp-out-of-order",
+            "stamp-repeated", "frame-stamp-repeated", "frame-stamp-out-of-order"])
+    def test_bad_trace_sample_names_its_line(self, tmp_path, capsys, channel, rows, message):
+        # blank lines are skipped but counted
+        header = ["ts,ax,ay,az,gx,gy,gz"] if channel == "motion" else []
+        trace = tmp_path / "bad"
+        trace.write_text("\n".join(header + rows) + "\n")
+        out = tmp_path / "s.jsonl"
+        rc = main(["build-series", "--trace", str(trace), "--channel", channel,
+                   "--out", str(out)])
+        assert rc == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {trace}{message}\n"
+        assert not out.exists()
+
+    def test_quarter_second_traces_correlate_window_for_window(self, tmp_path, capsys):
+        # the motion CSV keeps no sample interval: both channels must read
+        # 8 windows from their samples alone
+        spec = write_spec(tmp_path / "spec.json", num_identities=2, n_windows=8,
+                          window_seconds=0.25)
+        data = tmp_path / "d"
+        assert main(["generate", "--spec", spec, "--out-dir", str(data), "--traces"]) == EXIT_OK
+        series = {}
+        for channel, trace in (("motion", data / "motion" / "u0000.csv"),
+                               ("visual", data / "keypoints" / "a0000.jsonl")):
+            series[channel] = tmp_path / f"{channel}.jsonl"
+            assert main(["build-series", "--trace", str(trace), "--channel", channel,
+                         "-w", "0.25", "--out", str(series[channel])]) == EXIT_OK
+            assert len(json.loads(series[channel].read_text())["activities"]) == 8
+        assert main(["correlate", "--visual", str(series["visual"]), "--motion",
+                     str(series["motion"]), "--out", str(tmp_path / "r.jsonl")]) == EXIT_OK
 
     def test_model_channel_mismatch_is_config_error(self, trace_dir, tmp_path, capsys):
         model = tmp_path / "model.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -64,7 +65,7 @@ def flat_trace(seconds, rate=50.0, start=0.0):
     ts = start + np.arange(n) / rate
     accel = np.zeros((n, 3))
     accel[:, 2] = GRAVITY
-    return MotionTrace(ts, accel, np.zeros((n, 3)), nominal_interval=1.0 / rate)
+    return MotionTrace(ts, accel, np.zeros((n, 3)))
 
 
 def keypoint_trace(seconds, rate=30.0, jitter=0.0, seed=0, start=0.0):
@@ -80,7 +81,7 @@ def keypoint_trace(seconds, rate=30.0, jitter=0.0, seed=0, start=0.0):
         if jitter:
             pts = pts + rng.normal(0, jitter, size=(n, 2))
         points[name] = pts
-    return KeypointTrace(ts, points, frame_rate=rate)
+    return KeypointTrace(ts, points)
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +109,31 @@ def test_trace_duration_counts_last_sample():
     assert tr.duration == pytest.approx(60.0)
 
 
+def test_duration_is_samples_times_mean_step():
+    # 50 frames at 25 fps cover 2 s, whatever rate a reader might assume
+    tr = keypoint_trace(2.0, rate=25.0)
+    assert len(tr) == 50 and tr.duration == pytest.approx(2.0)
+    assert window_edges(tr, 1.0).tolist() == [0, 25, 50]
+    ragged = MotionTrace([0.0, 0.1, 0.5], np.zeros((3, 3)), np.zeros((3, 3)))
+    assert ragged.duration == pytest.approx(0.75)
+
+
+def test_one_sample_trace_covers_no_window():
+    tr = MotionTrace([5.0], [[0.0, 0.0, GRAVITY]], [[0.0, 0.0, 0.0]])
+    assert tr.duration == 0.0
+    with pytest.raises(TraceTooShort, match="covers 0.000s"):
+        window_edges(tr, 0.5)
+
+
+def test_replace_recomputes_duration():
+    tr = flat_trace(3.0)
+    half = dataclasses.replace(tr, timestamps=tr.timestamps[75:], accel=tr.accel[75:],
+                               gyro=tr.gyro[75:])
+    assert half.duration == pytest.approx(1.5)
+    with pytest.raises(TypeError):
+        MotionTrace(tr.timestamps, tr.accel, tr.gyro, 0.02)
+
+
 def test_motion_csv_roundtrip(tmp_path):
     rng = np.random.default_rng(3)
     n = 40
@@ -133,7 +159,7 @@ def test_keypoint_jsonl_roundtrip(tmp_path):
     # punch a hole: left_wrist missing in frames 3..7
     pts = {k: v.copy() for k, v in tr.points.items()}
     pts["left_wrist"][3:8] = np.nan
-    tr = KeypointTrace(tr.timestamps, pts, tr.frame_rate)
+    tr = KeypointTrace(tr.timestamps, pts)
     path = tmp_path / "kp.jsonl"
     write_keypoint_jsonl(tr, path)
     back = read_keypoint_jsonl(path)
@@ -156,14 +182,14 @@ def test_keypoint_trace_rejects_non_finite_stamps_and_infinite_points():
 def test_motion_csv_names_the_file_of_a_bad_trace(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text("ts,ax,ay,az,gx,gy,gz\n0,nan,0,9.81,0,0,0\n")
-    with pytest.raises(DataError, match=f"^{path}: trace contains non-finite values"):
+    with pytest.raises(DataError, match=f"^{path}:2: ax must be finite, got nan$"):
         read_motion_csv(path)
 
 
 def test_keypoint_jsonl_names_the_file_of_a_bad_trace(tmp_path):
     path = tmp_path / "kp.jsonl"
     path.write_text('{"ts": 1.0, "kp": {}}\n{"ts": 0.5, "kp": {}}\n')
-    with pytest.raises(DataError, match=f"^{path}: timestamps must be strictly increasing"):
+    with pytest.raises(DataError, match=f"^{path}:2: ts 0.5 is not after the one before it, 1.0$"):
         read_keypoint_jsonl(path)
 
 
@@ -323,7 +349,7 @@ def test_visual_magnitude_stationary_and_linear():
     pts = {k: v.copy() for k, v in tr.points.items()}
     drift = np.outer(np.arange(n), [3.0, -1.0])
     pts = {k: v + drift for k, v in pts.items()}
-    moving = KeypointTrace(tr.timestamps, pts, tr.frame_rate)
+    moving = KeypointTrace(tr.timestamps, pts)
     mag = visual_magnitude(moving, span, SensorPosition.RIGHT_WRIST)
     assert mag == pytest.approx(0.0, abs=1e-6)
 
@@ -332,7 +358,7 @@ def test_visual_magnitude_mostly_missing_is_unobservable():
     tr = keypoint_trace(1.0)  # 30 frames
     pts = {k: v.copy() for k, v in tr.points.items()}
     pts["left_wrist"][:19] = np.nan  # 19/30 missing > half
-    tr = KeypointTrace(tr.timestamps, pts, tr.frame_rate)
+    tr = KeypointTrace(tr.timestamps, pts)
     span = segment_windows(tr, 1.0)[0]
     assert visual_magnitude(tr, span, SensorPosition.LEFT_WRIST) is None
     # the right wrist is intact
@@ -342,14 +368,14 @@ def test_visual_magnitude_mostly_missing_is_unobservable():
 def test_visual_magnitude_too_few_frames_is_unobservable():
     ts = np.array([0.0, 0.4, 0.8])
     pts = {"left_hip": np.array([[0.0, 0.0], [np.nan, np.nan], [2.0, 2.0]])}
-    tr = KeypointTrace(ts, pts, frame_rate=2.5)
+    tr = KeypointTrace(ts, pts)
     span = segment_windows(tr, 1.2)[0]
     assert visual_magnitude(tr, span, SensorPosition.LEFT_FRONT_POCKET) is None
 
 
 def test_visual_magnitude_unknown_keypoint_is_unobservable():
     tr = KeypointTrace(np.arange(30) / 30.0,
-                       {"nose": np.zeros((30, 2))}, frame_rate=30.0)
+                       {"nose": np.zeros((30, 2))})
     span = segment_windows(tr, 1.0)[0]
     assert visual_magnitude(tr, span, SensorPosition.LEFT_WRIST) is None
 
@@ -547,7 +573,7 @@ def test_build_series_motion_counts_and_raw_magnitude():
     accel = tr.accel.copy()
     accel[::2, 2] += 2.0
     accel[1::2, 2] -= 2.0
-    tr = MotionTrace(tr.timestamps, accel, tr.gyro, tr.nominal_interval)
+    tr = MotionTrace(tr.timestamps, accel, tr.gyro)
     feats, labels, _ = blob_model()
     # a real model shape for the motion pipeline: use fitted stats on real dims
     windows = segment_windows(tr, 1.0)
@@ -584,7 +610,7 @@ def test_build_series_visual_unobservable_positions():
     tr = keypoint_trace(5.0, jitter=1.5, seed=9)
     pts = {k: v.copy() for k, v in tr.points.items()}
     pts.pop("left_wrist")  # never detected at all
-    tr = KeypointTrace(tr.timestamps, pts, tr.frame_rate)
+    tr = KeypointTrace(tr.timestamps, pts)
     edges = window_edges(tr, 1.0)
     feats, _ = visual_features(tr, edges[:-1], edges[1:])
     all_feats, all_labels = [], []
@@ -816,8 +842,7 @@ def test_classify_windows_equals_scalar_oracle(seed, dim, n, twins, block):
 def test_gap_that_empties_a_window_raises_empty_window():
     motion = flat_trace(6.0)
     keep = (motion.timestamps < 2.0) | (motion.timestamps >= 3.2)
-    gapped = MotionTrace(motion.timestamps[keep], motion.accel[keep], motion.gyro[keep],
-                         motion.nominal_interval)
+    gapped = MotionTrace(motion.timestamps[keep], motion.accel[keep], motion.gyro[keep])
     model = _fit_motion_model_from_trace(motion, segment_windows(motion, 1.0))
     with pytest.raises(EmptyWindow):
         build_series(gapped, 1.0, model, "m0")
@@ -830,7 +855,7 @@ def test_gap_that_empties_a_window_raises_empty_window():
     kp = keypoint_trace(6.0, jitter=1.0)
     keep = (kp.timestamps < 2.0) | (kp.timestamps >= 3.2)
     gapped = KeypointTrace(kp.timestamps[keep],
-                           {k: v[keep] for k, v in kp.points.items()}, kp.frame_rate)
+                           {k: v[keep] for k, v in kp.points.items()})
     rng = np.random.default_rng(0)
     visual_model = fit_classifier(rng.normal(0, 1, (80, 13)), np.repeat(np.arange(8), 10),
                                   Channel.VISUAL)

@@ -9,6 +9,7 @@ Oracles used here on purpose:
   amplitude.
 """
 
+import dataclasses
 import json
 import math
 
@@ -334,11 +335,11 @@ class TestMotionTraceSynthesis:
 
     def test_start_time_shifts_stamps_only(self):
         rng = np.random.default_rng(3)
-        t0 = synthesize_motion_trace([0, 1], [0.5, 0.5], 1.0, rng, start_time=0.0)
+        t0 = synthesize_motion_trace([0, 1], [0.5, 0.5], 1.0, rng)
         assert t0.timestamps[0] == 0.0
-        rng = np.random.default_rng(3)
-        t1 = synthesize_motion_trace([0, 1], [0.5, 0.5], 1.0, rng, start_time=2.4)
+        t1 = dataclasses.replace(t0, timestamps=t0.timestamps + 2.4)
         assert t1.timestamps[0] == pytest.approx(2.4)
+        assert t1.duration == pytest.approx(t0.duration) == pytest.approx(2.0)
         np.testing.assert_allclose(t0.accel, t1.accel)
 
     def test_length_mismatch_rejected(self):
@@ -389,7 +390,22 @@ class TestKeypointTraceSynthesis:
         assert 15 <= missing <= 45
 
 
+@pytest.mark.parametrize("synthesize", [synthesize_motion_trace, synthesize_keypoint_trace])
+@pytest.mark.parametrize("w", [0.15, 0.25, 0.75, 0.9, 1.0, 1.5])
+def test_synthesized_trace_has_one_window_per_script_entry(synthesize, w):
+    # 0.75 s rounds to 22 frames of 0.0341 s, not 1/30 s: the trace covers
+    # its samples' own steps, so it still holds every scripted window
+    trace = synthesize([0, 3, 5, 7, 2], [1.0] * 5, w, np.random.default_rng(8))
+    assert trace.duration == pytest.approx(5 * w)
+    assert window_edges(trace, w).size == 6
+
+
 class TestClassifiers:
+    @pytest.mark.parametrize("w", [0.15, 0.75])
+    def test_visual_classifier_fits_at_a_width_off_the_frame_grid(self, w):
+        model = train_classifier(Channel.VISUAL, w, seed=0, reps=10)
+        assert model.channel is Channel.VISUAL
+
     def test_motion_classifier_recovers_script(self):
         model = train_classifier(Channel.MOTION, 1.0, seed=0, reps=40)
         rng = np.random.default_rng(30)

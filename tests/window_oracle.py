@@ -22,7 +22,6 @@ import numpy as np
 from motionlink.errors import ConfigError, DataError, EmptyWindow, ModelMismatch
 from motionlink.model import ActivityLabel, SensorPosition
 from motionlink.pipeline import (
-    DEFAULT_FRAME_RATE,
     FEATURE_GROUPS,
     GRAVITY,
     KEYPOINT_NAMES,
@@ -203,9 +202,10 @@ def synthesize_motion_trace(
     rng: np.random.Generator,
     *,
     sample_rate: float = 50.0,
-    start_time: float = 0.0,
 ) -> MotionTrace:
-    """Inertial trace acting out `script`, one entry per window.
+    """Inertial trace acting out `script`, one entry per window, at
+    `sample_rate` rounded to whole samples per window: the library's fixed
+    50 Hz by default, another rate where a test needs one.
 
     Within window t the vertical acceleration oscillates around gravity with
     mean absolute deviation equal to amplitudes[t]; the per-activity
@@ -221,7 +221,7 @@ def synthesize_motion_trace(
         raise ConfigError("window too short for the requested sample rate")
     n = len(script)
     dt = window_seconds / per_win
-    ts = start_time + np.arange(n * per_win, dtype=np.float64) * dt
+    ts = np.arange(n * per_win, dtype=np.float64) * dt
     accel = np.zeros((n * per_win, 3), dtype=np.float64)
     gyro = np.zeros((n * per_win, 3), dtype=np.float64)
     tau = np.arange(per_win, dtype=np.float64) * dt
@@ -241,9 +241,7 @@ def synthesize_motion_trace(
         accel[sl, 2] = GRAVITY + peak * np.sin(arg + phase)
         for axis in range(3):
             gyro[sl, axis] = gw[axis] * a * np.sin(arg_g + phase_g + 0.7 * axis)
-    return MotionTrace(
-        timestamps=ts, accel=accel, gyro=gyro, nominal_interval=dt
-    )
+    return MotionTrace(timestamps=ts, accel=accel, gyro=gyro)
 
 
 def synthesize_keypoint_trace(
@@ -252,11 +250,9 @@ def synthesize_keypoint_trace(
     window_seconds: float,
     rng: np.random.Generator,
     *,
-    frame_rate: float = DEFAULT_FRAME_RATE,
-    start_time: float = 0.0,
     keypoint_observability: Mapping[str, float] | None = None,
 ) -> KeypointTrace:
-    """2-D keypoint trace acting out `script`.
+    """2-D keypoint trace acting out `script` at 30 frames per second.
 
     Each keypoint oscillates around its rest position; excursion scales with
     the realized amplitude and the activity's per-group weight, divided by
@@ -270,12 +266,12 @@ def synthesize_keypoint_trace(
     amps = np.asarray(amplitudes, dtype=np.float64)
     if script.shape != amps.shape:
         raise DataError("script and amplitudes must have the same length")
-    per_win = int(round(window_seconds * frame_rate))
+    per_win = int(round(window_seconds * 30.0))
     if per_win < 4:
-        raise ConfigError("window too short for the requested frame rate")
+        raise ConfigError("window too short for the frame rate")
     n = len(script)
     dt = window_seconds / per_win
-    ts = start_time + np.arange(n * per_win, dtype=np.float64) * dt
+    ts = np.arange(n * per_win, dtype=np.float64) * dt
     tau = np.arange(per_win, dtype=np.float64) * dt
     obs = keypoint_observability or {}
     # second-central-difference gain of a unit sinusoid at each frequency
@@ -303,4 +299,4 @@ def synthesize_keypoint_trace(
             if p_obs < 1.0 and rng.random() >= p_obs:
                 xy[sl] = np.nan
         points[name] = xy
-    return KeypointTrace(timestamps=ts, points=points, frame_rate=frame_rate)
+    return KeypointTrace(timestamps=ts, points=points)
