@@ -130,6 +130,11 @@ class MotionTrace:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MotionTrace):
+            return NotImplemented
+        return all(map(np.array_equal, *[(t.timestamps, t.accel, t.gyro) for t in (self, other)]))
+
     def __len__(self) -> int:
         return self.timestamps.size
 
@@ -159,6 +164,14 @@ class KeypointTrace:
             arr.setflags(write=False)
             pts[str(name)] = arr
         object.__setattr__(self, "points", pts)
+
+    def __eq__(self, other: object) -> bool:  # frames missing (NaN) in both compare equal
+        if not isinstance(other, KeypointTrace):
+            return NotImplemented
+        return (np.array_equal(self.timestamps, other.timestamps)
+                and self.points.keys() == other.points.keys()
+                and all(np.array_equal(xy, other.points[k], equal_nan=True)
+                        for k, xy in self.points.items()))
 
     def __len__(self) -> int:
         return self.timestamps.size
@@ -294,24 +307,40 @@ _SMOOTH_WEIGHTS = np.linalg.lstsq(
     np.eye(SAVGOL_ORDER + 1)[0], rcond=None)[0][::-1]
 
 
-def _smooth_columns(arr: np.ndarray) -> np.ndarray:
-    """Savitzky-Golay smoothing of each column (window SAVGOL_WINDOW, order
-    SAVGOL_ORDER), with mirrored edges.
-
-    Reflect-pads the rows and sums each symmetric pair of taps, centre term
-    first and then from the outermost pair inward, the order in which
-    ndimage correlates a symmetric kernel; the tests pin the result bit for
-    bit against the reference Savitzky-Golay filter in "mirror" mode.
-    """
-    n = arr.shape[0]
+def _smoothed(*arrays: np.ndarray) -> np.ndarray:
+    """Savitzky-Golay smoothing (window SAVGOL_WINDOW, order SAVGOL_ORDER),
+    with mirrored edges, of the columns of k (n, c) arrays: column j of the
+    i-th array becomes row j * k + i of a C-contiguous (k * c, n + 2 * _HALF)
+    buffer, whose first n columns hold the result, raw if n < SAVGOL_WINDOW
+    (too short to smooth; classification still sees raw data).  Sums each
+    symmetric pair of taps, centre term first and then from the outermost
+    pair inward, as ndimage correlates a symmetric kernel; the tests pin the
+    result bit for bit against the reference filter in "mirror" mode."""
+    k, n, h, w = len(arrays), len(arrays[0]), _HALF, _SMOOTH_WEIGHTS
+    x = np.empty((k * arrays[0].shape[1], n + 2 * h))
+    for i, arr in enumerate(arrays):
+        x[i::k, h:h + n] = arr.T
     if n < SAVGOL_WINDOW:
-        return arr  # too short to smooth; classification still sees raw data
-    h, w = _HALF, _SMOOTH_WEIGHTS
-    x = np.pad(arr, [(h, h)] + [(0, 0)] * (arr.ndim - 1), mode="reflect")
-    out = x[h:h + n] * w[h]
-    for j in range(h, 0, -1):
-        out += (x[h - j:h - j + n] + x[h + j:h + j + n]) * w[h - j]
-    return out
+        x[:, :n] = x[:, h:h + n]
+        return x
+    x[:, :h], x[:, h + n:] = x[:, 2 * h:h:-1], x[:, h + n - 2:n - 2:-1]
+    step = max(1, 4 * _BLOCK_CELLS // x.shape[0])
+    acc, pair = np.empty((2, x.shape[0], min(step, n)))
+    for a in range(0, n, step):  # in place: a tile overwrites only taps no later tile reads
+        b = min(a + step, n)
+        out, tmp = acc[:, :b - a], pair[:, :b - a]
+        np.multiply(x[:, a + h:b + h], w[h], out=out)
+        for j in range(h, 0, -1):
+            np.add(x[:, a + h - j:b + h - j], x[:, a + h + j:b + h + j], out=tmp)
+            tmp *= w[h - j]
+            out += tmp
+        x[:, a:b] = out
+    return x
+
+
+def _smooth_columns(arr: np.ndarray) -> np.ndarray:
+    """`_smoothed` columns of an (n, ...) array, as an array of its shape."""
+    return _smoothed(arr.reshape(len(arr), -1))[:, :len(arr)].T.reshape(arr.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +348,10 @@ def _smooth_columns(arr: np.ndarray) -> np.ndarray:
 #
 # Windows are featurized together, in blocks of windows that share one
 # length: one sample count, or for keypoints one count of detected frames.
-# A keypoint trace lays every keypoint's steps end to end in one buffer, so
+# A motion trace's six axes are the rows of one buffer, smoothed in place
+# in tiles of at most 4 * _BLOCK_CELLS cells with one reused temporary, so
+# one gather and one `_axis_stats` pass serve all six axes of a block.  A
+# keypoint trace lays every keypoint's steps end to end in one buffer, so
 # each statistic is one blocked pass over all its (keypoint, window) rows.
 # Every reduction runs along the contiguous last axis of a block, where
 # numpy sums each row exactly as it sums a lone window, so the results are
@@ -338,17 +370,18 @@ def _blocks(lengths: np.ndarray, width: int = 1):
     if not lengths.size:
         return
     order = np.argsort(lengths, kind="stable")
-    cuts = np.flatnonzero(np.diff(lengths[order])) + 1
-    for group in np.split(order, cuts):
-        length = int(lengths[group[0]])
+    lengths = lengths[order]
+    cuts = (np.flatnonzero(lengths[1:] != lengths[:-1]) + 1).tolist()
+    for a, b in zip([0] + cuts, cuts + [order.size]):
+        length = int(lengths[a])
         step = max(1, _BLOCK_CELLS // max(1, length * width))
-        for i in range(0, group.size, step):
-            yield length, group[i:i + step]
+        for i in range(a, b, step):
+            yield length, order[i:min(i + step, b)]
 
 
 def _axis_stats(block: np.ndarray) -> np.ndarray:
     """Mean, std, detrended energy and dominant frequency bin of each row
-    of a (3, m, n) block of one sensor's axes, as (m, 3, 4)."""
+    of an (a, m, n) block of a axes, as (m, a, 4)."""
     mean = block.mean(axis=-1)
     centered = block - mean[..., None]
     energy = (centered ** 2).mean(axis=-1)  # the variance: ndarray.std is its root
@@ -373,16 +406,15 @@ def motion_features(trace: MotionTrace, lo: np.ndarray,
     lengths = np.asarray(hi, dtype=np.intp) - lo
     if (lengths <= 0).any():
         raise EmptyWindow("motion window has no samples")
-    # C-contiguous (3, N) rows, so a window's gather reads only its own samples
-    sensors = [np.asfortranarray(_smooth_columns(a)).T for a in (trace.accel, trace.gyro)]
+    # rows x, y, z, accel before gyro: a window's gather reads only its own samples
+    axes = _smoothed(trace.accel, trace.gyro)
     deviation = np.abs(np.linalg.norm(trace.accel, axis=1) - GRAVITY)
-    feats = np.empty((lo.size, 3, 2, 4))
+    feats = np.empty((lo.size, 6, 4))
     mags = np.empty(lo.size)
     # seven channels per sample: smoothed accel and gyro, raw |accel| deviation
     for length, sel in _blocks(lengths, width=7):
         idx = lo[sel, None] + np.arange(length)
-        for s, signal in enumerate(sensors):
-            feats[sel, :, s] = _axis_stats(np.take(signal, idx, axis=-1))
+        feats[sel] = _axis_stats(np.take(axes, idx, axis=1))
         mags[sel] = deviation[idx].mean(axis=-1)
     return feats.reshape(lo.size, MOTION_FEATURE_DIM), mags
 
@@ -403,9 +435,9 @@ def _run_stats(values: np.ndarray, parts, stats: tuple[str, ...]) -> np.ndarray:
         if length == 0:
             continue
         j = np.arange(length)
-        idx = np.zeros((sel.size, length), dtype=np.intp)
-        before = np.zeros((sel.size, 1), dtype=np.intp)
-        for starts, part_lengths in parts:
+        # the first part's run, then each later part written over its own span
+        idx, before = parts[0][0][sel, None] + j, parts[0][1][sel, None]
+        for starts, part_lengths in parts[1:]:
             after = before + part_lengths[sel, None]
             idx = np.where((j >= before) & (j < after), starts[sel, None] - before + j, idx)
             before = after
@@ -460,12 +492,13 @@ def visual_features(trace: KeypointTrace, lo: np.ndarray,
         det, xy = np.flatnonzero(mask), trace.points[name]
         first[k] = np.searchsorted(det, lo)
         count[k] = np.searchsorted(det, hi) - first[k]
-        dx, dy = np.diff(xy[:, 0].take(det)), np.diff(xy[:, 1].take(det))
+        dx, dy = (c[1:] - c[:-1] for c in (xy[:, 0].take(det), xy[:, 1].take(det)))
         np.sqrt(dx * dx + dy * dy, out=steps[step_at[k]:step_at[k + 1]])
         if k in proxies:
             p, ts = proxies.index(k), trace.timestamps.take(det)
-            dt, dmid = np.diff(ts), np.diff(0.5 * (ts[1:] + ts[:-1]))
-            ax, ay = np.diff(dx / dt) / dmid, np.diff(dy / dt) / dmid
+            dt, dmid = ts[1:] - ts[:-1], 0.5 * (ts[1:] + ts[:-1])
+            dmid = dmid[1:] - dmid[:-1]  # the midpoints' steps; rebinding frees the midpoints
+            ax, ay = ((v[1:] - v[:-1]) / dmid for v in (dx / dt, dy / dt))
             np.sqrt(ax * ax + ay * ay, out=accels[acc_at[p]:acc_at[p + 1]])
     # one _run_stats call per statistic, a row per window of each keypoint or group
     starts, runs = first + step_at[:, None], np.maximum(count - 1, 0)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.signal import savgol_filter
 
 import motionlink
-from motionlink import pipeline
+from motionlink import pipeline, synth
 from motionlink.align import AlignConfig, align_offset_search
 from motionlink.errors import (
     DataError,
@@ -132,6 +133,34 @@ def test_replace_recomputes_duration():
     assert half.duration == pytest.approx(1.5)
     with pytest.raises(TypeError):
         MotionTrace(tr.timestamps, tr.accel, tr.gyro, 0.02)
+
+
+def test_traces_compare_by_value():
+    def zeros():
+        return MotionTrace(np.arange(3.0), np.zeros((3, 3)), np.zeros((3, 3)))
+
+    assert zeros() == zeros() and not zeros() != zeros()
+    tr = flat_trace(1.0)
+    assert tr == MotionTrace(tr.timestamps.copy(), tr.accel.copy(), tr.gyro.copy())
+    bumped = tr.gyro.copy()
+    bumped[7, 1] = 1e-12
+    assert tr != MotionTrace(tr.timestamps, tr.accel, bumped)
+    assert tr != dataclasses.replace(tr, timestamps=tr.timestamps + 1.0)
+    assert tr != flat_trace(1.02)  # one sample more
+    assert tr != "trace" and tr != keypoint_trace(1.0)
+
+    # a keypoint missing from a frame is NaN in both traces, and compares equal
+    kp = keypoint_trace(1.0, jitter=2.0, seed=3)
+    points = {name: xy.copy() for name, xy in kp.points.items()}
+    points["nose"][4:9] = np.nan
+    points["left_wrist"][0, 1] = np.nan
+    holed = KeypointTrace(kp.timestamps, points)
+    assert holed == KeypointTrace(kp.timestamps.copy(), {k: v.copy() for k, v in points.items()})
+    assert holed != kp
+    assert kp != KeypointTrace(kp.timestamps, dict(kp.points, nose=kp.points["nose"] + 1e-9))
+    assert kp != KeypointTrace(kp.timestamps, {k: v for k, v in kp.points.items() if k != "nose"})
+    assert kp != dataclasses.replace(kp, timestamps=kp.timestamps * 2.0)
+    assert kp != "trace"
 
 
 def test_motion_csv_roundtrip(tmp_path):
@@ -279,14 +308,23 @@ def test_savgol_is_linear():
     assert np.allclose(lhs, rhs, atol=1e-9)
 
 
+# Tiles of at most 4 * _BLOCK_CELLS cells: 1 and 40 split the rows mid-trace.
+_BLOCK = st.sampled_from([1, 40, 1 << 14])
+
+
 def test_smoothing_is_per_column():
     rng = np.random.default_rng(9)
-    arr = rng.normal(0, 1, (40, 3))
-    out = _smooth_columns(arr)
-    for c in range(3):
-        assert np.array_equal(out[:, c], _smooth_columns(arr[:, c]))
-    # too short to smooth: returned as is
-    assert np.array_equal(_smooth_columns(arr[:10]), arr[:10])
+    arr = rng.normal(0, 1, (400, 3))
+    want = _smooth_columns(arr)
+    for block in (1, 40, 1 << 14):
+        with mock.patch.object(pipeline, "_BLOCK_CELLS", block):
+            out = _smooth_columns(arr)
+            for c in range(3):
+                assert np.array_equal(out[:, c], _smooth_columns(arr[:, c]))
+            # too short to smooth: returned as is
+            assert np.array_equal(_smooth_columns(arr[:10]), arr[:10])
+            assert np.array_equal(_smooth_columns(arr[:10, 1]), arr[:10, 1])
+        assert np.array_equal(out, want)
 
 
 def _smoothing_input(rng, kind, shape):
@@ -299,11 +337,13 @@ def _smoothing_input(rng, kind, shape):
 
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(11, 3000), columns=st.booleans(),
-       kind=st.sampled_from(["normal", "walk", "ints", "constant", "gravity"]))
-def test_smoothing_equals_scipy_savgol_bit_for_bit(seed, n, columns, kind):
+       kind=st.sampled_from(["normal", "walk", "ints", "constant", "gravity"]), block=_BLOCK)
+def test_smoothing_equals_scipy_savgol_bit_for_bit(seed, n, columns, kind, block):
     rng = np.random.default_rng(seed)
     x = _smoothing_input(rng, kind, (n, 3) if columns else (n,))
-    assert np.array_equal(_smooth_columns(x), savgol_filter(x, 11, 3, axis=0, mode="mirror"))
+    with mock.patch.object(pipeline, "_BLOCK_CELLS", block):
+        out = _smooth_columns(x)
+    assert np.array_equal(out, savgol_filter(x, 11, 3, axis=0, mode="mirror"))
 
 
 def test_import_loads_no_scipy():
@@ -667,7 +707,6 @@ def _windows(trace, w, extra):
 
 
 _EXTRA = st.lists(st.tuples(st.integers(0, 500), st.integers(1, 60)), max_size=4)
-_BLOCK = st.sampled_from([1, 40, 1 << 14])
 
 
 @settings(max_examples=250, deadline=None)
@@ -818,6 +857,56 @@ def test_visual_features_makes_four_run_stats_calls(absent, extra):
         base_feats, base_mags = visual_features(without, edges[:-1], edges[1:])
         assert np.array_equal(feats, base_feats)
         assert np.array_equal(mags, base_mags, equal_nan=True)
+
+
+@pytest.mark.parametrize("block", [40, 1 << 14])
+def test_motion_features_makes_one_axis_stats_call_per_block(block):
+    # one gather serves all six axes of a block: accel and gyro x, y, z
+    rng = np.random.default_rng(11)
+    trace = MotionTrace(_jittered(rng, 300, 0.02), _signal(rng, "walk", (300, 3)),
+                        _signal(rng, "walk", (300, 3)))
+    lo, hi = _windows(trace, 0.1, [(0, 7), (40, 12), (250, 60), (9, 7)])
+    calls = []
+
+    def counted(axes):
+        calls.append(axes.shape)
+        return axis_stats(axes)
+
+    axis_stats = pipeline._axis_stats
+    with mock.patch.object(pipeline, "_BLOCK_CELLS", block), \
+            mock.patch.object(pipeline, "_axis_stats", counted):
+        feats, mags = motion_features(trace, lo, hi)
+        blocks = list(pipeline._blocks(hi - lo, width=7))
+    assert len(calls) == len(blocks) >= len(set((hi - lo).tolist()))
+    assert [shape[:2] for shape in calls] == [(6, sel.size) for _, sel in blocks]
+    accel, gyro = _smooth_columns(trace.accel), _smooth_columns(trace.gyro)
+    want = np.stack([motion_window_features(accel[a:b], gyro[a:b]) for a, b in zip(lo, hi)])
+    assert np.array_equal(feats, want)
+    assert np.array_equal(mags, [motion_magnitude(trace.accel[a:b]) for a, b in zip(lo, hi)])
+
+
+@pytest.mark.parametrize("channel", [Channel.MOTION, Channel.VISUAL])
+def test_featurization_peak_memory_is_about_twice_the_trace(channel):
+    # the 480-window training trace of train_classifier: the smoothing
+    # tiles and block temporaries stay bounded, and no per-keypoint copy
+    # outlives its loop
+    traces, featurize = [], synth.window_features
+    with mock.patch.object(synth, "window_features",
+                           lambda trace, w: featurize(traces.append(trace) or trace, w)):
+        synth.train_classifier(channel, 1.0)
+    trace, = traces
+    if channel is Channel.MOTION:
+        samples = trace.accel.nbytes + trace.gyro.nbytes
+    else:
+        samples = sum(xy.nbytes for xy in trace.points.values())
+    tracemalloc.start()
+    try:
+        feats, _ = pipeline.window_features(trace, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(feats) == 480
+    assert peak <= 2.1 * samples, f"peak {peak} B against {samples} B of samples"
 
 
 @settings(max_examples=200, deadline=None)
