@@ -22,7 +22,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ConfigError, NoOverlap
+from .errors import ConfigError, DataError, NoOverlap
 from .engine import (
     DEFAULT_MIN_OBSERVED_FRACTION,
     FilterConfig,
@@ -221,8 +221,10 @@ def align_offset_search(
     Minimizes the Hamming distance over the overlapping windows; ties go to
     the smaller offset magnitude, then to the positive sign.  Offsets whose
     shifted trace shares no window with the series are skipped; if none
-    overlaps, NoOverlap propagates.
+    overlaps, NoOverlap propagates.  A motion series raises DataError.
     """
+    if visual_series.channel is not Channel.VISUAL:
+        raise DataError(f"{visual_series.source_id}: alignment needs a visual series")
     lut = _restricted_lut(restricted) if restricted is not None else None
     scores = _scores(trace, visual_series.codes[None], visual_series.window_seconds, model,
                      align, lut)
@@ -254,8 +256,10 @@ def correlate_with_alignment(
     over that same span.
 
     Returns the rankings plus {avatar_id: {identity_id: chosen offset}} for
-    every evaluated pair.
+    every evaluated pair.  A `visual` of motion series raises DataError.
     """
+    if not isinstance(visual, VisualDataset):
+        raise DataError(f"expected a VisualDataset, got {type(visual).__name__}")
     n = visual.codes.shape[1]
     lut = _restricted_lut(config.restricted) if config.restricted is not None else None
     avatars = np.arange(len(visual))

@@ -27,11 +27,11 @@ from .engine import (
     DEFAULT_T_NORM,
     FilterConfig,
     _check_fraction,
+    _write_rankings,
     correlate,
     read_rankings_jsonl,
-    write_rankings_jsonl,
 )
-from .errors import ConfigError, DataError, MemoryCapExceeded, MotionLinkError
+from .errors import ConfigError, DataError, MemoryCapExceeded, MissingGroundTruth, MotionLinkError
 from .evalbench import (
     DEFAULT_NAIVE_CUTOFF,
     DEFAULT_RESTRICTED_SET,
@@ -272,29 +272,28 @@ def cmd_correlate(args) -> int:
         raise ConfigError("--top-k applies only with --report")
     truth = GroundTruth.load(args.truth) if args.truth else None
     visual = read_dataset_jsonl(args.visual)
+    missing = [a for a in visual.ids if a not in truth.mapping] if truth else ()
+    if missing:
+        raise MissingGroundTruth(f"no ground truth for avatar {missing[0]!r}")
     motion = read_dataset_jsonl(args.motion)
-    if not isinstance(visual, VisualDataset):
-        raise DataError(f"{args.visual} holds motion series, expected visual")
-    if not isinstance(motion, MotionDataset):
-        raise DataError(f"{args.motion} holds visual series, expected motion")
     restricted = DEFAULT_RESTRICTED_SET if cfg.restricted else None
     rankings = correlate(visual, motion, FilterConfig(cfg.t_norm, restricted),
                          cfg.min_observed_fraction)
-    write_rankings_jsonl(rankings, args.out, truth=truth.mapping if truth else None)
+    report = None if truth is None else evaluate(
+        rankings,
+        truth,
+        top_k=cfg.top_k,
+        config={
+            "w": visual.window_seconds,
+            "t_norm": cfg.t_norm,
+            "restricted": sorted(l.token for l in restricted) if restricted else None,
+            "min_observed_fraction": cfg.min_observed_fraction,
+        },
+    )
+    _write_rankings(rankings, args.out, report.outcomes if report else None)
     matched = sum(1 for r in rankings if len(r.entries) > 0)
     print(f"ranked {len(rankings)} avatars ({matched} with candidates) -> {args.out}")
     if args.report:
-        report = evaluate(
-            rankings,
-            truth,
-            top_k=cfg.top_k,
-            config={
-                "w": visual.window_seconds,
-                "t_norm": cfg.t_norm,
-                "restricted": sorted(l.token for l in restricted) if restricted else None,
-                "min_observed_fraction": cfg.min_observed_fraction,
-            },
-        )
         write_json(args.report, report.to_dict())
         print(f"top-1 {report.top_1_rate:.3f}, top-3 {report.top_3_rate:.3f}")
     return EXIT_OK
@@ -337,6 +336,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.train_seed is not None and not args.trace_mode:
+        raise ConfigError("--train-seed applies only with --trace-mode")
     spec = load_cohort_spec(args.spec)
     w_values = _parse_floats(args.w_values, "w-values")
     t_values = _parse_floats(args.t_values, "t-values")
@@ -348,7 +349,7 @@ def cmd_sweep(args) -> int:
         w_values,
         t_values,
         restricted=restricted,
-        train_seed=args.train_seed,
+        train_seed=args.train_seed or 0,
     )
     write_sweep_csv(grid, args.out)
     print(f"swept {len(grid)} cells -> {args.out}")
@@ -455,7 +456,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace-mode", dest="trace_mode", action="store_true",
                    help="synthesize raw traces and rebuild series per width")
     p.add_argument("--restricted", action="store_true")
-    p.add_argument("--train-seed", dest="train_seed", type=_seed, default=0)
+    # None, so that an explicit seed without --trace-mode can be refused
+    p.add_argument("--train-seed", dest="train_seed", type=_seed, default=None,
+                   help="classifier seed for --trace-mode (default 0)")
     p.set_defaults(func=cmd_sweep)
 
     return parser

@@ -238,7 +238,11 @@ def filter_pairs_naive(v_mat: np.ndarray, m_mat: np.ndarray, t_norm: float,
 
 
 def _common_grid(visual: VisualDataset, motion: MotionDataset) -> int:
-    """The window count n both datasets share, which must be on one grid."""
+    """The window count n both datasets share, which must be on one grid,
+    the visual dataset first; either check fails with DataError."""
+    if not (isinstance(visual, VisualDataset) and isinstance(motion, MotionDataset)):
+        raise DataError(f"expected a VisualDataset then a MotionDataset, "
+                        f"got {type(visual).__name__} then {type(motion).__name__}")
     n_v, n_m = visual.codes.shape[1], motion.codes.shape[1]
     if n_v != n_m:
         raise LengthMismatch(f"visual series have n={n_v}, motion series n={n_m}")
@@ -255,15 +259,18 @@ def activity_filter(visual: VisualDataset, motion: MotionDataset,
 
     All series must share one window grid and one length n.  The naive scan
     (`filter_pairs_naive`) compares all p * q * n (pair, window) cells; the
-    wildcard index (`windex.filter_with_index`) finds the same pairs instead
-    when no label set is restricted and the m-block index `windex.plan_index`
-    picks within the memory cap costs less.  An index the plan or its query
-    refuses over the cap falls back to the scan.  A restricted set is never
-    planned for the index.  The plan, both costs, m and any refusal are
-    logged at INFO.  The cap is read first, so a malformed one raises
-    ConfigError whichever path runs.
+    wildcard index finds the same pairs instead when no label set is
+    restricted and the m-block index `windex.plan_index` picks within the
+    memory cap costs less; that index is built and queried at the planned m.
+    An index the plan, its build or its query refuses over the cap falls
+    back to the scan.  A restricted set is never planned for the index.
+    The plan, both costs, m and any refusal are logged at INFO.  The
+    datasets' channels and grids are checked first (`_common_grid`), then
+    the cap is read, so a malformed one raises ConfigError whichever path
+    runs.
     """
-    from .windex import _resolve_cap, filter_with_index, plan_index  # windex imports this module
+    # windex imports this module
+    from .windex import _resolve_cap, build_index, filter_pairs_indexed, plan_index
 
     n = _common_grid(visual, motion)
     p, q, t_abs = len(visual), len(motion), mismatch_budget(config.t_norm, n)
@@ -276,9 +283,9 @@ def activity_filter(visual: VisualDataset, motion: MotionDataset,
             m, cost = plan_index(p, q, n, t_abs)
             plan += f", index {cost:.3g} at m={m}"
             if cost < p * q * n:
-                pairs = filter_with_index(visual, motion, t_abs)
+                pairs = filter_pairs_indexed(visual.codes, build_index(motion.codes, t_abs, m))
                 logger.info("filter plan: indexed %s", plan)
-                return pairs
+                return CandidatePairSet(visual.ids, motion.ids, *pairs)
         except MemoryCapExceeded as exc:
             plan += f"; index refused: {exc}"
     logger.info("filter plan: naive %s", plan)
@@ -519,8 +526,9 @@ def correlate(visual: VisualDataset, motion: MotionDataset, config: FilterConfig
 # ---------------------------------------------------------------------------
 # ranking serialization
 
-def ranking_to_dict(ranking: RankedIdentityList,
-                    truth: Mapping[str, str] | None = None) -> dict:
+def ranking_to_dict(ranking: RankedIdentityList, outcomes: Mapping | None = None) -> dict:
+    """A ranking's file object; given `outcomes`, such as an `EvalReport`'s,
+    with its avatar's outcome named in lower case: correct, incorrect or none."""
     obj = {
         "avatar": ranking.avatar_id,
         "ranking": [
@@ -532,13 +540,8 @@ def ranking_to_dict(ranking: RankedIdentityList,
             for e in ranking.entries
         ],
     }
-    if truth is not None:
-        if not ranking.entries:
-            obj["outcome"] = "none"
-        elif truth.get(ranking.avatar_id) == ranking.entries[0].identity_id:
-            obj["outcome"] = "correct"
-        else:
-            obj["outcome"] = "incorrect"
+    if outcomes is not None:
+        obj["outcome"] = outcomes[ranking.avatar_id].name.lower()
     return obj
 
 
@@ -570,7 +573,15 @@ def ranking_from_dict(obj: Mapping) -> RankedIdentityList:
 
 def write_rankings_jsonl(rankings: Sequence[RankedIdentityList], path,
                          truth: Mapping[str, str] | None = None) -> None:
-    write_json_lines(path, (ranking_to_dict(r, truth) for r in rankings))
+    """One line per ranking.  With `truth`, a GroundTruth or its avatar to
+    identity mapping, each line carries the outcome `evaluate` gives it."""
+    from .evalbench import evaluate  # evalbench imports this module
+
+    _write_rankings(rankings, path, None if truth is None else evaluate(rankings, truth).outcomes)
+
+
+def _write_rankings(rankings: Sequence[RankedIdentityList], path, outcomes: Mapping | None):
+    write_json_lines(path, (ranking_to_dict(r, outcomes) for r in rankings))
 
 
 def read_rankings_jsonl(path) -> list[RankedIdentityList]:

@@ -338,11 +338,6 @@ def _smoothed(*arrays: np.ndarray) -> np.ndarray:
     return x
 
 
-def _smooth_columns(arr: np.ndarray) -> np.ndarray:
-    """`_smoothed` columns of an (n, ...) array, as an array of its shape."""
-    return _smoothed(arr.reshape(len(arr), -1))[:, :len(arr)].T.reshape(arr.shape)
-
-
 # ---------------------------------------------------------------------------
 # window features
 #

@@ -20,8 +20,20 @@ from motionlink.align import (
     correlate_with_alignment,
 )
 from motionlink.engine import FilterConfig
-from motionlink.errors import ConfigError, MemoryCapExceeded, ModelMismatch, NoOverlap
-from motionlink.model import ActivityLabel, Channel, SensorPosition, VisualDataset
+from motionlink.errors import (
+    ConfigError,
+    DataError,
+    MemoryCapExceeded,
+    ModelMismatch,
+    NoOverlap,
+)
+from motionlink.model import (
+    ActivityLabel,
+    Channel,
+    MotionDataset,
+    SensorPosition,
+    VisualDataset,
+)
 from motionlink.pipeline import MotionTrace, build_series
 from motionlink.synth import (
     DEFAULT_MAGNITUDE_BASE,
@@ -311,3 +323,19 @@ def test_visual_model_is_refused_before_featurizing(cohort, monkeypatch):
         correlate_with_alignment(traces, visual, visual_model)
     with pytest.raises(ModelMismatch, match=f"^{message}$"):
         align_offset_search(traces["u0"], visual[0], visual_model)
+
+
+def test_motion_series_are_refused_before_featurizing(cohort, motion_model, monkeypatch):
+    # a trace matches its own motion series at offset 0 with distance 0,
+    # which says nothing about any avatar
+    traces, _, _ = cohort
+    own = build_series(traces["u0"], 1.0, motion_model, "u0")
+
+    def featurize(*args):
+        raise AssertionError("featurized against a motion series")
+
+    monkeypatch.setattr(align, "motion_features", featurize)
+    with pytest.raises(DataError, match="^u0: alignment needs a visual series$"):
+        align_offset_search(traces["u0"], own, motion_model)
+    with pytest.raises(DataError, match="^expected a VisualDataset, got MotionDataset$"):
+        correlate_with_alignment(traces, MotionDataset([own]), motion_model)

@@ -210,6 +210,58 @@ class TestCorrelate:
         assert len(lines) == 6
         assert all(json.loads(l)["ranking"] for l in lines)
 
+    # sha256 of the rankings and the report `correlate --truth` writes, taken
+    # while the rankings file still decided outcomes apart from `evaluate`.
+    # The 200 x 60 cohort plans the index and has every outcome: 165
+    # correct, 5 incorrect and 30 none
+    TRUTH_PINS = {
+        "readme": ("7daba527054afe2be1cae52407a0c4b0a20cc33c99e74a8c09b90374e09250c3",
+                   "3b85350668943cae71964df05aa65f70d601e6d6f045a732fb4131e0426b4d52"),
+        "200x60": ("fff2dad965dc10f22b134a87ada40e690db7fe439f8666a4682b8d858d732ac3",
+                   "b455631449d8689b55fa2632bde6aa798967c428b1e70df106ff42f88aacc7b4"),
+    }
+
+    @pytest.mark.parametrize("name, spec, plan", [
+        ("readme", {"magnitude_noise_sd": 0.1}, "naive"),
+        ("200x60", {"num_identities": 200, "n_windows": 60, "magnitude_noise_sd": 4.0,
+                    "shared_script": True,
+                    "visual_confusion": [[0.75 if i == j else 0.25 / 7 for j in range(8)]
+                                         for i in range(8)],
+                    "position_observability": {"left_wrist": 0.6,
+                                               "right_back_pocket": 0.5}}, "indexed"),
+    ])
+    def test_truth_outputs_are_pinned(self, tmp_path, caplog, name, spec, plan):
+        caplog.set_level(logging.INFO, logger="motionlink.engine")
+        data = generate(tmp_path, **spec)
+        base = ["correlate", "--visual", data["visual"], "--motion", data["motion"],
+                "--truth", data["truth"]]
+        ranks, report = tmp_path / "alone.jsonl", tmp_path / "report.json"
+        assert main(base + ["--out", str(ranks)]) == EXIT_OK
+        assert main(base + ["--out", str(tmp_path / "r.jsonl"), "--report", str(report)]) \
+            == EXIT_OK
+        assert f"filter plan: {plan} " in caplog.text
+        digests = [hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in (ranks, tmp_path / "r.jsonl", report)]
+        want, want_report = self.TRUTH_PINS[name]
+        assert digests == [want, want, want_report]
+
+    @pytest.mark.parametrize("with_report", [False, True])
+    def test_truth_missing_an_avatar_fails_before_ranking(self, dataset, tmp_path, capsys,
+                                                          monkeypatch, with_report):
+        # every avatar needs a truth entry, with or without a report
+        truth = json.loads(Path(dataset["truth"]).read_text())
+        del truth["avatars"]["a0003"]
+        broken = tmp_path / "truth.json"
+        broken.write_text(json.dumps(truth))
+        monkeypatch.setattr("motionlink.cli.correlate", lambda *args: pytest.fail("ranked"))
+        out, report = tmp_path / "r.jsonl", tmp_path / "report.json"
+        rc = main(["correlate", "--visual", dataset["visual"], "--motion", dataset["motion"],
+                   "--truth", str(broken), "--out", str(out)]
+                  + (["--report", str(report)] if with_report else []))
+        assert rc == EXIT_DATA
+        assert capsys.readouterr().err == "error: no ground truth for avatar 'a0003'\n"
+        assert not out.exists() and not report.exists()
+
     def test_naive_and_indexed_write_identical_files(self, wide_dataset, tmp_path,
                                                      monkeypatch, caplog):
         # the filter plans the index; a cap below its estimate forces the naive scan
@@ -636,6 +688,18 @@ class TestSweep:
         # a full-width threshold never filters, so nobody is left unmatched
         full = next(r for r in rows if r["t_norm"] == "1.0")
         assert full["fraction_none"] == "0.0"
+
+    @pytest.mark.parametrize("seed", ["0", "7"])
+    def test_train_seed_needs_trace_mode(self, tmp_path, capsys, seed):
+        # spec mode trains no classifier, so any seed, the default included,
+        # would set nothing
+        spec = write_spec(tmp_path / "spec.json", num_identities=4, n_windows=16)
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--spec", spec, "--w-values", "1.0", "--t-values", "0.3",
+                   "--out", str(out), "--train-seed", seed])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: --train-seed applies only with --trace-mode\n"
+        assert not out.exists()
 
     def test_threads_flag_is_rejected(self, tmp_path, capsys):
         spec = write_spec(tmp_path / "spec.json", num_identities=4, n_windows=16)

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from motionlink import engine, windex
 from motionlink.engine import (
-    CandidatePairSet,
     FilterConfig,
     RankEntry,
     RankedIdentityList,
@@ -38,6 +37,7 @@ from motionlink.errors import (
     EmptyRanking,
     InsufficientData,
     LengthMismatch,
+    MissingGroundTruth,
     UndefinedCorrelation,
 )
 from motionlink.model import (
@@ -46,7 +46,7 @@ from motionlink.model import (
     SensorPosition,
     VisualDataset,
 )
-from motionlink.evalbench import bench_matrices
+from motionlink.evalbench import bench_matrices, evaluate
 from motionlink.pipeline import ConfusionMatrix
 from motionlink.synth import CohortSpec, generate_cohort
 from series_rows import motion_series, visual_series
@@ -454,13 +454,17 @@ def planned(monkeypatch, p, q, n, t_abs, restricted=None):
         ran.append("naive")
         return empty, empty, empty
 
-    def indexed(visual, motion, budget):
+    def build(codes, budget, m):
         assert budget == t_abs
+        return m
+
+    def indexed(v_mat, index):
         ran.append("indexed")
-        return CandidatePairSet(visual.ids, motion.ids, empty, empty, empty)
+        return empty, empty, empty
 
     monkeypatch.setattr(engine, "filter_pairs_naive", naive)
-    monkeypatch.setattr(windex, "filter_with_index", indexed)
+    monkeypatch.setattr(windex, "build_index", build)
+    monkeypatch.setattr(windex, "filter_pairs_indexed", indexed)
     visual, motion = datasets(np.zeros((p, n), dtype=np.uint8), np.zeros((q, n), dtype=np.uint8))
     # mismatch_budget(t_abs / n, n) is t_abs exactly
     activity_filter(visual, motion, FilterConfig(t_abs / max(n, 1), restricted))
@@ -497,6 +501,41 @@ def test_filter_plans_by_cost(monkeypatch, caplog, p, q, n, t_abs, restricted, p
 
 def test_filter_plans_the_naive_scan_over_zero_windows(monkeypatch):
     assert planned(monkeypatch, 500, 500, 0, 0) == ["naive"]
+
+
+def test_indexed_filter_plans_once(monkeypatch, caplog):
+    # one plan: the index is built and queried at the m it picked
+    monkeypatch.delenv("MOTIONLINK_MEMORY_CAP", raising=False)
+    caplog.set_level(logging.INFO, logger="motionlink")
+    v_mat, m_mat = bench_matrices(300, 300, 10)
+    visual, motion = datasets(v_mat, m_mat)
+    with mock.patch.object(windex, "plan_index", wraps=windex.plan_index) as spy:
+        got = activity_filter(visual, motion, FilterConfig(t_norm=0.1))
+    assert spy.call_count == 1
+    for col, expected in zip((got.rows, got.ids, got.dists),
+                             filter_pairs_naive(v_mat, m_mat, 0.1)):
+        np.testing.assert_array_equal(col, expected)
+    assert [f"{r.name}: {r.getMessage()}" for r in caplog.records] == [
+        "motionlink.windex: index build: q=300 k=10 t_abs=1 m=1 entries=3000 "
+        "estimated 0.2 MiB (cap 8192.0 MiB)",
+        "motionlink.engine: filter plan: indexed for p=300 q=300 n=10, cost in cells: "
+        "naive 900000, index 1.42e+05 at m=1",
+    ]
+
+
+@pytest.mark.parametrize("order", ["swapped", "two-visual", "two-motion"])
+def test_datasets_of_the_wrong_channel_are_refused(order):
+    v_mat, m_mat = bench_matrices(20, 20, 10)
+    visual, motion = datasets(v_mat, m_mat)
+    first, second = {"swapped": (motion, visual), "two-visual": (visual, visual),
+                     "two-motion": (motion, motion)}[order]
+    message = (f"^expected a VisualDataset then a MotionDataset, "
+               f"got {type(first).__name__} then {type(second).__name__}$")
+    for call in (lambda: activity_filter(first, second, FilterConfig()),
+                 lambda: correlate(first, second, FilterConfig()),
+                 lambda: windex.filter_with_index(first, second, 3)):
+        with pytest.raises(DataError, match=message):
+            call()
 
 
 def test_index_over_the_cap_falls_back_to_the_naive_scan(monkeypatch, caplog):
@@ -602,7 +641,8 @@ def filter_inputs(draw):
 def test_activity_filter_equals_the_naive_scan(inputs, t_norm, restricted):
     v_mat, m_mat = inputs
     visual, motion = datasets(v_mat, m_mat)
-    with mock.patch.object(windex, "filter_with_index", wraps=windex.filter_with_index) as spy:
+    query = windex.filter_pairs_indexed
+    with mock.patch.object(windex, "filter_pairs_indexed", wraps=query) as spy:
         got = activity_filter(visual, motion, FilterConfig(t_norm, restricted))
     event("indexed" if spy.called else "naive")
     for col, expected in zip((got.rows, got.ids, got.dists),
@@ -1177,14 +1217,24 @@ def test_ranking_serialization_roundtrip(tmp_path):
 
 
 def test_ranking_outcome_field():
-    r = RankedIdentityList("a0", ())
-    assert ranking_to_dict(r, {"a0": "m0"})["outcome"] == "none"
+    # `evaluate` decides the outcome; the file holds its name in lower case
+    empty = RankedIdentityList("a0", ())
     v, m = small_world(seed=6, p=1, q=2)
-    rankings = correlate(v, m, FilterConfig(t_norm=1.0))
-    d = ranking_to_dict(rankings[0], {"a0": "m0"})
-    assert d["outcome"] == "correct"
-    d = ranking_to_dict(rankings[0], {"a0": "m1"})
-    assert d["outcome"] == "incorrect"
+    ranked, = correlate(v, m, FilterConfig(t_norm=1.0))
+    for ranking, true_id, word in ((empty, "m0", "none"), (ranked, "m0", "correct"),
+                                   (ranked, "m1", "incorrect")):
+        outcomes = evaluate([ranking], {"a0": true_id}).outcomes
+        assert ranking_to_dict(ranking, outcomes)["outcome"] == word
+    assert "outcome" not in ranking_to_dict(ranked)
+
+
+def test_rankings_with_truth_missing_an_avatar_are_not_written(tmp_path):
+    # `evaluate` decides every line's outcome, so every avatar needs a truth entry
+    v, m = small_world(seed=6, p=2, q=2)
+    path = tmp_path / "rankings.jsonl"
+    with pytest.raises(MissingGroundTruth, match="^no ground truth for avatar 'a1'$"):
+        write_rankings_jsonl(correlate(v, m, FilterConfig(t_norm=1.0)), path, {"a0": "m0"})
+    assert not path.exists()
 
 
 def test_ranking_minus_inf_serializes_as_null():

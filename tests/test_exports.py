@@ -63,3 +63,13 @@ def test_every_exported_name_has_a_caller_outside_the_tests():
         if name not in used and not re.search(rf"\b{re.escape(name)}\b", readme)
     })
     assert not unused, f"exported but referenced only by tests: {unused}"
+
+
+def test_readme_library_example_runs(capsys):
+    # the "Library use" block of the README, run as written, so the
+    # documented API cannot drift from the code
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"^## Library use\n\n```python\n(.*?)^```$", readme, re.S | re.M)
+    exec(compile(block.group(1), "README.md", "exec"), {})
+    top_1, fraction_none = map(float, capsys.readouterr().out.split())
+    assert 0.0 <= top_1 <= 1.0 and 0.0 <= fraction_none <= 1.0

@@ -35,7 +35,6 @@ from motionlink.pipeline import (
     KeypointTrace,
     MotionTrace,
     _confusion_codes,
-    _smooth_columns,
     build_series,
     classify_windows,
     fit_classifier,
@@ -59,6 +58,11 @@ from window_oracle import (
     visual_window_features,
 )
 from series_rows import visual_series
+
+
+def _smooth_columns(arr: np.ndarray) -> np.ndarray:
+    """`pipeline._smoothed` columns of an (n, ...) array, as an array of its shape."""
+    return pipeline._smoothed(arr.reshape(len(arr), -1))[:, :len(arr)].T.reshape(arr.shape)
 
 
 def flat_trace(seconds, rate=50.0, start=0.0):
