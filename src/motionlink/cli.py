@@ -27,6 +27,7 @@ from .engine import (
     DEFAULT_T_NORM,
     FilterConfig,
     _check_fraction,
+    _common_grid,
     _write_rankings,
     correlate,
     read_rankings_jsonl,
@@ -47,7 +48,6 @@ from .evalbench import (
 from .model import (
     SERIES_FORMAT_VERSION,
     Channel,
-    MotionDataset,
     VisualDataset,
     json_value,
     read_dataset_jsonl,
@@ -56,7 +56,7 @@ from .model import (
     write_json,
 )
 from .pipeline import (
-    build_series,
+    build_dataset,
     load_classifier,
     read_keypoint_jsonl,
     read_motion_csv,
@@ -230,21 +230,16 @@ def cmd_generate(args) -> int:
 
 
 def cmd_build_series(args) -> int:
-    channel = Channel.MOTION if args.channel == "motion" else Channel.VISUAL
-    if channel is Channel.MOTION:
-        trace = read_motion_csv(args.trace)
-        dataset_cls = MotionDataset
-    else:
-        trace = read_keypoint_jsonl(args.trace)
-        dataset_cls = VisualDataset
+    channel = Channel(args.channel)
+    trace = (read_motion_csv if channel is Channel.MOTION else read_keypoint_jsonl)(args.trace)
     window_edges(trace, args.w)  # a trace shorter than one window fails before training
     model = _classifier_for(channel, args.w, args)
     source_id = args.source_id or Path(args.trace).stem
-    series = build_series(trace, args.w, model, source_id)
-    write_dataset_jsonl(dataset_cls([series]), args.out)
+    dataset = build_dataset({source_id: trace}, args.w, model)
+    write_dataset_jsonl(dataset, args.out)
     if args.save_model:
         save_classifier(model, args.save_model)
-    print(f"built {channel.value} series {source_id!r}: {len(series)} windows of {args.w}s")
+    print(f"built {channel.value} series {source_id!r}: {len(dataset[0])} windows of {args.w}s")
     return EXIT_OK
 
 
@@ -271,11 +266,11 @@ def cmd_correlate(args) -> int:
     if args.top_k is not None and not args.report:
         raise ConfigError("--top-k applies only with --report")
     truth = GroundTruth.load(args.truth) if args.truth else None
-    visual = read_dataset_jsonl(args.visual)
+    visual, motion = read_dataset_jsonl(args.visual), read_dataset_jsonl(args.motion)
+    _common_grid(visual, motion)  # swapped channels are named before a missing avatar
     missing = [a for a in visual.ids if a not in truth.mapping] if truth else ()
     if missing:
         raise MissingGroundTruth(f"no ground truth for avatar {missing[0]!r}")
-    motion = read_dataset_jsonl(args.motion)
     restricted = DEFAULT_RESTRICTED_SET if cfg.restricted else None
     rankings = correlate(visual, motion, FilterConfig(cfg.t_norm, restricted),
                          cfg.min_observed_fraction)

@@ -18,7 +18,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .engine import (
-    DEFAULT_MIN_OBSERVED_FRACTION,
     FilterConfig,
     RankEntry,
     RankedIdentityList,
@@ -27,14 +26,8 @@ from .engine import (
     filter_pairs_naive,
 )
 from .errors import ConfigError, DataError, MemoryCapExceeded, MissingGroundTruth, TraceTooShort
-from .model import (
-    ActivityLabel,
-    Channel,
-    MotionDataset,
-    SensorPosition,
-    VisualDataset,
-)
-from .pipeline import _EPS, build_series, window_edges
+from .model import ActivityLabel, Channel, MotionDataset, VisualDataset
+from .pipeline import _EPS, build_dataset, window_edges
 from .synth import (
     CohortSpec,
     GroundTruth,
@@ -175,14 +168,8 @@ def _cohort_at(cohort: TraceCohort | CohortSpec, w: float, train_seed: int,
         return generate_cohort(replace(cohort, window_seconds=w, n_windows=n_w))
     motion_model = train_classifier(Channel.MOTION, w, seed=train_seed)
     visual_model = train_classifier(Channel.VISUAL, w, seed=train_seed)
-    motion = MotionDataset(
-        build_series(trace, w, motion_model, ident)
-        for ident, trace in cohort.motion_traces.items()
-    )
-    visual = VisualDataset(
-        build_series(trace, w, visual_model, avatar)
-        for avatar, trace in cohort.keypoint_traces.items()
-    )
+    motion = build_dataset(cohort.motion_traces, w, motion_model)
+    visual = build_dataset(cohort.keypoint_traces, w, visual_model)
     return visual, motion, cohort.truth
 
 
@@ -216,20 +203,12 @@ def sweep_parameters(cohort: TraceCohort | CohortSpec, w_values: Sequence[float]
         window_edges(min(traces, key=lambda trace: trace.duration), max(w_values))
     elif cohort.n_windows * cohort.window_seconds / max(w_values) + _EPS < 1:
         raise TraceTooShort(f"the spec records less than one {max(w_values)}s window")
-    positions = [p.value for p in SensorPosition]
     grid: dict[tuple[float, float], EvalReport] = {}
     for w in dict.fromkeys(w_values):  # a repeated width is built once
         visual, motion, truth = _cohort_at(cohort, w, train_seed)
         for t in t_values:
             rankings = correlate(visual, motion, FilterConfig(t_norm=t, restricted=restricted))
-            echo = {
-                "w": w,
-                "t_norm": t,
-                "restricted": sorted(l.name for l in restricted) if restricted else None,
-                "positions": positions,
-                "min_observed_fraction": DEFAULT_MIN_OBSERVED_FRACTION,
-            }
-            grid[(w, t)] = evaluate(rankings, truth, config=echo)
+            grid[(w, t)] = evaluate(rankings, truth)
     return grid
 
 

@@ -2,11 +2,11 @@
 
 Two trace kinds feed the pipeline.  MotionTrace is an on-body IMU recording
 (tri-axial accelerometer + gyroscope); KeypointTrace is a 2-D pose track of
-an observed avatar.  Both reduce to an ActivityVectorSeries on a fixed
-window grid: a classified activity label per window plus movement
-magnitudes (one sequence for motion, one per candidate sensor position for
-visual, where a position's magnitude is derived from its proxy keypoints
-and may be unobservable).
+an observed avatar.  Traces of one kind reduce to one dataset, a series
+per trace on a fixed window grid: a classified activity label per window
+plus movement magnitudes (one sequence for motion, one per candidate
+sensor position for visual, where a position's magnitude is derived from
+its proxy keypoints and may be unobservable).
 """
 
 from __future__ import annotations
@@ -677,21 +677,41 @@ def _check_channel(model: ClassifierModel, kind: str, channel: Channel) -> None:
         raise ModelMismatch(f"{kind} trace needs a {channel.value}-channel model")
 
 
-def build_series(trace: MotionTrace | KeypointTrace, w: float, model: ClassifierModel,
-                 source_id: str) -> ActivityVectorSeries:
-    """Run the full pipeline on one trace.
+def build_dataset(traces: Mapping[str, MotionTrace | KeypointTrace], w: float,
+                  model: ClassifierModel) -> MotionDataset | VisualDataset:
+    """Run the full pipeline on traces of one kind, keyed by source id: a
+    MotionDataset of motion traces or a VisualDataset of keypoint traces,
+    one series per trace in mapping order.
 
     Motion traces are smoothed per axis before feature extraction (the
     magnitude is taken from the raw accelerometer so smoothing cannot bite
-    into genuine movement energy); keypoint traces are used as-is.
+    into genuine movement energy); keypoint traces are used as-is.  An
+    empty mapping, mixed kinds and a model of the other channel are refused
+    before any trace is featurized; traces that give different window
+    counts raise LengthMismatch naming the series.
     """
-    if isinstance(trace, MotionTrace):
-        kind, dataset = "motion", MotionDataset
-    elif isinstance(trace, KeypointTrace):
-        kind, dataset = "keypoint", VisualDataset
+    if not traces:
+        raise DataError("dataset must contain at least one series")
+    first = next(iter(traces.values()))
+    if isinstance(first, MotionTrace):
+        cls, kind, dataset = MotionTrace, "motion", MotionDataset
+    elif isinstance(first, KeypointTrace):
+        cls, kind, dataset = KeypointTrace, "keypoint", VisualDataset
     else:
-        raise DataError(f"cannot build a series from {type(trace).__name__}")
+        raise DataError(f"cannot build a series from {type(first).__name__}")
+    for source_id, trace in traces.items():
+        if not isinstance(trace, cls):
+            raise DataError(f"series {source_id!r}: a {type(trace).__name__} among {kind} traces")
     _check_channel(model, kind, dataset.channel)
-    feats, mags = window_features(trace, w)
-    codes = classify_windows(model, feats)
-    return dataset.from_arrays((source_id,), codes[None], mags.T[None], w)[0]
+    codes, mags = [], []
+    for trace in traces.values():
+        feats, trace_mags = window_features(trace, w)
+        codes.append(classify_windows(model, feats))
+        mags.append(trace_mags.T)
+    return dataset.from_arrays(traces, codes, mags, w)
+
+
+def build_series(trace: MotionTrace | KeypointTrace, w: float, model: ClassifierModel,
+                 source_id: str) -> ActivityVectorSeries:
+    """The one series of `build_dataset({source_id: trace}, w, model)`."""
+    return build_dataset({source_id: trace}, w, model)[0]

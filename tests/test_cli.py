@@ -419,6 +419,20 @@ class TestCorrelate:
                    "--out", str(tmp_path / "r.jsonl")])
         assert rc == EXIT_DATA
 
+    @pytest.mark.parametrize("with_truth", [False, True])
+    def test_swapped_channels_are_named_before_the_truth_is_checked(
+            self, dataset, tmp_path, capsys, monkeypatch, with_truth):
+        # the swapped --visual holds identities, which the truth file lacks as
+        # avatars; the channels are the fault named, with or without --truth
+        monkeypatch.setattr("motionlink.cli.correlate", lambda *args: pytest.fail("ranked"))
+        out = tmp_path / "r.jsonl"
+        rc = main(["correlate", "--visual", dataset["motion"], "--motion", dataset["visual"],
+                   "--out", str(out)] + (["--truth", dataset["truth"]] if with_truth else []))
+        assert rc == EXIT_DATA
+        assert capsys.readouterr().err == ("error: expected a VisualDataset then a "
+                                           "MotionDataset, got MotionDataset then VisualDataset\n")
+        assert not out.exists()
+
     def test_w_flag_is_refused(self, dataset, tmp_path, capsys):
         # the series files carry the width, so even their own width is refused
         out = tmp_path / "r.jsonl"
@@ -964,6 +978,43 @@ def test_non_numeric_array_entry_is_refused(dataset, trace_dir, tmp_path, capsys
                                             reader, content):
     err = run_on_bad_file(reader, f"{content}\n".encode(), dataset, trace_dir, tmp_path, capsys)
     assert "must be JSON numbers" in err
+
+
+# sha256 of the trace-mode sweep CSVs and of build-series files on the
+# traces `generate --traces` writes for PINNED_TRACE_SPEC, taken while both
+# commands still built one series at a time
+PINNED_TRACE_SPEC = {"num_identities": 8, "n_windows": 12, "seed": 5, "magnitude_noise_sd": 0.1}
+TRACE_PINS = {
+    "sweep": "1dab18b2aedc54700f2dda90ded1bbd5b31a60686f593061f653d75dd4d97ad3",
+    "sweep-restricted": "533e09aba9e4f3b7b4b4cddb9b62b3ebf15b680fcb6eb3b687999d085fa85cd0",
+    "motion": "c59fa93ba8322c2a57535601b54c2d159ab538d2d8095a97a4d3b120f4caaa35",
+    "visual": "c5d3a7ea8e5cd6dbcb9b1a2938303a0b8dbdf6d01c586a71360a98abb2e44865",
+}
+SWEEP_ARGS = ["sweep", "--spec", "{spec}", "--trace-mode", "--w-values", "0.5,1,2",
+              "--t-values", "0.1,0.3,0.5"]
+
+
+@pytest.fixture(scope="module")
+def pinned_traces(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("pinned")
+    spec = tmp / "spec.json"
+    spec.write_text(json.dumps(PINNED_TRACE_SPEC))
+    assert main(["generate", "--spec", str(spec), "--out-dir", str(tmp / "d"),
+                 "--traces"]) == EXIT_OK
+    return {"spec": str(spec), "dir": str(tmp / "d")}
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("sweep", SWEEP_ARGS),
+    ("sweep-restricted", SWEEP_ARGS + ["--restricted"]),
+    ("motion", ["build-series", "--trace", "{dir}/motion/u0000.csv", "--channel", "motion"]),
+    ("visual", ["build-series", "--trace", "{dir}/keypoints/a0000.jsonl", "--channel",
+                "visual"]),
+])
+def test_trace_outputs_are_pinned(pinned_traces, tmp_path, name, argv):
+    out = tmp_path / "out"
+    assert main([a.format(**pinned_traces) for a in argv] + ["--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == TRACE_PINS[name]
 
 
 class TestTraceCommands:

@@ -268,21 +268,12 @@ class TestSweep:
         grid = sweep_parameters(small_cohort, [1.0], [1.0])
         assert grid[(1.0, 1.0)].fraction_none == 0.0
 
-    def test_config_echo(self, small_cohort):
-        grid = sweep_parameters(small_cohort, [1.0], [0.3])
-        echo = grid[(1.0, 0.3)].config
-        assert echo["w"] == 1.0
-        assert echo["t_norm"] == 0.3
-        assert echo["restricted"] is None
-        assert len(echo["positions"]) == 6
-
     def test_restricted_sweep(self, small_cohort):
         grid = sweep_parameters(small_cohort, [1.0], [0.3],
                                 restricted=DEFAULT_RESTRICTED_SET)
         report = grid[(1.0, 0.3)]
         assert report.top_1_rate == 1.0
-        assert sorted(report.config["restricted"]) == sorted(
-            l.name for l in DEFAULT_RESTRICTED_SET)
+        assert report.config == {}  # the CSV row carries w and t
 
     def test_two_runs_give_equal_grids(self, small_cohort):
         g1 = sweep_parameters(small_cohort, [1.0], [0.3, 1.0])
@@ -334,9 +325,12 @@ class TestSweepFromSpec:
 
     def test_widths_rescale_sequence_length(self):
         spec = CohortSpec(num_identities=3, n_windows=20, seed=3)
-        grid = sweep_parameters(spec, [0.5, 2.0], [1.0])
         # 20 s of recording: 40 windows at half a second, 10 at two seconds
-        assert grid[(0.5, 1.0)].config["w"] == 0.5
+        for w, n in ((0.5, 40), (2.0, 10)):
+            visual, motion, _ = evalbench._cohort_at(spec, w, train_seed=0)
+            assert visual.codes.shape[1] == motion.codes.shape[1] == n
+            assert visual.window_seconds == motion.window_seconds == w
+        grid = sweep_parameters(spec, [0.5, 2.0], [1.0])
         assert grid[(2.0, 1.0)].top_1_rate == 1.0
 
     def test_zero_threshold_with_noisy_channel(self):

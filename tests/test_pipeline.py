@@ -19,13 +19,16 @@ from motionlink.errors import (
     DataError,
     EmptyWindow,
     InvalidConfusionMatrix,
+    LengthMismatch,
     ModelMismatch,
     TraceTooShort,
 )
 from motionlink.model import (
     ActivityLabel,
     Channel,
+    MotionDataset,
     SensorPosition,
+    VisualDataset,
 )
 from motionlink.pipeline import (
     GRAVITY,
@@ -35,6 +38,7 @@ from motionlink.pipeline import (
     KeypointTrace,
     MotionTrace,
     _confusion_codes,
+    build_dataset,
     build_series,
     classify_windows,
     fit_classifier,
@@ -350,13 +354,19 @@ def test_smoothing_equals_scipy_savgol_bit_for_bit(seed, n, columns, kind, block
     assert np.array_equal(out, savgol_filter(x, 11, 3, axis=0, mode="mirror"))
 
 
-def test_import_loads_no_scipy():
-    # the runtime needs numpy only; scipy is a test oracle
+# Packages a fresh `import motionlink` must not load: scipy and hypothesis
+# are test oracles, and the numpy subpackages load lazily on first use (the
+# package imports at the start of every CLI run and benchmark)
+NOT_IMPORTED = ("numpy.random", "numpy.fft", "numpy.ma", "scipy", "hypothesis")
+
+
+def test_import_loads_only_what_the_runtime_needs():
     src = os.path.dirname(os.path.dirname(motionlink.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, motionlink; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+            f"print(sorted(m for m in sys.modules for n in {NOT_IMPORTED!r} "
+            "if m == n or m.startswith(n + '.')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
@@ -677,6 +687,55 @@ def test_build_series_channel_model_mismatch():
     visual_model = fit_classifier(feats, labels, Channel.VISUAL)
     with pytest.raises(ModelMismatch):
         build_series(tr, 1.0, visual_model, "m0")
+
+
+@pytest.fixture(scope="module")
+def trace_cohort():
+    return synth.synthesize_trace_cohort(synth.CohortSpec(num_identities=5, n_windows=12,
+                                                          seed=3))
+
+
+@pytest.mark.parametrize("w", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("channel, dataset_cls", [(Channel.MOTION, MotionDataset),
+                                                  (Channel.VISUAL, VisualDataset)])
+def test_build_dataset_equals_stacked_series(trace_cohort, w, channel, dataset_cls):
+    traces = (trace_cohort.motion_traces if channel is Channel.MOTION
+              else trace_cohort.keypoint_traces)
+    model = synth.train_classifier(channel, w, seed=0)
+    dataset = build_dataset(traces, w, model)
+    stacked = dataset_cls(build_series(trace, w, model, sid) for sid, trace in traces.items())
+    assert type(dataset) is dataset_cls
+    assert dataset.ids == stacked.ids == tuple(traces)
+    assert np.array_equal(dataset.codes, stacked.codes)
+    assert np.array_equal(dataset.mags, stacked.mags, equal_nan=True)
+    assert dataset.window_seconds == stacked.window_seconds == w
+
+
+def test_build_dataset_refuses_before_featurizing(trace_cohort, monkeypatch):
+    rng = np.random.default_rng(0)
+    codes = np.repeat(np.arange(8), 10)
+    motion_model = fit_classifier(rng.normal(0, 1, (80, 24)), codes, Channel.MOTION)
+    visual_model = fit_classifier(rng.normal(0, 1, (80, 13)), codes, Channel.VISUAL)
+    monkeypatch.setattr(pipeline, "window_features", lambda *args: pytest.fail("featurized"))
+    motion, keypoints = trace_cohort.motion_traces, trace_cohort.keypoint_traces
+    with pytest.raises(DataError, match="^series 'a0000': a KeypointTrace among motion traces$"):
+        build_dataset({"u0000": motion["u0000"], "a0000": keypoints["a0000"]}, 1.0,
+                      motion_model)
+    with pytest.raises(DataError, match="^cannot build a series from str$"):
+        build_dataset({"u0000": "u0000.csv"}, 1.0, motion_model)
+    with pytest.raises(ModelMismatch, match="^motion trace needs a motion-channel model$"):
+        build_dataset(motion, 1.0, visual_model)
+    with pytest.raises(ModelMismatch, match="^keypoint trace needs a visual-channel model$"):
+        build_dataset(keypoints, 1.0, motion_model)
+    with pytest.raises(DataError, match="^dataset must contain at least one series$"):
+        build_dataset({}, 1.0, motion_model)
+
+
+def test_build_dataset_names_a_series_of_another_length():
+    short, long = flat_trace(5.0), flat_trace(6.0)
+    model = _fit_motion_model_from_trace(long, segment_windows(long, 1.0))
+    with pytest.raises(LengthMismatch, match="^series 'b': 6 windows, series 'a' has 5$"):
+        build_dataset({"a": short, "b": long}, 1.0, model)
 
 
 # ---------------------------------------------------------------------------
